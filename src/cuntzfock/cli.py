@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -23,7 +22,7 @@ from .ladder import (
 )
 from .rep import RepSpace, State, gp_vector
 from .verify import apply_op_token, parse_op_token
-from .words import TailWord, parse_letters
+from .words import TailWord, block_prepend, parse_letters
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BOUNDS = 3
@@ -154,11 +153,9 @@ _SUITES = {
 @click.option("--dim", type=int, default=1024, show_default=True)
 @click.option("--sequences", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=20240809, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads across suites.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON reports.")
 def cmd_verify(suites, depth, modes, particles, max_subset, p_max, dim,
-               sequences, seed, jobs, as_json):
+               sequences, seed, as_json):
     """Run named verification suites.
 
     Known names: cuntz ccr car branch-oinfty branch-boson branch-fermion
@@ -180,13 +177,7 @@ def cmd_verify(suites, depth, modes, particles, max_subset, p_max, dim,
         "sequences": sequences,
         "seed": seed,
     }
-    runners = [_SUITES[n] for n in names]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            grouped = list(pool.map(lambda r: r(options), runners))
-    else:
-        grouped = [r(options) for r in runners]
-    reports = [rep for group in grouped for rep in group]
+    reports = [rep for n in names for rep in _SUITES[n](options)]
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))
     else:
@@ -272,10 +263,7 @@ def cmd_graph(space_word: str, depth: int, label_kind: str, gens: str):
                     lines.append(f'  {ids[w]} -> {ids[v]} [label="t{i}"];')
         else:
             for m in range(1, depth + 2):
-                v = w
-                v = v.prepend(1)
-                for _ in range(m - 1):
-                    v = v.prepend(2)
+                v = block_prepend(m, w)
                 if v in ids:
                     lines.append(f'  {ids[w]} -> {ids[v]} [label="s{m}"];')
     lines.append("}")

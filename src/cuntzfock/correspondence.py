@@ -51,13 +51,6 @@ class Block:
         if self.start < 1 or self.length < 1:
             raise ValueError("blocks need start >= 1 and length >= 1")
 
-    @property
-    def stop(self) -> int:
-        return self.start + self.length - 1
-
-    def modes(self) -> range:
-        return range(self.start, self.start + self.length)
-
 
 def block_decompose(S: FermionSubset) -> list[Block]:
     """Split a mode set into maximal consecutive runs (gaps >= 2 between)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import rep
 from .radical import ONE, sqrt_factorial, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
-from .words import TailWord, leading_block
+from .words import TailWord, block_prepend, leading_block
 
 DEFAULT_MAX_MODE = 16
 DEFAULT_MAX_PARTICLES = 12
@@ -46,39 +46,22 @@ def _check_mode(n: int, max_mode: int) -> None:
 # -- single-word actions ----------------------------------------------------
 
 
-def _strip_block(w: TailWord):
-    """Return (e, rest) where w = 2^e 1 . rest, or None for 2^inf."""
+def _boson_word(create: bool, n: int, w: TailWord):
     lb = leading_block(w)
     if lb is None:
         return None
-    m, rest = lb
-    return m - 1, rest
-
-
-def _block_prepend(m: int, w: TailWord) -> TailWord:
-    """Prepend the block 2^(m-1) 1."""
-    w = w.prepend(1)
-    for _ in range(m - 1):
-        w = w.prepend(2)
-    return w
-
-
-def _boson_word(create: bool, n: int, w: TailWord):
-    sb = _strip_block(w)
-    if sb is None:
-        return None
-    e, rest = sb
+    m, rest = lb  # w = 2^(m-1) 1 . rest
     if n > 1:
         sub = _boson_word(create, n - 1, rest)
         if sub is None:
             return None
         c, u = sub
-        return c, _block_prepend(e + 1, u)
+        return c, block_prepend(m, u)
     if create:
-        return sqrt_of_nat(e + 1), _block_prepend(e + 2, rest)
-    if e == 0:
+        return sqrt_of_nat(m), block_prepend(m + 1, rest)
+    if m == 1:
         return None
-    return sqrt_of_nat(e), _block_prepend(e, rest)
+    return sqrt_of_nat(m - 1), block_prepend(m - 1, rest)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):

@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping
 
 try:
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as _Q
-
-RationalLike = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
@@ -70,14 +68,6 @@ class RadicalScalar:
     @staticmethod
     def zero() -> "RadicalScalar":
         return _ZERO
-
-    @staticmethod
-    def one() -> "RadicalScalar":
-        return _ONE
-
-    @staticmethod
-    def rational(num: RationalLike, den: int = 1) -> "RadicalScalar":
-        return RadicalScalar({1: _Q(num) / den})
 
     # -- structure ---------------------------------------------------
 

@@ -54,9 +54,6 @@ class RepSpace:
     def __repr__(self) -> str:
         return self.label
 
-    def word(self, prefix=(), phase: int = 0) -> TailWord:
-        return TailWord(prefix, self.period, phase)
-
     def gp_word(self) -> TailWord:
         return TailWord((), self.period, 0)
 
@@ -223,25 +220,26 @@ def _wrap(space: RepSpace, terms: dict) -> State:
     return out
 
 
-def map_basis(state: State, fn: Callable[[TailWord], object]) -> State:
+def map_basis(
+    state: State, fn: Callable[[TailWord], tuple[RadicalScalar, TailWord] | None]
+) -> State:
     """Linear extension of a basis map.
 
-    fn returns None (annihilation), a (coeff, word) pair, or a list of
-    such pairs.
+    fn sends each basis word either to None (the word is annihilated) or
+    to a single (coeff, word) pair; no basis map yields more than one term.
     """
     acc: dict[TailWord, RadicalScalar] = {}
     for w, c in state.items():
         r = fn(w)
         if r is None:
             continue
-        pairs = r if isinstance(r, list) else [r]
-        for cc, ww in pairs:
-            s = acc.get(ww)
-            s = c * cc if s is None else s + c * cc
-            if s:
-                acc[ww] = s
-            else:
-                acc.pop(ww, None)
+        cc, ww = r
+        s = acc.get(ww)
+        s = c * cc if s is None else s + c * cc
+        if s:
+            acc[ww] = s
+        else:
+            acc.pop(ww, None)
     return _wrap(state.space, acc)
 
 
@@ -271,15 +269,6 @@ def apply_t_word(letters, state: State) -> State:
         letters = parse_letters(letters)
     for i in reversed(tuple(letters)):
         state = apply_t(i, state)
-    return state
-
-
-def apply_t_word_star(letters, state: State) -> State:
-    """Adjoint of apply_t_word."""
-    if isinstance(letters, str):
-        letters = parse_letters(letters)
-    for i in tuple(letters):
-        state = apply_t_star(i, state)
     return state
 
 
@@ -345,21 +334,6 @@ class T(Operator):
         return f"t{self.i}{'*' if self.star else ''}"
 
 
-class SGen(Operator):
-    def __init__(self, m: int, star: bool = False):
-        self.m = m
-        self.star = star
-
-    def apply(self, state: State) -> State:
-        return apply_s_star(self.m, state) if self.star else apply_s(self.m, state)
-
-    def adjoint(self) -> Operator:
-        return SGen(self.m, not self.star)
-
-    def __repr__(self):
-        return f"s{self.m}{'*' if self.star else ''}"
-
-
 class Compose(Operator):
     """Operator product; the rightmost factor acts first."""
 
@@ -376,38 +350,6 @@ class Compose(Operator):
 
     def __repr__(self):
         return " ".join(repr(op) for op in self.ops)
-
-
-class Scale(Operator):
-    def __init__(self, coeff, op: Operator):
-        self.coeff = promote(coeff)
-        self.op = op
-
-    def apply(self, state: State) -> State:
-        return self.op.apply(state) * self.coeff
-
-    def adjoint(self) -> Operator:
-        return Scale(self.coeff, self.op.adjoint())
-
-    def __repr__(self):
-        return f"({self.coeff}) {self.op!r}"
-
-
-class Add(Operator):
-    def __init__(self, *ops: Operator):
-        self.ops = ops
-
-    def apply(self, state: State) -> State:
-        acc = State.zero(state.space)
-        for op in self.ops:
-            acc = acc + op.apply(state)
-        return acc
-
-    def adjoint(self) -> Operator:
-        return Add(*(op.adjoint() for op in self.ops))
-
-    def __repr__(self):
-        return " + ".join(repr(op) for op in self.ops)
 
 
 class Rho(Operator):

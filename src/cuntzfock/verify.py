@@ -15,6 +15,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from . import correspondence as corr
 from .ladder import (
+    DEFAULT_MAX_MODE,
     BosonMonomial,
     FermionSubset,
     apply_boson,
@@ -762,7 +763,7 @@ def render_op_token(tok: tuple[str, int, bool]) -> str:
     return f"{kind}{idx}{'*' if star else ''}"
 
 
-def apply_op_token(tok, state: State, *, max_mode: int = 64) -> State:
+def apply_op_token(tok, state: State, *, max_mode: int = DEFAULT_MAX_MODE) -> State:
     kind, idx, star = tok
     if kind == "t":
         return apply_t_star(idx, state) if star else apply_t(idx, state)

@@ -166,6 +166,18 @@ def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
     return j + 1, rest
 
 
+def block_prepend(m: int, w: TailWord) -> TailWord:
+    """Prepend the block 2^(m-1) 1, the word-level action of s_m.
+
+    This is the inverse of `leading_block`: splitting the result gives
+    back (m, w).
+    """
+    w = w.prepend(1)
+    for _ in range(m - 1):
+        w = w.prepend(2)
+    return w
+
+
 def word_to_index(w: TailWord) -> int:
     """Position of a tail-1 word in the l2(N) basis."""
     if w.rot != (1,):

@@ -30,6 +30,11 @@ from cuntzfock.rep import RepSpace, State, apply_t_word, gp_vector
 P1 = RepSpace((1,))
 OMEGA = gp_vector(P1)
 
+# Case counts of the relation and oracle suites at their default (acceptance)
+# parameters; a dropped or duplicated case changes them.
+CRITERION_5_CASES = {"cuntz": 152_576, "ccr": 15_750, "car": 3_233}
+CRITERION_7_CASES = 67_837
+
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -151,14 +156,13 @@ def test_criterion_4_particle_number():
 
 def test_criterion_5_relation_suites():
     t0 = time.time()
-    reports = [
-        verify.cuntz_suite(max_j_len=3, depth=10, oinfty_max=8, oinfty_depth=6),
-        verify.ccr_suite(op_max=5, max_particles=4, max_mode=5, intertwine_max=5),
-        verify.car_suite(op_max=5, max_particles=4, max_mode=5, word_identity_max=6),
-    ]
-    ok = all(r.passed for r in reports)
-    cases = sum(r.cases for r in reports)
+    reports = [verify.cuntz_suite(), verify.ccr_suite(), verify.car_suite()]
+    counts = {r.suite: r.cases for r in reports}
+    ok = all(r.passed for r in reports) and counts == CRITERION_5_CASES
+    cases = sum(counts.values())
     detail = "; ".join(r.summary() for r in reports if not r.passed)
+    if counts != CRITERION_5_CASES:
+        detail += f" case counts {counts}, expected {CRITERION_5_CASES}"
     _line(
         "criterion-5 relation suites",
         ok,
@@ -209,21 +213,13 @@ def test_criterion_6_branching():
 
 def test_criterion_7_codec_and_oracle():
     t0 = time.time()
-    report = verify.oracle_suite(
-        dim=4096,
-        sequences=200,
-        seed=20240809,
-        max_len=6,
-        max_index=2 ** 14,
-        ladder_max=12,
-        embed_max_m=16,
-        embed_max_n=4096,
-        tolerance=1e-9,
-    )
+    report = verify.oracle_suite()
     detail = "; ".join(str(f) for f in report.failures[:3])
+    if report.cases != CRITERION_7_CASES:
+        detail += f" {report.cases} cases, expected {CRITERION_7_CASES}"
     _line(
         "criterion-7 codec and float oracle",
-        report.passed,
+        report.passed and report.cases == CRITERION_7_CASES,
         detail
         or f"({report.cases} cases, worst deviation {report.params['worst_deviation']:.2e}, "
         f"{time.time() - t0:.2f}s)",

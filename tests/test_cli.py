@@ -1,10 +1,15 @@
 import json
+import re
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
 from cuntzfock import cli as cli_mod
 from cuntzfock.cli import main
+from cuntzfock.rep import RepSpace, State, apply_s
 from cuntzfock.verify import SuiteReport
+from cuntzfock.words import parse_letters
 
 
 def run(*args):
@@ -119,6 +124,12 @@ def test_apply():
     assert res.exit_code == 2
 
 
+def test_apply_mode_bound_exit_3():
+    assert run("apply", "b16*").exit_code == 0
+    assert run("apply", "b17*").exit_code == 3
+    assert run("apply", "a17").exit_code == 3
+
+
 def test_graph_words():
     res = run("graph", "--space", "1", "--depth", "1", "--label", "words")
     assert res.exit_code == 0
@@ -150,6 +161,30 @@ def test_graph_oinfty_self_loop():
     assert 'label="s1"' in res.output
 
 
+def test_graph_oinfty_edges_follow_s_m():
+    depth = 3
+    for space_word in ("1", "21"):
+        res = run("graph", "--space", space_word, "--depth", str(depth), "--gens", "oinfty")
+        assert res.exit_code == 0
+        space = RepSpace(parse_letters(space_word))
+        words = {w.render(): w for w in space.basis_words(depth)}
+        names = dict(re.findall(r'^  (n\d+) \[label="([^"]*)"\];$', res.output, re.M))
+        assert sorted(names.values()) == sorted(words)
+        edges = set()
+        for src, dst, m in re.findall(r'^  (n\d+) -> (n\d+) \[label="s(\d+)"\];$',
+                                      res.output, re.M):
+            edges.add((names[src], int(m), names[dst]))
+        # the graph draws s_1 .. s_{depth+1} wherever the image stays in the tree
+        expected = set()
+        for label, w in words.items():
+            for m in range(1, depth + 2):
+                ((v, c),) = apply_s(m, State.basis(space, w)).items()
+                assert c == 1
+                if v.render() in words:
+                    expected.add((label, m, v.render()))
+        assert edges == expected
+
+
 def test_graph_bounds():
     assert run("graph", "--space", "1211", "--depth", "1").exit_code == 3
     assert run("graph", "--space", "1", "--depth", "7").exit_code == 3
@@ -157,3 +192,15 @@ def test_graph_bounds():
 
 def test_graph_label_requires_tail1():
     assert run("graph", "--space", "21", "--label", "fermions").exit_code == 2
+
+
+def test_cli_import_stays_light():
+    """A cold `cuntzfock` call loads neither the float oracle's numeric stack nor a pool."""
+    heavy = ("numpy", "scipy", "concurrent.futures")
+    code = (
+        "import sys, cuntzfock.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []
