@@ -33,7 +33,7 @@ from .ladder import (
     boson_state_iterated,
     parse_fermion_word,
 )
-from .radical import ONE, RadicalScalar, sqrt_factorial
+from .radical import ONE, RadicalScalar, sqrt_factorial_product
 
 
 class EngineError(RuntimeError):
@@ -106,12 +106,11 @@ def forward(
     _check_particles(M.particle_number, max_particles)
     modes: list[int] = []
     shift = 0
-    coeff = ONE
     for n, k in M.factors:
         start = n + shift
         modes.extend(range(start, start + k))
         shift += k
-        coeff = coeff * sqrt_factorial(k)
+    coeff = sqrt_factorial_product(k for _, k in M.factors)
     return CorrespondencePair(M, FermionSubset(tuple(modes)), coeff)
 
 
@@ -127,16 +126,15 @@ def inverse(
     _check_particles(S.particle_number, max_particles)
     factors: list[tuple[int, int]] = []
     used = 0
-    norm = ONE
     for b in block_decompose(S):
         mode = b.start - used
         if factors and mode <= factors[-1][0]:
             raise EngineError("block starts out of order")  # cannot occur
         factors.append((mode, b.length))
         used += b.length
-        norm = norm * sqrt_factorial(b.length)
+    norm = sqrt_factorial_product(k for _, k in factors)
     return CorrespondencePair(
-        BosonMonomial(tuple(factors)), S, ONE / norm if S.elements else ONE
+        BosonMonomial(tuple(factors)), S, ONE if norm is ONE else ONE / norm
     )
 
 

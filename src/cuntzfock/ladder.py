@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rep
-from .radical import ONE, sqrt_factorial, sqrt_of_nat
+from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
 from .words import TailWord, block_prepend, leading_block
 
@@ -97,13 +97,33 @@ def apply_fermion(create: bool, n: int, state: State, *, max_mode: int = DEFAULT
 
 
 class _B1Direct(rep.Operator):
-    """b_1 (or b_1*) evaluated from its weighted block series."""
+    """b_1 (or b_1*) evaluated from its weighted block series.
+
+    b_1 = sum_m sqrt(m) s_m s_{m+1}* and b_1* = sum_m sqrt(m) s_{m+1} s_m*.
+    On a basis word whose leading block has length L, s_k* survives only
+    for k = L, so the block picks the one summand (m = L - 1, or m = L for
+    b_1*); that summand is evaluated through the generator actions alone.
+    """
 
     def __init__(self, star: bool):
         self.star = star
 
     def apply(self, state: State) -> State:
-        return map_basis(state, lambda w: _boson_word(self.star, 1, w))
+        acc = State.zero(state.space)
+        for w, c in state.items():
+            lb = leading_block(w)
+            if lb is None:
+                continue
+            m = lb[0] if self.star else lb[0] - 1
+            if m < 1:
+                continue
+            psi = State.basis(state.space, w, c)
+            if self.star:
+                term = rep.apply_s(m + 1, rep.apply_s_star(m, psi))
+            else:
+                term = rep.apply_s(m, rep.apply_s_star(m + 1, psi))
+            acc = acc + term * sqrt_of_nat(m)
+        return acc
 
     def adjoint(self) -> rep.Operator:
         return _B1Direct(not self.star)
@@ -308,14 +328,13 @@ def boson_state(
     _require_fock(space)
     _check_particles(M.particle_number, max_particles)
     letters: list[int] = []
-    coeff = ONE
     prev = None
     for n, k in M.factors:
         gap = (n - 1) if prev is None else (n - prev)
         letters.extend([1] * gap)
         letters.extend([2] * k)
-        coeff = coeff * sqrt_factorial(k)
         prev = n
+    coeff = sqrt_factorial_product(k for _, k in M.factors)
     return State.basis(space, TailWord(tuple(letters), space.period), coeff)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 try:
     from gmpy2 import mpq as _Q
@@ -153,7 +153,8 @@ class RadicalScalar:
         if len(other._terms) != 1:
             raise ValueError("division only by rationals or single radical terms")
         (d, q), = other._terms.items()
-        return self * RadicalScalar({d: 1 / (q * d)})
+        inv = RadicalScalar({d: 1 / (q * d)})
+        return inv if self is _ONE else self * inv
 
     def __rtruediv__(self, other) -> "RadicalScalar":
         return promote(other) / self
@@ -234,13 +235,33 @@ def promote(x) -> RadicalScalar:
 
 
 def sqrt_of_nat(n: int) -> RadicalScalar:
-    """Exact sqrt(n) for n >= 1, with the square part extracted."""
+    """Exact sqrt(n) for n >= 1, with the square part extracted.
+
+    sqrt(1) is the ONE object itself, so that callers which skip products
+    by ONE (such as `rep.map_basis`) also skip unit weights.
+    """
     s, d = _square_split(n)
+    if s == d == 1:
+        return _ONE
     return RadicalScalar({d: s})
 
 
 def sqrt_factorial(k: int) -> RadicalScalar:
     return sqrt_of_nat(math.factorial(k))
+
+
+def sqrt_factorial_product(ks: Iterable[int]) -> RadicalScalar:
+    """Exact prod_k sqrt(k!), the norm of a monomial with multiplicities ks.
+
+    Factors that are the ONE object (k <= 1) are not multiplied in, so the
+    result is the ONE object itself when every k! is 1.
+    """
+    out = _ONE
+    for k in ks:
+        f = sqrt_factorial(k)
+        if f is not _ONE:
+            out = f if out is _ONE else out * f
+    return out
 
 
 ZERO = _ZERO

@@ -227,6 +227,8 @@ def map_basis(
 
     fn sends each basis word either to None (the word is annihilated) or
     to a single (coeff, word) pair; no basis map yields more than one term.
+    A product with a factor that is the ONE object itself is not computed:
+    the other factor is reused as the new coefficient.
     """
     acc: dict[TailWord, RadicalScalar] = {}
     for w, c in state.items():
@@ -234,8 +236,10 @@ def map_basis(
         if r is None:
             continue
         cc, ww = r
+        if cc is not ONE:
+            c = cc if c is ONE else c * cc
         s = acc.get(ww)
-        s = c * cc if s is None else s + c * cc
+        s = c if s is None else s + c
         if s:
             acc[ww] = s
         else:

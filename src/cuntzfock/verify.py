@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
+from typing import Callable
 
 from . import correspondence as corr
 from .ladder import (
@@ -39,6 +40,13 @@ from .words import TailWord, flip, index_to_word, leading_block, word_to_index
 
 # -- reports ---------------------------------------------------------------
 
+# A failure label: the text itself, or a callable that formats it on demand.
+Label = str | Callable[[], str]
+
+
+def _text(label: Label) -> str:
+    return label() if callable(label) else label
+
 
 @dataclass
 class SuiteReport:
@@ -53,19 +61,29 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, case: str, expected, got) -> bool:
+    def check(self, case: Label, expected, got) -> bool:
+        """Count one case and record a failure when expected != got.
+
+        The label is a string or a zero-argument callable returning one.
+        A callable is called only when the check fails, and before this
+        method returns, so passing checks format no label and a lambda
+        over loop variables still names the case that failed.
+        """
         self.cases += 1
         if expected != got:
             self.failures.append(
-                {"case": case, "expected": repr(expected), "got": repr(got)}
+                {"case": _text(case), "expected": repr(expected), "got": repr(got)}
             )
             return False
         return True
 
-    def check_true(self, case: str, ok: bool, detail: str = "") -> bool:
+    def check_true(self, case: Label, ok: bool, detail: Label = "") -> bool:
+        """Count one case that holds when ok is true; labels as in `check`."""
         self.cases += 1
         if not ok:
-            self.failures.append({"case": case, "expected": "true", "got": detail or "false"})
+            self.failures.append(
+                {"case": _text(case), "expected": "true", "got": _text(detail) or "false"}
+            )
         return ok
 
     def absorb(self, other: "SuiteReport") -> None:
@@ -111,12 +129,12 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = 3) -> SuiteRepo
     for n in range(1, n_max + 1):
         base = q * (n - 1)
         got = apply_boson(False, base + i, apply_boson(True, base + i, psi))
-        rep_.check(f"b b* at mode {base + i}", psi * lam, got)
+        rep_.check(lambda: f"b b* at mode {base + i}", psi * lam, got)
         for j in range(1, q + 1):
             if j == i:
                 continue
             rep_.check(
-                f"b at mode {base + j} annihilates",
+                lambda: f"b at mode {base + j} annihilates",
                 State.zero(psi.space),
                 apply_boson(False, base + j, psi),
             )
@@ -138,7 +156,7 @@ def check_ff_class(
     for n in range(1, n_max + 1):
         base = p * (n - 1)
         rep_.check(
-            f"{'a*' if starred else 'a'} at mode {base + i} annihilates",
+            lambda: f"{'a*' if starred else 'a'} at mode {base + i} annihilates",
             zero,
             apply_fermion(starred, base + i, psi),
         )
@@ -146,7 +164,7 @@ def check_ff_class(
             if j == i:
                 continue
             rep_.check(
-                f"{'a' if starred else 'a*'} at mode {base + j} annihilates",
+                lambda: f"{'a' if starred else 'a*'} at mode {base + j} annihilates",
                 zero,
                 apply_fermion(not starred, base + j, psi),
             )
@@ -282,9 +300,9 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
     )
     for i in range(1, p + 1):
         om = oms[i - 1]
-        rep_.check(f"Omega_{i} unit", ONE, om.norm2())
+        rep_.check(lambda: f"Omega_{i} unit", ONE, om.norm2())
         t_i = (1,) * (p - i) + (2,) + (1,) * (i - 1)
-        rep_.check(f"T_{i} fixes Omega_{i}", om, _apply_s_word(t_i, om))
+        rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, _apply_s_word(t_i, om))
         rep_.absorb(check_bf_class(om, p, p - i + 1, 2, n_max=n_max))
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, n_max + 1):
@@ -297,14 +315,14 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
                         expected = _apply_s_word(t_i, expected)
                 else:
                     expected = State.zero(om.space)
-                rep_.check(f"b_{mode} Omega_{i}", expected, got)
+                rep_.check(lambda: f"b_{mode} Omega_{i}", expected, got)
     # creation transport: s-generators raise the previous branch
     rep_.check("s_1 Omega_1 = b_1 Omega_p", apply_boson(False, 1, oms[-1]), apply_s(1, anchor))
     rep_.check("s_2 Omega_1 = Omega_p", oms[-1], apply_s(2, anchor))
     for i in range(2, p + 1):
-        rep_.check(f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2], apply_s(1, oms[i - 1]))
+        rep_.check(lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2], apply_s(1, oms[i - 1]))
         rep_.check(
-            f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
+            lambda: f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
             apply_boson(True, 1, oms[i - 2]),
             apply_s(2, oms[i - 1]),
         )
@@ -314,13 +332,13 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
         for _ in range(n - 2):
             expected = apply_boson(True, 1, expected)
         expected = expected / sqrt_factorial(n - 1)
-        rep_.check(f"s_{n} Omega_1", expected, apply_s(n, anchor))
+        rep_.check(lambda: f"s_{n} Omega_1", expected, apply_s(n, anchor))
         for i in range(2, p + 1):
             expected = oms[i - 2]
             for _ in range(n - 1):
                 expected = apply_boson(True, 1, expected)
             expected = expected / sqrt_factorial(n - 1)
-            rep_.check(f"s_{n} Omega_{i}", expected, apply_s(n, oms[i - 1]))
+            rep_.check(lambda: f"s_{n} Omega_{i}", expected, apply_s(n, oms[i - 1]))
     return rep_
 
 
@@ -376,7 +394,7 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
     if p == 1:
         for n in range(1, 6):
             rep_.check(
-                f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
+                lambda: f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
                 t_word_state((1,) * (n - 1) + (2,)),
                 apply_fermion(True, n, omega),
             )
@@ -391,7 +409,7 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
                     expected = t_word_state((2,) * (p - i + 1)) * sign
                 else:
                     expected = zero
-                rep_.check(f"a_{mode}* Omega_{j} (l=1)", expected, got)
+                rep_.check(lambda: f"a_{mode}* Omega_{j} (l=1)", expected, got)
         # higher rungs
         for l in range(2, l_max + 1):
             for i in range(1, p + 1):
@@ -409,19 +427,19 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
                         expected = t_word_state(letters) * sign
                     else:
                         expected = zero
-                    rep_.check(f"a_{mode}* Omega_{j} (l={l})", expected, got)
+                    rep_.check(lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
         # specialization at the GP vector itself
         for l in range(1, l_max + 1):
             sign = (-1) ** ((p - 1) * l)
             letters = ((2,) * (p - 1) + (1,)) * (l - 1) + (2,) * p
             rep_.check(
-                f"a_{p * l}* Omega",
+                lambda: f"a_{p * l}* Omega",
                 t_word_state(letters) * sign,
                 apply_fermion(True, p * l, omega),
             )
             for i in range(1, p):
                 rep_.check(
-                    f"a_{p * (l - 1) + i}* Omega = 0",
+                    lambda: f"a_{p * (l - 1) + i}* Omega = 0",
                     zero,
                     apply_fermion(True, p * (l - 1) + i, omega),
                 )
@@ -431,24 +449,24 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
                 mode = p * (l - 1) + p - i + 1
                 om_i = oms[i - 1]
                 rep_.check(
-                    f"a_{mode} a_{mode}* Omega_{i}",
+                    lambda: f"a_{mode} a_{mode}* Omega_{i}",
                     om_i,
                     apply_fermion(False, mode, apply_fermion(True, mode, om_i)),
                 )
                 rep_.check(
-                    f"a_{mode} Omega_{i} = 0", zero, apply_fermion(False, mode, om_i)
+                    lambda: f"a_{mode} Omega_{i} = 0", zero, apply_fermion(False, mode, om_i)
                 )
                 for j in range(1, p + 1):
                     if j == i:
                         continue
                     om_j = oms[j - 1]
                     rep_.check(
-                        f"a_{mode}* a_{mode} Omega_{j}",
+                        lambda: f"a_{mode}* a_{mode} Omega_{j}",
                         om_j,
                         apply_fermion(True, mode, apply_fermion(False, mode, om_j)),
                     )
                     rep_.check(
-                        f"a_{mode}* Omega_{j} = 0",
+                        lambda: f"a_{mode}* Omega_{j} = 0",
                         zero,
                         apply_fermion(True, mode, om_j),
                     )
@@ -462,11 +480,11 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
     )
     for j in range(2, p + 1):
         rep_.check(
-            f"t_1 Omega_{j} = a_1 Omega_{j - 1}",
+            lambda: f"t_1 Omega_{j} = a_1 Omega_{j - 1}",
             apply_fermion(False, 1, oms[j - 2]),
             apply_t(1, oms[j - 1]),
         )
-        rep_.check(f"t_2 Omega_{j} = Omega_{j - 1}", oms[j - 2], apply_t(2, oms[j - 1]))
+        rep_.check(lambda: f"t_2 Omega_{j} = Omega_{j - 1}", oms[j - 2], apply_t(2, oms[j - 1]))
 
     # class membership, with the letter flip for the starred classes
     family = fermion_branch_witness(p, starred=starred)
@@ -511,9 +529,9 @@ def cuntz_suite(max_j_len: int = 3, depth: int = 10, oinfty_max: int = 8,
                 for j in (1, 2):
                     got = apply_t_star(i, apply_t(j, psi))
                     expected = psi if i == j else zero
-                    rep_.check(f"t_{i}* t_{j} on {w} in {space.label}", expected, got)
+                    rep_.check(lambda: f"t_{i}* t_{j} on {w} in {space.label}", expected, got)
             got = apply_t(1, apply_t_star(1, psi)) + apply_t(2, apply_t_star(2, psi))
-            rep_.check(f"range completeness on {w} in {space.label}", psi, got)
+            rep_.check(lambda: f"range completeness on {w} in {space.label}", psi, got)
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
         zero = State.zero(space)
@@ -523,14 +541,14 @@ def cuntz_suite(max_j_len: int = 3, depth: int = 10, oinfty_max: int = 8,
                 for j in range(1, oinfty_max + 1):
                     got = apply_s_star(i, apply_s(j, psi))
                     expected = psi if i == j else zero
-                    rep_.check(f"s_{i}* s_{j} on {w} in {space.label}", expected, got)
+                    rep_.check(lambda: f"s_{i}* s_{j} on {w} in {space.label}", expected, got)
             acc = zero
             for m in range(1, oinfty_max + 1):
                 acc = acc + apply_s(m, apply_s_star(m, psi))
                 rep_.check_true(
-                    f"partial range sum k={m} on {w} in {space.label}",
+                    lambda: f"partial range sum k={m} on {w} in {space.label}",
                     acc == psi or acc.is_zero(),
-                    repr(acc),
+                    lambda: repr(acc),
                 )
     return rep_
 
@@ -572,22 +590,22 @@ def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
                     True, m, apply_boson(False, n, psi)
                 )
                 expected = psi if n == m else zero
-                rep_.check(f"[b_{n}, b_{m}*] on {psi.render()}", expected, got)
+                rep_.check(lambda: f"[b_{n}, b_{m}*] on {psi.render()}", expected, got)
                 got = apply_boson(False, n, apply_boson(False, m, psi)) - apply_boson(
                     False, m, apply_boson(False, n, psi)
                 )
-                rep_.check(f"[b_{n}, b_{m}] on {psi.render()}", zero, got)
+                rep_.check(lambda: f"[b_{n}, b_{m}] on {psi.render()}", zero, got)
                 got = apply_boson(True, n, apply_boson(True, m, psi)) - apply_boson(
                     True, m, apply_boson(True, n, psi)
                 )
-                rep_.check(f"[b_{n}*, b_{m}*] on {psi.render()}", zero, got)
+                rep_.check(lambda: f"[b_{n}*, b_{m}*] on {psi.render()}", zero, got)
         for k in range(1, intertwine_max + 1):
             for m in range(1, intertwine_max + 1):
                 for create in (False, True):
                     got = apply_s(k, apply_boson(create, m, psi))
                     expected = apply_boson(create, m + 1, apply_s(k, psi))
                     rep_.check(
-                        f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
+                        lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
                         expected,
                         got,
                     )
@@ -620,24 +638,24 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
                     True, m, apply_fermion(False, n, psi)
                 )
                 expected = psi if n == m else zero
-                rep_.check(f"{{a_{n}, a_{m}*}} on {psi.render()}", expected, got)
+                rep_.check(lambda: f"{{a_{n}, a_{m}*}} on {psi.render()}", expected, got)
                 got = apply_fermion(False, n, apply_fermion(False, m, psi)) + apply_fermion(
                     False, m, apply_fermion(False, n, psi)
                 )
-                rep_.check(f"{{a_{n}, a_{m}}} on {psi.render()}", zero, got)
+                rep_.check(lambda: f"{{a_{n}, a_{m}}} on {psi.render()}", zero, got)
                 got = apply_fermion(True, n, apply_fermion(True, m, psi)) + apply_fermion(
                     True, m, apply_fermion(True, n, psi)
                 )
-                rep_.check(f"{{a_{n}*, a_{m}*}} on {psi.render()}", zero, got)
+                rep_.check(lambda: f"{{a_{n}*, a_{m}*}} on {psi.render()}", zero, got)
         for i in (1, 2):
             sign = 1 if i == 1 else -1
             for m in range(1, op_max + 1):
                 got = apply_t(i, apply_fermion(False, m, psi))
                 expected = apply_fermion(False, m + 1, apply_t(i, psi)) * sign
-                rep_.check(f"t_{i} a_{m} transport on {psi.render()}", expected, got)
+                rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
                 got = apply_fermion(True, m + 1, apply_t(i, psi))
                 expected = apply_t(i, apply_fermion(True, m, psi)) * sign
-                rep_.check(f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
+                rep_.check(lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
     sample = [State.basis(space, w) for w in space.basis_words(3)]
@@ -648,7 +666,7 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
                 rhs = apply_t_word((1,) * (n + m), psi)
                 for k in range(n + m, n, -1):
                     rhs = apply_fermion(True, k, rhs)
-                rep_.check(f"t_1^{n} t_2^{m} rewrite on {psi.render()}", lhs, rhs)
+                rep_.check(lambda: f"t_1^{n} t_2^{m} rewrite on {psi.render()}", lhs, rhs)
     return rep_
 
 
@@ -689,29 +707,29 @@ def roundtrip_suite(
             S = FermionSubset(elements)
             pair = corr.inverse(S, max_particles=max_subset)
             back = corr.forward(pair.boson, max_particles=max_subset)
-            rep_.check(f"forward(inverse({S}))", S, back.fermion)
-            rep_.check(f"C*D = 1 for {S}", ONE, back.coeff * pair.coeff)
+            rep_.check(lambda: f"forward(inverse({S}))", S, back.fermion)
+            rep_.check(lambda: f"C*D = 1 for {S}", ONE, back.coeff * pair.coeff)
     for M in _boson_family(max_particles, max_mode):
         fwd = corr.forward(M)
-        rep_.check(f"grade of forward({M})", M.particle_number, fwd.fermion.particle_number)
+        rep_.check(lambda: f"grade of forward({M})", M.particle_number, fwd.fermion.particle_number)
         if M.factors:
             back = corr.inverse(fwd.fermion)
-            rep_.check(f"inverse(forward({M}))", M, back.boson)
-            rep_.check(f"D*C = 1 for {M}", ONE, fwd.coeff * back.coeff)
+            rep_.check(lambda: f"inverse(forward({M}))", M, back.boson)
+            rep_.check(lambda: f"D*C = 1 for {M}", ONE, fwd.coeff * back.coeff)
         sq = fwd.coeff * fwd.coeff
         expected_sq = promote(math.prod(math.factorial(k) for _, k in M.factors))
-        rep_.check(f"coeff^2 integral for {M}", expected_sq, sq)
+        rep_.check(lambda: f"coeff^2 integral for {M}", expected_sq, sq)
         if operational:
             op = corr.forward_operational(M)
-            rep_.check(f"operational fermion image of {M}", fwd.fermion, op.fermion)
-            rep_.check(f"operational coeff of {M}", fwd.coeff, op.coeff)
+            rep_.check(lambda: f"operational fermion image of {M}", fwd.fermion, op.fermion)
+            rep_.check(lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
     for n in range(grade_max + 1):
         pairs = corr.enumerate_grade(n, grade_mode)
         images = {p.fermion for p in pairs}
         rep_.check_true(
-            f"grade {n} images pairwise distinct",
+            lambda: f"grade {n} images pairwise distinct",
             len(images) == len(pairs),
-            f"{len(pairs)} pairs, {len(images)} distinct images",
+            lambda: f"{len(pairs)} pairs, {len(images)} distinct images",
         )
     for n in range(1, surj_particles + 1):
         images = {p.fermion for p in corr.enumerate_grade(n, surj_bound)}
@@ -721,9 +739,9 @@ def roundtrip_suite(
             if S not in images
         ]
         rep_.check_true(
-            f"grade {n} covers subsets of 1..{surj_bound}",
+            lambda: f"grade {n} covers subsets of 1..{surj_bound}",
             not missing,
-            f"missing {missing[:3]}",
+            lambda: f"missing {missing[:3]}",
         )
     return rep_
 
@@ -924,7 +942,7 @@ def oracle_suite(
     for n in range(1, 1025):
         w = index_to_word(n)
         for i in (1, 2):
-            rep_.check(f"t_{i} e_{n}", 2 * (n - 1) + i, word_to_index(w.prepend(i)))
+            rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, word_to_index(w.prepend(i)))
     # embedded generators on indices
     space = RepSpace((1,))
     for m in range(1, embed_max_m + 1):
@@ -935,23 +953,23 @@ def oracle_suite(
             if ok:
                 rep_.cases += 1
             else:
-                rep_.check_true(f"s_{m} e_{n}", ok, st.render())
+                rep_.check_true(lambda: f"s_{m} e_{n}", ok, st.render)
     # ladder actions on the vacuum index
     e1 = State.basis(space, index_to_word(1))
     zero = State.zero(space)
     for m in range(1, ladder_max + 1):
         target = State.basis(space, index_to_word(2 ** (m - 1) + 1))
-        rep_.check(f"a_{m}* e_1", target, apply_fermion(True, m, e1))
-        rep_.check(f"a_{m} e_1", zero, apply_fermion(False, m, e1))
-        rep_.check(f"b_{m}* e_1", target, apply_boson(True, m, e1))
-        rep_.check(f"b_{m} e_1", zero, apply_boson(False, m, e1))
+        rep_.check(lambda: f"a_{m}* e_1", target, apply_fermion(True, m, e1))
+        rep_.check(lambda: f"a_{m} e_1", zero, apply_fermion(False, m, e1))
+        rep_.check(lambda: f"b_{m}* e_1", target, apply_boson(True, m, e1))
+        rep_.check(lambda: f"b_{m} e_1", zero, apply_boson(False, m, e1))
     # fixed float-oracle pipelines
     for ops, start in ((["t2", "t1", "t2*"], 1), (["b1*", "b1"], 1), (["a3*"], 1)):
         res = float_oracle(dim, ops, start)
         rep_.check_true(
-            f"pipeline {ops} from e_{start}",
+            lambda: f"pipeline {ops} from e_{start}",
             res.ok and res.deviation <= tolerance,
-            f"overflow={res.overflow} deviation={res.deviation}",
+            lambda: f"overflow={res.overflow} deviation={res.deviation}",
         )
     # randomized pipelines
     rng = random.Random(seed)
@@ -974,16 +992,16 @@ def oracle_suite(
         worst = max(worst, res.deviation)
         if res.deviation > tolerance:
             rep_.check_true(
-                f"random pipeline {[render_op_token(t) for t in ops]} from e_{start}",
+                lambda: f"random pipeline {[render_op_token(t) for t in ops]} from e_{start}",
                 False,
-                f"deviation={res.deviation}",
+                lambda: f"deviation={res.deviation}",
             )
         else:
             rep_.cases += 1
     rep_.check_true(
-        f"collected {sequences} in-window pipelines",
+        lambda: f"collected {sequences} in-window pipelines",
         collected == sequences,
-        f"only {collected} after {attempts} attempts",
+        lambda: f"only {collected} after {attempts} attempts",
     )
     rep_.params["worst_deviation"] = worst
     return rep_

@@ -49,7 +49,15 @@ def _primitive_len(period: Letters) -> int:
 
 
 class TailWord:
-    """Canonical eventually periodic infinite word: prefix . rot(period)^inf."""
+    """Canonical eventually periodic infinite word: prefix . rot(period)^inf.
+
+    `rot` is the primitive root of `period` rotated by `phase`, and `phase`
+    is reduced mod len(rot).  A nonempty prefix never ends in rot[-1]: that
+    letter would be absorbed into the tail.  These invariants are what lets
+    `prepend`, `behead` and `leading_block` build their results with `_make`
+    instead of canonicalising again; the constructor is the only entry that
+    validates and canonicalises words from outside.
+    """
 
     __slots__ = ("prefix", "period", "phase", "rot", "_hash")
 
@@ -92,22 +100,32 @@ class TailWord:
 
     @property
     def first(self) -> int:
-        return self.letter_at(0)
+        return self.prefix[0] if self.prefix else self.rot[0]
 
     def prepend(self, i: int) -> "TailWord":
         if i not in (1, 2):
             raise ValueError(f"invalid letter {i!r}")
-        return TailWord((i,) + self.prefix, self.period, self.phase)
+        if self.prefix:
+            return _make((i,) + self.prefix, self.period, self.phase, self.rot)
+        rot = self.rot
+        if i == rot[-1]:
+            # absorbed: the tail steps back one letter
+            return _make((), self.period, (self.phase - 1) % len(rot), rot[-1:] + rot[:-1])
+        return _make((i,), self.period, self.phase, rot)
 
     def behead(self, i: int) -> "TailWord | None":
         """Remove a leading letter i; None if the word does not start with i."""
         if i not in (1, 2):
             raise ValueError(f"invalid letter {i!r}")
-        if self.first != i:
+        prefix = self.prefix
+        if prefix:
+            if prefix[0] != i:
+                return None
+            return _make(prefix[1:], self.period, self.phase, self.rot)
+        rot = self.rot
+        if rot[0] != i:
             return None
-        if self.prefix:
-            return TailWord(self.prefix[1:], self.period, self.phase)
-        return TailWord((), self.period, self.phase + 1)
+        return _make((), self.period, (self.phase + 1) % len(rot), rot[1:] + rot[:1])
 
     def render(self) -> str:
         return f"{render_letters(self.prefix)}({render_letters(self.rot)})"
@@ -134,6 +152,17 @@ class TailWord:
         )
 
 
+def _make(prefix: Letters, period: Letters, phase: int, rot: Letters) -> TailWord:
+    """Fill the slots of a word that is already canonical; nothing is checked."""
+    w = TailWord.__new__(TailWord)
+    w.prefix = prefix
+    w.period = period
+    w.phase = phase
+    w.rot = rot
+    w._hash = hash((prefix, rot))
+    return w
+
+
 def pure(period, phase: int = 0) -> TailWord:
     return TailWord((), period, phase)
 
@@ -154,16 +183,17 @@ def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
     Every word over {1,2} other than 2^inf has a unique such split, which
     is what makes infinite sums over these blocks collapse to one summand.
     """
-    bound = w.depth + len(w.rot)
-    j = 0
-    while j <= bound and w.letter_at(j) == 2:
-        j += 1
-    if j > bound:
+    prefix = w.prefix
+    if 1 in prefix:
+        j = prefix.index(1)
+        return j + 1, _make(prefix[j + 1:], w.period, w.phase, w.rot)
+    rot = w.rot
+    if 1 not in rot:
         return None
-    rest = w
-    for k in range(j + 1):
-        rest = rest.behead(rest.first)
-    return j + 1, rest
+    # the block ends inside the tail: the rest is the tail rotated past it
+    k = rot.index(1) + 1
+    r = len(rot)
+    return len(prefix) + k, _make((), w.period, (w.phase + k) % r, rot[k:] + rot[:k])
 
 
 def block_prepend(m: int, w: TailWord) -> TailWord:

@@ -104,6 +104,26 @@ def test_verify_json():
     assert all(r["pass"] for r in reports)
 
 
+# Case counts of the suites that no other test pins, at the CLI defaults
+# (cuntz, ccr, car and oracle are pinned at their acceptance scale).
+CLI_DEFAULT_CASES = {
+    "branch-oinfty": 24,
+    "branch-boson": 122,
+    "branch-fermion": 826,
+    "roundtrip": 8_953,
+}
+
+
+def test_verify_cli_default_case_counts():
+    res = run("verify", *CLI_DEFAULT_CASES, "--json")
+    assert res.exit_code == 0
+    counts: dict[str, int] = {}
+    for r in json.loads(res.output):
+        assert r["pass"], r["failures"][:3]
+        counts[r["suite"]] = counts.get(r["suite"], 0) + r["cases"]
+    assert counts == CLI_DEFAULT_CASES
+
+
 def test_verify_failure_exit_1(monkeypatch):
     failing = SuiteReport("rigged", cases=1, failures=[
         {"case": "x", "expected": "a", "got": "b"}

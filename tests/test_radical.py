@@ -12,6 +12,7 @@ from cuntzfock.radical import (
     RadicalScalar,
     _square_split,
     promote,
+    sqrt_factorial_product,
     sqrt_of_nat,
 )
 
@@ -55,6 +56,18 @@ def test_sqrt_of_nat_examples():
     assert sqrt_of_nat(8) == RadicalScalar({2: 2})
     assert sqrt_of_nat(1) == ONE
     assert sqrt_of_nat(math.factorial(3)) == RadicalScalar({6: 1})
+
+
+def test_sqrt_factorial_product():
+    # unit factors are skipped, so an all-unit product is the ONE object
+    # itself, which basis maps then skip by identity
+    assert sqrt_of_nat(1) is ONE
+    assert sqrt_factorial_product([]) is ONE
+    assert sqrt_factorial_product([1, 0, 1]) is ONE
+    for ks in ([2], [3, 1, 2], [1, 4, 4], [5, 3]):
+        got = sqrt_factorial_product(ks)
+        assert got * got == promote(math.prod(math.factorial(k) for k in ks))
+        assert got.to_float() > 0
 
 
 def test_sqrt_rejects_nonpositive():

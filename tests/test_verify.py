@@ -3,6 +3,7 @@ import pytest
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
 from cuntzfock.verify import (
+    SuiteReport,
     boson_branch_witness,
     car_suite,
     ccr_suite,
@@ -35,6 +36,45 @@ def test_bf_class_amplified():
 def test_bf_class_negative_control():
     r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 2, n_max=3)
     assert not r.passed and r.failures
+
+
+def test_bf_class_negative_control_labels():
+    # one failure per rung, each naming its own mode: a label formatted
+    # after the loop had moved on would name the last mode three times
+    r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 2, n_max=3)
+    assert r.failures == [
+        {"case": f"b b* at mode {n}", "expected": "<P2(1): [2] (1)>", "got": "<P2(1): [1] (1)>"}
+        for n in (1, 2, 3)
+    ]
+
+
+def _never_called():
+    raise AssertionError("label formatted for a passing check")
+
+
+def test_passing_checks_format_no_label():
+    r = SuiteReport("lazy")
+    assert r.check(_never_called, ONE, ONE)
+    assert r.check_true(_never_called, True, _never_called)
+    assert r.passed and r.cases == 2
+
+
+def test_failing_checks_record_the_label_text():
+    r = SuiteReport("lazy")
+    for n in range(3):
+        r.check(lambda: f"case {n}", 0, n)
+        r.check_true(lambda: f"flag {n}", n == 0, lambda: f"n={n}")
+    r.check("plain", 0, 1)
+    r.check_true("bare", False)
+    assert r.cases == 8
+    assert r.failures == [
+        {"case": "case 1", "expected": "0", "got": "1"},
+        {"case": "flag 1", "expected": "true", "got": "n=1"},
+        {"case": "case 2", "expected": "0", "got": "2"},
+        {"case": "flag 2", "expected": "true", "got": "n=2"},
+        {"case": "plain", "expected": "0", "got": "1"},
+        {"case": "bare", "expected": "true", "got": "false"},
+    ]
 
 
 def test_ff_class_fock():

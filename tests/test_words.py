@@ -82,6 +82,51 @@ def test_prepend_behead_inverse(prefix, period, phase):
     assert w.behead(i).prepend(i) == w
 
 
+def fields(w: TailWord):
+    return (w.prefix, w.period, w.phase, w.rot, hash(w), w.to_json())
+
+
+def behead_by_constructor(w: TailWord, i: int):
+    if w.letter_at(0) != i:
+        return None
+    if w.prefix:
+        return TailWord(w.prefix[1:], w.period, w.phase)
+    return TailWord((), w.period, w.phase + 1)
+
+
+words_with_any_period = st.builds(
+    TailWord,
+    st.lists(st.sampled_from([1, 2]), max_size=8).map(tuple),
+    st.one_of(
+        st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+        st.sampled_from([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1), (2, 2, 2), (1, 1, 1, 1)]),
+    ),
+    st.integers(0, 9),
+)
+
+
+@settings(max_examples=400)
+@given(words_with_any_period, st.sampled_from([1, 2]))
+def test_fast_constructors_match_the_validating_one(w, i):
+    # phase and period reach the JSON, and __eq__ compares neither, so
+    # every slot is compared, not just the denoted word
+    assert fields(w.prepend(i)) == fields(TailWord((i,) + w.prefix, w.period, w.phase))
+    got, want = w.behead(i), behead_by_constructor(w, i)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert fields(got) == fields(want)
+    lb = leading_block(w)
+    rest, m = w, 0
+    while m <= w.depth + len(w.rot) and rest.letter_at(0) == 2:
+        rest, m = behead_by_constructor(rest, 2), m + 1
+    if rest.letter_at(0) == 2:
+        assert lb is None
+    else:
+        rest = behead_by_constructor(rest, 1)
+        assert lb is not None and lb[0] == m + 1
+        assert fields(lb[1]) == fields(rest)
+
+
 def test_word_to_index_examples():
     assert word_to_index(pure((1,))) == 1
     assert word_to_index(TailWord((2,), (1,))) == 2
