@@ -14,6 +14,7 @@ import click
 from . import correspondence as corr
 from . import verify
 from .ladder import (
+    DEFAULT_MAX_MODE,
     BoundsError,
     parse_boson_expr,
     parse_boson_word,
@@ -43,6 +44,12 @@ def _bounds_guard(fn):
     return wrapped
 
 
+def _check_mode_bound(mode: int) -> None:
+    """Refuse boson modes above the library default, as `apply` does."""
+    if mode > DEFAULT_MAX_MODE:
+        raise BoundsError(f"mode {mode} exceeds the configured bound {DEFAULT_MAX_MODE}")
+
+
 @click.group()
 def main():
     """Exact boson/fermion transfer on permutative representation spaces."""
@@ -68,6 +75,7 @@ def _echo_pair(pair: corr.CorrespondencePair, as_json: bool, sign: int = 1) -> N
 def cmd_map(monomial: str, check: bool, as_json: bool):
     """Transfer a boson creation monomial, e.g. "1^2 3"."""
     M = parse_boson_expr(monomial)
+    _check_mode_bound(M.max_mode)
     pair = corr.forward(M)
     if check:
         op = corr.forward_operational(M)
@@ -97,6 +105,7 @@ def cmd_unmap(monomial: str, as_json: bool):
 @_bounds_guard
 def cmd_table(particles: int, max_mode: int, fmt: str, as_json: bool):
     """List every transfer pair of one particle grade."""
+    _check_mode_bound(max_mode)
     pairs = corr.enumerate_grade(particles, max_mode)
     if as_json or fmt == "json":
         click.echo(json.dumps([p.to_json() for p in pairs]))
@@ -154,6 +163,7 @@ _SUITES = {
 @click.option("--sequences", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=20240809, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON reports.")
+@_bounds_guard
 def cmd_verify(suites, depth, modes, particles, max_subset, p_max, dim,
                sequences, seed, as_json):
     """Run named verification suites.

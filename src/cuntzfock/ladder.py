@@ -20,6 +20,7 @@ basis word; `boson_state` and `fermion_state` write it down directly, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
@@ -96,55 +97,52 @@ def apply_fermion(create: bool, n: int, state: State, *, max_mode: int = DEFAULT
 # -- definitional oracles ---------------------------------------------------
 
 
-class _B1Direct(rep.Operator):
-    """b_1 (or b_1*) evaluated from its weighted block series.
+def _b1_direct(create: bool, state: State) -> State:
+    """b_1 (create=False) or b_1* (create=True) from its weighted block series.
 
     b_1 = sum_m sqrt(m) s_m s_{m+1}* and b_1* = sum_m sqrt(m) s_{m+1} s_m*.
     On a basis word whose leading block has length L, s_k* survives only
     for k = L, so the block picks the one summand (m = L - 1, or m = L for
     b_1*); that summand is evaluated through the generator actions alone.
     """
-
-    def __init__(self, star: bool):
-        self.star = star
-
-    def apply(self, state: State) -> State:
-        acc = State.zero(state.space)
-        for w, c in state.items():
-            lb = leading_block(w)
-            if lb is None:
-                continue
-            m = lb[0] if self.star else lb[0] - 1
-            if m < 1:
-                continue
-            psi = State.basis(state.space, w, c)
-            if self.star:
-                term = rep.apply_s(m + 1, rep.apply_s_star(m, psi))
-            else:
-                term = rep.apply_s(m, rep.apply_s_star(m + 1, psi))
-            acc = acc + term * sqrt_of_nat(m)
-        return acc
-
-    def adjoint(self) -> rep.Operator:
-        return _B1Direct(not self.star)
+    acc = State.zero(state.space)
+    for w, c in state.items():
+        lb = leading_block(w)
+        if lb is None:
+            continue
+        m = lb[0] if create else lb[0] - 1
+        if m < 1:
+            continue
+        psi = State.basis(state.space, w, c)
+        if create:
+            term = rep.apply_s(m + 1, rep.apply_s_star(m, psi))
+        else:
+            term = rep.apply_s(m, rep.apply_s_star(m + 1, psi))
+        acc = acc + term * sqrt_of_nat(m)
+    return acc
 
 
 def boson_via_shifts(create: bool, n: int, state: State) -> State:
     """Oracle: b_n as the (n-1)-fold shift endomorphism applied to b_1."""
-    op: rep.Operator = _B1Direct(create)
+    op = partial(_b1_direct, create)
     for _ in range(n - 1):
-        op = rep.Rho(op)
-    return op.apply(state)
+        op = partial(rep.apply_rho, op)
+    return op(state)
 
 
 def fermion_via_shifts(create: bool, n: int, state: State) -> State:
-    """Oracle: a_n as the (n-1)-fold twisted shift applied to t_1 t_2*."""
-    op: rep.Operator = rep.Compose(rep.T(1), rep.T(2, star=True))
-    if create:
-        op = op.adjoint()
+    """Oracle: a_n as the (n-1)-fold twisted shift of a_1 = t_1 t_2*.
+
+    For create, the shifts act on a_1* = t_2 t_1* instead.
+    """
+    i, j = (2, 1) if create else (1, 2)
+
+    def op(st: State) -> State:
+        return rep.apply_t(i, rep.apply_t_star(j, st))
+
     for _ in range(n - 1):
-        op = rep.Zeta(op)
-    return op.apply(state)
+        op = partial(rep.apply_zeta, op)
+    return op(state)
 
 
 # -- monomial types ---------------------------------------------------------

@@ -7,10 +7,11 @@ The two isometries act by prepending a letter; their adjoints remove a
 matching leading letter and annihilate otherwise.  The countable family
 s_m = t_2^(m-1) t_1 embeds the infinite Cuntz family.
 
-Operator expressions form a small symbolic algebra so the endomorphisms
-rho(x) = sum_m s_m x s_m* and zeta(y) = t_1 y t_1* - t_2 y t_2* can act on
-operators before states.  The rho sum needs no truncation: on a basis
-word at most the single summand picked out by the leading block survives.
+Operators are given as state maps, plain functions State -> State, so the
+shift endomorphisms rho(x) = sum_m s_m x s_m* and
+zeta(y) = t_1 y t_1* - t_2 y t_2* take such a map and apply its image to a
+state.  The rho sum needs no truncation: on a basis word at most the
+single summand picked out by the leading block survives.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
-from .words import TailWord, leading_block, parse_letters, render_letters
+from .words import TailWord, block_prepend, leading_block, parse_letters, render_letters
 
 
 class SpaceMismatchError(ValueError):
@@ -277,134 +278,54 @@ def apply_t_word(letters, state: State) -> State:
 
 
 def apply_s(m: int, state: State) -> State:
-    """The embedded generator s_m = t_2^(m-1) t_1."""
+    """The embedded generator s_m = t_2^(m-1) t_1: one block prepend per word."""
     if m < 1:
         raise ValueError(f"generator index must be >= 1, got {m}")
-    state = apply_t(1, state)
-    for _ in range(m - 1):
-        state = apply_t(2, state)
-    return state
+    return map_basis(state, lambda w: (ONE, block_prepend(m, w)))
 
 
 def apply_s_star(m: int, state: State) -> State:
+    """The adjoint s_m* = t_1* (t_2*)^(m-1), one basis pass.
+
+    The letters are removed one at a time rather than by splitting off the
+    leading block, so this action does not share `leading_block` with the
+    boson transport it is used to check.
+    """
     if m < 1:
         raise ValueError(f"generator index must be >= 1, got {m}")
-    for _ in range(m - 1):
-        state = apply_t_star(2, state)
-    return apply_t_star(1, state)
+
+    def f(w):
+        for _ in range(m - 1):
+            w = w.behead(2)
+            if w is None:
+                return None
+        w = w.behead(1)
+        return None if w is None else (ONE, w)
+
+    return map_basis(state, f)
 
 
-# -- symbolic operator expressions -----------------------------------------
+# -- shift endomorphisms on operators given as state maps --------------------
 
 
-class Operator:
-    """Base class for symbolic operator expressions."""
-
-    def apply(self, state: State) -> State:
-        raise NotImplementedError
-
-    def adjoint(self) -> "Operator":
-        raise NotImplementedError
-
-    def __call__(self, state: State) -> State:
-        return self.apply(state)
-
-
-class Identity(Operator):
-    def apply(self, state: State) -> State:
-        return state
-
-    def adjoint(self) -> Operator:
-        return self
-
-    def __repr__(self):
-        return "I"
-
-
-class T(Operator):
-    def __init__(self, i: int, star: bool = False):
-        if i not in (1, 2):
-            raise ValueError(f"invalid generator index {i}")
-        self.i = i
-        self.star = star
-
-    def apply(self, state: State) -> State:
-        return apply_t_star(self.i, state) if self.star else apply_t(self.i, state)
-
-    def adjoint(self) -> Operator:
-        return T(self.i, not self.star)
-
-    def __repr__(self):
-        return f"t{self.i}{'*' if self.star else ''}"
-
-
-class Compose(Operator):
-    """Operator product; the rightmost factor acts first."""
-
-    def __init__(self, *ops: Operator):
-        self.ops = ops
-
-    def apply(self, state: State) -> State:
-        for op in reversed(self.ops):
-            state = op.apply(state)
-        return state
-
-    def adjoint(self) -> Operator:
-        return Compose(*(op.adjoint() for op in reversed(self.ops)))
-
-    def __repr__(self):
-        return " ".join(repr(op) for op in self.ops)
-
-
-class Rho(Operator):
-    """The shift endomorphism x -> sum_m s_m x s_m*, evaluated lazily.
+def apply_rho(op: Callable[[State], State], state: State) -> State:
+    """The shift endomorphism rho(op) = sum_m s_m op s_m*, applied to a state.
 
     For a basis word u only the m given by the leading block of u has
     s_m* u != 0, so the sum contributes at most one term per basis word.
     """
-
-    def __init__(self, op: Operator):
-        self.op = op
-
-    def apply(self, state: State) -> State:
-        acc = State.zero(state.space)
-        for w, c in state.items():
-            lb = leading_block(w)
-            if lb is None:
-                continue
-            m, rest = lb
-            inner = self.op.apply(State.basis(state.space, rest, c))
-            acc = acc + apply_s(m, inner)
-        return acc
-
-    def adjoint(self) -> Operator:
-        return Rho(self.op.adjoint())
-
-    def __repr__(self):
-        return f"rho({self.op!r})"
+    acc = State.zero(state.space)
+    for w, c in state.items():
+        lb = leading_block(w)
+        if lb is None:
+            continue
+        m, rest = lb
+        acc = acc + apply_s(m, op(State.basis(state.space, rest, c)))
+    return acc
 
 
-class Zeta(Operator):
-    """The twisted shift y -> t_1 y t_1* - t_2 y t_2*."""
-
-    def __init__(self, op: Operator):
-        self.op = op
-
-    def apply(self, state: State) -> State:
-        plus = apply_t(1, self.op.apply(apply_t_star(1, state)))
-        minus = apply_t(2, self.op.apply(apply_t_star(2, state)))
-        return plus - minus
-
-    def adjoint(self) -> Operator:
-        return Zeta(self.op.adjoint())
-
-    def __repr__(self):
-        return f"zeta({self.op!r})"
-
-
-def apply_rho(op: Operator, state: State) -> State:
-    return Rho(op).apply(state)
-
-
-def apply_zeta(op: Operator, state: State) -> State:
-    return Zeta(op).apply(state)
+def apply_zeta(op: Callable[[State], State], state: State) -> State:
+    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a state."""
+    plus = apply_t(1, op(apply_t_star(1, state)))
+    minus = apply_t(2, op(apply_t_star(2, state)))
+    return plus - minus

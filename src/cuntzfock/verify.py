@@ -949,11 +949,11 @@ def oracle_suite(
         for n in range(1, embed_max_n + 1):
             st = apply_s(m, State.basis(space, index_to_word(n)))
             ((w, c),) = st.items()
-            ok = c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1)
-            if ok:
-                rep_.cases += 1
-            else:
-                rep_.check_true(lambda: f"s_{m} e_{n}", ok, st.render)
+            rep_.check_true(
+                lambda: f"s_{m} e_{n}",
+                c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
+                st.render,
+            )
     # ladder actions on the vacuum index
     e1 = State.basis(space, index_to_word(1))
     zero = State.zero(space)
@@ -990,14 +990,11 @@ def oracle_suite(
             continue
         collected += 1
         worst = max(worst, res.deviation)
-        if res.deviation > tolerance:
-            rep_.check_true(
-                lambda: f"random pipeline {[render_op_token(t) for t in ops]} from e_{start}",
-                False,
-                lambda: f"deviation={res.deviation}",
-            )
-        else:
-            rep_.cases += 1
+        rep_.check_true(
+            lambda: f"random pipeline {[render_op_token(t) for t in ops]} from e_{start}",
+            res.deviation <= tolerance,
+            lambda: f"deviation={res.deviation}",
+        )
     rep_.check_true(
         lambda: f"collected {sequences} in-window pipelines",
         collected == sequences,

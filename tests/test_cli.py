@@ -1,10 +1,13 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import cuntzfock
 from cuntzfock import cli as cli_mod
 from cuntzfock.cli import main
 from cuntzfock.rep import RepSpace, State, apply_s
@@ -44,6 +47,14 @@ def test_map_parse_error_exit_2():
 
 def test_map_bounds_exit_3():
     assert run("map", "1^13").exit_code == 3
+
+
+def test_map_and_table_mode_bound():
+    assert run("map", "").exit_code == 0
+    assert run("map", "16").exit_code == 0
+    assert run("table", "-n", "1", "-m", "16").exit_code == 0
+    assert run("map", "40").exit_code == 3
+    assert run("table", "-n", "1", "-m", "40").exit_code == 3
 
 
 def test_unmap():
@@ -122,6 +133,13 @@ def test_verify_cli_default_case_counts():
         assert r["pass"], r["failures"][:3]
         counts[r["suite"]] = counts.get(r["suite"], 0) + r["cases"]
     assert counts == CLI_DEFAULT_CASES
+
+
+def test_verify_refusals_keep_their_exit_codes():
+    # exit 1 is reserved for a failed verification
+    assert run("verify", "ccr", "--modes", "17").exit_code == 3
+    assert run("verify", "ccr", "--particles", "13").exit_code == 3
+    assert run("verify", "oracle", "--dim", "1000").exit_code == 2
 
 
 def test_verify_failure_exit_1(monkeypatch):
@@ -221,6 +239,9 @@ def test_cli_import_stays_light():
         "import sys, cuntzfock.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     )
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(cuntzfock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=env)
     assert out.stdout.split() == []

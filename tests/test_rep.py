@@ -1,14 +1,14 @@
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
-    Compose,
-    Identity,
     RepSpace,
     SpaceMismatchError,
     State,
-    T,
-    Zeta,
     apply_rho,
     apply_s,
     apply_s_star,
@@ -96,39 +96,99 @@ def test_s_isometries():
         assert apply_s_star(m + 1, apply_s(m, psi)).is_zero()
 
 
+def identity(state):
+    return state
+
+
 def test_rho_of_identity_is_identity_on_blocks():
     for w in P1.basis_words(10):
         psi = State.basis(P1, w)
-        assert apply_rho(Identity(), psi) == psi
+        assert apply_rho(identity, psi) == psi
     # no leading block: the range sum annihilates
     p2 = RepSpace((2,))
-    assert apply_rho(Identity(), gp_vector(p2)).is_zero()
+    assert apply_rho(identity, gp_vector(p2)).is_zero()
 
 
 def test_zeta_of_identity_is_grading():
     om = gp_vector(P1)
-    assert apply_zeta(Identity(), om) == om
+    assert apply_zeta(identity, om) == om
     e2 = basis(P1, (2,))
-    assert apply_zeta(Identity(), e2) == -e2
+    assert apply_zeta(identity, e2) == -e2
 
 
 def test_zeta_shifts_the_first_fermion():
     # zeta(a_1) = a_2 and zeta^2(a_1) = a_3 on every basis word to depth 10
     from cuntzfock.ladder import apply_fermion
 
-    a1 = Compose(T(1), T(2, star=True))
+    def a1(state):
+        return apply_t(1, apply_t_star(2, state))
+
     for w in P1.basis_words(10):
         psi = State.basis(P1, w)
-        assert Zeta(a1).apply(psi) == apply_fermion(False, 2, psi)
-        assert Zeta(Zeta(a1)).apply(psi) == apply_fermion(False, 3, psi)
+        assert apply_zeta(a1, psi) == apply_fermion(False, 2, psi)
+        assert apply_zeta(partial(apply_zeta, a1), psi) == apply_fermion(False, 3, psi)
 
 
 def test_operator_adjoints():
-    op = Compose(T(2), T(1, star=True))
-    adj = op.adjoint()
+    # <t_2 t_1* psi, phi> = <psi, t_1 t_2* phi>
     psi = basis(P1, (1, 2))
     phi = basis(P1, (2, 2))
-    assert op.apply(psi).inner(phi) == psi.inner(adj.apply(phi))
+    lhs = apply_t(2, apply_t_star(1, psi)).inner(phi)
+    assert lhs == psi.inner(apply_t(1, apply_t_star(2, phi)))
+    assert lhs == ONE
+
+
+# -- s_m and s_m* against their letter compositions --------------------------
+
+_SPACES = [RepSpace((1,)), RepSpace((2, 1)), RepSpace((1, 2, 2))]
+
+
+@st.composite
+def _states(draw):
+    """A few basis words of one space with non-unit coefficients.
+
+    Prefixes of 2s are drawn often, so some words start with a whole
+    block 2^(m-1) 1 and others run out of 2s or meet a 1 too early.
+    """
+    space = draw(st.sampled_from(_SPACES))
+    letters = st.one_of(
+        st.lists(st.sampled_from([1, 2]), max_size=8),
+        st.tuples(st.integers(0, 7), st.lists(st.sampled_from([1, 2]), max_size=4)).map(
+            lambda t: [2] * t[0] + t[1]
+        ),
+    )
+    terms = draw(
+        st.lists(
+            st.tuples(letters, st.integers(0, len(space.period) - 1), st.integers(-9, 9)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    state = State.zero(space)
+    for prefix, phase, k in terms:
+        w = TailWord(tuple(prefix), space.period, phase)
+        state = state + State.basis(space, w, sqrt_of_nat(2) * k + promote(k + 3))
+    return state
+
+
+def _s_star_by_letters(m, psi):
+    for _ in range(m - 1):
+        psi = apply_t_star(2, psi)
+    return apply_t_star(1, psi)
+
+
+@settings(max_examples=300)
+@given(_states(), st.integers(1, 6))
+def test_block_generators_match_letter_compositions(psi, m):
+    assert apply_s(m, psi) == apply_t_word((2,) * (m - 1) + (1,), psi)
+    assert apply_s_star(m, psi) == _s_star_by_letters(m, psi)
+
+
+def test_block_generators_reject_index_zero():
+    with pytest.raises(ValueError):
+        apply_s(0, gp_vector(P1))
+    with pytest.raises(ValueError):
+        apply_s_star(0, gp_vector(P1))
 
 
 def test_state_json():

@@ -192,3 +192,14 @@ def test_report_json():
     r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 1, n_max=2)
     data = r.to_json()
     assert data["pass"] is True and data["cases"] == 2
+
+
+def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
+    from cuntzfock import verify
+
+    nan = verify.FloatOracleResult(overflow=False, deviation=float("nan"))
+    monkeypatch.setattr(verify, "float_oracle", lambda dim, ops, start=1: nan)
+    r = oracle_suite(dim=256, sequences=5, max_index=64, ladder_max=2, embed_max_m=2,
+                     embed_max_n=8)
+    random_failures = [f for f in r.failures if f["case"].startswith("random pipeline")]
+    assert len(random_failures) == 5
