@@ -14,8 +14,8 @@ import click
 from . import correspondence as corr
 from . import verify
 from .ladder import (
-    DEFAULT_MAX_MODE,
     BoundsError,
+    check_mode,
     parse_boson_expr,
     parse_boson_word,
     parse_fermion_expr,
@@ -44,12 +44,6 @@ def _bounds_guard(fn):
     return wrapped
 
 
-def _check_mode_bound(mode: int) -> None:
-    """Refuse boson modes above the library default, as `apply` does."""
-    if mode > DEFAULT_MAX_MODE:
-        raise BoundsError(f"mode {mode} exceeds the configured bound {DEFAULT_MAX_MODE}")
-
-
 @click.group()
 def main():
     """Exact boson/fermion transfer on permutative representation spaces."""
@@ -75,7 +69,7 @@ def _echo_pair(pair: corr.CorrespondencePair, as_json: bool, sign: int = 1) -> N
 def cmd_map(monomial: str, check: bool, as_json: bool):
     """Transfer a boson creation monomial, e.g. "1^2 3"."""
     M = parse_boson_expr(monomial)
-    _check_mode_bound(M.max_mode)
+    check_mode(M.max_mode)
     pair = corr.forward(M)
     if check:
         op = corr.forward_operational(M)
@@ -105,7 +99,7 @@ def cmd_unmap(monomial: str, as_json: bool):
 @_bounds_guard
 def cmd_table(particles: int, max_mode: int, fmt: str, as_json: bool):
     """List every transfer pair of one particle grade."""
-    _check_mode_bound(max_mode)
+    check_mode(max_mode)
     pairs = corr.enumerate_grade(particles, max_mode)
     if as_json or fmt == "json":
         click.echo(json.dumps([p.to_json() for p in pairs]))

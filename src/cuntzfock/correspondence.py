@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .ladder import (
-    DEFAULT_MAX_PARTICLES,
     BosonMonomial,
     FermionSubset,
-    _check_particles,
     boson_state_iterated,
+    check_particles,
     parse_fermion_word,
 )
 from .radical import ONE, RadicalScalar, sqrt_factorial_product
@@ -85,12 +84,6 @@ class CorrespondencePair:
             "coeff": self.coeff.to_json(),
         }
 
-    def render(self) -> str:
-        return (
-            f"b[{self.boson}]  ->  a[{self.fermion}]  "
-            f"coeff {self.coeff.render()} ({self.coeff.render_decimal()})"
-        )
-
 
 def particle_number(x) -> int:
     """Total particle count of a monomial of either kind."""
@@ -99,11 +92,9 @@ def particle_number(x) -> int:
     raise TypeError(f"expected a monomial, got {type(x).__name__}")
 
 
-def forward(
-    M: BosonMonomial, *, max_particles: int = DEFAULT_MAX_PARTICLES
-) -> CorrespondencePair:
+def forward(M: BosonMonomial) -> CorrespondencePair:
     """Transfer a boson monomial to its fermion image, block by block."""
-    _check_particles(M.particle_number, max_particles)
+    check_particles(M.particle_number)
     modes: list[int] = []
     shift = 0
     for n, k in M.factors:
@@ -114,16 +105,14 @@ def forward(
     return CorrespondencePair(M, FermionSubset(tuple(modes)), coeff)
 
 
-def inverse(
-    S: FermionSubset, *, max_particles: int = DEFAULT_MAX_PARTICLES
-) -> CorrespondencePair:
+def inverse(S: FermionSubset) -> CorrespondencePair:
     """Transfer a fermion monomial back to its boson preimage.
 
     The j-th block, of length l_j + 1 starting at x_j, becomes the mode
     x_j - sum_{i<j} (l_i + 1) with multiplicity l_j + 1; the norm factor
     is the reciprocal of the forward one.
     """
-    _check_particles(S.particle_number, max_particles)
+    check_particles(S.particle_number)
     factors: list[tuple[int, int]] = []
     used = 0
     for b in block_decompose(S):
@@ -138,16 +127,14 @@ def inverse(
     )
 
 
-def forward_operational(
-    M: BosonMonomial, *, max_particles: int = DEFAULT_MAX_PARTICLES
-) -> CorrespondencePair:
+def forward_operational(M: BosonMonomial) -> CorrespondencePair:
     """Transfer through the representation space instead of index algebra.
 
     Applies the creations to the GP vector and reads the resulting basis
     word back as a fermion monomial.  The intermediate state must be a
     single basis term; anything else is an engine bug.
     """
-    state = boson_state_iterated(M, max_particles=max_particles)
+    state = boson_state_iterated(M)
     if len(state) != 1:
         raise EngineError(f"creation monomial did not yield a single word: {state!r}")
     ((word, coeff),) = state.items()
@@ -157,24 +144,21 @@ def forward_operational(
     return CorrespondencePair(M, S, coeff)
 
 
-def enumerate_grade(
-    n: int, max_mode: int, *, max_particles: int = DEFAULT_MAX_PARTICLES
-) -> list[CorrespondencePair]:
-    """All n-particle pairs with boson modes <= max_mode, in lex order."""
+def enumerate_grade(n: int, max_mode: int) -> list[CorrespondencePair]:
+    """All n-particle pairs with boson modes <= max_mode, in lex order.
+
+    `combinations_with_replacement` yields the sorted mode multisets in
+    lex order already, so the pairs need no sort.
+    """
     if n < 0:
         raise ValueError("particle count must be >= 0")
-    _check_particles(n, max_particles)
+    check_particles(n)
     if n == 0:
         return [CorrespondencePair(BosonMonomial(), FermionSubset(), ONE)]
-    out = []
-    for modes in combinations_with_replacement(range(1, max_mode + 1), n):
-        out.append(forward(BosonMonomial.from_modes(modes)))
-    out.sort(key=lambda pair: _mode_multiset(pair.boson))
-    return out
-
-
-def _mode_multiset(M: BosonMonomial) -> tuple[int, ...]:
-    return tuple(n for n, k in M.factors for _ in range(k))
+    return [
+        forward(BosonMonomial.from_modes(modes))
+        for modes in combinations_with_replacement(range(1, max_mode + 1), n)
+    ]
 
 
 def grade_table_tsv(pairs: list[CorrespondencePair]) -> str:

@@ -27,21 +27,33 @@ from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
 from .words import TailWord, block_prepend, leading_block
 
-DEFAULT_MAX_MODE = 16
-DEFAULT_MAX_PARTICLES = 12
+# The two guard rails, enforced by check_mode and check_particles below.
+MAX_MODE = 16
+MAX_PARTICLES = 12
 
 FOCK_SPACE = RepSpace((1,))
 
 
 class BoundsError(ValueError):
-    """An input exceeded the configured mode/particle guard rails."""
+    """An input exceeded the mode/particle guard rails."""
 
 
-def _check_mode(n: int, max_mode: int) -> None:
+def check_mode(n: int) -> None:
+    """Refuse a mode index above MAX_MODE."""
+    if n > MAX_MODE:
+        raise BoundsError(f"mode {n} exceeds the configured bound {MAX_MODE}")
+
+
+def check_particles(count: int) -> None:
+    """Refuse a particle count above MAX_PARTICLES."""
+    if count > MAX_PARTICLES:
+        raise BoundsError(f"{count} particles exceed the configured bound {MAX_PARTICLES}")
+
+
+def _check_mode_index(n: int) -> None:
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    if n > max_mode:
-        raise BoundsError(f"mode {n} exceeds the configured bound {max_mode}")
+    check_mode(n)
 
 
 # -- single-word actions ----------------------------------------------------
@@ -82,15 +94,15 @@ def _fermion_word(create: bool, n: int, w: TailWord):
     return None if v is None else (ONE, v.prepend(1))
 
 
-def apply_boson(create: bool, n: int, state: State, *, max_mode: int = DEFAULT_MAX_MODE) -> State:
+def apply_boson(create: bool, n: int, state: State) -> State:
     """Exact action of b_n (create=False) or b_n* (create=True)."""
-    _check_mode(n, max_mode)
+    _check_mode_index(n)
     return map_basis(state, lambda w: _boson_word(create, n, w))
 
 
-def apply_fermion(create: bool, n: int, state: State, *, max_mode: int = DEFAULT_MAX_MODE) -> State:
+def apply_fermion(create: bool, n: int, state: State) -> State:
     """Exact action of a_n (create=False) or a_n* (create=True)."""
-    _check_mode(n, max_mode)
+    _check_mode_index(n)
     return map_basis(state, lambda w: _fermion_word(create, n, w))
 
 
@@ -207,13 +219,6 @@ class FermionSubset:
                 raise ValueError("modes must be strictly increasing")
             prev = s
 
-    @staticmethod
-    def of(modes) -> "FermionSubset":
-        modes = sorted(modes)
-        if len(set(modes)) != len(modes):
-            raise ValueError("repeated fermion mode: the monomial vanishes")
-        return FermionSubset(tuple(modes))
-
     @property
     def particle_number(self) -> int:
         return len(self.elements)
@@ -300,31 +305,13 @@ def parse_fermion_expr(text: str) -> tuple[int, FermionSubset]:
 # -- closed-form state builders ---------------------------------------------
 
 
-def _require_fock(space: RepSpace) -> None:
-    if space.gp_word().rot != (1,):
-        raise ValueError(f"{space.label} is not the tail-1 space")
-
-
-def _check_particles(count: int, max_particles: int) -> None:
-    if count > max_particles:
-        raise BoundsError(
-            f"{count} particles exceed the configured bound {max_particles}"
-        )
-
-
-def boson_state(
-    M: BosonMonomial,
-    space: RepSpace = FOCK_SPACE,
-    *,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-) -> State:
+def boson_state(M: BosonMonomial) -> State:
     """The single basis term of an iterated boson creation monomial.
 
     The word spells out each mode gap in 1s and each multiplicity in 2s;
     the coefficient is the product of sqrt(k_i!).
     """
-    _require_fock(space)
-    _check_particles(M.particle_number, max_particles)
+    check_particles(M.particle_number)
     letters: list[int] = []
     prev = None
     for n, k in M.factors:
@@ -333,56 +320,36 @@ def boson_state(
         letters.extend([2] * k)
         prev = n
     coeff = sqrt_factorial_product(k for _, k in M.factors)
-    return State.basis(space, TailWord(tuple(letters), space.period), coeff)
+    return State.basis(FOCK_SPACE, TailWord(tuple(letters), FOCK_SPACE.period), coeff)
 
 
-def fermion_state(
-    S: FermionSubset,
-    space: RepSpace = FOCK_SPACE,
-    *,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-) -> State:
+def fermion_state(S: FermionSubset) -> State:
     """The single basis term of an iterated fermion creation monomial."""
-    _require_fock(space)
-    _check_particles(S.particle_number, max_particles)
+    check_particles(S.particle_number)
     letters: list[int] = []
     prev = 0
     for s in S.elements:
         letters.extend([1] * (s - prev - 1))
         letters.append(2)
         prev = s
-    return State.basis(space, TailWord(tuple(letters), space.period))
+    return State.basis(FOCK_SPACE, TailWord(tuple(letters), FOCK_SPACE.period))
 
 
-def boson_state_iterated(
-    M: BosonMonomial,
-    space: RepSpace = FOCK_SPACE,
-    *,
-    max_mode: int = DEFAULT_MAX_MODE,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-) -> State:
+def boson_state_iterated(M: BosonMonomial) -> State:
     """The same vector built by actually applying the creations."""
-    _require_fock(space)
-    _check_particles(M.particle_number, max_particles)
-    state = rep.gp_vector(space)
+    check_particles(M.particle_number)
+    state = rep.gp_vector(FOCK_SPACE)
     for n, k in reversed(M.factors):
         for _ in range(k):
-            state = apply_boson(True, n, state, max_mode=max_mode)
+            state = apply_boson(True, n, state)
     return state
 
 
-def fermion_state_iterated(
-    S: FermionSubset,
-    space: RepSpace = FOCK_SPACE,
-    *,
-    max_mode: int = DEFAULT_MAX_MODE,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-) -> State:
-    _require_fock(space)
-    _check_particles(S.particle_number, max_particles)
-    state = rep.gp_vector(space)
+def fermion_state_iterated(S: FermionSubset) -> State:
+    check_particles(S.particle_number)
+    state = rep.gp_vector(FOCK_SPACE)
     for s in reversed(S.elements):
-        state = apply_fermion(True, s, state, max_mode=max_mode)
+        state = apply_fermion(True, s, state)
     return state
 
 

@@ -142,6 +142,12 @@ def test_verify_refusals_keep_their_exit_codes():
     assert run("verify", "oracle", "--dim", "1000").exit_code == 2
 
 
+def test_verify_roundtrip_max_subset_bound_exit_3():
+    # --max-subset is held to the particle bound like --particles
+    assert run("verify", "roundtrip", "--max-subset", "13").exit_code == 3
+    assert run("verify", "roundtrip", "--max-subset", "40").exit_code == 3
+
+
 def test_verify_failure_exit_1(monkeypatch):
     failing = SuiteReport("rigged", cases=1, failures=[
         {"case": "x", "expected": "a", "got": "b"}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -112,11 +113,17 @@ def test_enumerate_grade():
     ]
     images = [p.fermion for p in enumerate_grade(3, 3)]
     assert len(images) == 10 and len(set(images)) == 10
+    # rows come in the lex order of their sorted mode multisets
+    for n in range(5):
+        for m in range(1, 7):
+            keys = [
+                tuple(mode for mode, k in p.boson.factors for _ in range(k))
+                for p in enumerate_grade(n, m)
+            ]
+            assert keys == sorted(set(keys)) and len(keys) == math.comb(n + m - 1, n)
 
 
 def test_coefficient_is_sqrt_of_integer():
-    import math
-
     for modes in itertools.combinations_with_replacement(range(1, 5), 5):
         M = BosonMonomial.from_modes(modes)
         c = forward(M).coeff

@@ -215,8 +215,8 @@ def test_bounds_refusal():
         apply_boson(True, 17, OMEGA)
     with pytest.raises(BoundsError):
         boson_state(BosonMonomial(((1, 13),)))
-    # bounds are configurable, not hard limits
-    assert not apply_boson(True, 17, OMEGA, max_mode=32).is_zero()
+    # the bound itself is allowed
+    assert not apply_boson(True, 16, OMEGA).is_zero()
 
 
 def test_json_round_trips():

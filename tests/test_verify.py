@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from cuntzfock.ladder import BoundsError
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
 from cuntzfock.verify import (
@@ -143,6 +146,24 @@ def test_roundtrip_suite_small():
     assert roundtrip_suite(max_subset=6, max_particles=3, max_mode=4).passed
 
 
+def test_roundtrip_suite_refuses_max_subset_above_the_particle_bound():
+    # refused up front: 40 would otherwise walk about 2^40 subsets first
+    for max_subset in (13, 40):
+        with pytest.raises(BoundsError):
+            roundtrip_suite(max_subset=max_subset)
+
+
+def test_unreached_words_fail_branching_oinfty(monkeypatch):
+    from cuntzfock import verify
+
+    monkeypatch.setattr(verify, "_peel_to", lambda target, w: False)
+    r = check_branching_oinfty(1, "p", depth=2)
+    assert r.cases == 3
+    (failure,) = r.failures
+    assert failure["case"] == "reachability to depth 2"
+    assert failure["got"].startswith("unreached: ")
+
+
 def test_float_oracle_permutation_sequence_is_exact():
     res = float_oracle(256, ["t2", "t1", "t2*"], 1)
     assert res.ok and res.deviation == 0.0
@@ -203,3 +224,4 @@ def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
                      embed_max_n=8)
     random_failures = [f for f in r.failures if f["case"].startswith("random pipeline")]
     assert len(random_failures) == 5
+    assert math.isnan(r.params["worst_deviation"])
