@@ -116,10 +116,7 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
     factors: list[tuple[int, int]] = []
     used = 0
     for b in block_decompose(S):
-        mode = b.start - used
-        if factors and mode <= factors[-1][0]:
-            raise EngineError("block starts out of order")  # cannot occur
-        factors.append((mode, b.length))
+        factors.append((b.start - used, b.length))
         used += b.length
     norm = sqrt_factorial_product(k for _, k in factors)
     return CorrespondencePair(
@@ -136,11 +133,11 @@ def forward_operational(M: BosonMonomial) -> CorrespondencePair:
     """
     state = boson_state_iterated(M)
     if len(state) != 1:
-        raise EngineError(f"creation monomial did not yield a single word: {state!r}")
+        raise EngineError(f"creation monomial {M} did not yield a single word: {state!r}")
     ((word, coeff),) = state.items()
     S = parse_fermion_word(word)
     if S is None:
-        raise EngineError(f"word {word} is not a fermion monomial word")
+        raise EngineError(f"word {word} of creation monomial {M} is not a fermion monomial word")
     return CorrespondencePair(M, S, coeff)
 
 

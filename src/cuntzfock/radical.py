@@ -1,11 +1,15 @@
 """Exact scalars of the form sum_d q_d * sqrt(d).
 
 A scalar is a finite map from squarefree radicands d >= 1 to nonzero
-rational coefficients; the radicand 1 carries the rational part.  The map
-is kept canonical (square parts extracted, zero coefficients dropped), so
-equality of values is equality of maps.  This is exactly the coefficient
-arithmetic needed for ladder-operator weights sqrt(k) and normalization
-constants sqrt(k_1! ... k_m!).
+rational coefficients; the radicand 1 carries the rational part.  It is
+stored as one positive integer denominator and a map from radicands to
+nonzero integer numerators, with no factor common to the denominator and
+every numerator.  That form is canonical (square parts extracted, zero
+coefficients dropped, fractions reduced), so equality of values is
+equality of stored forms, and each sum or product needs one gcd pass
+rather than one per term.  This is exactly the coefficient arithmetic
+needed for ladder-operator weights sqrt(k) and normalization constants
+sqrt(k_1! ... k_m!).
 """
 
 from __future__ import annotations
@@ -13,15 +17,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
 
-
-@lru_cache(maxsize=None)
+# Bounded so that square roots of many distinct integers cannot grow the
+# cache without limit; the radicands and factorials the engine reuses fit
+# many times over.
+@lru_cache(maxsize=4096)
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d and d squarefree, by trial division."""
     if n < 1:
@@ -40,27 +43,28 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-def _as_rational(x) -> "_Q":
-    if isinstance(x, (int, Fraction)):
-        return _Q(x)
-    return x
-
-
 class RadicalScalar:
     """A finite sum of rational multiples of square roots of integers."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_den", "_num", "_hash")
 
     def __init__(self, terms: Mapping[int, object] | None = None):
-        clean: dict[int, _Q] = {}
-        if terms:
-            for d, q in terms.items():
-                if _square_split(d)[0] != 1:
-                    raise ValueError(f"radicand {d} is not squarefree")
-                q = _as_rational(q)
-                if q:
-                    clean[d] = q
-        self._terms = clean
+        # Rationals report numerator and denominator in lowest terms, so
+        # over the lcm of the denominators no factor is common to all.
+        parts: dict[int, tuple[int, int]] = {}
+        den = 1
+        for d, q in (terms or {}).items():
+            if _square_split(d)[0] != 1:
+                raise ValueError(f"radicand {d} is not squarefree")
+            try:
+                n, m = int(q.numerator), int(q.denominator)
+            except AttributeError:
+                raise TypeError(f"coefficient {q!r} of sqrt({d}) is not rational") from None
+            if n:
+                parts[d] = n, m
+                den = den // gcd(den, m) * m
+        self._den = den
+        self._num = {d: n * (den // m) for d, (n, m) in parts.items()}
         self._hash = None
 
     # -- constructors ------------------------------------------------
@@ -72,34 +76,38 @@ class RadicalScalar:
     # -- structure ---------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, "_Q"]:
-        return dict(self._terms)
+    def terms(self) -> dict[int, Fraction]:
+        den = self._den
+        return {d: Fraction(n, den) for d, n in self._num.items()}
+
+    # perfbench's tracer reads the coefficient map under this name to
+    # count products by one.
+    _terms = terms
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return set(self._terms) <= {1}
+        return self._num.keys() <= {1}
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        q = self._terms.get(1, _Q(0))
-        return Fraction(int(q.numerator), int(q.denominator))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RadicalScalar({1: other})
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            self._hash = hash((self._den, tuple(sorted(self._num.items()))))
         return self._hash
 
     # -- ring operations ----------------------------------------------
@@ -108,19 +116,27 @@ class RadicalScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for d, q in other._terms.items():
-            s = acc.get(d, _ZERO_Q) + q
+        a, b = self._den, other._den
+        g = gcd(a, b)
+        fa, fb = b // g, a // g
+        if fa == 1:
+            acc = dict(self._num)
+        else:
+            acc = {d: n * fa for d, n in self._num.items()}
+        for d, n in other._num.items():
+            s = acc.get(d, 0) + n * fb
             if s:
                 acc[d] = s
             else:
                 acc.pop(d, None)
-        return _wrap(acc)
+        # a prime whose power differs in a and b divides no numerator, so
+        # every factor common to the sum's den and numerators divides g
+        return _reduced(a * fa, acc, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return _wrap({d: -q for d, q in self._terms.items()})
+        return _wrap(self._den, {d: -n for d, n in self._num.items()})
 
     def __sub__(self, other) -> "RadicalScalar":
         return self + (-promote(other))
@@ -132,28 +148,31 @@ class RadicalScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[int, _Q] = {}
-        for d1, q1 in self._terms.items():
-            for d2, q2 in other._terms.items():
-                g = math.gcd(d1, d2)
+        acc: dict[int, int] = {}
+        right = other._num.items()
+        for d1, n1 in self._num.items():
+            for d2, n2 in right:
+                g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                q = q1 * q2 * g
-                s = acc.get(d, _ZERO_Q) + q
+                s = acc.get(d, 0) + n1 * n2 * g
                 if s:
                     acc[d] = s
                 else:
                     acc.pop(d, None)
-        return _wrap(acc)
+        den = self._den * other._den
+        return _reduced(den, acc, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RadicalScalar":
         """Divide by a rational or by a single term q*sqrt(d)."""
         other = promote(other)
-        if len(other._terms) != 1:
+        if len(other._num) != 1:
             raise ValueError("division only by rationals or single radical terms")
-        (d, q), = other._terms.items()
-        inv = RadicalScalar({d: 1 / (q * d)})
+        (d, n), = other._num.items()
+        # 1 / ((n/m) sqrt(d)) = m sqrt(d) / (n d)
+        m = other._den
+        inv = _reduced(abs(n) * d, {d: m if n > 0 else -m}, d)
         return inv if self is _ONE else self * inv
 
     def __rtruediv__(self, other) -> "RadicalScalar":
@@ -162,13 +181,14 @@ class RadicalScalar:
     # -- output --------------------------------------------------------
 
     def to_float(self) -> float:
-        return sum(float(q) * math.sqrt(d) for d, q in self._terms.items())
+        den = self._den
+        return sum(n / den * math.sqrt(d) for d, n in self._num.items())
 
     def render(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for d, q in sorted(self._terms.items()):
+        for d, q in sorted(self.terms.items()):
             neg = q < 0
             mag = -q if neg else q
             if d == 1:
@@ -192,30 +212,46 @@ class RadicalScalar:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"radicand": d, "num": int(q.numerator), "den": int(q.denominator)}
-                for d, q in sorted(self._terms.items())
+                {"radicand": d, "num": q.numerator, "den": q.denominator}
+                for d, q in sorted(self.terms.items())
             ]
         }
 
     @staticmethod
     def from_json(data: dict) -> "RadicalScalar":
         return RadicalScalar(
-            {t["radicand"]: _Q(t["num"], t["den"]) for t in data["terms"]}
+            {t["radicand"]: Fraction(t["num"], t["den"]) for t in data["terms"]}
         )
 
 
-_ZERO_Q = _Q(0)
-
-
-def _wrap(terms: dict[int, "_Q"]) -> RadicalScalar:
+def _wrap(den: int, num: dict[int, int]) -> RadicalScalar:
+    """A scalar from a form that is already canonical, unchecked."""
     out = RadicalScalar.__new__(RadicalScalar)
-    out._terms = terms
+    out._den = den
+    out._num = num
     out._hash = None
     return out
 
 
-_ZERO = RadicalScalar()
-_ONE = RadicalScalar({1: 1})
+def _reduced(den: int, num: dict[int, int], g: int) -> RadicalScalar:
+    """The scalar sum_d num[d]/den * sqrt(d), with its fraction reduced.
+
+    Radicands must be squarefree and numerators nonzero.  g is any number
+    that every factor common to den and all numerators divides; den
+    itself always qualifies.
+    """
+    if not num:
+        return _ZERO
+    if g != 1:
+        g = gcd(g, *num.values())
+        if g != 1:
+            den //= g
+            num = {d: n // g for d, n in num.items()}
+    return _wrap(den, num)
+
+
+_ZERO = _wrap(1, {})
+_ONE = _wrap(1, {1: 1})
 
 
 def _coerce(x) -> "RadicalScalar | None":
@@ -243,7 +279,7 @@ def sqrt_of_nat(n: int) -> RadicalScalar:
     s, d = _square_split(n)
     if s == d == 1:
         return _ONE
-    return RadicalScalar({d: s})
+    return _wrap(1, {d: s})
 
 
 def sqrt_factorial(k: int) -> RadicalScalar:

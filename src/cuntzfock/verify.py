@@ -21,6 +21,7 @@ from .ladder import (
     apply_boson,
     apply_fermion,
     boson_state,
+    check_mode,
     check_particles,
     fermion_state,
 )
@@ -568,6 +569,8 @@ def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     [b_n, b_m*] = delta_nm, [b_n, b_m] = 0, [b_n*, b_m*] = 0, and the
     transport law s_k b_m = b_{m+1} s_k with its adjoint.
     """
+    check_particles(max_particles)
+    check_mode(max_mode)
     rep_ = SuiteReport(
         "ccr",
         {
@@ -616,6 +619,8 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     transport t_i a_m = (-1)^(i-1) a_{m+1} t_i, and the rewriting of the
     operator word t_1^n t_2^m as a creation run following t_1^(n+m).
     """
+    check_particles(max_particles)
+    check_mode(max_mode)
     rep_ = SuiteReport(
         "car",
         {
@@ -687,9 +692,11 @@ def roundtrip_suite(
     the operational route through the representation space agrees with
     the index combinatorics; grades are conserved, and within each grade
     the fermion images are pairwise distinct and cover all small subsets.
-    A max_subset above the particle bound is refused before any work.
+    Parameters above the particle or mode bound are refused before any work.
     """
     check_particles(max_subset)
+    check_mode(max_mode)
+    check_particles(max_particles)
     rep_ = SuiteReport(
         "roundtrip",
         {

@@ -142,6 +142,15 @@ def test_verify_refusals_keep_their_exit_codes():
     assert run("verify", "oracle", "--dim", "1000").exit_code == 2
 
 
+def test_verify_suite_bounds_exit_3_before_enumerating():
+    # the first two would enumerate for seconds (ccr: about 30 million states) if
+    # the bounds were checked only when the first monomial crossed them
+    assert run("verify", "roundtrip", "--particles", "13").exit_code == 3
+    assert run("verify", "ccr", "--modes", "16", "--particles", "13").exit_code == 3
+    # car on 5 modes has no subset above 5 particles, yet 13 is still refused
+    assert run("verify", "car", "--particles", "13").exit_code == 3
+
+
 def test_verify_roundtrip_max_subset_bound_exit_3():
     # --max-subset is held to the particle bound like --particles
     assert run("verify", "roundtrip", "--max-subset", "13").exit_code == 3
@@ -239,8 +248,8 @@ def test_graph_label_requires_tail1():
 
 
 def test_cli_import_stays_light():
-    """A cold `cuntzfock` call loads neither the float oracle's numeric stack nor a pool."""
-    heavy = ("numpy", "scipy", "concurrent.futures")
+    """A cold `cuntzfock` call loads no float or symbolic numeric stack and no pool."""
+    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures")
     code = (
         "import sys, cuntzfock.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -144,3 +145,20 @@ def test_pair_json():
     assert data["fermion"] == [1, 2]
     assert data["boson"] == {"factors": [{"mode": 1, "mult": 2}]}
     assert data["coeff"]["terms"] == [{"radicand": 2, "num": 1, "den": 1}]
+
+
+def test_forward_operational_errors_name_the_monomial(monkeypatch):
+    from cuntzfock import correspondence
+    from cuntzfock.correspondence import EngineError
+    from cuntzfock.ladder import boson_state, fermion_state
+
+    M = bm((2, 3), (5, 1))
+    two_terms = boson_state(M) + fermion_state(fs(1, 3))
+    monkeypatch.setattr(correspondence, "boson_state_iterated", lambda m: two_terms)
+    with pytest.raises(EngineError, match=re.escape(str(M))):
+        forward_operational(M)
+    # a single word that does not read back as a fermion monomial
+    monkeypatch.setattr(correspondence, "boson_state_iterated", boson_state)
+    monkeypatch.setattr(correspondence, "parse_fermion_word", lambda w: None)
+    with pytest.raises(EngineError, match=re.escape(str(M))):
+        forward_operational(M)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,3 +162,99 @@ def test_to_float_matches_termwise_double():
 def test_sqrt_square_law_small():
     for n in range(1, 2001):
         assert sqrt_of_nat(n) * sqrt_of_nat(n) == promote(n)
+
+
+# -- independent oracle: the same sums as sympy expressions --------------------
+
+_terms_lists = st.lists(
+    st.tuples(
+        st.sampled_from(SQUAREFREE_100),
+        st.integers(-10**6, 10**6),
+        st.integers(1, 10**6),
+    ),
+    max_size=3,
+    unique_by=lambda t: t[0],
+)
+_single_terms = st.tuples(
+    st.sampled_from(SQUAREFREE_100),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**6),
+).map(lambda t: [t])
+
+
+def _exact(triples):
+    """The scalar, through the validating constructor only."""
+    return RadicalScalar({d: Fraction(n, m) for d, n, m in triples})
+
+
+def _symbolic(triples):
+    """sum n/m * sqrt(d) as a sympy expression, built without RadicalScalar."""
+    return sympy.Add(*(sympy.Rational(n, m) * sympy.sqrt(d) for d, n, m in triples))
+
+
+def _agrees(x: RadicalScalar, expr) -> bool:
+    got = sympy.Add(*(
+        sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(d)
+        for d, q in x.terms.items()
+    ))
+    return sympy.expand(got - expr) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms_lists, _terms_lists, _single_terms)
+def test_ring_operations_match_sympy(a, b, t):
+    x, y, z = _exact(a), _exact(b), _exact(t)
+    ea, eb, et = _symbolic(a), _symbolic(b), _symbolic(t)
+    assert _agrees(x + y, ea + eb)
+    assert _agrees(x - y, ea - eb)
+    assert _agrees(x * y, sympy.expand(ea * eb))
+    assert _agrees(x / z, sympy.expand(ea / et))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**7))
+def test_sqrt_of_nat_matches_sympy(n):
+    assert _agrees(sqrt_of_nat(n), sympy.sqrt(n))
+
+
+# -- fast paths build what the validating constructor builds -------------------
+
+
+def assert_canonical(x: RadicalScalar):
+    y = RadicalScalar(x.terms)
+    assert (x._den, x._num) == (y._den, y._num)
+    assert x == y and hash(x) == hash(y)
+    assert x._den > 0 and math.gcd(x._den, *x._num.values()) == 1
+    assert all(x._num.values())
+    assert (x._terms == ONE._terms) == (x == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _terms_lists,
+    _terms_lists,
+    _single_terms,
+    st.integers(1, 10**7),
+    st.lists(st.integers(0, 12), max_size=5),
+)
+def test_fast_paths_match_the_validating_constructor(a, b, t, n, ks):
+    x, y, z = _exact(a), _exact(b), _exact(t)
+    for result in (x + y, x - y, -x, x * y, x * x, x / z, ONE / z, z / z,
+                   sqrt_of_nat(n), sqrt_factorial_product(ks)):
+        assert_canonical(result)
+
+
+def test_only_one_reads_as_one_term_by_term():
+    sixth = ONE / 6
+    assert sixth._terms != ONE._terms and sixth != 1
+    half_root2 = sqrt_of_nat(2) / 2
+    assert half_root2._terms != ONE._terms and half_root2 != 1
+    six_sixths = promote(6) / 6
+    assert six_sixths._terms == ONE._terms and six_sixths == 1
+    for x in (sixth, half_root2, six_sixths, ONE / sqrt_of_nat(2) * sqrt_of_nat(2)):
+        assert_canonical(x)
+
+
+def test_non_rational_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        RadicalScalar({2: 0.5})

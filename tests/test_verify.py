@@ -225,3 +225,35 @@ def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
     random_failures = [f for f in r.failures if f["case"].startswith("random pipeline")]
     assert len(random_failures) == 5
     assert math.isnan(r.params["worst_deviation"])
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (ccr_suite, {"max_particles": 13}),
+        (ccr_suite, {"max_mode": 17}),
+        (ccr_suite, {"op_max": 16, "max_mode": 16, "max_particles": 13}),
+        (car_suite, {"max_particles": 13}),
+        (car_suite, {"max_mode": 17}),
+        (roundtrip_suite, {"max_particles": 13}),
+        (roundtrip_suite, {"max_mode": 17}),
+    ],
+)
+def test_suite_bounds_are_refused_before_any_state_is_built(monkeypatch, suite, kwargs):
+    from cuntzfock import verify
+
+    calls = [0]
+
+    def counted(f):
+        def inner(*args, **kw):
+            calls[0] += 1
+            return f(*args, **kw)
+        return inner
+
+    for name in ("boson_state", "fermion_state"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    for name in ("forward", "inverse"):
+        monkeypatch.setattr(verify.corr, name, counted(getattr(verify.corr, name)))
+    with pytest.raises(BoundsError):
+        suite(**kwargs)
+    assert calls[0] == 0
