@@ -15,14 +15,15 @@ from . import correspondence as corr
 from . import verify
 from .ladder import (
     BoundsError,
+    apply_op_token,
     check_mode,
     parse_boson_expr,
     parse_boson_word,
     parse_fermion_expr,
     parse_fermion_word,
+    parse_op_token,
 )
 from .rep import RepSpace, State, gp_vector
-from .verify import apply_op_token, parse_op_token
 from .words import TailWord, block_prepend, parse_letters
 
 EXIT_VERIFY_FAIL = 1
@@ -93,15 +94,13 @@ def cmd_unmap(monomial: str, as_json: bool):
 @main.command("table")
 @click.option("-n", "--particles", type=int, required=True, help="Particle count.")
 @click.option("-m", "--max-mode", type=int, default=6, show_default=True)
-@click.option("-f", "--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv",
-              show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="Shorthand for --format json.")
+@click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of TSV.")
 @_bounds_guard
-def cmd_table(particles: int, max_mode: int, fmt: str, as_json: bool):
+def cmd_table(particles: int, max_mode: int, as_json: bool):
     """List every transfer pair of one particle grade."""
     check_mode(max_mode)
     pairs = corr.enumerate_grade(particles, max_mode)
-    if as_json or fmt == "json":
+    if as_json:
         click.echo(json.dumps([p.to_json() for p in pairs]))
     else:
         click.echo(corr.grade_table_tsv(pairs), nl=False)

@@ -302,6 +302,41 @@ def parse_fermion_expr(text: str) -> tuple[int, FermionSubset]:
     return ordered
 
 
+# -- the operator-token grammar ---------------------------------------------
+
+_TOKEN_KINDS = {"t", "s", "b", "a"}
+
+
+def parse_op_token(token: str) -> tuple[str, int, bool]:
+    """Parse an operator token like t1, t2*, s3, b2*, a4.
+
+    s, b and a indices are held to the mode bound here, so a word with one
+    above it is refused before any of its tokens acts.
+    """
+    text = token.strip()
+    star = text.endswith("*")
+    kind, idx = text[:1], text[1:-1] if star else text[1:]
+    if kind not in _TOKEN_KINDS or not idx.isdigit() or int(idx) < 1:
+        raise ValueError(f"bad operator token {text!r}")
+    if kind == "t" and int(idx) not in (1, 2):
+        raise ValueError(f"bad operator token {text!r}: t-index must be 1 or 2")
+    if kind != "t":
+        check_mode(int(idx))
+    return kind, int(idx), star
+
+
+def apply_op_token(tok, state: State) -> State:
+    """Apply one token as returned by `parse_op_token`."""
+    kind, idx, star = tok
+    if kind == "t":
+        return rep.apply_t_star(idx, state) if star else rep.apply_t(idx, state)
+    if kind == "s":
+        return rep.apply_s_star(idx, state) if star else rep.apply_s(idx, state)
+    if kind == "b":
+        return apply_boson(star, idx, state)
+    return apply_fermion(star, idx, state)
+
+
 # -- closed-form state builders ---------------------------------------------
 
 

@@ -106,8 +106,12 @@ class RadicalScalar:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
+        # a rational scalar equals its Fraction (and int), so it hashes as one
         if self._hash is None:
-            self._hash = hash((self._den, tuple(sorted(self._num.items()))))
+            if self.is_rational():
+                self._hash = hash(Fraction(self._num.get(1, 0), self._den))
+            else:
+                self._hash = hash((self._den, tuple(sorted(self._num.items()))))
         return self._hash
 
     # -- ring operations ----------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
@@ -20,10 +21,12 @@ from .ladder import (
     FermionSubset,
     apply_boson,
     apply_fermion,
+    apply_op_token,
     boson_state,
     check_mode,
     check_particles,
     fermion_state,
+    parse_op_token,
 )
 from .radical import ONE, promote, sqrt_factorial
 from .rep import (
@@ -209,9 +212,7 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
         space = RepSpace((1,) * q + (2,))
         omega = gp_vector(space)
         anchor = apply_t_word((1,) * (q - 1) + (2,), omega)
-        fixed = apply_s(2, anchor)
-        for _ in range(q - 1):
-            fixed = apply_s(1, fixed)
+        fixed = apply_t_word((1,) * (q - 1) + (2, 1), anchor)  # s_1^(q-1) s_2
         label = f"Pinf(1^{q - 1} 2)"
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'p' or 'q'")
@@ -239,19 +240,13 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
 # -- branching: bosons -------------------------------------------------------
 
 
-def _apply_s_word(indices, state: State) -> State:
-    """Operator word s_{i_1} ... s_{i_k}; the rightmost factor acts first."""
-    for m in reversed(tuple(indices)):
-        state = apply_s(m, state)
-    return state
-
-
 def boson_branch_witness(p: int) -> BranchWitness:
     """Branch vacua for the boson restriction of P2(1^p 2).
 
     Anchored at the embedded-family cyclic vector, the i-th vacuum is
     s_1^(p-i) s_2 applied to it; it generates the lambda=2 boson class
-    with residue p-i+1.
+    with residue p-i+1.  Words in s_1 = t_1 and s_2 = t_2 t_1 are applied
+    as their letters, here and in `check_branching_boson`.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -259,12 +254,12 @@ def boson_branch_witness(p: int) -> BranchWitness:
     anchor = apply_t_word((1,) * (p - 1) + (2,), gp_vector(space))
     vectors = [anchor]
     for i in range(2, p + 1):
-        vectors.append(_apply_s_word((1,) * (p - i) + (2,), anchor))
+        vectors.append(apply_t_word((1,) * (p - i) + (2, 1), anchor))
     labels = [("BF", p, p - i + 1, 2) for i in range(1, p + 1)]
     return BranchWitness(space, vectors, labels)
 
 
-def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
+def check_branching_boson(p: int) -> SuiteReport:
     """Verify the boson branching data for the parameter-p families.
 
     Part A: on P2(1 2^(p-1)) the embedded-family vacuum satisfies the
@@ -275,6 +270,7 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    n_max = 3
     rep_ = SuiteReport("branch-boson", {"p": p, "n_max": n_max})
 
     # part A: single branch with amplification lambda = p
@@ -293,13 +289,13 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
     rep_.check(
         "anchor fixed by s_1^(p-1) s_2",
         anchor,
-        _apply_s_word((1,) * (p - 1) + (2,), anchor),
+        apply_t_word((1,) * (p - 1) + (2, 1), anchor),
     )
     for i in range(1, p + 1):
         om = oms[i - 1]
         rep_.check(lambda: f"Omega_{i} unit", ONE, om.norm2())
-        t_i = (1,) * (p - i) + (2,) + (1,) * (i - 1)
-        rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, _apply_s_word(t_i, om))
+        t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
+        rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, apply_t_word(t_i, om))
         rep_.absorb(check_bf_class(om, p, p - i + 1, 2, n_max=n_max))
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, n_max + 1):
@@ -307,9 +303,9 @@ def check_branching_boson(p: int, n_max: int = 3) -> SuiteReport:
                 mode = p * (n - 1) + p - j + 1
                 got = apply_boson(False, mode, om)
                 if i == j:
-                    expected = _apply_s_word((1,) * p, om)
+                    expected = apply_t_word((1,) * p, om)
                     for _ in range(n - 1):
-                        expected = _apply_s_word(t_i, expected)
+                        expected = apply_t_word(t_i, expected)
                 else:
                     expected = State.zero(om.space)
                 rep_.check(lambda: f"b_{mode} Omega_{i}", expected, got)
@@ -367,7 +363,7 @@ def fermion_branch_witness(p: int, starred: bool = False) -> BranchWitness:
     return BranchWitness(space, vectors, labels)
 
 
-def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> SuiteReport:
+def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
     """Verify the fermion branching data on P2(2^(p-1) 1).
 
     Checks the explicit creation images with their exact sign factors,
@@ -377,6 +373,7 @@ def check_branching_fermion(p: int, starred: bool = False, l_max: int = 3) -> Su
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    l_max = 3
     rep_ = SuiteReport("branch-fermion", {"p": p, "starred": starred, "l_max": l_max})
 
     witness = fermion_branch_witness(p, starred=False)
@@ -562,6 +559,30 @@ def _fermion_family(max_particles: int, max_mode: int):
             yield FermionSubset(modes)
 
 
+def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) -> None:
+    """[x_n, x_m*] = delta_nm, [x_n, x_m] = 0 and [x_n*, x_m*] = 0 on psi.
+
+    act is `apply_boson` (x = "b"), whose brackets are commutators written
+    [...], or `apply_fermion` (x = "a"), whose are anticommutators written {...}.
+    """
+    commute = x == "b"
+    left, right = "[]" if commute else "{}"
+    zero = State.zero(psi.space)
+    for n in range(1, op_max + 1):
+        for m in range(1, op_max + 1):
+            for star_n, star_m in ((False, True), (False, False), (True, True)):
+                nm = act(star_n, n, act(star_m, m, psi))
+                mn = act(star_m, m, act(star_n, n, psi))
+                got = nm - mn if commute else nm + mn
+                expected = psi if n == m and star_m and not star_n else zero
+                rep_.check(
+                    lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
+                    f"{'*' if star_m else ''}{right} on {psi.render()}",
+                    expected,
+                    got,
+                )
+
+
 def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
               intertwine_max: int = 5) -> SuiteReport:
     """Commutation relations of the boson family on creation states.
@@ -582,22 +603,7 @@ def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     )
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
     for psi in states:
-        zero = State.zero(psi.space)
-        for n in range(1, op_max + 1):
-            for m in range(1, op_max + 1):
-                got = apply_boson(False, n, apply_boson(True, m, psi)) - apply_boson(
-                    True, m, apply_boson(False, n, psi)
-                )
-                expected = psi if n == m else zero
-                rep_.check(lambda: f"[b_{n}, b_{m}*] on {psi.render()}", expected, got)
-                got = apply_boson(False, n, apply_boson(False, m, psi)) - apply_boson(
-                    False, m, apply_boson(False, n, psi)
-                )
-                rep_.check(lambda: f"[b_{n}, b_{m}] on {psi.render()}", zero, got)
-                got = apply_boson(True, n, apply_boson(True, m, psi)) - apply_boson(
-                    True, m, apply_boson(True, n, psi)
-                )
-                rep_.check(lambda: f"[b_{n}*, b_{m}*] on {psi.render()}", zero, got)
+        _bracket_relations(rep_, apply_boson, "b", psi, op_max)
         for k in range(1, intertwine_max + 1):
             for m in range(1, intertwine_max + 1):
                 for create in (False, True):
@@ -632,22 +638,7 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     )
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
     for psi in states:
-        zero = State.zero(psi.space)
-        for n in range(1, op_max + 1):
-            for m in range(1, op_max + 1):
-                got = apply_fermion(False, n, apply_fermion(True, m, psi)) + apply_fermion(
-                    True, m, apply_fermion(False, n, psi)
-                )
-                expected = psi if n == m else zero
-                rep_.check(lambda: f"{{a_{n}, a_{m}*}} on {psi.render()}", expected, got)
-                got = apply_fermion(False, n, apply_fermion(False, m, psi)) + apply_fermion(
-                    False, m, apply_fermion(False, n, psi)
-                )
-                rep_.check(lambda: f"{{a_{n}, a_{m}}} on {psi.render()}", zero, got)
-                got = apply_fermion(True, n, apply_fermion(True, m, psi)) + apply_fermion(
-                    True, m, apply_fermion(True, n, psi)
-                )
-                rep_.check(lambda: f"{{a_{n}*, a_{m}*}} on {psi.render()}", zero, got)
+        _bracket_relations(rep_, apply_fermion, "a", psi, op_max)
         for i in (1, 2):
             sign = 1 if i == 1 else -1
             for m in range(1, op_max + 1):
@@ -675,28 +666,22 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
 # -- correspondence round trips ----------------------------------------------
 
 
-def roundtrip_suite(
-    max_subset: int = 12,
-    max_particles: int = 6,
-    max_mode: int = 6,
-    grade_max: int = 4,
-    grade_mode: int = 6,
-    surj_bound: int = 8,
-    surj_particles: int = 4,
-    operational: bool = True,
-) -> SuiteReport:
+def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
+                    max_mode: int = 6) -> SuiteReport:
     """Transfer-map consistency: inverses, norm factors, grading.
 
     Subsets of {1..max_subset} and monomials with the given particle and
     mode bounds round-trip exactly; the two norm factors multiply to 1;
     the operational route through the representation space agrees with
     the index combinatorics; grades are conserved, and within each grade
-    the fermion images are pairwise distinct and cover all small subsets.
+    up to 4 the fermion images are pairwise distinct and cover all subsets
+    of {1..8}.
     Parameters above the particle or mode bound are refused before any work.
     """
     check_particles(max_subset)
     check_mode(max_mode)
     check_particles(max_particles)
+    grade_max = 4
     rep_ = SuiteReport(
         "roundtrip",
         {
@@ -704,7 +689,7 @@ def roundtrip_suite(
             "max_particles": max_particles,
             "max_mode": max_mode,
             "grade_max": grade_max,
-            "operational": operational,
+            "operational": True,
         },
     )
     for r in range(1, max_subset + 1):
@@ -724,27 +709,26 @@ def roundtrip_suite(
         sq = fwd.coeff * fwd.coeff
         expected_sq = promote(math.prod(math.factorial(k) for _, k in M.factors))
         rep_.check(lambda: f"coeff^2 integral for {M}", expected_sq, sq)
-        if operational:
-            op = corr.forward_operational(M)
-            rep_.check(lambda: f"operational fermion image of {M}", fwd.fermion, op.fermion)
-            rep_.check(lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
+        op = corr.forward_operational(M)
+        rep_.check(lambda: f"operational fermion image of {M}", fwd.fermion, op.fermion)
+        rep_.check(lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
     for n in range(grade_max + 1):
-        pairs = corr.enumerate_grade(n, grade_mode)
+        pairs = corr.enumerate_grade(n, 6)
         images = {p.fermion for p in pairs}
         rep_.check_true(
             lambda: f"grade {n} images pairwise distinct",
             len(images) == len(pairs),
             lambda: f"{len(pairs)} pairs, {len(images)} distinct images",
         )
-    for n in range(1, surj_particles + 1):
-        images = {p.fermion for p in corr.enumerate_grade(n, surj_bound)}
+    for n in range(1, grade_max + 1):
+        images = {p.fermion for p in corr.enumerate_grade(n, 8)}
         missing = [
             S
-            for S in (FermionSubset(c) for c in combinations(range(1, surj_bound + 1), n))
+            for S in (FermionSubset(c) for c in combinations(range(1, 9), n))
             if S not in images
         ]
         rep_.check_true(
-            lambda: f"grade {n} covers subsets of 1..{surj_bound}",
+            lambda: f"grade {n} covers subsets of 1..8",
             not missing,
             lambda: f"missing {missing[:3]}",
         )
@@ -764,39 +748,7 @@ class FloatOracleResult:
         return not self.overflow
 
 
-_TOKEN_KINDS = {"t", "s", "b", "a"}
-
-
-def parse_op_token(token: str) -> tuple[str, int, bool]:
-    """Parse an operator token like t1, t2*, s3, b2*, a4."""
-    token = token.strip()
-    star = token.endswith("*")
-    if star:
-        token = token[:-1]
-    kind, idx = token[:1], token[1:]
-    if kind not in _TOKEN_KINDS or not idx.isdigit() or int(idx) < 1:
-        raise ValueError(f"bad operator token {token!r}")
-    if kind == "t" and int(idx) not in (1, 2):
-        raise ValueError(f"bad operator token {token!r}: t-index must be 1 or 2")
-    return kind, int(idx), star
-
-
-def render_op_token(tok: tuple[str, int, bool]) -> str:
-    kind, idx, star = tok
-    return f"{kind}{idx}{'*' if star else ''}"
-
-
-def apply_op_token(tok, state: State) -> State:
-    kind, idx, star = tok
-    if kind == "t":
-        return apply_t_star(idx, state) if star else apply_t(idx, state)
-    if kind == "s":
-        return apply_s_star(idx, state) if star else apply_s(idx, state)
-    if kind == "b":
-        return apply_boson(star, idx, state)
-    return apply_fermion(star, idx, state)
-
-
+@lru_cache(maxsize=None)  # one family per dim, built on first use
 class _NumericFamily:
     """Truncated matrices on span{e_1..e_dim}, built from the index codec."""
 
@@ -866,28 +818,19 @@ class _NumericFamily:
         return base.T if star else base
 
 
-_numeric_cache: dict[int, _NumericFamily] = {}
-
-
-def _numeric(dim: int) -> _NumericFamily:
-    if dim not in _numeric_cache:
-        _numeric_cache[dim] = _NumericFamily(dim)
-    return _numeric_cache[dim]
-
-
 def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     """Compare the exact engine against truncated double-precision matrices.
 
-    The token sequence is applied in list order (first token first) to the
-    basis vector e_start, once exactly and once numerically.  If any exact
-    intermediate leaves the truncation window the comparison is reported
-    as an overflow instead of a deviation.
+    The operator tokens, strings such as "b1*", are applied in list order
+    (first token first) to the basis vector e_start, once exactly and once
+    numerically.  If any exact intermediate leaves the truncation window
+    the comparison is reported as an overflow instead of a deviation.
     """
     if dim < 1 or dim & (dim - 1):
         raise ValueError("dim must be a power of two")
     if dim > 2 ** 14:
         raise ValueError("dim must be <= 2^14")
-    tokens = [parse_op_token(t) if isinstance(t, str) else t for t in ops]
+    tokens = [parse_op_token(t) for t in ops]
     space = RepSpace((1,))
     state = State.basis(space, index_to_word(start))
     for tok in tokens:
@@ -895,7 +838,7 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
         if any(word_to_index(w) > dim for w, _ in state.items()):
             return FloatOracleResult(overflow=True, deviation=None)
 
-    num = _numeric(dim)
+    num = _NumericFamily(dim)
     import numpy as np
 
     vec = np.zeros(dim)
@@ -913,19 +856,18 @@ def oracle_suite(
     dim: int = 4096,
     sequences: int = 200,
     seed: int = 20240809,
-    max_len: int = 6,
     max_index: int = 2 ** 14,
     ladder_max: int = 12,
     embed_max_m: int = 16,
     embed_max_n: int = 4096,
-    tolerance: float = 1e-9,
 ) -> SuiteReport:
     """The codec identities plus randomized exact-vs-float comparisons.
 
     Exhaustive index bijection; the letter, embedded-generator and ladder
     actions on the integer basis; and `sequences` random in-window operator
-    pipelines whose float deviation must stay below `tolerance`.
+    pipelines of 1 to 6 tokens whose float deviation must stay below 1e-9.
     """
+    tolerance = 1e-9
     rep_ = SuiteReport(
         "oracle",
         {
@@ -979,12 +921,12 @@ def oracle_suite(
     worst = 0.0
     while collected < sequences and attempts < sequences * 100:
         attempts += 1
-        length = rng.randint(1, max_len)
+        length = rng.randint(1, 6)
         ops = []
         for _ in range(length):
             kind = rng.choice("ttssba")
             idx = rng.randint(1, 2) if kind == "t" else rng.randint(1, 4)
-            ops.append((kind, idx, rng.random() < 0.5))
+            ops.append(f"{kind}{idx}{'*' if rng.random() < 0.5 else ''}")
         start = rng.randint(1, 8)
         res = float_oracle(dim, ops, start)
         if res.overflow:
@@ -993,7 +935,7 @@ def oracle_suite(
         if math.isnan(res.deviation) or res.deviation > worst:
             worst = res.deviation  # a NaN stays: nothing compares greater
         rep_.check_true(
-            lambda: f"random pipeline {[render_op_token(t) for t in ops]} from e_{start}",
+            lambda: f"random pipeline {ops} from e_{start}",
             res.deviation <= tolerance,
             lambda: f"deviation={res.deviation}",
         )

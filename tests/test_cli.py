@@ -95,6 +95,12 @@ def test_table():
     assert len({tuple(r["fermion"]) for r in rows}) == 10
 
 
+def test_table_format_option_is_gone():
+    # --json is the one way to ask for JSON
+    assert run("table", "-n", "2", "-f", "json").exit_code == 2
+    assert run("table", "-n", "2", "--format", "json").exit_code == 2
+
+
 def test_table_deterministic():
     a = run("table", "-n", "2", "-m", "4").output
     b = run("table", "-n", "2", "-m", "4").output
@@ -115,9 +121,12 @@ def test_verify_json():
     assert all(r["pass"] for r in reports)
 
 
-# Case counts of the suites that no other test pins, at the CLI defaults
-# (cuntz, ccr, car and oracle are pinned at their acceptance scale).
+# Case counts at the CLI defaults of every suite but cuntz, which the
+# acceptance tests pin at the same scale.
 CLI_DEFAULT_CASES = {
+    "ccr": 15_750,
+    "car": 3_233,
+    "oracle": 18_535,
     "branch-oinfty": 24,
     "branch-boson": 122,
     "branch-fermion": 826,
@@ -181,6 +190,19 @@ def test_apply_mode_bound_exit_3():
     assert run("apply", "b16*").exit_code == 0
     assert run("apply", "b17*").exit_code == 3
     assert run("apply", "a17").exit_code == 3
+
+
+def test_apply_refuses_s_indices_before_applying(monkeypatch):
+    assert run("apply", "s16").exit_code == 0
+
+    def never(tok, state):
+        raise AssertionError(f"{tok} applied before the word was refused")
+
+    # s40000 alone would take seconds: each s_m prepends a block of length m
+    monkeypatch.setattr(cli_mod, "apply_op_token", never)
+    for word in ("s17", "s40000", "s40000* t1 b2"):
+        res = run("apply", word)
+        assert res.exit_code == 3, res.output
 
 
 def test_graph_words():

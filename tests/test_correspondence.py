@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzfock.correspondence import (
     Block,
@@ -87,6 +89,28 @@ def test_round_trip_monomials():
             assert particle_number(pair.fermion) == particle_number(M)
             if n:
                 assert inverse(pair.fermion).boson == M
+
+
+# Past the exhaustive windows above: modes up to 40, at most 12 particles.
+_modes_40 = st.lists(st.integers(1, 40), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modes_40)
+def test_round_trip_monomials_beyond_the_window(modes):
+    M = BosonMonomial.from_modes(modes)
+    pair = forward(M)
+    back = inverse(pair.fermion)
+    assert back.boson == M
+    assert pair.coeff * back.coeff == ONE
+    assert particle_number(pair.fermion) == particle_number(M) == len(modes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(1, 40), max_size=12))
+def test_round_trip_subsets_beyond_the_window(elements):
+    S = FermionSubset(tuple(sorted(elements)))
+    assert forward(inverse(S).boson).fermion == S
 
 
 def test_particle_number():

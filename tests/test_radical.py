@@ -39,6 +39,16 @@ def test_mul_perfect_square():
     assert sqrt_of_nat(2) * sqrt_of_nat(2) == promote(2)
 
 
+def test_equal_scalars_hash_equal():
+    half = promote(Fraction(1, 2))
+    pairs = ((ONE, 1), (ZERO, 0), (half, Fraction(1, 2)), (ONE / 2, Fraction(1, 2)))
+    for scalar, value in pairs:
+        assert scalar == value and hash(scalar) == hash(value)
+    assert {ONE: "one", half: "half"}.get(1) == "one"
+    assert {1: "one"}[ONE] == "one"
+    assert {Fraction(1, 2): "half"}[half] == "half"
+
+
 def test_mul_coprime_radicands():
     assert sqrt_of_nat(2) * sqrt_of_nat(3) == sqrt_of_nat(6)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cuntzfock.ladder import BoundsError
+from cuntzfock.ladder import BoundsError, apply_boson, apply_fermion, parse_op_token
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
 from cuntzfock.verify import (
@@ -19,7 +19,6 @@ from cuntzfock.verify import (
     fermion_branch_witness,
     float_oracle,
     oracle_suite,
-    parse_op_token,
     roundtrip_suite,
 )
 
@@ -142,6 +141,38 @@ def test_relation_suites_small():
     assert car_suite(op_max=3, max_particles=2, max_mode=3, word_identity_max=3).passed
 
 
+def _mode_2_creates_at_mode_1(act):
+    return lambda create, n, state: act(create, 1 if create and n == 2 else n, state)
+
+
+def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
+    # x_2* acting as x_1* breaks [x_1, x_2*] and [x_2, x_2*] on every state;
+    # the labels name the bracket, the letter and the starred position
+    from cuntzfock import verify
+
+    monkeypatch.setattr(verify, "apply_boson", _mode_2_creates_at_mode_1(apply_boson))
+    monkeypatch.setattr(verify, "apply_fermion", _mode_2_creates_at_mode_1(apply_fermion))
+    ccr = ccr_suite(op_max=2, max_particles=1, max_mode=1, intertwine_max=0)
+    car = car_suite(op_max=2, max_particles=1, max_mode=1, word_identity_max=0)
+    assert (ccr.cases, car.cases) == (24, 40)
+    assert ccr.failures == [
+        {"case": "[b_1, b_2*] on [1] (1)", "expected": "<P2(1): 0>", "got": "<P2(1): [1] (1)>"},
+        {"case": "[b_2, b_2*] on [1] (1)", "expected": "<P2(1): [1] (1)>", "got": "<P2(1): 0>"},
+        {"case": "[b_1, b_2*] on [1] 2(1)", "expected": "<P2(1): 0>",
+         "got": "<P2(1): [1] 2(1)>"},
+        {"case": "[b_2, b_2*] on [1] 2(1)", "expected": "<P2(1): [1] 2(1)>",
+         "got": "<P2(1): 0>"},
+    ]
+    assert [f for f in car.failures if "transport" not in f["case"]] == [
+        {"case": "{a_1, a_2*} on [1] (1)", "expected": "<P2(1): 0>", "got": "<P2(1): [1] (1)>"},
+        {"case": "{a_2, a_2*} on [1] (1)", "expected": "<P2(1): [1] (1)>", "got": "<P2(1): 0>"},
+        {"case": "{a_1, a_2*} on [1] 2(1)", "expected": "<P2(1): 0>",
+         "got": "<P2(1): [1] 2(1)>"},
+        {"case": "{a_2, a_2*} on [1] 2(1)", "expected": "<P2(1): [1] 2(1)>",
+         "got": "<P2(1): 0>"},
+    ]
+
+
 def test_roundtrip_suite_small():
     assert roundtrip_suite(max_subset=6, max_particles=3, max_mode=4).passed
 
@@ -191,10 +222,15 @@ def test_float_oracle_rejects_bad_dim():
 def test_parse_op_token():
     assert parse_op_token("t1") == ("t", 1, False)
     assert parse_op_token("s12*") == ("s", 12, True)
-    with pytest.raises(ValueError):
-        parse_op_token("t3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'t3\*'"):
+        parse_op_token("t3*")
+    with pytest.raises(ValueError, match="'x1'"):
         parse_op_token("x1")
+    for token in ("s16", "b16*", "a16"):
+        parse_op_token(token)
+    for token in ("s17", "s40000*", "b17*", "a17"):
+        with pytest.raises(BoundsError):
+            parse_op_token(token)
 
 
 def test_oracle_suite_small():
