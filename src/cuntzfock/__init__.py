@@ -1,14 +1,11 @@
 """Exact boson/fermion engine on permutative representation spaces."""
 
 from .correspondence import (
-    Block,
     CorrespondencePair,
-    block_decompose,
     enumerate_grade,
     forward,
     forward_operational,
     inverse,
-    particle_number,
 )
 from .ladder import (
     BosonMonomial,
@@ -38,7 +35,6 @@ from .rep import (
 from .words import TailWord, index_to_word, word_to_index
 
 __all__ = [
-    "Block",
     "BosonMonomial",
     "BoundsError",
     "CorrespondencePair",
@@ -58,7 +54,6 @@ __all__ = [
     "apply_t",
     "apply_t_star",
     "apply_zeta",
-    "block_decompose",
     "boson_state",
     "enumerate_grade",
     "fermion_state",
@@ -70,7 +65,6 @@ __all__ = [
     "normal_order_fermion",
     "parse_boson_word",
     "parse_fermion_word",
-    "particle_number",
     "sqrt_of_nat",
     "word_to_index",
 ]

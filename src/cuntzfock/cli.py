@@ -108,12 +108,8 @@ def cmd_table(particles: int, max_mode: int, as_json: bool):
 
 _SUITES = {
     "cuntz": lambda o: [verify.cuntz_suite(depth=o["depth"])],
-    "ccr": lambda o: [
-        verify.ccr_suite(op_max=o["modes"], max_particles=o["particles"], max_mode=o["modes"])
-    ],
-    "car": lambda o: [
-        verify.car_suite(op_max=o["modes"], max_particles=o["particles"], max_mode=o["modes"])
-    ],
+    "ccr": lambda o: [verify.ccr_suite(max_particles=o["particles"], max_mode=o["modes"])],
+    "car": lambda o: [verify.car_suite(max_particles=o["particles"], max_mode=o["modes"])],
     "branch-oinfty": lambda o: [
         verify.check_branching_oinfty(v, variant, depth=o["depth"])
         for variant in ("p", "q")
@@ -129,36 +125,28 @@ _SUITES = {
     ],
     "roundtrip": lambda o: [
         verify.roundtrip_suite(
-            max_subset=o["max_subset"],
-            max_particles=o["particles"],
-            max_mode=o["modes"],
+            max_subset=o["max_subset"], max_particles=o["particles"], max_mode=o["modes"]
         )
     ],
     "oracle": lambda o: [
-        verify.oracle_suite(
-            dim=o["dim"],
-            sequences=o["sequences"],
-            seed=o["seed"],
-            embed_max_n=min(o["dim"], 4096),
-        )
+        verify.oracle_suite(dim=o["dim"], sequences=o["sequences"], seed=o["seed"])
     ],
 }
 
 
 @main.command("verify")
 @click.argument("suites", nargs=-1, required=True)
-@click.option("--depth", type=int, default=8, show_default=True)
-@click.option("--modes", type=int, default=5, show_default=True)
-@click.option("--particles", type=int, default=4, show_default=True)
-@click.option("--max-subset", type=int, default=12, show_default=True)
-@click.option("-p", "--p-max", type=int, default=4, show_default=True)
+@click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--modes", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--particles", type=click.IntRange(min=0), default=4, show_default=True)
+@click.option("--max-subset", type=click.IntRange(min=1), default=12, show_default=True)
+@click.option("-p", "--p-max", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--dim", type=int, default=1024, show_default=True)
-@click.option("--sequences", type=int, default=50, show_default=True)
+@click.option("--sequences", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=20240809, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON reports.")
 @_bounds_guard
-def cmd_verify(suites, depth, modes, particles, max_subset, p_max, dim,
-               sequences, seed, as_json):
+def cmd_verify(suites, as_json, **options):
     """Run named verification suites.
 
     Known names: cuntz ccr car branch-oinfty branch-boson branch-fermion
@@ -170,16 +158,6 @@ def cmd_verify(suites, depth, modes, particles, max_subset, p_max, dim,
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise click.UsageError(f"unknown suite(s): {', '.join(unknown)}")
-    options = {
-        "depth": depth,
-        "modes": modes,
-        "particles": particles,
-        "max_subset": max_subset,
-        "p_max": p_max,
-        "dim": dim,
-        "sequences": sequences,
-        "seed": seed,
-    }
     reports = [rep for n in names for rep in _SUITES[n](options)]
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))

@@ -40,36 +40,6 @@ class EngineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Block:
-    """A maximal run {start, ..., start + length - 1} of consecutive modes."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 1 or self.length < 1:
-            raise ValueError("blocks need start >= 1 and length >= 1")
-
-
-def block_decompose(S: FermionSubset) -> list[Block]:
-    """Split a mode set into maximal consecutive runs (gaps >= 2 between)."""
-    blocks: list[Block] = []
-    start = None
-    prev = None
-    for s in S.elements:
-        if start is None:
-            start = prev = s
-        elif s == prev + 1:
-            prev = s
-        else:
-            blocks.append(Block(start, prev - start + 1))
-            start = prev = s
-    if start is not None:
-        blocks.append(Block(start, prev - start + 1))
-    return blocks
-
-
-@dataclass(frozen=True)
 class CorrespondencePair:
     """A matched boson/fermion monomial pair with its exact norm factor."""
 
@@ -83,13 +53,6 @@ class CorrespondencePair:
             "fermion": self.fermion.to_json(),
             "coeff": self.coeff.to_json(),
         }
-
-
-def particle_number(x) -> int:
-    """Total particle count of a monomial of either kind."""
-    if isinstance(x, (BosonMonomial, FermionSubset)):
-        return x.particle_number
-    raise TypeError(f"expected a monomial, got {type(x).__name__}")
 
 
 def forward(M: BosonMonomial) -> CorrespondencePair:
@@ -110,17 +73,17 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
 
     The j-th block, of length l_j + 1 starting at x_j, becomes the mode
     x_j - sum_{i<j} (l_i + 1) with multiplicity l_j + 1; the norm factor
-    is the reciprocal of the forward one.
+    is the reciprocal of the forward one.  So the element s at position i
+    (from 0) comes from mode s - i: constant along a block, and growing
+    by at least one from each block to the next.
     """
     check_particles(S.particle_number)
-    factors: list[tuple[int, int]] = []
-    used = 0
-    for b in block_decompose(S):
-        factors.append((b.start - used, b.length))
-        used += b.length
-    norm = sqrt_factorial_product(k for _, k in factors)
+    counts: dict[int, int] = {}
+    for i, s in enumerate(S.elements):
+        counts[s - i] = counts.get(s - i, 0) + 1
+    norm = sqrt_factorial_product(counts.values())
     return CorrespondencePair(
-        BosonMonomial(tuple(factors)), S, ONE if norm is ONE else ONE / norm
+        BosonMonomial(tuple(counts.items())), S, ONE if norm is ONE else ONE / norm
     )
 
 

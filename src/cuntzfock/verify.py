@@ -18,6 +18,7 @@ from typing import Callable
 from . import correspondence as corr
 from .ladder import (
     BosonMonomial,
+    BoundsError,
     FermionSubset,
     apply_boson,
     apply_fermion,
@@ -117,6 +118,19 @@ class BranchWitness:
     labels: list
 
 
+# -- the depth bound ---------------------------------------------------------
+
+# Basis words double with each prefix letter, so the suites that walk
+# every word up to a depth refuse depths above this before they start.
+MAX_DEPTH = 12
+
+
+def check_depth(depth: int) -> None:
+    """Refuse a basis-word depth above MAX_DEPTH."""
+    if depth > MAX_DEPTH:
+        raise BoundsError(f"depth {depth} exceeds the configured bound {MAX_DEPTH}")
+
+
 # -- class predicates --------------------------------------------------------
 
 
@@ -200,6 +214,7 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
     basis word (prefix depth <= depth) by creation blocks witnesses
     cyclicity at desk scale.
     """
+    check_depth(depth)
     if variant == "p":
         p = value
         space = RepSpace((1,) + (2,) * (p - 1))
@@ -496,15 +511,16 @@ def _all_defining_words(max_len: int):
         yield from product((1, 2), repeat=k)
 
 
-def cuntz_suite(max_j_len: int = 3, depth: int = 10, oinfty_max: int = 8,
-                oinfty_depth: int = 6) -> SuiteReport:
+def cuntz_suite(depth: int = 10) -> SuiteReport:
     """Generator relations on basis vectors, for both families.
 
     Two-letter family: t_i* t_j = delta_ij and range completeness, on every
-    basis word of every space with |J| <= max_j_len, prefix depth <= depth.
-    Embedded family: s_i* s_j = delta_ij for indices <= oinfty_max, and the
-    partial range sums act as 0/1 on basis words.
+    basis word of every space with |J| <= 3, prefix depth <= depth.
+    Embedded family: s_i* s_j = delta_ij for indices <= 8, and the partial
+    range sums act as 0/1 on basis words of prefix depth <= 6.
     """
+    check_depth(depth)
+    max_j_len, oinfty_max, oinfty_depth = 3, 8, 6
     rep_ = SuiteReport(
         "cuntz",
         {
@@ -583,19 +599,20 @@ def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) 
                 )
 
 
-def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
-              intertwine_max: int = 5) -> SuiteReport:
+def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     """Commutation relations of the boson family on creation states.
 
-    [b_n, b_m*] = delta_nm, [b_n, b_m] = 0, [b_n*, b_m*] = 0, and the
-    transport law s_k b_m = b_{m+1} s_k with its adjoint.
+    [b_n, b_m*] = delta_nm, [b_n, b_m] = 0 and [b_n*, b_m*] = 0 for
+    n, m <= max_mode, and the transport law s_k b_m = b_{m+1} s_k with its
+    adjoint for k, m <= 5.
     """
     check_particles(max_particles)
     check_mode(max_mode)
+    intertwine_max = 5
     rep_ = SuiteReport(
         "ccr",
         {
-            "op_max": op_max,
+            "op_max": max_mode,
             "max_particles": max_particles,
             "max_mode": max_mode,
             "intertwine_max": intertwine_max,
@@ -603,7 +620,7 @@ def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     )
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
     for psi in states:
-        _bracket_relations(rep_, apply_boson, "b", psi, op_max)
+        _bracket_relations(rep_, apply_boson, "b", psi, max_mode)
         for k in range(1, intertwine_max + 1):
             for m in range(1, intertwine_max + 1):
                 for create in (False, True):
@@ -617,20 +634,21 @@ def ccr_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     return rep_
 
 
-def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
-              word_identity_max: int = 6) -> SuiteReport:
+def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     """Anticommutation relations of the fermion family on creation states.
 
-    {a_n, a_m*} = delta_nm, {a_n, a_m} = 0, {a_n*, a_m*} = 0, the twisted
-    transport t_i a_m = (-1)^(i-1) a_{m+1} t_i, and the rewriting of the
-    operator word t_1^n t_2^m as a creation run following t_1^(n+m).
+    {a_n, a_m*} = delta_nm, {a_n, a_m} = 0, {a_n*, a_m*} = 0 and the
+    twisted transport t_i a_m = (-1)^(i-1) a_{m+1} t_i for n, m <= max_mode,
+    and the rewriting of the operator word t_1^n t_2^m as a creation run
+    following t_1^(n+m) for n, m <= 6.
     """
     check_particles(max_particles)
     check_mode(max_mode)
+    word_identity_max = 6
     rep_ = SuiteReport(
         "car",
         {
-            "op_max": op_max,
+            "op_max": max_mode,
             "max_particles": max_particles,
             "max_mode": max_mode,
             "word_identity_max": word_identity_max,
@@ -638,10 +656,10 @@ def car_suite(op_max: int = 5, max_particles: int = 4, max_mode: int = 5,
     )
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
     for psi in states:
-        _bracket_relations(rep_, apply_fermion, "a", psi, op_max)
+        _bracket_relations(rep_, apply_fermion, "a", psi, max_mode)
         for i in (1, 2):
             sign = 1 if i == 1 else -1
-            for m in range(1, op_max + 1):
+            for m in range(1, max_mode + 1):
                 got = apply_t(i, apply_fermion(False, m, psi))
                 expected = apply_fermion(False, m + 1, apply_t(i, psi)) * sign
                 rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
@@ -852,21 +870,15 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     return FloatOracleResult(overflow=False, deviation=deviation)
 
 
-def oracle_suite(
-    dim: int = 4096,
-    sequences: int = 200,
-    seed: int = 20240809,
-    max_index: int = 2 ** 14,
-    ladder_max: int = 12,
-    embed_max_m: int = 16,
-    embed_max_n: int = 4096,
-) -> SuiteReport:
+def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) -> SuiteReport:
     """The codec identities plus randomized exact-vs-float comparisons.
 
-    Exhaustive index bijection; the letter, embedded-generator and ladder
-    actions on the integer basis; and `sequences` random in-window operator
-    pipelines of 1 to 6 tokens whose float deviation must stay below 1e-9.
+    Exhaustive index bijection up to 2^14; the letter action on e_1..e_1024,
+    s_1..s_16 on e_1..e_min(dim, 4096) and the ladder actions of modes up to
+    12 on e_1; and `sequences` random in-window operator pipelines of 1 to
+    6 tokens whose float deviation must stay below 1e-9.
     """
+    max_index, ladder_max, embed_max_m, embed_max_n = 2 ** 14, 12, 16, min(dim, 4096)
     tolerance = 1e-9
     rep_ = SuiteReport(
         "oracle",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -121,9 +122,10 @@ def test_verify_json():
     assert all(r["pass"] for r in reports)
 
 
-# Case counts at the CLI defaults of every suite but cuntz, which the
-# acceptance tests pin at the same scale.
+# Case counts and the sha256 of `verify all --json` at the CLI defaults.  A
+# change to the output of `verify` has to update the pin on purpose.
 CLI_DEFAULT_CASES = {
+    "cuntz": 45_056,
     "ccr": 15_750,
     "car": 3_233,
     "oracle": 18_535,
@@ -134,14 +136,18 @@ CLI_DEFAULT_CASES = {
 }
 
 
+CLI_DEFAULT_SHA256 = "149b9acf392b2be40021f8d4fdaa114353dee3f92d14d7f6d666453a3b6e52ac"
+
+
 def test_verify_cli_default_case_counts():
-    res = run("verify", *CLI_DEFAULT_CASES, "--json")
+    res = run("verify", "all", "--json")
     assert res.exit_code == 0
     counts: dict[str, int] = {}
     for r in json.loads(res.output):
         assert r["pass"], r["failures"][:3]
         counts[r["suite"]] = counts.get(r["suite"], 0) + r["cases"]
     assert counts == CLI_DEFAULT_CASES
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == CLI_DEFAULT_SHA256
 
 
 def test_verify_refusals_keep_their_exit_codes():
@@ -158,6 +164,34 @@ def test_verify_suite_bounds_exit_3_before_enumerating():
     assert run("verify", "ccr", "--modes", "16", "--particles", "13").exit_code == 3
     # car on 5 modes has no subset above 5 particles, yet 13 is still refused
     assert run("verify", "car", "--particles", "13").exit_code == 3
+
+
+def test_verify_size_floors_exit_2():
+    # below a floor a suite would run no case, or a meaningless one, and pass
+    for suite, option, floor in (
+        ("cuntz", "--depth", 0),
+        ("branch-oinfty", "--depth", 0),
+        ("ccr", "--particles", 0),
+        ("oracle", "--sequences", 0),
+        ("ccr", "--modes", 1),
+        ("roundtrip", "--max-subset", 1),
+        ("branch-boson", "-p", 1),
+        ("branch-fermion", "--p-max", 1),
+    ):
+        assert run("verify", suite, option, str(floor - 1)).exit_code == 2, (suite, option)
+        res = run("verify", suite, option, str(floor))
+        assert res.exit_code == 0, (suite, option, res.output)
+
+
+def test_verify_depth_bound_exit_3_before_enumerating(monkeypatch):
+    def never(self, max_depth):
+        raise AssertionError(f"basis words to depth {max_depth} built before the refusal")
+
+    monkeypatch.setattr(RepSpace, "basis_words", never)
+    for suite in ("cuntz", "branch-oinfty"):
+        res = run("verify", suite, "--depth", "13")
+        assert res.exit_code == 3, (suite, res.output)
+        assert "depth 13 exceeds" in res.output
 
 
 def test_verify_roundtrip_max_subset_bound_exit_3():

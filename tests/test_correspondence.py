@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzfock.correspondence import (
-    Block,
-    block_decompose,
     enumerate_grade,
     forward,
     forward_operational,
     grade_table_tsv,
     inverse,
-    particle_number,
 )
 from cuntzfock.ladder import BosonMonomial, FermionSubset
 from cuntzfock.radical import ONE, sqrt_of_nat
@@ -28,11 +25,14 @@ def fs(*elems):
     return FermionSubset(tuple(elems))
 
 
-def test_block_decompose():
-    assert block_decompose(fs(1, 2, 4)) == [Block(1, 2), Block(4, 1)]
-    assert block_decompose(fs(7)) == [Block(7, 1)]
-    assert block_decompose(fs(3, 4, 5, 9, 10)) == [Block(3, 3), Block(9, 2)]
-    assert block_decompose(fs()) == []
+def test_inverse_splits_runs():
+    # each maximal run of consecutive modes is one boson factor, its start
+    # shifted down by the size of the runs before it
+    assert inverse(fs(1, 2, 4)).boson == bm((1, 2), (2, 1))
+    assert inverse(fs(7)).boson == bm((7, 1))
+    assert inverse(fs(3, 4, 5, 9, 10)).boson == bm((3, 3), (6, 2))
+    assert inverse(fs(1, 3, 4, 6, 7, 8)).boson == bm((1, 1), (2, 2), (3, 3))
+    assert inverse(fs()) == forward(bm())
 
 
 def test_forward_single_mode():
@@ -86,7 +86,7 @@ def test_round_trip_monomials():
         for modes in itertools.combinations_with_replacement(range(1, 5), n):
             M = BosonMonomial.from_modes(modes)
             pair = forward(M)
-            assert particle_number(pair.fermion) == particle_number(M)
+            assert pair.fermion.particle_number == M.particle_number
             if n:
                 assert inverse(pair.fermion).boson == M
 
@@ -103,7 +103,7 @@ def test_round_trip_monomials_beyond_the_window(modes):
     back = inverse(pair.fermion)
     assert back.boson == M
     assert pair.coeff * back.coeff == ONE
-    assert particle_number(pair.fermion) == particle_number(M) == len(modes)
+    assert pair.fermion.particle_number == M.particle_number == len(modes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,11 +114,9 @@ def test_round_trip_subsets_beyond_the_window(elements):
 
 
 def test_particle_number():
-    assert particle_number(bm((1, 2), (3, 1))) == 3
-    assert particle_number(fs(2, 5, 6)) == 3
-    assert particle_number(bm()) == 0
-    with pytest.raises(TypeError):
-        particle_number([1, 2])
+    assert bm((1, 2), (3, 1)).particle_number == 3
+    assert fs(2, 5, 6).particle_number == 3
+    assert bm().particle_number == fs().particle_number == 0
 
 
 def test_enumerate_grade():

@@ -136,39 +136,53 @@ def test_fermion_starred_witness_lives_in_flipped_space():
 
 
 def test_relation_suites_small():
-    assert cuntz_suite(max_j_len=2, depth=4, oinfty_max=4, oinfty_depth=3).passed
-    assert ccr_suite(op_max=3, max_particles=2, max_mode=3, intertwine_max=3).passed
-    assert car_suite(op_max=3, max_particles=2, max_mode=3, word_identity_max=3).passed
+    assert cuntz_suite(depth=4).passed
+    assert ccr_suite(max_particles=2, max_mode=3).passed
+    assert car_suite(max_particles=2, max_mode=3).passed
 
 
 def _mode_2_creates_at_mode_1(act):
     return lambda create, n, state: act(create, 1 if create and n == 2 else n, state)
 
 
+def _bracket_failures(report):
+    # bracket labels open with "[" (commutators) or "{" (anticommutators)
+    return [f for f in report.failures if f["case"][0] in "[{"]
+
+
 def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
     # x_2* acting as x_1* breaks [x_1, x_2*] and [x_2, x_2*] on every state;
-    # the labels name the bracket, the letter and the starred position
+    # the labels name the bracket, the letter and the starred position.  It
+    # breaks the transport and word-rewrite checks too, which are left out here.
     from cuntzfock import verify
 
     monkeypatch.setattr(verify, "apply_boson", _mode_2_creates_at_mode_1(apply_boson))
     monkeypatch.setattr(verify, "apply_fermion", _mode_2_creates_at_mode_1(apply_fermion))
-    ccr = ccr_suite(op_max=2, max_particles=1, max_mode=1, intertwine_max=0)
-    car = car_suite(op_max=2, max_particles=1, max_mode=1, word_identity_max=0)
-    assert (ccr.cases, car.cases) == (24, 40)
-    assert ccr.failures == [
+    ccr = ccr_suite(max_particles=1, max_mode=2)
+    car = car_suite(max_particles=1, max_mode=2)
+    assert (ccr.cases, car.cases) == (186, 348)
+    assert _bracket_failures(ccr) == [
         {"case": "[b_1, b_2*] on [1] (1)", "expected": "<P2(1): 0>", "got": "<P2(1): [1] (1)>"},
         {"case": "[b_2, b_2*] on [1] (1)", "expected": "<P2(1): [1] (1)>", "got": "<P2(1): 0>"},
         {"case": "[b_1, b_2*] on [1] 2(1)", "expected": "<P2(1): 0>",
          "got": "<P2(1): [1] 2(1)>"},
         {"case": "[b_2, b_2*] on [1] 2(1)", "expected": "<P2(1): [1] 2(1)>",
          "got": "<P2(1): 0>"},
+        {"case": "[b_1, b_2*] on [1] 12(1)", "expected": "<P2(1): 0>",
+         "got": "<P2(1): [1] 12(1)>"},
+        {"case": "[b_2, b_2*] on [1] 12(1)", "expected": "<P2(1): [1] 12(1)>",
+         "got": "<P2(1): 0>"},
     ]
-    assert [f for f in car.failures if "transport" not in f["case"]] == [
+    assert _bracket_failures(car) == [
         {"case": "{a_1, a_2*} on [1] (1)", "expected": "<P2(1): 0>", "got": "<P2(1): [1] (1)>"},
         {"case": "{a_2, a_2*} on [1] (1)", "expected": "<P2(1): [1] (1)>", "got": "<P2(1): 0>"},
         {"case": "{a_1, a_2*} on [1] 2(1)", "expected": "<P2(1): 0>",
          "got": "<P2(1): [1] 2(1)>"},
         {"case": "{a_2, a_2*} on [1] 2(1)", "expected": "<P2(1): [1] 2(1)>",
+         "got": "<P2(1): 0>"},
+        {"case": "{a_1, a_2*} on [1] 12(1)", "expected": "<P2(1): 0>",
+         "got": "<P2(1): [1] 12(1)>"},
+        {"case": "{a_2, a_2*} on [1] 12(1)", "expected": "<P2(1): [1] 12(1)>",
          "got": "<P2(1): 0>"},
     ]
 
@@ -234,14 +248,7 @@ def test_parse_op_token():
 
 
 def test_oracle_suite_small():
-    r = oracle_suite(
-        dim=256,
-        sequences=20,
-        max_index=1024,
-        ladder_max=6,
-        embed_max_m=8,
-        embed_max_n=64,
-    )
+    r = oracle_suite(dim=256, sequences=20)
     assert r.passed, r.failures[:3]
 
 
@@ -256,8 +263,7 @@ def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
 
     nan = verify.FloatOracleResult(overflow=False, deviation=float("nan"))
     monkeypatch.setattr(verify, "float_oracle", lambda dim, ops, start=1: nan)
-    r = oracle_suite(dim=256, sequences=5, max_index=64, ladder_max=2, embed_max_m=2,
-                     embed_max_n=8)
+    r = oracle_suite(dim=256, sequences=5)
     random_failures = [f for f in r.failures if f["case"].startswith("random pipeline")]
     assert len(random_failures) == 5
     assert math.isnan(r.params["worst_deviation"])
@@ -268,7 +274,7 @@ def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
     [
         (ccr_suite, {"max_particles": 13}),
         (ccr_suite, {"max_mode": 17}),
-        (ccr_suite, {"op_max": 16, "max_mode": 16, "max_particles": 13}),
+        (ccr_suite, {"max_mode": 16, "max_particles": 13}),
         (car_suite, {"max_particles": 13}),
         (car_suite, {"max_mode": 17}),
         (roundtrip_suite, {"max_particles": 13}),
