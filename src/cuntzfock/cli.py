@@ -12,7 +12,6 @@ import sys
 import click
 
 from . import correspondence as corr
-from . import verify
 from .ladder import (
     BoundsError,
     apply_op_token,
@@ -106,6 +105,10 @@ def cmd_table(particles: int, max_mode: int, as_json: bool):
         click.echo(corr.grade_table_tsv(pairs), nl=False)
 
 
+# The suites module, imported by `cmd_verify` when it runs a suite, so that
+# the other commands start without loading it.
+verify = None
+
 _SUITES = {
     "cuntz": lambda o: [verify.cuntz_suite(depth=o["depth"])],
     "ccr": lambda o: [verify.ccr_suite(max_particles=o["particles"], max_mode=o["modes"])],
@@ -158,6 +161,8 @@ def cmd_verify(suites, as_json, **options):
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise click.UsageError(f"unknown suite(s): {', '.join(unknown)}")
+    global verify
+    from . import verify
     reports = [rep for n in names for rep in _SUITES[n](options)]
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))

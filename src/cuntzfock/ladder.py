@@ -25,7 +25,7 @@ from functools import partial
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
-from .words import TailWord, block_prepend, leading_block
+from .words import TailWord, leading_block, leading_blocks, prepend_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
@@ -60,21 +60,23 @@ def _check_mode_index(n: int) -> None:
 
 
 def _boson_word(create: bool, n: int, w: TailWord):
-    lb = leading_block(w)
-    if lb is None:
+    split = leading_blocks(w, n)
+    if split is None:
         return None
-    m, rest = lb  # w = 2^(m-1) 1 . rest
-    if n > 1:
-        sub = _boson_word(create, n - 1, rest)
-        if sub is None:
-            return None
-        c, u = sub
-        return c, block_prepend(m, u)
+    ms, rest = split  # w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . rest
+    m = ms[-1]
     if create:
-        return sqrt_of_nat(m), block_prepend(m + 1, rest)
-    if m == 1:
+        c, edited = sqrt_of_nat(m), m + 1
+    elif m == 1:
         return None
-    return sqrt_of_nat(m - 1), block_prepend(m - 1, rest)
+    else:
+        c, edited = sqrt_of_nat(m - 1), m - 1
+    # the first n-1 blocks are the word's first h letters, unchanged
+    h = sum(ms) - m
+    head = w.prefix
+    if h > len(head):
+        head += w.rot * (h // len(w.rot) + 1)
+    return c, prepend_letters(head[:h] + (2,) * (edited - 1) + (1,), rest)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):

@@ -293,15 +293,14 @@ def sqrt_factorial(k: int) -> RadicalScalar:
 def sqrt_factorial_product(ks: Iterable[int]) -> RadicalScalar:
     """Exact prod_k sqrt(k!), the norm of a monomial with multiplicities ks.
 
-    Factors that are the ONE object (k <= 1) are not multiplied in, so the
-    result is the ONE object itself when every k! is 1.
+    One square root of prod_k k!, taken through the `_square_split` cache;
+    it is the ONE object itself when every k! is 1.
     """
-    out = _ONE
+    p = 1
     for k in ks:
-        f = sqrt_factorial(k)
-        if f is not _ONE:
-            out = f if out is _ONE else out * f
-    return out
+        if k > 1:
+            p *= math.factorial(k)
+    return sqrt_of_nat(p)
 
 
 ZERO = _ZERO

@@ -836,6 +836,14 @@ class _NumericFamily:
         return base.T if star else base
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a float-oracle dimension that is not a power of two up to 2^14."""
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError("dim must be a power of two")
+    if dim > 2 ** 14:
+        raise ValueError("dim must be <= 2^14")
+
+
 def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     """Compare the exact engine against truncated double-precision matrices.
 
@@ -844,10 +852,7 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     numerically.  If any exact intermediate leaves the truncation window
     the comparison is reported as an overflow instead of a deviation.
     """
-    if dim < 1 or dim & (dim - 1):
-        raise ValueError("dim must be a power of two")
-    if dim > 2 ** 14:
-        raise ValueError("dim must be <= 2^14")
+    check_dim(dim)
     tokens = [parse_op_token(t) for t in ops]
     space = RepSpace((1,))
     state = State.basis(space, index_to_word(start))
@@ -878,6 +883,7 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     12 on e_1; and `sequences` random in-window operator pipelines of 1 to
     6 tokens whose float deviation must stay below 1e-9.
     """
+    check_dim(dim)
     max_index, ladder_max, embed_max_m, embed_max_n = 2 ** 14, 12, 16, min(dim, 4096)
     tolerance = 1e-9
     rep_ = SuiteReport(

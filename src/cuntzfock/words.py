@@ -54,9 +54,9 @@ class TailWord:
     `rot` is the primitive root of `period` rotated by `phase`, and `phase`
     is reduced mod len(rot).  A nonempty prefix never ends in rot[-1]: that
     letter would be absorbed into the tail.  These invariants are what lets
-    `prepend`, `behead` and `leading_block` build their results with `_make`
-    instead of canonicalising again; the constructor is the only entry that
-    validates and canonicalises words from outside.
+    `prepend`, `behead`, `leading_block(s)` and `prepend_letters` build their
+    results with `_make` instead of canonicalising again; the constructor is
+    the only entry that validates and canonicalises words from outside.
     """
 
     __slots__ = ("prefix", "period", "phase", "rot", "_hash")
@@ -196,16 +196,62 @@ def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
     return len(prefix) + k, _make((), w.period, (w.phase + k) % r, rot[k:] + rot[:k])
 
 
+def leading_blocks(w: TailWord, n: int) -> "tuple[list[int], TailWord] | None":
+    """Split off the first n leading blocks: w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . v.
+
+    Returns ([m_1, ..., m_n], v), the same as n calls of `leading_block`,
+    or None when the word turns into 2^inf before n blocks.  The blocks
+    found in the prefix cost one scan and one slice; `leading_block` is
+    called only for the blocks that run into the tail.
+    """
+    prefix = w.prefix
+    ms: list[int] = []
+    start = 0
+    for _ in range(min(n, prefix.count(1))):
+        j = prefix.index(1, start) + 1
+        ms.append(j - start)
+        start = j
+    # a suffix of a canonical prefix is canonical with the same tail
+    rest = _make(prefix[start:], w.period, w.phase, w.rot)
+    while len(ms) < n:
+        lb = leading_block(rest)
+        if lb is None:
+            return None
+        ms.append(lb[0])
+        rest = lb[1]
+    return ms, rest
+
+
+def prepend_letters(letters: Letters, w: TailWord) -> TailWord:
+    """Prepend a tuple of letters in one step: letters . w.
+
+    Equal to prepending them one at a time, last letter first.  Letters
+    are not checked.  Only when w has an empty prefix can the tail absorb
+    some of them, and only then are they looked at one by one.
+    """
+    if w.prefix:
+        return _make(letters + w.prefix, w.period, w.phase, w.rot)
+    rot = w.rot
+    r = len(rot)
+    k = len(letters)
+    back = 0
+    # the tail steps back one letter for each trailing letter it supplies
+    while k and letters[k - 1] == rot[(-1 - back) % r]:
+        k -= 1
+        back += 1
+    if back:
+        s = back % r
+        rot = rot[r - s:] + rot[:r - s]
+    return _make(letters[:k], w.period, (w.phase - back) % r, rot)
+
+
 def block_prepend(m: int, w: TailWord) -> TailWord:
     """Prepend the block 2^(m-1) 1, the word-level action of s_m.
 
     This is the inverse of `leading_block`: splitting the result gives
     back (m, w).
     """
-    w = w.prepend(1)
-    for _ in range(m - 1):
-        w = w.prepend(2)
-    return w
+    return prepend_letters((2,) * (m - 1) + (1,), w)
 
 
 def word_to_index(w: TailWord) -> int:

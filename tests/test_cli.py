@@ -304,8 +304,9 @@ def test_graph_label_requires_tail1():
 
 
 def test_cli_import_stays_light():
-    """A cold `cuntzfock` call loads no float or symbolic numeric stack and no pool."""
-    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures")
+    """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
+    and no suites module: `verify` is imported only when a suite runs."""
+    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify")
     code = (
         "import sys, cuntzfock.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"

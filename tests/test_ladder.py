@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzfock.ladder import (
     BosonMonomial,
@@ -85,6 +87,20 @@ def test_transport_in_other_spaces():
             for n in range(1, 5):
                 assert apply_boson(False, n, psi) == boson_via_shifts(False, n, psi)
                 assert apply_fermion(True, n, psi) == fermion_via_shifts(True, n, psi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(1,), (2, 1), (1, 2, 2)]),
+    st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
+    st.integers(0, 2),
+    st.integers(1, 16),
+    st.booleans(),
+)
+def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, create):
+    space = RepSpace(period)
+    psi = State.basis(space, TailWord(prefix, period, phase))
+    assert apply_boson(create, n, psi) == boson_via_shifts(create, n, psi)
 
 
 def test_boson_state_closed_form():

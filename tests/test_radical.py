@@ -13,6 +13,7 @@ from cuntzfock.radical import (
     RadicalScalar,
     _square_split,
     promote,
+    sqrt_factorial,
     sqrt_factorial_product,
     sqrt_of_nat,
 )
@@ -79,6 +80,27 @@ def test_sqrt_factorial_product():
         got = sqrt_factorial_product(ks)
         assert got * got == promote(math.prod(math.factorial(k) for k in ks))
         assert got.to_float() > 0
+
+
+def _partitions(total: int, largest: int):
+    """Every multiset of positive parts <= largest summing to total, descending."""
+    if total == 0:
+        yield []
+        return
+    for k in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - k, k):
+            yield [k] + rest
+
+
+def test_sqrt_factorial_product_matches_term_by_term():
+    # one square root of the product equals the product of the square roots
+    for total in range(13):
+        for ks in _partitions(total, total):
+            want = ONE
+            for k in ks:
+                want = want * sqrt_factorial(k)
+            assert sqrt_factorial_product(ks) == want, ks
+            assert sqrt_factorial_product(reversed(ks)) == want, ks
 
 
 def test_sqrt_rejects_nonpositive():

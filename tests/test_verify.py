@@ -299,3 +299,17 @@ def test_suite_bounds_are_refused_before_any_state_is_built(monkeypatch, suite, 
     with pytest.raises(BoundsError):
         suite(**kwargs)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("dim", [1000, 32768, 0])
+def test_oracle_dim_is_refused_before_any_check(monkeypatch, dim):
+    from cuntzfock import verify
+
+    def never(n):
+        raise AssertionError("the codec ran before dim was checked")
+
+    monkeypatch.setattr(verify, "index_to_word", never)
+    with pytest.raises(ValueError, match="dim must be"):
+        oracle_suite(dim=dim)
+    with pytest.raises(ValueError, match="dim must be"):
+        float_oracle(dim, ["t1"])

@@ -6,8 +6,11 @@ from cuntzfock.words import (
     TailWord,
     flip,
     index_to_word,
+    block_prepend,
     leading_block,
+    leading_blocks,
     parse_letters,
+    prepend_letters,
     pure,
     word_to_index,
 )
@@ -125,6 +128,41 @@ def test_fast_constructors_match_the_validating_one(w, i):
         rest = behead_by_constructor(rest, 1)
         assert lb is not None and lb[0] == m + 1
         assert fields(lb[1]) == fields(rest)
+
+
+@settings(max_examples=400)
+@given(words_with_any_period, st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple))
+def test_bulk_prepend_matches_one_letter_at_a_time(w, letters):
+    want = w
+    for i in reversed(letters):
+        want = want.prepend(i)
+    assert fields(prepend_letters(letters, w)) == fields(want)
+
+
+@settings(max_examples=400)
+@given(words_with_any_period, st.integers(1, 16))
+def test_block_split_matches_repeated_leading_block(w, n):
+    ms, rest = [], w
+    for _ in range(n):
+        lb = leading_block(rest)
+        if lb is None:
+            assert leading_blocks(w, n) is None
+            return
+        ms.append(lb[0])
+        rest = lb[1]
+    got_ms, got_rest = leading_blocks(w, n)
+    assert got_ms == ms
+    assert fields(got_rest) == fields(rest)
+    # and block_prepend undoes the split, block by block
+    for m in reversed(ms):
+        rest = block_prepend(m, rest)
+    assert fields(rest) == fields(w)
+
+
+def test_block_split_runs_into_the_tail():
+    assert leading_blocks(TailWord((2, 1, 2), (1,)), 4) == ([2, 2, 1, 1], pure((1,)))
+    assert leading_blocks(TailWord((1,), (2,)), 2) is None
+    assert leading_blocks(pure((2, 2, 1)), 2) == ([3, 3], pure((2, 2, 1)))
 
 
 def test_word_to_index_examples():
