@@ -22,7 +22,6 @@ word back) and must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .ladder import (
@@ -39,33 +38,75 @@ class EngineError(RuntimeError):
     """An internal consistency check failed; indicates an engine bug."""
 
 
-@dataclass(frozen=True)
 class CorrespondencePair:
-    """A matched boson/fermion monomial pair with its exact norm factor."""
+    """A matched boson/fermion monomial pair with its exact norm factor.
 
-    boson: BosonMonomial
-    fermion: FermionSubset
-    coeff: RadicalScalar
+    An immutable value: `boson`, `fermion` and `coeff` are read-only, and
+    two pairs are equal, and hash alike, when all three are.
+    """
+
+    __slots__ = ("_boson", "_fermion", "_coeff")
+
+    def __init__(self, boson: BosonMonomial, fermion: FermionSubset, coeff: RadicalScalar):
+        self._boson = boson
+        self._fermion = fermion
+        self._coeff = coeff
+
+    @property
+    def boson(self) -> BosonMonomial:
+        return self._boson
+
+    @property
+    def fermion(self) -> FermionSubset:
+        return self._fermion
+
+    @property
+    def coeff(self) -> RadicalScalar:
+        return self._coeff
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._boson, self._fermion, self._coeff) == (
+            other._boson, other._fermion, other._coeff
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._boson, self._fermion, self._coeff))
+
+    def __repr__(self) -> str:
+        return (
+            f"CorrespondencePair(boson={self._boson!r}, fermion={self._fermion!r}, "
+            f"coeff={self._coeff!r})"
+        )
 
     def to_json(self) -> dict:
         return {
-            "boson": self.boson.to_json(),
-            "fermion": self.fermion.to_json(),
-            "coeff": self.coeff.to_json(),
+            "boson": self._boson.to_json(),
+            "fermion": self._fermion.to_json(),
+            "coeff": self._coeff.to_json(),
         }
 
 
 def forward(M: BosonMonomial) -> CorrespondencePair:
-    """Transfer a boson monomial to its fermion image, block by block."""
+    """Transfer a boson monomial to its fermion image, block by block.
+
+    One pass over the factors gives the image modes and the
+    multiplicities above 1, the only ones the norm factor needs.
+    """
     check_particles(M.particle_number)
     modes: list[int] = []
+    ks: list[int] = []
     shift = 0
     for n, k in M.factors:
         start = n + shift
-        modes.extend(range(start, start + k))
+        if k == 1:
+            modes.append(start)
+        else:
+            modes.extend(range(start, start + k))
+            ks.append(k)
         shift += k
-    coeff = sqrt_factorial_product(k for _, k in M.factors)
-    return CorrespondencePair(M, FermionSubset(tuple(modes)), coeff)
+    return CorrespondencePair(M, FermionSubset(modes), sqrt_factorial_product(ks))
 
 
 def inverse(S: FermionSubset) -> CorrespondencePair:
@@ -77,13 +118,14 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
     (from 0) comes from mode s - i: constant along a block, and growing
     by at least one from each block to the next.
     """
-    check_particles(S.particle_number)
+    elements = S.elements
+    check_particles(len(elements))
     counts: dict[int, int] = {}
-    for i, s in enumerate(S.elements):
+    for i, s in enumerate(elements):
         counts[s - i] = counts.get(s - i, 0) + 1
     norm = sqrt_factorial_product(counts.values())
     return CorrespondencePair(
-        BosonMonomial(tuple(counts.items())), S, ONE if norm is ONE else ONE / norm
+        BosonMonomial(counts.items()), S, ONE if norm is ONE else ONE / norm
     )
 
 

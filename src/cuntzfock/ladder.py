@@ -19,8 +19,8 @@ basis word; `boson_state` and `fermion_state` write it down directly, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import Iterable
 
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
@@ -162,20 +162,35 @@ def fermion_via_shifts(create: bool, n: int, state: State) -> State:
 # -- monomial types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _bad_mode(n: int) -> ValueError:
+    """The error for a mode not above the one before it (0 before the first)."""
+    if n < 1:
+        return ValueError(f"mode index must be >= 1, got {n}")
+    return ValueError("modes must be strictly increasing")
+
+
 class BosonMonomial:
-    """(b*_{n_1})^{k_1} ... (b*_{n_m})^{k_m} with n_1 < ... < n_m, k_i >= 1."""
+    """(b*_{n_1})^{k_1} ... (b*_{n_m})^{k_m} with n_1 < ... < n_m, k_i >= 1.
 
-    factors: tuple[tuple[int, int], ...] = ()
+    An immutable value: `factors` is read-only, the factor sequence is
+    stored as a tuple of (mode, mult) pairs, and two monomials are equal,
+    and hash alike, when their factors are.
+    """
 
-    def __post_init__(self):
-        prev = 0
-        for n, k in self.factors:
+    __slots__ = ("_factors", "_particles")
+
+    def __init__(self, factors: Iterable[tuple[int, int]] = ()):
+        factors = tuple(factors)
+        prev = particles = 0
+        for n, k in factors:
             if n <= prev:
-                raise ValueError("modes must be strictly increasing")
+                raise _bad_mode(n)
             if k < 1:
                 raise ValueError("multiplicities must be >= 1")
             prev = n
+            particles += k
+        self._factors = factors
+        self._particles = particles
 
     @staticmethod
     def from_modes(modes) -> "BosonMonomial":
@@ -184,59 +199,94 @@ class BosonMonomial:
             if n < 1:
                 raise ValueError(f"mode index must be >= 1, got {n}")
             counts[n] = counts.get(n, 0) + 1
-        return BosonMonomial(tuple(sorted(counts.items())))
+        return BosonMonomial(sorted(counts.items()))
+
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return self._factors
 
     @property
     def particle_number(self) -> int:
-        return sum(k for _, k in self.factors)
+        return self._particles
 
     @property
     def max_mode(self) -> int:
-        return self.factors[-1][0] if self.factors else 0
+        return self._factors[-1][0] if self._factors else 0
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._factors == other._factors
+
+    def __hash__(self) -> int:
+        return hash((self._factors,))
+
+    def __repr__(self) -> str:
+        return f"BosonMonomial(factors={self._factors!r})"
 
     def render(self) -> str:
-        return " ".join(f"{n}^{k}" if k > 1 else str(n) for n, k in self.factors)
+        return " ".join(f"{n}^{k}" if k > 1 else str(n) for n, k in self._factors)
 
     def __str__(self) -> str:
         return self.render() or "(vacuum)"
 
     def to_json(self) -> dict:
-        return {"factors": [{"mode": n, "mult": k} for n, k in self.factors]}
+        return {"factors": [{"mode": n, "mult": k} for n, k in self._factors]}
 
     @staticmethod
     def from_json(data: dict) -> "BosonMonomial":
-        return BosonMonomial(tuple((f["mode"], f["mult"]) for f in data["factors"]))
+        return BosonMonomial((f["mode"], f["mult"]) for f in data["factors"])
 
 
-@dataclass(frozen=True)
 class FermionSubset:
-    """a*_{s_1} ... a*_{s_r} for a strictly increasing set of modes."""
+    """a*_{s_1} ... a*_{s_r} for a strictly increasing set of modes.
 
-    elements: tuple[int, ...] = ()
+    An immutable value: `elements` is read-only and stored as a tuple, and
+    two subsets are equal, and hash alike, when their elements are.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_elements",)
+
+    def __init__(self, elements: Iterable[int] = ()):
+        elements = tuple(elements)
         prev = 0
-        for s in self.elements:
+        for s in elements:
             if s <= prev:
-                raise ValueError("modes must be strictly increasing")
+                raise _bad_mode(s)
             prev = s
+        self._elements = elements
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return self._elements
 
     @property
     def particle_number(self) -> int:
-        return len(self.elements)
+        return len(self._elements)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._elements == other._elements
+
+    def __hash__(self) -> int:
+        return hash((self._elements,))
+
+    def __repr__(self) -> str:
+        return f"FermionSubset(elements={self._elements!r})"
 
     def render(self) -> str:
-        return " ".join(str(s) for s in self.elements)
+        return " ".join(str(s) for s in self._elements)
 
     def __str__(self) -> str:
         return self.render() or "(vacuum)"
 
     def to_json(self) -> list:
-        return list(self.elements)
+        return list(self._elements)
 
     @staticmethod
     def from_json(data) -> "FermionSubset":
-        return FermionSubset(tuple(data))
+        return FermionSubset(data)
 
 
 def normal_order_fermion(modes):
@@ -255,7 +305,7 @@ def normal_order_fermion(modes):
         if modes[i] > modes[j]
     )
     sign = -1 if inversions % 2 else 1
-    return sign, FermionSubset(tuple(sorted(modes)))
+    return sign, FermionSubset(sorted(modes))
 
 
 # -- the monomial grammar ---------------------------------------------------
@@ -410,7 +460,7 @@ def parse_fermion_word(w: TailWord):
             gap = 0
     if gap:  # cannot happen for canonical words; guard for robustness
         return None
-    return FermionSubset(tuple(modes))
+    return FermionSubset(modes)
 
 
 def parse_boson_word(w: TailWord):
@@ -434,4 +484,4 @@ def parse_boson_word(w: TailWord):
             return None
         mode = ones + 1 if not factors else mode + ones
         factors.append((mode, twos))
-    return BosonMonomial(tuple(factors))
+    return BosonMonomial(factors)

@@ -305,8 +305,10 @@ def test_graph_label_requires_tail1():
 
 def test_cli_import_stays_light():
     """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
-    and no suites module: `verify` is imported only when a suite runs."""
-    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify")
+    no suites module (`verify` is imported only when a suite runs), and no
+    dataclass machinery: the engine's value types are plain slotted classes."""
+    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify",
+             "dataclasses")
     code = (
         "import sys, cuntzfock.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"

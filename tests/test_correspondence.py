@@ -13,8 +13,17 @@ from cuntzfock.correspondence import (
     grade_table_tsv,
     inverse,
 )
-from cuntzfock.ladder import BosonMonomial, FermionSubset
+from cuntzfock.ladder import (
+    BosonMonomial,
+    BoundsError,
+    FermionSubset,
+    apply_boson,
+    apply_fermion,
+    boson_state,
+    fermion_state,
+)
 from cuntzfock.radical import ONE, sqrt_of_nat
+from cuntzfock.rep import State
 
 
 def bm(*pairs):
@@ -184,3 +193,112 @@ def test_forward_operational_errors_name_the_monomial(monkeypatch):
     monkeypatch.setattr(correspondence, "parse_fermion_word", lambda w: None)
     with pytest.raises(EngineError, match=re.escape(str(M))):
         forward_operational(M)
+
+
+# -- monomials and pairs are immutable values ---------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_modes_40)
+def test_monomial_is_a_value(modes):
+    M = BosonMonomial.from_modes(modes)
+    # equality and hash follow the factor tuple, whatever sequence it came in
+    same = BosonMonomial(list(M.factors))
+    assert same == M and hash(same) == hash(M) and type(same.factors) is tuple
+    other = BosonMonomial.from_modes(modes[:-1])
+    assert (other == M) == (other.factors == M.factors) == (not modes)
+    assert repr(M) == f"BosonMonomial(factors={M.factors!r})"
+    assert BosonMonomial.from_json(M.to_json()) == M
+    assert M.particle_number == sum(k for _, k in M.factors) == len(modes)
+    with pytest.raises(AttributeError):
+        M.factors = ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(1, 40), max_size=12))
+def test_subset_is_a_value(elements):
+    S = FermionSubset(sorted(elements))
+    assert type(S.elements) is tuple
+    same = FermionSubset(tuple(sorted(elements)))
+    assert same == S and hash(same) == hash(S)
+    smaller = FermionSubset(S.elements[1:])
+    assert (smaller == S) == (smaller.elements == S.elements) == (not elements)
+    assert repr(S) == f"FermionSubset(elements={S.elements!r})"
+    assert FermionSubset.from_json(S.to_json()) == S
+    assert S.particle_number == len(elements)
+    with pytest.raises(AttributeError):
+        S.elements = ()
+    # a set built from a list transfers to a pair that holds tuples too
+    assert type(inverse(FermionSubset(list(S.elements))).fermion.elements) is tuple
+
+
+@settings(max_examples=200, deadline=None)
+@given(_modes_40)
+def test_pair_is_a_value(modes):
+    M = BosonMonomial.from_modes(modes)
+    pair = forward(M)
+    again = forward(BosonMonomial.from_modes(reversed(modes)))
+    assert again == pair and hash(again) == hash(pair)
+    # inverse gives the same monomials with the reciprocal factor
+    assert (inverse(pair.fermion) == pair) == (pair.coeff == ONE)
+    assert repr(pair) == (
+        f"CorrespondencePair(boson={M!r}, fermion={pair.fermion!r}, coeff={pair.coeff!r})"
+    )
+    for attr in ("boson", "fermion", "coeff"):
+        with pytest.raises(AttributeError):
+            setattr(pair, attr, getattr(pair, attr))
+
+
+def test_reprs_keep_their_text():
+    # verify's failure records print these
+    assert repr(bm((1, 2))) == "BosonMonomial(factors=((1, 2),))"
+    assert repr(fs()) == "FermionSubset(elements=())"
+    assert repr(forward(bm((1, 2)))) == (
+        "CorrespondencePair(boson=BosonMonomial(factors=((1, 2),)), "
+        "fermion=FermionSubset(elements=(1, 2)), coeff=sqrt(2))"
+    )
+
+
+# -- particle number, through the space -----------------------------------------
+
+
+def _number_operator(apply, top: int, state: State) -> State:
+    """sum_{n <= top} x_n* x_n on state, for x = b (apply_boson) or a (apply_fermion)."""
+    total = State.zero(state.space)
+    for n in range(1, top + 1):
+        total = total + apply(True, n, apply(False, n, state))
+    return total
+
+
+def test_particle_number_through_the_space():
+    """U keeps the particle number: both number operators, truncated at the
+    state's top mode, act as k on every pair with k particles, and the ladder
+    operator one mode above the top annihilates the state."""
+    cases = 0
+    for k in range(5):
+        for modes in itertools.combinations_with_replacement(range(1, 6), k):
+            M = BosonMonomial.from_modes(modes)
+            psi = boson_state(M)
+            top = M.max_mode
+            assert _number_operator(apply_boson, top, psi) == psi * k
+            assert apply_boson(False, top + 1, psi).is_zero()
+            S = forward(M).fermion
+            phi = fermion_state(S)
+            top = S.elements[-1] if S.elements else 0
+            assert _number_operator(apply_fermion, top, phi) == phi * k
+            assert apply_fermion(False, top + 1, phi).is_zero()
+            cases += 1
+    assert cases == 126
+
+
+def test_particle_bound_comes_before_the_norm(monkeypatch):
+    from cuntzfock import correspondence
+
+    def no_norm(ks):
+        raise AssertionError("norm factor taken before the particle bound was checked")
+
+    monkeypatch.setattr(correspondence, "sqrt_factorial_product", no_norm)
+    with pytest.raises(BoundsError):
+        forward(BosonMonomial.from_modes([1] * 5 + [4] * 8))
+    with pytest.raises(BoundsError):
+        inverse(FermionSubset(range(1, 14)))

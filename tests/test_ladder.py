@@ -224,6 +224,16 @@ def test_monomial_validation():
         BosonMonomial(((2, 1), (1, 1)))
     with pytest.raises(ValueError):
         FermionSubset((3, 3))
+    # a mode below 1 is refused for what it is, not as out of order
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"mode index must be >= 1, got {bad}"):
+            BosonMonomial(((bad, 1),))
+        with pytest.raises(ValueError, match=f"mode index must be >= 1, got {bad}"):
+            FermionSubset((bad, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        BosonMonomial(((2, 1), (2, 1)))
+    with pytest.raises(ValueError, match="multiplicities"):
+        BosonMonomial(((2, 0),))
 
 
 def test_bounds_refusal():
