@@ -268,11 +268,8 @@ def index_to_word(n: int) -> TailWord:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     out = []
-    while n > 1:
-        if n % 2 == 0:
-            out.append(2)
-            n //= 2
-        else:
-            out.append(1)
-            n = (n + 1) // 2
-    return TailWord(tuple(out), (1,), 0)
+    while n > 1:  # n = 2*(m - 1) + i with i = 2 - n % 2 and m = (n + 1) // 2
+        out.append(2 - n % 2)
+        n = (n + 1) // 2
+    # the last letter taken is 2 (from n = 2), never the tail's 1: canonical
+    return _make(tuple(out), (1,), 0, (1,))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import cuntzfock
@@ -155,6 +157,14 @@ def test_verify_refusals_keep_their_exit_codes():
     assert run("verify", "ccr", "--modes", "17").exit_code == 3
     assert run("verify", "ccr", "--particles", "13").exit_code == 3
     assert run("verify", "oracle", "--dim", "1000").exit_code == 2
+
+
+def test_verify_oracle_small_dim_exits_2():
+    # the suite's pipelines start at e_1..e_8, so a window below 8 is refused
+    res = run("verify", "oracle", "--dim", "4")
+    assert res.exit_code == 2
+    assert "dim must be >= 8" in res.output
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a crash
 
 
 def test_verify_suite_bounds_exit_3_before_enumerating():
@@ -319,3 +329,34 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == []
+
+
+def test_float_oracle_runs_without_scipy():
+    code = (
+        "import sys; from cuntzfock.verify import oracle_suite; "
+        "assert oracle_suite(dim=64, sequences=5).passed; "
+        "print('scipy' in sys.modules)"
+    )
+    src = str(Path(cuntzfock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["False"]
+
+
+def test_imports_match_declared_dependencies():
+    """The third-party modules the package imports, lazily or not, are exactly
+    the runtime dependencies that pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    declared_names = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in declared}
+    imported = set()
+    for path in Path(cuntzfock.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cuntzfock"}
+    assert third_party == declared_names == {"click", "numpy"}

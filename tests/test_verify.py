@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from cuntzfock.correspondence import EngineError
 from cuntzfock.ladder import BoundsError, apply_boson, apply_fermion, parse_op_token
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
@@ -212,6 +214,9 @@ def test_unreached_words_fail_branching_oinfty(monkeypatch):
 def test_float_oracle_permutation_sequence_is_exact():
     res = float_oracle(256, ["t2", "t1", "t2*"], 1)
     assert res.ok and res.deviation == 0.0
+    for dim in (1, 2, 4):  # the smallest windows: the suite refuses them, the oracle not
+        res = float_oracle(dim, ["t1", "t1*"], 1)
+        assert res.ok and res.deviation == 0.0
 
 
 def test_float_oracle_ladder_weights():
@@ -224,6 +229,57 @@ def test_float_oracle_ladder_weights():
 def test_float_oracle_overflow_reported():
     res = float_oracle(4, ["t2", "t2", "t2"], 1)
     assert res.overflow and res.deviation is None
+    # a start outside the window overflows too, even when the image is inside
+    for ops, start in (([], 9), (["t1*", "t1*"], 5)):
+        res = float_oracle(4, ops, start)
+        assert res.overflow and res.deviation is None
+
+
+def _dense_family(dim):
+    """t_1, t_2, s_m, b_n and a_n as dense matrices, straight from the definitions."""
+    t = {}
+    for i in (1, 2):
+        t[i] = np.zeros((dim, dim))
+        for n in range(1, dim + 1):
+            if 2 * (n - 1) + i <= dim:
+                t[i][2 * (n - 1) + i - 1, n - 1] = 1.0
+    s = {1: t[1]}
+    for m in range(2, dim + 2):
+        s[m] = t[2] @ s[m - 1]
+    b = {1: sum(math.sqrt(m) * s[m] @ s[m + 1].T for m in range(1, dim + 1))}
+    a = {1: t[1] @ t[2].T}
+    for n in range(2, 5):
+        b[n] = sum(s[m] @ b[n - 1] @ s[m].T for m in range(1, dim + 1))
+        a[n] = t[1] @ a[n - 1] @ t[1].T - t[2] @ a[n - 1] @ t[2].T
+    return {"t": t, "s": s, "b": b, "a": a}
+
+
+def test_numeric_family_matches_dense_reference():
+    from cuntzfock import verify
+
+    dim = 64
+    dense = _dense_family(dim)
+    family = verify._NumericFamily(dim)
+    tokens = [f"t{i}" for i in (1, 2)] + [f"{k}{n}" for k in "sba" for n in range(1, 5)]
+    for text in tokens + [t + "*" for t in tokens]:
+        kind, idx, star = parse_op_token(text)
+        src, dst, w = family.op(kind, idx, star)
+        got = np.zeros((dim, dim))
+        got[dst, src] = w
+        want = dense[kind][idx].T if star else dense[kind][idx]
+        assert np.array_equal(got, want), text
+        vec = np.arange(1.0, dim + 1)
+        assert np.array_equal(family.apply((kind, idx, star), vec), want @ vec), text
+
+
+def test_numeric_sum_refuses_overlapping_terms():
+    from cuntzfock import verify
+
+    family = verify._NumericFamily(64)
+    with pytest.raises(EngineError, match="overlap"):  # t_1 + t_1: sources repeat
+        family._sum(family.op("t", 1), family.op("t", 1))
+    with pytest.raises(EngineError, match="overlap"):  # t_1* + t_2*: targets repeat
+        family._sum(family.op("t", 1, True), family.op("t", 2, True))
 
 
 def test_float_oracle_rejects_bad_dim():
@@ -301,7 +357,7 @@ def test_suite_bounds_are_refused_before_any_state_is_built(monkeypatch, suite, 
     assert calls[0] == 0
 
 
-@pytest.mark.parametrize("dim", [1000, 32768, 0])
+@pytest.mark.parametrize("dim", [1000, 32768, 0, 1, 2, 4])
 def test_oracle_dim_is_refused_before_any_check(monkeypatch, dim):
     from cuntzfock import verify
 
@@ -311,5 +367,6 @@ def test_oracle_dim_is_refused_before_any_check(monkeypatch, dim):
     monkeypatch.setattr(verify, "index_to_word", never)
     with pytest.raises(ValueError, match="dim must be"):
         oracle_suite(dim=dim)
-    with pytest.raises(ValueError, match="dim must be"):
-        float_oracle(dim, ["t1"])
+    if dim not in (1, 2, 4):  # float_oracle takes every power of two up to 2^14
+        with pytest.raises(ValueError, match="dim must be"):
+            float_oracle(dim, ["t1"])

@@ -186,6 +186,12 @@ def test_index_bijection_exhaustive():
         assert word_to_index(index_to_word(n)) == n
 
 
+def test_index_to_word_matches_the_validating_constructor():
+    for n in range(1, 2 ** 14 + 1):
+        w = index_to_word(n)
+        assert fields(w) == fields(TailWord(w.prefix, (1,), 0)), n
+
+
 def test_index_recursion():
     for n in range(1, 513):
         w = index_to_word(n)
