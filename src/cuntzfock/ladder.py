@@ -9,6 +9,11 @@ endomorphisms, so every action on a basis word is a single exact term:
 
     s_m b_n = b_{n+1} s_m          t_i a_n = (-1)^(i-1) a_{n+1} t_i
 
+On a word both are one split and one prepend (`words.split_letters`,
+`words.prepend_letters`): b_n passes the first n-1 blocks and lengthens
+or shortens the n-th by one 2; a_n passes the first n-1 letters, with a
+sign for each 2, and flips the n-th.
+
 The slow definitional forms (the weighted series for b_1 and the nested
 twisted shifts for a_n) are kept as cross-check oracles.
 
@@ -25,7 +30,7 @@ from typing import Iterable
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
-from .words import TailWord, leading_block, leading_blocks, prepend_letters
+from .words import TailWord, leading_block, leading_blocks, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
@@ -63,7 +68,7 @@ def _boson_word(create: bool, n: int, w: TailWord):
     split = leading_blocks(w, n)
     if split is None:
         return None
-    ms, rest = split  # w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . rest
+    ms, head, rest = split  # w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . rest
     m = ms[-1]
     if create:
         c, edited = sqrt_of_nat(m), m + 1
@@ -71,29 +76,18 @@ def _boson_word(create: bool, n: int, w: TailWord):
         return None
     else:
         c, edited = sqrt_of_nat(m - 1), m - 1
-    # the first n-1 blocks are the word's first h letters, unchanged
-    h = sum(ms) - m
-    head = w.prefix
-    if h > len(head):
-        head += w.rot * (h // len(w.rot) + 1)
-    return c, prepend_letters(head[:h] + (2,) * (edited - 1) + (1,), rest)
+    # the first n-1 blocks pass unchanged; the n-th is rewritten
+    return c, prepend_letters(head[:len(head) - m] + (2,) * (edited - 1) + (1,), rest)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):
-    if n > 1:
-        i = w.first
-        sub = _fermion_word(create, n - 1, w.behead(i))
-        if sub is None:
-            return None
-        c, u = sub
-        if i == 2:
-            c = -c
-        return c, u.prepend(i)
-    if create:
-        v = w.behead(1)
-        return None if v is None else (ONE, v.prepend(2))
-    v = w.behead(2)
-    return None if v is None else (ONE, v.prepend(1))
+    # a_n = zeta^(n-1)(t_1 t_2*): the first n-1 letters pass, each 2 with a
+    # sign, and the n-th is flipped 2 -> 1 (a_n) or 1 -> 2 (a_n*)
+    head, rest = split_letters(w, n)
+    passed, last = head[:-1], head[-1]
+    if last != (1 if create else 2):
+        return None
+    return (-ONE if passed.count(2) % 2 else ONE), prepend_letters(passed + (3 - last,), rest)
 
 
 def apply_boson(create: bool, n: int, state: State) -> State:
@@ -180,16 +174,17 @@ class BosonMonomial:
     __slots__ = ("_factors", "_particles")
 
     def __init__(self, factors: Iterable[tuple[int, int]] = ()):
-        factors = tuple(factors)
+        pairs = []
         prev = particles = 0
         for n, k in factors:
             if n <= prev:
                 raise _bad_mode(n)
             if k < 1:
                 raise ValueError("multiplicities must be >= 1")
+            pairs.append((n, k))
             prev = n
             particles += k
-        self._factors = factors
+        self._factors = tuple(pairs)
         self._particles = particles
 
     @staticmethod

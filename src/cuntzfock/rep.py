@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
-from .words import TailWord, block_prepend, leading_block, parse_letters, render_letters
+from .words import TailWord, block_prepend, leading_block, render_letters, split_letters
 
 
 class SpaceMismatchError(ValueError):
@@ -32,8 +32,6 @@ class RepSpace:
     __slots__ = ("period",)
 
     def __init__(self, period):
-        if isinstance(period, str):
-            period = parse_letters(period)
         period = tuple(period)
         if not period:
             raise ValueError("the defining word J must be nonempty")
@@ -270,8 +268,6 @@ def apply_t_star(i: int, state: State) -> State:
 
 def apply_t_word(letters, state: State) -> State:
     """Operator word t_J: the rightmost letter acts first."""
-    if isinstance(letters, str):
-        letters = parse_letters(letters)
     for i in reversed(tuple(letters)):
         state = apply_t(i, state)
     return state
@@ -287,20 +283,18 @@ def apply_s(m: int, state: State) -> State:
 def apply_s_star(m: int, state: State) -> State:
     """The adjoint s_m* = t_1* (t_2*)^(m-1), one basis pass.
 
-    The letters are removed one at a time rather than by splitting off the
-    leading block, so this action does not share `leading_block` with the
-    boson transport it is used to check.
+    Each word is split once after m letters, and survives when those
+    letters are the block 2^(m-1) 1.  The block length is given, not
+    searched for, so this action does not share `leading_block` or
+    `leading_blocks` with the boson transport it is used to check.
     """
     if m < 1:
         raise ValueError(f"generator index must be >= 1, got {m}")
+    block = (2,) * (m - 1) + (1,)
 
     def f(w):
-        for _ in range(m - 1):
-            w = w.behead(2)
-            if w is None:
-                return None
-        w = w.behead(1)
-        return None if w is None else (ONE, w)
+        head, rest = split_letters(w, m)
+        return (ONE, rest) if head == block else None
 
     return map_basis(state, f)
 

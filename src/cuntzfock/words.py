@@ -51,15 +51,17 @@ def _primitive_len(period: Letters) -> int:
 class TailWord:
     """Canonical eventually periodic infinite word: prefix . rot(period)^inf.
 
-    `rot` is the primitive root of `period` rotated by `phase`, and `phase`
-    is reduced mod len(rot).  A nonempty prefix never ends in rot[-1]: that
-    letter would be absorbed into the tail.  These invariants are what lets
-    `prepend`, `behead`, `leading_block(s)` and `prepend_letters` build their
-    results with `_make` instead of canonicalising again; the constructor is
-    the only entry that validates and canonicalises words from outside.
+    `rot` is the primitive root of `period` rotated by `phase` letters; the
+    phase is not stored but read back from `rot`.  A nonempty prefix never
+    ends in rot[-1]: that letter would be absorbed into the tail.  The
+    constructor is the only entry that validates and canonicalises words
+    from outside.  Every edit the generator and ladder actions make goes
+    through `prepend_letters` or its inverse `split_letters`, which keep
+    these invariants and build their results with `_make`; only the
+    oracles' block finder `leading_block` keeps a split of its own.
     """
 
-    __slots__ = ("prefix", "period", "phase", "rot", "_hash")
+    __slots__ = ("prefix", "period", "rot", "_hash")
 
     def __init__(self, prefix=(), period=(1,), phase: int = 0):
         prefix = _validate(prefix)
@@ -76,8 +78,7 @@ class TailWord:
             phase = (phase - 1) % r
         self.prefix = tuple(p)
         self.period = period
-        self.phase = phase
-        self.rot = tuple(prim[(phase + i) % r] for i in range(r))
+        self.rot = prim[phase:] + prim[:phase]
         self._hash = hash((self.prefix, self.rot))
 
     # the infinite word is determined by (prefix, rot)
@@ -90,6 +91,13 @@ class TailWord:
         return self._hash
 
     @property
+    def phase(self) -> int:
+        """How far `rot` is rotated from the primitive root of `period`, mod its length."""
+        rot = self.rot
+        prim = self.period[:len(rot)]
+        return next(k for k in range(len(rot)) if prim[k:] + prim[:k] == rot)
+
+    @property
     def depth(self) -> int:
         return len(self.prefix)
 
@@ -98,34 +106,18 @@ class TailWord:
             return self.prefix[j]
         return self.rot[(j - len(self.prefix)) % len(self.rot)]
 
-    @property
-    def first(self) -> int:
-        return self.prefix[0] if self.prefix else self.rot[0]
-
     def prepend(self, i: int) -> "TailWord":
         if i not in (1, 2):
             raise ValueError(f"invalid letter {i!r}")
-        if self.prefix:
-            return _make((i,) + self.prefix, self.period, self.phase, self.rot)
-        rot = self.rot
-        if i == rot[-1]:
-            # absorbed: the tail steps back one letter
-            return _make((), self.period, (self.phase - 1) % len(rot), rot[-1:] + rot[:-1])
-        return _make((i,), self.period, self.phase, rot)
+        return prepend_letters((i,), self)
 
     def behead(self, i: int) -> "TailWord | None":
         """Remove a leading letter i; None if the word does not start with i."""
         if i not in (1, 2):
             raise ValueError(f"invalid letter {i!r}")
-        prefix = self.prefix
-        if prefix:
-            if prefix[0] != i:
-                return None
-            return _make(prefix[1:], self.period, self.phase, self.rot)
-        rot = self.rot
-        if rot[0] != i:
+        if (self.prefix or self.rot)[0] != i:
             return None
-        return _make((), self.period, (self.phase + 1) % len(rot), rot[1:] + rot[:1])
+        return split_letters(self, 1)[1]
 
     def render(self) -> str:
         return f"{render_letters(self.prefix)}({render_letters(self.rot)})"
@@ -152,12 +144,11 @@ class TailWord:
         )
 
 
-def _make(prefix: Letters, period: Letters, phase: int, rot: Letters) -> TailWord:
+def _make(prefix: Letters, period: Letters, rot: Letters) -> TailWord:
     """Fill the slots of a word that is already canonical; nothing is checked."""
     w = TailWord.__new__(TailWord)
     w.prefix = prefix
     w.period = period
-    w.phase = phase
     w.rot = rot
     w._hash = hash((prefix, rot))
     return w
@@ -182,44 +173,44 @@ def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
 
     Every word over {1,2} other than 2^inf has a unique such split, which
     is what makes infinite sums over these blocks collapse to one summand.
+    This is the block finder of the definitional oracles; it shares no
+    code with `split_letters`, which the fast actions are built on.
     """
     prefix = w.prefix
     if 1 in prefix:
         j = prefix.index(1)
-        return j + 1, _make(prefix[j + 1:], w.period, w.phase, w.rot)
+        return j + 1, _make(prefix[j + 1:], w.period, w.rot)
     rot = w.rot
     if 1 not in rot:
         return None
     # the block ends inside the tail: the rest is the tail rotated past it
     k = rot.index(1) + 1
-    r = len(rot)
-    return len(prefix) + k, _make((), w.period, (w.phase + k) % r, rot[k:] + rot[:k])
+    return len(prefix) + k, _make((), w.period, rot[k:] + rot[:k])
 
 
-def leading_blocks(w: TailWord, n: int) -> "tuple[list[int], TailWord] | None":
+def leading_blocks(w: TailWord, n: int) -> "tuple[list[int], Letters, TailWord] | None":
     """Split off the first n leading blocks: w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . v.
 
-    Returns ([m_1, ..., m_n], v), the same as n calls of `leading_block`,
-    or None when the word turns into 2^inf before n blocks.  The blocks
-    found in the prefix cost one scan and one slice; `leading_block` is
-    called only for the blocks that run into the tail.
+    Returns ([m_1, ..., m_n], head, v), with head the letters of the n
+    blocks, or None when the word turns into 2^inf before n blocks.  The
+    prefix and as many copies of the tail as hold the n-th 1 are scanned
+    once, and the word is split once.
     """
-    prefix = w.prefix
+    letters = w.prefix
+    short = n - letters.count(1)
+    if short > 0:
+        per_rot = w.rot.count(1)
+        if not per_rot:
+            return None
+        letters += w.rot * -(-short // per_rot)
     ms: list[int] = []
     start = 0
-    for _ in range(min(n, prefix.count(1))):
-        j = prefix.index(1, start) + 1
+    for _ in range(n):
+        j = letters.index(1, start) + 1
         ms.append(j - start)
         start = j
-    # a suffix of a canonical prefix is canonical with the same tail
-    rest = _make(prefix[start:], w.period, w.phase, w.rot)
-    while len(ms) < n:
-        lb = leading_block(rest)
-        if lb is None:
-            return None
-        ms.append(lb[0])
-        rest = lb[1]
-    return ms, rest
+    head, rest = split_letters(w, start)
+    return ms, head, rest
 
 
 def prepend_letters(letters: Letters, w: TailWord) -> TailWord:
@@ -230,7 +221,7 @@ def prepend_letters(letters: Letters, w: TailWord) -> TailWord:
     some of them, and only then are they looked at one by one.
     """
     if w.prefix:
-        return _make(letters + w.prefix, w.period, w.phase, w.rot)
+        return _make(letters + w.prefix, w.period, w.rot)
     rot = w.rot
     r = len(rot)
     k = len(letters)
@@ -242,7 +233,21 @@ def prepend_letters(letters: Letters, w: TailWord) -> TailWord:
     if back:
         s = back % r
         rot = rot[r - s:] + rot[:r - s]
-    return _make(letters[:k], w.period, (w.phase - back) % r, rot)
+    return _make(letters[:k], w.period, rot)
+
+
+def split_letters(w: TailWord, h: int) -> "tuple[Letters, TailWord]":
+    """Split w = head . rest with len(head) == h; the inverse of `prepend_letters`.
+
+    A suffix of a canonical prefix is canonical with the same tail; past
+    the prefix, the rest is the tail rotated by the letters it gave up.
+    """
+    prefix = w.prefix
+    if h <= len(prefix):
+        return prefix[:h], _make(prefix[h:], w.period, w.rot)
+    rot = w.rot
+    q, k = divmod(h - len(prefix), len(rot))
+    return prefix + rot * q + rot[:k], _make((), w.period, rot[k:] + rot[:k])
 
 
 def block_prepend(m: int, w: TailWord) -> TailWord:
@@ -272,4 +277,4 @@ def index_to_word(n: int) -> TailWord:
         out.append(2 - n % 2)
         n = (n + 1) // 2
     # the last letter taken is 2 (from n = 2), never the tail's 1: canonical
-    return _make(tuple(out), (1,), 0, (1,))
+    return _make(tuple(out), (1,), (1,))

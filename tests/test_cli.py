@@ -152,6 +152,19 @@ def test_verify_cli_default_case_counts():
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == CLI_DEFAULT_SHA256
 
 
+# The sha256 of `verify all --json` at a deeper setting: depth 10, the
+# oracle window at 4096 and 200 random sequences.
+DEEP_ARGS = ("--depth", "10", "--dim", "4096", "--sequences", "200")
+DEEP_SHA256 = "3bf1279d5d8c6614917266faa163ef6de15b25e1b095df19850320a7153505d9"
+
+
+def test_verify_cli_deep_output_is_pinned():
+    res = run("verify", "all", "--json", *DEEP_ARGS)
+    assert res.exit_code == 0
+    assert all(r["pass"] for r in json.loads(res.output))
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == DEEP_SHA256
+
+
 def test_verify_refusals_keep_their_exit_codes():
     # exit 1 is reserved for a failed verification
     assert run("verify", "ccr", "--modes", "17").exit_code == 3

@@ -21,7 +21,8 @@ from cuntzfock.ladder import (
     parse_fermion_word,
 )
 from cuntzfock.radical import ONE, sqrt_of_nat
-from cuntzfock.rep import RepSpace, State, apply_s, apply_t, gp_vector
+from cuntzfock import ladder, rep, words
+from cuntzfock.rep import RepSpace, State, apply_s, apply_s_star, apply_t, apply_t_star, gp_vector
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 
 P1 = RepSpace((1,))
@@ -101,6 +102,32 @@ def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, cre
     space = RepSpace(period)
     psi = State.basis(space, TailWord(prefix, period, phase))
     assert apply_boson(create, n, psi) == boson_via_shifts(create, n, psi)
+    assert apply_fermion(create, n, psi) == fermion_via_shifts(create, n, psi)
+
+
+def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
+    spaces = [RepSpace(J) for J in [(1,), (2, 1), (1, 2, 2), (2,)]]
+    states = [State.basis(space, w) for space in spaces for w in space.basis_words(5)]
+
+    def actions():
+        out = []
+        for psi in states:
+            for i in (1, 2):
+                out += [apply_t(i, psi), apply_t_star(i, psi)]
+            for n in range(1, 7):
+                out += [apply_s(n, psi), apply_s_star(n, psi)]
+                for create in (False, True):
+                    out += [apply_boson(create, n, psi), apply_fermion(create, n, psi)]
+        return out
+
+    want = actions()
+
+    def boom(w):
+        raise AssertionError(f"leading_block reached on {w}")
+
+    for mod in (words, rep, ladder):
+        monkeypatch.setattr(mod, "leading_block", boom)
+    assert actions() == want
 
 
 def test_boson_state_closed_form():
@@ -243,6 +270,14 @@ def test_bounds_refusal():
         boson_state(BosonMonomial(((1, 13),)))
     # the bound itself is allowed
     assert not apply_boson(True, 16, OMEGA).is_zero()
+
+
+def test_monomial_from_list_factors_is_a_value():
+    M = BosonMonomial([[1, 2], [4, 1]])
+    assert M == BosonMonomial(((1, 2), (4, 1)))
+    assert hash(M) == hash(BosonMonomial(((1, 2), (4, 1))))
+    assert repr(M) == "BosonMonomial(factors=((1, 2), (4, 1)))"
+    assert M.factors == ((1, 2), (4, 1))
 
 
 def test_json_round_trips():

@@ -12,6 +12,7 @@ from cuntzfock.words import (
     parse_letters,
     prepend_letters,
     pure,
+    split_letters,
     word_to_index,
 )
 
@@ -81,7 +82,7 @@ def test_prepend_behead_inverse(prefix, period, phase):
     w = TailWord(tuple(prefix), tuple(period), phase)
     for i in (1, 2):
         assert w.prepend(i).behead(i) == w
-    i = w.first
+    i = w.letter_at(0)
     assert w.behead(i).prepend(i) == w
 
 
@@ -150,8 +151,9 @@ def test_block_split_matches_repeated_leading_block(w, n):
             return
         ms.append(lb[0])
         rest = lb[1]
-    got_ms, got_rest = leading_blocks(w, n)
+    got_ms, got_head, got_rest = leading_blocks(w, n)
     assert got_ms == ms
+    assert got_head == sum(((2,) * (m - 1) + (1,) for m in ms), ())
     assert fields(got_rest) == fields(rest)
     # and block_prepend undoes the split, block by block
     for m in reversed(ms):
@@ -159,10 +161,42 @@ def test_block_split_matches_repeated_leading_block(w, n):
     assert fields(rest) == fields(w)
 
 
+def rest_by_constructor(w: TailWord, h: int) -> TailWord:
+    """The word after the first h letters of w, built by the validating constructor."""
+    if h <= w.depth:
+        return TailWord(w.prefix[h:], w.period, w.phase)
+    return TailWord((), w.period, w.phase + h - w.depth)
+
+
+@settings(max_examples=400)
+@given(words_with_any_period, st.data())
+def test_split_letters_reads_the_word_and_inverts_prepend(w, data):
+    for h in range(w.depth + 2 * len(w.rot) + 1):
+        head, rest = split_letters(w, h)
+        assert head == tuple(w.letter_at(j) for j in range(h))
+        assert fields(rest) == fields(rest_by_constructor(w, h))
+        assert fields(prepend_letters(head, rest)) == fields(w)
+    letters = data.draw(st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple))
+    head, rest = split_letters(prepend_letters(letters, w), len(letters))
+    assert head == letters
+    assert fields(rest) == fields(w)
+
+
+def test_phase_is_read_back_from_the_tail():
+    for length in range(1, 5):
+        for code in range(2 ** length):
+            period = tuple(1 + (code >> j & 1) for j in range(length))
+            r = min(d for d in range(1, length + 1) if period == period[:d] * (length // d))
+            for k in range(2 * r):
+                assert TailWord((), period, k).phase == k % r, (period, k)
+
+
 def test_block_split_runs_into_the_tail():
-    assert leading_blocks(TailWord((2, 1, 2), (1,)), 4) == ([2, 2, 1, 1], pure((1,)))
+    assert leading_blocks(TailWord((2, 1, 2), (1,)), 4) == (
+        [2, 2, 1, 1], (2, 1, 2, 1, 1, 1), pure((1,))
+    )
     assert leading_blocks(TailWord((1,), (2,)), 2) is None
-    assert leading_blocks(pure((2, 2, 1)), 2) == ([3, 3], pure((2, 2, 1)))
+    assert leading_blocks(pure((2, 2, 1)), 2) == ([3, 3], (2, 2, 1, 2, 2, 1), pure((2, 2, 1)))
 
 
 def test_word_to_index_examples():
