@@ -319,7 +319,14 @@ def apply_rho(op: Callable[[State], State], state: State) -> State:
 
 
 def apply_zeta(op: Callable[[State], State], state: State) -> State:
-    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a state."""
-    plus = apply_t(1, op(apply_t_star(1, state)))
-    minus = apply_t(2, op(apply_t_star(2, state)))
+    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a state.
+
+    op is linear, so a branch whose t_i* image is zero contributes zero and
+    op is not called on it: on a basis word exactly one branch survives.
+    """
+    plus, minus = (apply_t_star(i, state) for i in (1, 2))
+    if plus:
+        plus = apply_t(1, op(plus))
+    if minus:
+        minus = apply_t(2, op(minus))
     return plus - minus

@@ -518,6 +518,8 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     basis word of every space with |J| <= 3, prefix depth <= depth.
     Embedded family: s_i* s_j = delta_ij for indices <= 8, and the partial
     range sums act as 0/1 on basis words of prefix depth <= 6.
+    Each t_j psi and each s_j psi is computed once per basis vector psi and
+    read by every adjoint that checks it.
     """
     check_depth(depth)
     max_j_len, oinfty_max, oinfty_depth = 3, 8, 6
@@ -535,9 +537,10 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         zero = State.zero(space)
         for w in space.basis_words(depth):
             psi = State.basis(space, w)
+            moved = [apply_t(j, psi) for j in (1, 2)]
             for i in (1, 2):
                 for j in (1, 2):
-                    got = apply_t_star(i, apply_t(j, psi))
+                    got = apply_t_star(i, moved[j - 1])
                     expected = psi if i == j else zero
                     rep_.check(lambda: f"t_{i}* t_{j} on {w} in {space.label}", expected, got)
             got = apply_t(1, apply_t_star(1, psi)) + apply_t(2, apply_t_star(2, psi))
@@ -547,9 +550,10 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         zero = State.zero(space)
         for w in space.basis_words(oinfty_depth):
             psi = State.basis(space, w)
+            moved = [apply_s(j, psi) for j in range(1, oinfty_max + 1)]
             for i in range(1, oinfty_max + 1):
                 for j in range(1, oinfty_max + 1):
-                    got = apply_s_star(i, apply_s(j, psi))
+                    got = apply_s_star(i, moved[j - 1])
                     expected = psi if i == j else zero
                     rep_.check(lambda: f"s_{i}* s_{j} on {w} in {space.label}", expected, got)
             acc = zero
@@ -575,20 +579,29 @@ def _fermion_family(max_particles: int, max_mode: int):
             yield FermionSubset(modes)
 
 
-def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) -> None:
+def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) -> dict:
     """[x_n, x_m*] = delta_nm, [x_n, x_m] = 0 and [x_n*, x_m*] = 0 on psi.
 
     act is `apply_boson` (x = "b"), whose brackets are commutators written
     [...], or `apply_fermion` (x = "a"), whose are anticommutators written {...}.
+    Every product is computed once per state: `once[(star, k)]` is x_k or
+    x_k* on psi, for k <= op_max (2 op_max applications), and
+    `twice[(outer, inner)]` is `outer` applied to `once[inner]` for every
+    ordered pair of those keys (4 op_max^2 applications).  Each bracket
+    reads two entries of `twice`, and together they read every entry.
+    Returns `once`, for the caller's own checks on psi.
     """
     commute = x == "b"
     left, right = "[]" if commute else "{}"
     zero = State.zero(psi.space)
+    keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
+    once = {key: act(*key, psi) for key in keys}
+    twice = {(outer, inner): act(*outer, once[inner]) for outer in keys for inner in keys}
     for n in range(1, op_max + 1):
         for m in range(1, op_max + 1):
             for star_n, star_m in ((False, True), (False, False), (True, True)):
-                nm = act(star_n, n, act(star_m, m, psi))
-                mn = act(star_m, m, act(star_n, n, psi))
+                nm = twice[(star_n, n), (star_m, m)]
+                mn = twice[(star_m, m), (star_n, n)]
                 got = nm - mn if commute else nm + mn
                 expected = psi if n == m and star_m and not star_n else zero
                 rep_.check(
@@ -597,6 +610,7 @@ def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) 
                     expected,
                     got,
                 )
+    return once
 
 
 def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
@@ -604,7 +618,9 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
 
     [b_n, b_m*] = delta_nm, [b_n, b_m] = 0 and [b_n*, b_m*] = 0 for
     n, m <= max_mode, and the transport law s_k b_m = b_{m+1} s_k with its
-    adjoint for k, m <= 5.
+    adjoint for k, m <= 5.  On each state psi, b_m psi, b_m* psi and s_k psi
+    are computed once: the transport reads b_m psi from the bracket table
+    where m <= max_mode and computes the modes above it itself.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -619,13 +635,20 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
         },
     )
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
+    transport = range(1, intertwine_max + 1)
     for psi in states:
-        _bracket_relations(rep_, apply_boson, "b", psi, max_mode)
-        for k in range(1, intertwine_max + 1):
-            for m in range(1, intertwine_max + 1):
+        once = _bracket_relations(rep_, apply_boson, "b", psi, max_mode)
+        moved = {
+            (create, m): once[create, m] if m <= max_mode else apply_boson(create, m, psi)
+            for create in (False, True)
+            for m in transport
+        }
+        shifted = [apply_s(k, psi) for k in transport]
+        for k in transport:
+            for m in transport:
                 for create in (False, True):
-                    got = apply_s(k, apply_boson(create, m, psi))
-                    expected = apply_boson(create, m + 1, apply_s(k, psi))
+                    got = apply_s(k, moved[create, m])
+                    expected = apply_boson(create, m + 1, shifted[k - 1])
                     rep_.check(
                         lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
                         expected,
@@ -640,7 +663,9 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     {a_n, a_m*} = delta_nm, {a_n, a_m} = 0, {a_n*, a_m*} = 0 and the
     twisted transport t_i a_m = (-1)^(i-1) a_{m+1} t_i for n, m <= max_mode,
     and the rewriting of the operator word t_1^n t_2^m as a creation run
-    following t_1^(n+m) for n, m <= 6.
+    following t_1^(n+m) for n, m <= 6.  On each state psi, t_i psi, a_m psi
+    and a_m* psi are computed once; the transport reads a_m psi and a_m* psi
+    from the bracket table.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -656,15 +681,16 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     )
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
     for psi in states:
-        _bracket_relations(rep_, apply_fermion, "a", psi, max_mode)
+        once = _bracket_relations(rep_, apply_fermion, "a", psi, max_mode)
         for i in (1, 2):
             sign = 1 if i == 1 else -1
+            t_psi = apply_t(i, psi)
             for m in range(1, max_mode + 1):
-                got = apply_t(i, apply_fermion(False, m, psi))
-                expected = apply_fermion(False, m + 1, apply_t(i, psi)) * sign
+                got = apply_t(i, once[False, m])
+                expected = apply_fermion(False, m + 1, t_psi) * sign
                 rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
-                got = apply_fermion(True, m + 1, apply_t(i, psi))
-                expected = apply_t(i, apply_fermion(True, m, psi)) * sign
+                got = apply_fermion(True, m + 1, t_psi)
+                expected = apply_t(i, once[True, m]) * sign
                 rep_.check(lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
@@ -900,18 +926,27 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             "tolerance": tolerance,
         },
     )
-    bad = [n for n in range(1, max_index + 1) if word_to_index(index_to_word(n)) != n]
+    # the bijection streams every index and keeps the words the loops below read
+    letter_max = 1024
+    keep = max(letter_max, embed_max_n)
+    words, bad = [], []
+    for n in range(1, max_index + 1):
+        w = index_to_word(n)
+        if word_to_index(w) != n:
+            bad.append(n)
+        if n <= keep:
+            words.append(w)
     rep_.check_true("index bijection", not bad, lambda: f"broken at {bad[:5]}")
     # letter action on indices
-    for n in range(1, 1025):
-        w = index_to_word(n)
+    for n, w in enumerate(words[:letter_max], 1):
         for i in (1, 2):
             rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, word_to_index(w.prepend(i)))
     # embedded generators on indices
     space = RepSpace((1,))
+    basis = [State.basis(space, w) for w in words[:embed_max_n]]
     for m in range(1, embed_max_m + 1):
-        for n in range(1, embed_max_n + 1):
-            st = apply_s(m, State.basis(space, index_to_word(n)))
+        for n, e_n in enumerate(basis, 1):
+            st = apply_s(m, e_n)
             ((w, c),) = st.items()
             rep_.check_true(
                 lambda: f"s_{m} e_{n}",
@@ -919,7 +954,7 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
                 st.render,
             )
     # ladder actions on the vacuum index
-    e1 = State.basis(space, index_to_word(1))
+    e1 = basis[0]
     zero = State.zero(space)
     for m in range(1, ladder_max + 1):
         target = State.basis(space, index_to_word(2 ** (m - 1) + 1))

@@ -165,6 +165,24 @@ def test_verify_cli_deep_output_is_pinned():
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == DEEP_SHA256
 
 
+# The sha256 of `verify ccr car --json` where the bracket range (--modes) is
+# below and above ccr's transport range, which runs to mode 5 at any --modes.
+NARROW_AND_WIDE_SHA256 = {
+    ("--modes", "3", "--particles", "2"):
+        "21a3c2e7cda17a12b72d378d77984817913ec4ba616ea301f184546e609dba5f",
+    ("--modes", "7", "--particles", "3"):
+        "6c556877424ed63b478695b7aa919a7106e5824e39e353d59e0af5b92351ff31",
+}
+
+
+@pytest.mark.parametrize("args", sorted(NARROW_AND_WIDE_SHA256))
+def test_verify_ccr_car_output_is_pinned_off_the_transport_range(args):
+    res = run("verify", "ccr", "car", "--json", *args)
+    assert res.exit_code == 0
+    assert all(r["pass"] for r in json.loads(res.output))
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == NARROW_AND_WIDE_SHA256[args]
+
+
 def test_verify_refusals_keep_their_exit_codes():
     # exit 1 is reserved for a failed verification
     assert run("verify", "ccr", "--modes", "17").exit_code == 3

@@ -105,6 +105,28 @@ def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, cre
     assert apply_fermion(create, n, psi) == fermion_via_shifts(create, n, psi)
 
 
+def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):
+    # zeta skips a branch that t_i* annihilates, so the nested shifts of
+    # a_1 follow one branch per level on a basis word: at most n - 1 zeta
+    # calls for a_n, where calling both branches would make 2^(n-1) - 1.
+    calls = [0]
+    zeta = rep.apply_zeta
+
+    def counted(op, state):
+        calls[0] += 1
+        return zeta(op, state)
+
+    monkeypatch.setattr(rep, "apply_zeta", counted)
+    words_ = [TailWord(p, (1,)) for p in [(), (2,), (1, 2), (2, 1, 1, 2), (2,) * 9 + (1, 2)]]
+    for w in words_:
+        psi = State.basis(P1, w)
+        for n in range(1, 17):
+            for create in (False, True):
+                calls[0] = 0
+                assert fermion_via_shifts(create, n, psi) == apply_fermion(create, n, psi)
+                assert calls[0] <= n - 1
+
+
 def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
     spaces = [RepSpace(J) for J in [(1,), (2, 1), (1, 2, 2), (2,)]]
     states = [State.basis(space, w) for space in spaces for w in space.basis_words(5)]

@@ -1,10 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cuntzfock.correspondence import EngineError
-from cuntzfock.ladder import BoundsError, apply_boson, apply_fermion, parse_op_token
+from cuntzfock.ladder import (
+    BoundsError,
+    apply_boson,
+    apply_fermion,
+    boson_state,
+    parse_op_token,
+)
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
 from cuntzfock.verify import (
@@ -187,6 +195,86 @@ def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
         {"case": "{a_2, a_2*} on [1] 12(1)", "expected": "<P2(1): [1] 12(1)>",
          "got": "<P2(1): 0>"},
     ]
+
+
+def _mode_3_creates_at_mode_4(create, n, state):
+    return apply_boson(create, 4 if create and n == 3 else n, state)
+
+
+def _a_3_flips_sign(create, n, state):
+    out = apply_fermion(create, n, state)
+    return out if create or n != 3 else -out
+
+
+def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
+    # The reports of these two faults were recorded at commit b471745, where
+    # every check applied its own operators.  Shared products must not merge,
+    # drop, reorder or relabel a failure: the lists match entry for entry.
+    from cuntzfock import verify
+
+    recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
+    monkeypatch.setattr(verify, "apply_boson", _mode_3_creates_at_mode_4)
+    monkeypatch.setattr(verify, "apply_fermion", _a_3_flips_sign)
+    for name, report in (("ccr", ccr_suite(2, 4)), ("car", car_suite(2, 4))):
+        assert report.cases == recorded[name]["cases"]
+        assert report.failures == recorded[name]["failures"]
+
+
+def test_bracket_relations_apply_each_product_once():
+    from cuntzfock import verify
+
+    calls = [0]
+
+    def counted(act):
+        def inner(*args):
+            calls[0] += 1
+            return act(*args)
+        return inner
+
+    for op_max in (1, 3, 5):
+        states = [boson_state(M) for M in verify._boson_family(2, op_max)]
+        for act, x in ((apply_boson, "b"), (apply_fermion, "a")):
+            report = SuiteReport(x)
+            calls[0] = 0
+            for psi in states:
+                verify._bracket_relations(report, counted(act), x, psi, op_max)
+            assert calls[0] == len(states) * (2 * op_max + 4 * op_max ** 2)
+            assert report.cases == len(states) * 3 * op_max ** 2
+
+
+# Engine calls of the suites at the CLI defaults, with their case counts.
+# Each bound is the count when every operator product is computed once per
+# state; a change that recomputes shared products fails here.
+ENGINE_CALL_BOUNDS = {
+    "cuntz": (lambda: cuntz_suite(depth=8), 45_056, 82_944),
+    "ccr": (lambda: ccr_suite(4, 5), 15_750, 27_090),
+    "car": (lambda: car_suite(4, 5), 3_233, 9_752),
+}
+ORACLE_INDEX_TO_WORD_BOUND = 16_449
+
+
+def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
+    from cuntzfock import ladder, rep, verify
+
+    calls = {"map_basis": 0, "index_to_word": 0}
+
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+        return inner
+
+    monkeypatch.setattr(rep, "map_basis", counted("map_basis", rep.map_basis))
+    monkeypatch.setattr(ladder, "map_basis", rep.map_basis)
+    monkeypatch.setattr(verify, "index_to_word", counted("index_to_word", verify.index_to_word))
+    for name, (suite, cases, bound) in ENGINE_CALL_BOUNDS.items():
+        calls["map_basis"] = 0
+        report = suite()
+        assert (report.passed, report.cases) == (True, cases), name
+        assert calls["map_basis"] <= bound, (name, calls)
+    report = oracle_suite(dim=1024, sequences=50)
+    assert (report.passed, report.cases) == (True, 18_535)
+    assert calls["index_to_word"] <= ORACLE_INDEX_TO_WORD_BOUND, calls
 
 
 def test_roundtrip_suite_small():
