@@ -665,7 +665,8 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     and the rewriting of the operator word t_1^n t_2^m as a creation run
     following t_1^(n+m) for n, m <= 6.  On each state psi, t_i psi, a_m psi
     and a_m* psi are computed once; the transport reads a_m psi and a_m* psi
-    from the bracket table.
+    from the bracket table.  On each sample word psi of the rewrite, t_1^k psi
+    (k <= 12), t_2^m psi and t_1^n t_2^m psi are computed once.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -695,11 +696,23 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
     sample = [State.basis(space, w) for w in space.basis_words(3)]
+    powers, mixed = [], []  # per psi: t_1^k psi by k, and t_1^n t_2^m psi by (n, m)
+    for psi in sample:
+        power = [psi]
+        for _ in range(2 * word_identity_max):
+            power.append(apply_t(1, power[-1]))
+        table, t2_psi = {}, psi
+        for m in range(1, word_identity_max + 1):
+            t2_psi = lhs = apply_t(2, t2_psi)
+            for n in range(1, word_identity_max + 1):
+                lhs = table[n, m] = apply_t(1, lhs)
+        powers.append(power)
+        mixed.append(table)
     for n in range(1, word_identity_max + 1):
         for m in range(1, word_identity_max + 1):
-            for psi in sample:
-                lhs = apply_t_word((1,) * n + (2,) * m, psi)
-                rhs = apply_t_word((1,) * (n + m), psi)
+            for psi, power, table in zip(sample, powers, mixed):
+                lhs = table[n, m]
+                rhs = power[n + m]
                 for k in range(n + m, n, -1):
                     rhs = apply_fermion(True, k, rhs)
                 rep_.check(lambda: f"t_1^{n} t_2^{m} rewrite on {psi.render()}", lhs, rhs)
@@ -796,39 +809,39 @@ class FloatOracleResult:
 class _NumericFamily:
     """Truncated operators on span{e_1..e_dim}, built from the index codec.
 
-    Each operator is a weighted partial permutation held as three arrays
-    (src, dst, w): e_{src[k]+1} goes to w[k] e_{dst[k]+1}, and every other
-    basis vector goes to 0.  Operators are cached by their token.
+    Each operator is a weighted partial permutation held as a dict
+    {src: (dst, w)}: e_src goes to w e_dst, and every other basis vector
+    goes to 0.  A vector is a dict {index: weight} of its nonzero entries,
+    so applying an operator is one lookup per entry.  Operators are cached
+    by their token.
     """
 
     def __init__(self, dim: int):
-        import numpy as np
-
         self.dim = dim
-        self._np = np
-        self._ops: dict[tuple, tuple] = {}
+        self._ops: dict[tuple, dict] = {}
 
-    def op(self, kind: str, idx: int, star: bool = False) -> tuple:
+    def op(self, kind: str, idx: int, star: bool = False) -> dict:
         """The operator of a token as returned by `parse_op_token`."""
         tok = (kind, idx, star)
         if tok not in self._ops:
             self._ops[tok] = self._build(kind, idx, star)
         return self._ops[tok]
 
-    def _build(self, kind: str, idx: int, star: bool) -> tuple:
-        np, op, mul = self._np, self.op, self._mul
+    def _build(self, kind: str, idx: int, star: bool) -> dict:
+        op, mul = self.op, self._mul
         if star:
-            src, dst, w = op(kind, idx)
-            return dst, src, w
-        if kind == "t":  # t_i e_{n+1} = e_{2n+i}, cut to the window
-            n = np.arange((self.dim + 2 - idx) // 2)
-            return n, 2 * n + idx - 1, np.ones(len(n))
+            return {dst: (src, w) for src, (dst, w) in op(kind, idx).items()}
+        if kind == "t":  # t_i e_n = e_{2(n-1)+i}, cut to the window
+            return {n: (2 * (n - 1) + idx, 1.0) for n in range(1, (self.dim + 2 - idx) // 2 + 1)}
         if kind == "s":  # s_m = t_2^{m-1} t_1
             return op("t", 1) if idx == 1 else mul(op("t", 2), op("s", idx - 1))
         ms = range(1, self.dim.bit_length() + 1)  # s_m is 0 on the window once 2^(m-1) > dim
         if kind == "b" and idx == 1:  # b_1 = sum_m sqrt(m) s_m s_{m+1}*
             terms = (mul(op("s", m), op("s", m + 1, True)) for m in ms)
-            return self._sum(*((src, dst, math.sqrt(m) * w) for m, (src, dst, w) in zip(ms, terms)))
+            return self._sum(*(
+                {src: (dst, math.sqrt(m) * w) for src, (dst, w) in term.items()}
+                for m, term in zip(ms, terms)
+            ))
         if kind == "b":  # b_n = rho(b_{n-1}) = sum_m s_m b_{n-1} s_m*
             prev = op("b", idx - 1)
             return self._sum(*(mul(mul(op("s", m), prev), op("s", m, True)) for m in ms))
@@ -836,30 +849,38 @@ class _NumericFamily:
             return mul(op("t", 1), op("t", 2, True))
         # a_n = zeta(a_{n-1}) = t_1 a_{n-1} t_1* - t_2 a_{n-1} t_2*
         one, two = (mul(mul(op("t", i), op("a", idx - 1)), op("t", i, True)) for i in (1, 2))
-        return self._sum(one, (two[0], two[1], -two[2]))
+        return self._sum(one, {src: (dst, -w) for src, (dst, w) in two.items()})
 
-    def _mul(self, a: tuple, b: tuple) -> tuple:
+    @staticmethod
+    def _mul(a: dict, b: dict) -> dict:
         """The product a b (b acts first): b's targets joined to a's sources."""
-        pos = self._np.full(self.dim, -1)
-        pos[a[0]] = self._np.arange(len(a[0]))
-        j = pos[b[1]]
-        keep = j >= 0
-        return b[0][keep], a[1][j[keep]], a[2][j[keep]] * b[2][keep]
+        out = {}
+        for src, (mid, b_w) in b.items():
+            hit = a.get(mid)
+            if hit is not None:
+                out[src] = (hit[0], hit[1] * b_w)
+        return out
 
-    def _sum(self, *terms: tuple) -> tuple:
+    @staticmethod
+    def _sum(*terms: dict) -> dict:
         """The sum of terms with disjoint sources and disjoint targets: a basis
         map of the permutative representation yields one term, never more."""
-        np = self._np
-        src, dst, w = (np.concatenate(parts) for parts in zip(*terms))
-        if len(np.unique(src)) < len(src) or len(np.unique(dst)) < len(dst):
+        out = {}
+        for term in terms:
+            out.update(term)
+        size = sum(map(len, terms))
+        if len(out) < size or len({dst for dst, _ in out.values()}) < size:
             raise corr.EngineError("series terms overlap: a basis map yields more than one term")
-        return src, dst, w
+        return out
 
-    def apply(self, tok, vec):
-        """The operator of `tok` applied to a vector of length dim."""
-        src, dst, w = self.op(*tok)
-        out = self._np.zeros(self.dim)
-        out[dst] = w * vec[src]
+    def apply(self, tok, vec: dict) -> dict:
+        """The operator of `tok` applied to a sparse vector {index: weight}."""
+        op = self.op(*tok)
+        out = {}
+        for src, x in vec.items():
+            hit = op.get(src)
+            if hit is not None:
+                out[hit[0]] = hit[1] * x
         return out
 
 
@@ -876,7 +897,9 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     (first token first) to the basis vector e_start, once exactly and once
     numerically.  If e_start or any exact intermediate lies outside the
     truncation window the comparison is reported as an overflow instead of
-    a deviation.
+    a deviation.  Both results are sparse {index: weight} vectors; the
+    deviation is the largest |float - exact| over the union of their
+    supports (0.0 when both are zero), and NaN when any difference is NaN.
     """
     check_dim(dim)
     tokens = [parse_op_token(t) for t in ops]
@@ -888,16 +911,12 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
         if any(word_to_index(w) > dim for w, _ in state.items()):
             return FloatOracleResult(overflow=True, deviation=None)
     num = _NumericFamily(dim)
-    import numpy as np
-
-    vec = np.zeros(dim)
-    vec[start - 1] = 1.0
+    vec = {start: 1.0}
     for tok in tokens:
         vec = num.apply(tok, vec)
-    exact_vec = np.zeros(dim)
-    for w, c in state.items():
-        exact_vec[word_to_index(w) - 1] = c.to_float()
-    deviation = float(np.max(np.abs(vec - exact_vec)))
+    exact = {word_to_index(w): c.to_float() for w, c in state.items()}
+    diffs = [abs(vec.get(k, 0.0) - exact.get(k, 0.0)) for k in vec.keys() | exact.keys()]
+    deviation = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
     return FloatOracleResult(overflow=False, deviation=deviation)
 
 

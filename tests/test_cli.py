@@ -366,13 +366,13 @@ def test_float_oracle_runs_without_scipy():
     code = (
         "import sys; from cuntzfock.verify import oracle_suite; "
         "assert oracle_suite(dim=64, sequences=5).passed; "
-        "print('scipy' in sys.modules)"
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
     )
     src = str(Path(cuntzfock.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_imports_match_declared_dependencies():
@@ -390,4 +390,4 @@ def test_imports_match_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"cuntzfock"}
-    assert third_party == declared_names == {"click", "numpy"}
+    assert third_party == declared_names == {"click"}

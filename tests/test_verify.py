@@ -17,6 +17,7 @@ from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
 from cuntzfock.verify import (
     SuiteReport,
+    _NumericFamily,
     boson_branch_witness,
     car_suite,
     ccr_suite,
@@ -248,7 +249,7 @@ def test_bracket_relations_apply_each_product_once():
 ENGINE_CALL_BOUNDS = {
     "cuntz": (lambda: cuntz_suite(depth=8), 45_056, 82_944),
     "ccr": (lambda: ccr_suite(4, 5), 15_750, 27_090),
-    "car": (lambda: car_suite(4, 5), 3_233, 9_752),
+    "car": (lambda: car_suite(4, 5), 3_233, 6_152),
 }
 ORACLE_INDEX_TO_WORD_BOUND = 16_449
 
@@ -305,6 +306,8 @@ def test_float_oracle_permutation_sequence_is_exact():
     for dim in (1, 2, 4):  # the smallest windows: the suite refuses them, the oracle not
         res = float_oracle(dim, ["t1", "t1*"], 1)
         assert res.ok and res.deviation == 0.0
+    res = float_oracle(64, ["t1*"], 2)  # annihilated: both results are zero
+    assert res.ok and res.deviation == 0.0
 
 
 def test_float_oracle_ladder_weights():
@@ -351,13 +354,54 @@ def test_numeric_family_matches_dense_reference():
     tokens = [f"t{i}" for i in (1, 2)] + [f"{k}{n}" for k in "sba" for n in range(1, 5)]
     for text in tokens + [t + "*" for t in tokens]:
         kind, idx, star = parse_op_token(text)
-        src, dst, w = family.op(kind, idx, star)
         got = np.zeros((dim, dim))
-        got[dst, src] = w
+        for src, (dst, w) in family.op(kind, idx, star).items():
+            got[dst - 1, src - 1] = w
         want = dense[kind][idx].T if star else dense[kind][idx]
         assert np.array_equal(got, want), text
-        vec = np.arange(1.0, dim + 1)
-        assert np.array_equal(family.apply((kind, idx, star), vec), want @ vec), text
+        for k in range(1, dim + 1):
+            column = np.zeros(dim)
+            for n, x in family.apply((kind, idx, star), {k: 1.0}).items():
+                column[n - 1] = x
+            assert np.array_equal(column, want[:, k - 1]), (text, k)
+
+
+def _planted(monkeypatch, dim, tok, entries):
+    """A fresh numeric family whose operator `tok` has some entries replaced,
+    installed as the only family the float oracle sees."""
+    from cuntzfock import verify
+
+    family = _NumericFamily.__wrapped__(dim)  # not the cached family of dim
+    family._ops[tok] = {**family.op(*tok), **entries}
+    monkeypatch.setattr(verify, "_NumericFamily", lambda d: family)
+    return family
+
+
+def test_sparse_deviation_compares_the_union_of_supports(monkeypatch):
+    # t_1 e_1 = e_1: a wrong target, then no target at all
+    _planted(monkeypatch, 64, ("t", 1, False), {1: (3, 1.0)})  # wrong target
+    assert float_oracle(64, ["t1"], 1).deviation == 1.0
+    family = _planted(monkeypatch, 64, ("t", 1, False), {})
+    del family._ops["t", 1, False][1]  # e_1 dropped: the float result is empty
+    assert float_oracle(64, ["t1"], 1).deviation == 1.0
+    # t_1* e_2 = 0 exactly: a float image of it is the only support
+    _planted(monkeypatch, 64, ("t", 1, True), {2: (1, 1.0)})
+    assert float_oracle(64, ["t1*"], 2).deviation == 1.0
+
+
+def test_nan_weight_gives_a_nan_deviation_and_fails_the_suite(monkeypatch):
+    _planted(monkeypatch, 64, ("b", 1, False), {2: (1, math.nan)})  # b_1 e_2 = e_1
+    res = float_oracle(64, ["b1*", "b1"], 1)
+    assert res.ok and math.isnan(res.deviation)
+    r = oracle_suite(dim=64, sequences=5)
+    assert {
+        "case": "pipeline ['b1*', 'b1'] from e_1",
+        "expected": "true",
+        "got": "overflow=False deviation=nan",
+    } in r.failures
+    # NaN wins over a larger finite difference met first, as with np.max
+    _planted(monkeypatch, 64, ("t", 1, False), {1: (3, math.nan)})  # t_1 e_1 = e_1
+    assert math.isnan(float_oracle(64, ["t1"], 1).deviation)
 
 
 def test_numeric_sum_refuses_overlapping_terms():
