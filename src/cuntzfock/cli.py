@@ -50,7 +50,7 @@ def main():
 
 
 def _echo_pair(pair: corr.CorrespondencePair, as_json: bool, sign: int = 1) -> None:
-    coeff = pair.coeff * sign
+    coeff = pair.coeff if sign == 1 else pair.coeff * sign
     if as_json:
         payload = pair.to_json()
         payload["coeff"] = coeff.to_json()
@@ -92,7 +92,7 @@ def cmd_unmap(monomial: str, as_json: bool):
 
 @main.command("table")
 @click.option("-n", "--particles", type=int, required=True, help="Particle count.")
-@click.option("-m", "--max-mode", type=int, default=6, show_default=True)
+@click.option("-m", "--max-mode", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of TSV.")
 @_bounds_guard
 def cmd_table(particles: int, max_mode: int, as_json: bool):
@@ -221,7 +221,7 @@ def _node_label(word: TailWord, label_kind: str) -> str:
 
 @main.command("graph")
 @click.option("--space", "space_word", default="1", show_default=True)
-@click.option("--depth", type=int, default=2, show_default=True)
+@click.option("--depth", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--label", "label_kind", type=click.Choice(["words", "bosons", "fermions"]),
               default="words", show_default=True)
 @click.option("--gens", type=click.Choice(["otwo", "oinfty"]), default="otwo",

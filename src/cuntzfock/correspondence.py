@@ -38,6 +38,25 @@ class EngineError(RuntimeError):
     """An internal consistency check failed; indicates an engine bug."""
 
 
+# Norm factors and their reciprocals, keyed by the multiplicities above 1 in
+# factor order.  Callers check the particle bound first, so every key is a
+# composition of at most MAX_PARTICLES into parts >= 2: 233 keys at 12.
+_NORMS: dict[tuple[int, ...], tuple[RadicalScalar, RadicalScalar]] = {}
+
+
+def _norms(ks: tuple[int, ...]) -> tuple[RadicalScalar, RadicalScalar]:
+    """(sqrt(k_1! ... k_m!), its reciprocal) for the multiplicities ks > 1.
+
+    A plain dict rather than `lru_cache`, so that a tracer can still wrap
+    and time this function.
+    """
+    pair = _NORMS.get(ks)
+    if pair is None:
+        norm = sqrt_factorial_product(ks)
+        pair = _NORMS[ks] = norm, (ONE if norm is ONE else ONE / norm)
+    return pair
+
+
 class CorrespondencePair:
     """A matched boson/fermion monomial pair with its exact norm factor.
 
@@ -106,7 +125,7 @@ def forward(M: BosonMonomial) -> CorrespondencePair:
             modes.extend(range(start, start + k))
             ks.append(k)
         shift += k
-    return CorrespondencePair(M, FermionSubset(modes), sqrt_factorial_product(ks))
+    return CorrespondencePair(M, FermionSubset(modes), _norms(tuple(ks))[0])
 
 
 def inverse(S: FermionSubset) -> CorrespondencePair:
@@ -120,13 +139,23 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
     """
     elements = S.elements
     check_particles(len(elements))
-    counts: dict[int, int] = {}
+    factors: list[tuple[int, int]] = []
+    ks: list[int] = []
+    n = k = 0  # the current run of equal s - i: its mode and its length
     for i, s in enumerate(elements):
-        counts[s - i] = counts.get(s - i, 0) + 1
-    norm = sqrt_factorial_product(counts.values())
-    return CorrespondencePair(
-        BosonMonomial(counts.items()), S, ONE if norm is ONE else ONE / norm
-    )
+        if s - i == n:
+            k += 1
+            continue
+        if k:
+            factors.append((n, k))
+            if k > 1:
+                ks.append(k)
+        n, k = s - i, 1
+    if k:
+        factors.append((n, k))
+        if k > 1:
+            ks.append(k)
+    return CorrespondencePair(BosonMonomial(factors), S, _norms(tuple(ks))[1])
 
 
 def forward_operational(M: BosonMonomial) -> CorrespondencePair:
@@ -150,17 +179,21 @@ def enumerate_grade(n: int, max_mode: int) -> list[CorrespondencePair]:
     """All n-particle pairs with boson modes <= max_mode, in lex order.
 
     `combinations_with_replacement` yields the sorted mode multisets in
-    lex order already, so the pairs need no sort.
+    lex order already, so the pairs need no sort, and counting each
+    sorted multiset in order gives its factors in mode order.
     """
     if n < 0:
         raise ValueError("particle count must be >= 0")
     check_particles(n)
     if n == 0:
         return [CorrespondencePair(BosonMonomial(), FermionSubset(), ONE)]
-    return [
-        forward(BosonMonomial.from_modes(modes))
-        for modes in combinations_with_replacement(range(1, max_mode + 1), n)
-    ]
+    pairs = []
+    for modes in combinations_with_replacement(range(1, max_mode + 1), n):
+        counts: dict[int, int] = {}
+        for m in modes:
+            counts[m] = counts.get(m, 0) + 1
+        pairs.append(forward(BosonMonomial(counts.items())))
+    return pairs
 
 
 def grade_table_tsv(pairs: list[CorrespondencePair]) -> str:

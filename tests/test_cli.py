@@ -104,6 +104,15 @@ def test_table_format_option_is_gone():
     assert run("table", "-n", "2", "--format", "json").exit_code == 2
 
 
+def test_table_max_mode_floor_exit_2():
+    # below 1 no mode is left, and the table would be an empty success
+    for m in ("0", "-3"):
+        assert run("table", "-n", "2", "-m", m).exit_code == 2
+        assert run("table", "-n", "2", "-m", m, "--json").exit_code == 2
+    res = run("table", "-n", "2", "-m", "1")
+    assert res.exit_code == 0 and res.output.count("\n") == 2
+
+
 def test_table_deterministic():
     a = run("table", "-n", "2", "-m", "4").output
     b = run("table", "-n", "2", "-m", "4").output
@@ -338,6 +347,13 @@ def test_graph_oinfty_edges_follow_s_m():
 def test_graph_bounds():
     assert run("graph", "--space", "1211", "--depth", "1").exit_code == 3
     assert run("graph", "--space", "1", "--depth", "7").exit_code == 3
+
+
+def test_graph_depth_floor_exit_2():
+    # a negative depth has no tree of its own; it must not pass as depth 0
+    assert run("graph", "--depth", "-5").exit_code == 2
+    assert run("graph", "--depth", "-1").exit_code == 2
+    assert run("graph", "--depth", "0").exit_code == 0
 
 
 def test_graph_label_requires_tail1():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from cuntzfock.correspondence import (
 )
 from cuntzfock.ladder import (
     BosonMonomial,
+    MAX_PARTICLES,
     BoundsError,
     FermionSubset,
     apply_boson,
@@ -22,7 +24,7 @@ from cuntzfock.ladder import (
     boson_state,
     fermion_state,
 )
-from cuntzfock.radical import ONE, sqrt_of_nat
+from cuntzfock.radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from cuntzfock.rep import State
 
 
@@ -153,6 +155,48 @@ def test_enumerate_grade():
                 for p in enumerate_grade(n, m)
             ]
             assert keys == sorted(set(keys)) and len(keys) == math.comb(n + m - 1, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 8))
+def test_enumerate_grade_matches_from_modes(n, m):
+    # the definitional rows: each sorted mode multiset through from_modes
+    expected = [
+        forward(BosonMonomial.from_modes(c))
+        for c in itertools.combinations_with_replacement(range(1, m + 1), n)
+    ]
+    assert enumerate_grade(n, m) == expected
+
+
+def _multiplicity_patterns(total: int) -> list[tuple[int, ...]]:
+    """Every tuple of parts >= 2 whose sum is at most total."""
+    patterns = frontier = [()]
+    while frontier:
+        frontier = [ks + (k,) for ks in frontier for k in range(2, total - sum(ks) + 1)]
+        patterns = patterns + frontier
+    return patterns
+
+
+def test_norm_cache_holds_one_entry_per_pattern(monkeypatch):
+    from cuntzfock import correspondence
+
+    patterns = _multiplicity_patterns(MAX_PARTICLES)
+    assert len(patterns) == len(set(patterns)) == 233
+    monkeypatch.setattr(correspondence, "_NORMS", {})
+    for n in range(5):
+        for modes in itertools.combinations_with_replacement(range(1, 7), n):
+            forward(BosonMonomial.from_modes(modes))
+    rng = random.Random(15)
+    for _ in range(2000):
+        inverse(FermionSubset(sorted(rng.sample(range(1, 29), rng.randint(0, 12)))))
+    assert set(correspondence._NORMS) <= set(patterns)
+    for ks in patterns:
+        norm, reciprocal = correspondence._norms(ks)
+        assert norm == sqrt_factorial_product(ks)
+        assert reciprocal == ONE / norm
+        assert norm * reciprocal == ONE
+        assert (norm is ONE) == (reciprocal is ONE) == (not ks)
+    assert len(correspondence._NORMS) == 233
 
 
 def test_coefficient_is_sqrt_of_integer():
