@@ -23,7 +23,7 @@ from .ladder import (
     parse_op_token,
 )
 from .rep import RepSpace, State, gp_vector
-from .words import TailWord, block_prepend, parse_letters
+from .words import TailWord, block, parse_letters, prepend_letters
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BOUNDS = 3
@@ -244,12 +244,12 @@ def cmd_graph(space_word: str, depth: int, label_kind: str, gens: str):
     for w in nodes:
         if gens == "otwo":
             for i in (1, 2):
-                v = w.prepend(i)
+                v = prepend_letters((i,), w)
                 if v in ids:
                     lines.append(f'  {ids[w]} -> {ids[v]} [label="t{i}"];')
         else:
             for m in range(1, depth + 2):
-                v = block_prepend(m, w)
+                v = prepend_letters(block(m), w)
                 if v in ids:
                     lines.append(f'  {ids[w]} -> {ids[v]} [label="s{m}"];')
     lines.append("}")

@@ -32,10 +32,7 @@ from .ladder import (
     parse_fermion_word,
 )
 from .radical import ONE, RadicalScalar, sqrt_factorial_product
-
-
-class EngineError(RuntimeError):
-    """An internal consistency check failed; indicates an engine bug."""
+from .rep import EngineError
 
 
 # Norm factors and their reciprocals, keyed by the multiplicities above 1 in

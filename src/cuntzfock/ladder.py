@@ -30,7 +30,7 @@ from typing import Iterable
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import RepSpace, State, map_basis
-from .words import TailWord, leading_block, leading_blocks, prepend_letters, split_letters
+from .words import TailWord, block, leading_block, leading_blocks, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
@@ -77,7 +77,7 @@ def _boson_word(create: bool, n: int, w: TailWord):
     else:
         c, edited = sqrt_of_nat(m - 1), m - 1
     # the first n-1 blocks pass unchanged; the n-th is rewritten
-    return c, prepend_letters(head[:len(head) - m] + (2,) * (edited - 1) + (1,), rest)
+    return c, prepend_letters(head[:len(head) - m] + block(edited), rest)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):
@@ -311,7 +311,7 @@ def parse_boson_expr(text: str) -> BosonMonomial:
     text = text.strip()
     if text.startswith("b:"):
         text = text[2:]
-    modes: list[int] = []
+    counts: dict[int, int] = {}
     for token in text.split():
         mode, _, mult = token.partition("^")
         try:
@@ -321,8 +321,9 @@ def parse_boson_expr(text: str) -> BosonMonomial:
             raise ValueError(f"bad monomial token {token!r}") from None
         if n < 1 or k < 1:
             raise ValueError(f"bad monomial token {token!r}")
-        modes.extend([n] * k)
-    return BosonMonomial.from_modes(modes)
+        counts[n] = counts.get(n, 0) + k  # added up, never expanded
+    check_particles(sum(counts.values()))
+    return BosonMonomial(sorted(counts.items()))
 
 
 def parse_fermion_expr(text: str) -> tuple[int, FermionSubset]:
@@ -343,6 +344,7 @@ def parse_fermion_expr(text: str) -> tuple[int, FermionSubset]:
         if n < 1:
             raise ValueError(f"bad mode token {token!r}")
         modes.append(n)
+    check_particles(len(modes))  # before the quadratic sign count
     ordered = normal_order_fermion(modes)
     if ordered is None:
         raise ValueError("repeated fermion mode: the monomial vanishes")

@@ -3,9 +3,9 @@
 A representation space is labelled by a nonempty word J; its basis is the
 set of canonical tail words whose periodic part is a rotation of J, and
 its GP vector is the pure word J^inf (fixed by the operator word t_J).
-The two isometries act by prepending a letter; their adjoints remove a
-matching leading letter and annihilate otherwise.  The countable family
-s_m = t_2^(m-1) t_1 embeds the infinite Cuntz family.
+Each generator is one of two word edits, lifted to states by `map_basis`:
+t_i, the operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head
+(s_m the block 2^(m-1) 1), and their adjoints strip it or annihilate.
 
 Operators are given as state maps, plain functions State -> State, so the
 shift endomorphisms rho(x) = sum_m s_m x s_m* and
@@ -19,7 +19,13 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
-from .words import TailWord, block_prepend, leading_block, render_letters, split_letters
+from .words import (
+    TailWord, block, check_letters, leading_block, prepend_letters, render_letters, split_letters,
+)
+
+
+class EngineError(RuntimeError):
+    """An internal consistency check failed; indicates an engine bug."""
 
 
 class SpaceMismatchError(ValueError):
@@ -32,12 +38,9 @@ class RepSpace:
     __slots__ = ("period",)
 
     def __init__(self, period):
-        period = tuple(period)
+        period = check_letters(period)
         if not period:
             raise ValueError("the defining word J must be nonempty")
-        for i in period:
-            if i not in (1, 2):
-                raise ValueError(f"invalid letter {i!r} in J")
         self.period = period
 
     def __eq__(self, other) -> bool:
@@ -225,7 +228,9 @@ def map_basis(
     """Linear extension of a basis map.
 
     fn sends each basis word either to None (the word is annihilated) or
-    to a single (coeff, word) pair; no basis map yields more than one term.
+    to a single (coeff, word) pair.  Every operator of the engine is a
+    partial injection on words, so two words with one image are an engine
+    bug: they raise `EngineError` instead of being added up.
     A product with a factor that is the ONE object itself is not computed:
     the other factor is reused as the new coefficient.
     """
@@ -235,15 +240,18 @@ def map_basis(
         if r is None:
             continue
         cc, ww = r
+        if ww in acc:
+            raise _collision(state, fn, w, ww)
         if cc is not ONE:
             c = cc if c is ONE else c * cc
-        s = acc.get(ww)
-        s = c if s is None else s + c
-        if s:
-            acc[ww] = s
-        else:
-            acc.pop(ww, None)
+        acc[ww] = c
     return _wrap(state.space, acc)
+
+
+def _collision(state: State, fn, w: TailWord, image: TailWord) -> EngineError:
+    """w collides on image with a word before it: the first the rescan finds."""
+    earlier = next(u for u, _ in state.items() if (fn(u) or (None, None))[1] == image)
+    return EngineError(f"basis map on {state.space.label} sends both {earlier} and {w} to {image}")
 
 
 # -- generator actions ------------------------------------------------------
@@ -254,49 +262,52 @@ def gp_vector(space: RepSpace) -> State:
     return State.basis(space, space.gp_word())
 
 
+def _prepend(head: tuple[int, ...], state: State) -> State:
+    """The isometry that prepends the letters head to every word."""
+    return map_basis(state, lambda w: (ONE, prepend_letters(head, w)))
+
+
+def _strip(head: tuple[int, ...], state: State) -> State:
+    """The adjoint of `_prepend`; a word is rejected on its first letter before it is split."""
+    first, h = head[0], len(head)
+
+    def f(w):
+        if (w.prefix or w.rot)[0] != first:
+            return None
+        lead, rest = split_letters(w, h)
+        return (ONE, rest) if lead == head else None
+
+    return map_basis(state, f)
+
+
 def apply_t(i: int, state: State) -> State:
-    return map_basis(state, lambda w: (ONE, w.prepend(i)))
+    """The isometry t_i: prepend the letter i."""
+    return _prepend(check_letters((i,)), state)
 
 
 def apply_t_star(i: int, state: State) -> State:
-    def f(w):
-        v = w.behead(i)
-        return None if v is None else (ONE, v)
-
-    return map_basis(state, f)
+    """The adjoint t_i*: strip a leading letter i."""
+    return _strip(check_letters((i,)), state)
 
 
 def apply_t_word(letters, state: State) -> State:
-    """Operator word t_J: the rightmost letter acts first."""
-    for i in reversed(tuple(letters)):
-        state = apply_t(i, state)
-    return state
+    """Operator word t_J: the rightmost letter acts first, so J is prepended whole."""
+    return _prepend(check_letters(letters), state)
 
 
 def apply_s(m: int, state: State) -> State:
-    """The embedded generator s_m = t_2^(m-1) t_1: one block prepend per word."""
-    if m < 1:
-        raise ValueError(f"generator index must be >= 1, got {m}")
-    return map_basis(state, lambda w: (ONE, block_prepend(m, w)))
+    """The embedded generator s_m = t_2^(m-1) t_1: prepend the block 2^(m-1) 1."""
+    return _prepend(block(m), state)
 
 
 def apply_s_star(m: int, state: State) -> State:
-    """The adjoint s_m* = t_1* (t_2*)^(m-1), one basis pass.
+    """The adjoint s_m* = t_1* (t_2*)^(m-1): strip the block 2^(m-1) 1.
 
-    Each word is split once after m letters, and survives when those
-    letters are the block 2^(m-1) 1.  The block length is given, not
-    searched for, so this action does not share `leading_block` or
-    `leading_blocks` with the boson transport it is used to check.
+    The block length is given, not searched for, so this action does not
+    share `leading_block` or `leading_blocks` with the boson transport it
+    is used to check.
     """
-    if m < 1:
-        raise ValueError(f"generator index must be >= 1, got {m}")
-    block = (2,) * (m - 1) + (1,)
-
-    def f(w):
-        head, rest = split_letters(w, m)
-        return (ONE, rest) if head == block else None
-
-    return map_basis(state, f)
+    return _strip(block(m), state)
 
 
 # -- shift endomorphisms on operators given as state maps --------------------

@@ -40,7 +40,7 @@ from .rep import (
     apply_t_word,
     gp_vector,
 )
-from .words import TailWord, flip, index_to_word, leading_block, word_to_index
+from .words import TailWord, flip, index_to_word, leading_block, prepend_letters, word_to_index
 
 
 # -- reports ---------------------------------------------------------------
@@ -959,7 +959,8 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     # letter action on indices
     for n, w in enumerate(words[:letter_max], 1):
         for i in (1, 2):
-            rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, word_to_index(w.prepend(i)))
+            got = word_to_index(prepend_letters((i,), w))
+            rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, got)
     # embedded generators on indices
     space = RepSpace((1,))
     basis = [State.basis(space, w) for w in words[:embed_max_n]]

@@ -32,7 +32,8 @@ def render_letters(letters: Iterable[int]) -> str:
     return "".join(str(i) for i in letters)
 
 
-def _validate(letters) -> Letters:
+def check_letters(letters) -> Letters:
+    """The letters as a tuple; ValueError unless each one is 1 or 2."""
     letters = tuple(letters)
     for i in letters:
         if i not in (1, 2):
@@ -64,8 +65,8 @@ class TailWord:
     __slots__ = ("prefix", "period", "rot", "_hash")
 
     def __init__(self, prefix=(), period=(1,), phase: int = 0):
-        prefix = _validate(prefix)
-        period = _validate(period)
+        prefix = check_letters(prefix)
+        period = check_letters(period)
         if not period:
             raise ValueError("period must be nonempty")
         r = _primitive_len(period)
@@ -105,19 +106,6 @@ class TailWord:
         if j < len(self.prefix):
             return self.prefix[j]
         return self.rot[(j - len(self.prefix)) % len(self.rot)]
-
-    def prepend(self, i: int) -> "TailWord":
-        if i not in (1, 2):
-            raise ValueError(f"invalid letter {i!r}")
-        return prepend_letters((i,), self)
-
-    def behead(self, i: int) -> "TailWord | None":
-        """Remove a leading letter i; None if the word does not start with i."""
-        if i not in (1, 2):
-            raise ValueError(f"invalid letter {i!r}")
-        if (self.prefix or self.rot)[0] != i:
-            return None
-        return split_letters(self, 1)[1]
 
     def render(self) -> str:
         return f"{render_letters(self.prefix)}({render_letters(self.rot)})"
@@ -250,13 +238,11 @@ def split_letters(w: TailWord, h: int) -> "tuple[Letters, TailWord]":
     return prefix + rot * q + rot[:k], _make((), w.period, rot[k:] + rot[:k])
 
 
-def block_prepend(m: int, w: TailWord) -> TailWord:
-    """Prepend the block 2^(m-1) 1, the word-level action of s_m.
-
-    This is the inverse of `leading_block`: splitting the result gives
-    back (m, w).
-    """
-    return prepend_letters((2,) * (m - 1) + (1,), w)
+def block(m: int) -> Letters:
+    """The block 2^(m-1) 1 that s_m prepends; `leading_block` splits it off again."""
+    if m < 1:
+        raise ValueError(f"generator index must be >= 1, got {m}")
+    return (2,) * (m - 1) + (1,)
 
 
 def word_to_index(w: TailWord) -> int:

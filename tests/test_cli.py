@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import cuntzfock
 from cuntzfock import cli as cli_mod
 from cuntzfock.cli import main
+from cuntzfock.ladder import BoundsError, parse_boson_expr
 from cuntzfock.rep import RepSpace, State, apply_s
 from cuntzfock.verify import SuiteReport
 from cuntzfock.words import parse_letters
@@ -50,6 +51,15 @@ def test_map_parse_error_exit_2():
 
 def test_map_bounds_exit_3():
     assert run("map", "1^13").exit_code == 3
+    assert run("unmap", " ".join(str(n) for n in range(1, 14))).exit_code == 3
+
+
+def test_map_refuses_a_huge_multiplicity_without_expanding_it():
+    # a parser that expands 1^k into k modes fails here, before the
+    # billion-mode case below would allocate gigabytes
+    with pytest.raises(BoundsError):
+        parse_boson_expr("1^13")
+    assert run("map", "1^1000000000").exit_code == 3
 
 
 def test_map_and_table_mode_bound():

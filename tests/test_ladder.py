@@ -268,6 +268,22 @@ def test_grammar():
         parse_boson_expr("zzz")
 
 
+def test_parsers_refuse_too_many_particles_before_expanding():
+    # the small cases first: an expanding parser fails here, before it
+    # would allocate a billion modes below
+    with pytest.raises(BoundsError):
+        parse_boson_expr("1^13")
+    with pytest.raises(BoundsError):
+        parse_boson_expr("1^6 2^7")
+    with pytest.raises(BoundsError):
+        parse_fermion_expr(" ".join(str(n) for n in range(13, 0, -1)))
+    assert parse_boson_expr("1^12").particle_number == 12
+    with pytest.raises(BoundsError):
+        parse_boson_expr("1^1000000000")
+    with pytest.raises(BoundsError):
+        parse_fermion_expr(" ".join(str(n) for n in range(1, 4001)))
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         BosonMonomial(((2, 1), (1, 1)))

@@ -1,11 +1,16 @@
+from fractions import Fraction
 from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuntzfock import correspondence
+from cuntzfock.ladder import apply_boson, apply_fermion
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
+    EngineError,
     RepSpace,
     SpaceMismatchError,
     State,
@@ -17,8 +22,9 @@ from cuntzfock.rep import (
     apply_t_word,
     apply_zeta,
     gp_vector,
+    map_basis,
 )
-from cuntzfock.words import TailWord, index_to_word, pure, word_to_index
+from cuntzfock.words import TailWord, block, index_to_word, pure, word_to_index
 
 P1 = RepSpace((1,))
 P21 = RepSpace((2, 1))
@@ -171,6 +177,13 @@ def _states(draw):
     return state
 
 
+def _s_by_letters(m, psi):
+    psi = apply_t(1, psi)
+    for _ in range(m - 1):
+        psi = apply_t(2, psi)
+    return psi
+
+
 def _s_star_by_letters(m, psi):
     for _ in range(m - 1):
         psi = apply_t_star(2, psi)
@@ -180,8 +193,17 @@ def _s_star_by_letters(m, psi):
 @settings(max_examples=300)
 @given(_states(), st.integers(1, 6))
 def test_block_generators_match_letter_compositions(psi, m):
-    assert apply_s(m, psi) == apply_t_word((2,) * (m - 1) + (1,), psi)
+    assert apply_s(m, psi) == _s_by_letters(m, psi)
     assert apply_s_star(m, psi) == _s_star_by_letters(m, psi)
+
+
+@settings(max_examples=200)
+@given(_states(), st.lists(st.sampled_from([1, 2]), max_size=10).map(tuple))
+def test_operator_word_matches_letter_by_letter(psi, J):
+    want = psi
+    for i in reversed(J):
+        want = apply_t(i, want)
+    assert apply_t_word(J, psi) == want
 
 
 def test_block_generators_reject_index_zero():
@@ -189,6 +211,104 @@ def test_block_generators_reject_index_zero():
         apply_s(0, gp_vector(P1))
     with pytest.raises(ValueError):
         apply_s_star(0, gp_vector(P1))
+
+
+def test_generators_check_their_letters_on_the_zero_state():
+    zero = State.zero(P1)
+    for act in (
+        partial(apply_t, 3),
+        partial(apply_t_star, 0),
+        partial(apply_t_word, (1, 3)),
+        partial(apply_s, 0),
+        partial(apply_s_star, 0),
+    ):
+        with pytest.raises(ValueError):
+            act(zero)
+    with pytest.raises(ValueError):
+        block(0)
+
+
+# -- the lift of basis maps to states -----------------------------------------
+
+_CUNTZ_SPACES = [RepSpace(J) for k in (1, 2, 3) for J in product((1, 2), repeat=k)]
+
+
+def _operators():
+    """(label, state map) for each generator and ladder operator the suites apply."""
+    for i in (1, 2):
+        yield f"t{i}", partial(apply_t, i)
+        yield f"t{i}*", partial(apply_t_star, i)
+    for m in range(1, 9):
+        yield f"s{m}", partial(apply_s, m)
+        yield f"s{m}*", partial(apply_s_star, m)
+    for n in range(1, 6):
+        for star in (False, True):
+            suffix = "*" if star else ""
+            yield f"b{n}{suffix}", partial(apply_boson, star, n)
+            yield f"a{n}{suffix}", partial(apply_fermion, star, n)
+
+
+_OPERATORS = list(_operators())
+
+
+def test_operators_are_injective_on_every_basis_word():
+    for space in _CUNTZ_SPACES:
+        words = list(space.basis_words(6))
+        psi = State(space, {w: promote(k + 1) for k, w in enumerate(words)})
+        for label, op in _OPERATORS:
+            want = {}
+            for w, c in psi.items():
+                image = op(State.basis(space, w, c))
+                if image:
+                    ((v, d),) = image.items()
+                    assert v not in want, (label, space, w, v)
+                    want[v] = d
+            assert dict(op(psi).items()) == want, (label, space)
+
+
+_COEFFS = [
+    sqrt_of_nat(2),
+    -sqrt_of_nat(2),
+    promote(Fraction(1, 3)),
+    promote(Fraction(-5, 2)),
+    sqrt_of_nat(2) * Fraction(3, 4) + 1,
+]
+
+
+@st.composite
+def _parts(draw):
+    """3-6 one-term states of one space; a word may repeat, so terms can cancel."""
+    space = draw(st.sampled_from(_CUNTZ_SPACES))
+    word = st.builds(
+        lambda prefix, phase: TailWord(tuple(prefix), space.period, phase),
+        st.lists(st.sampled_from([1, 2]), max_size=8),
+        st.integers(0, len(space.period) - 1),
+    )
+    terms = draw(st.lists(st.tuples(word, st.sampled_from(_COEFFS)), min_size=3, max_size=6))
+    return [State.basis(space, w, c) for w, c in terms]
+
+
+@settings(max_examples=200)
+@given(_parts(), st.sampled_from(_OPERATORS))
+def test_image_of_a_sum_is_the_sum_of_the_images(parts, labelled):
+    _, op = labelled
+    space = parts[0].space
+    total, images = State.zero(space), State.zero(space)
+    for part in parts:
+        total = total + part
+        images = images + op(part)
+    assert op(total) == images
+
+
+def test_a_collision_names_both_words_and_the_image():
+    assert correspondence.EngineError is EngineError
+    u, v = TailWord((2,), (1,)), TailWord((1, 2), (1,))
+    psi = State.basis(P1, u) + State.basis(P1, v, sqrt_of_nat(2))
+    image = pure((1,))
+    with pytest.raises(EngineError) as err:
+        map_basis(psi, lambda w: (ONE, image))
+    for part in ("P2(1)", u.render(), v.render(), image.render()):
+        assert part in str(err.value), (part, err.value)
 
 
 def test_state_json():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from cuntzfock.words import (
     TailWord,
     flip,
+    block,
     index_to_word,
-    block_prepend,
     leading_block,
     leading_blocks,
     parse_letters,
@@ -43,13 +43,13 @@ def test_nonprimitive_periods_collapse():
 
 def test_prepend_fixed_point():
     om = pure((1,))
-    assert om.prepend(1) == om
-    assert om.prepend(2) == TailWord((2,), (1,))
+    assert prepend_letters((1,), om) == om
+    assert prepend_letters((2,), om) == TailWord((2,), (1,))
 
 
 def test_prepend_rotates_pure_tail():
     om = pure((2, 1))
-    got = om.prepend(1)
+    got = prepend_letters((1,), om)
     # oracle: compare the denoted infinite words letterwise
     expected_letters = [1] + [om.letter_at(j) for j in range(9)]
     assert [got.letter_at(j) for j in range(10)] == expected_letters
@@ -58,18 +58,19 @@ def test_prepend_rotates_pure_tail():
 
 
 def test_behead():
-    e2 = TailWord((2,), (1,))
-    assert e2.behead(2) == pure((1,))
-    assert e2.behead(1) is None
-    assert pure((1,)).behead(1) == pure((1,))
+    # the first letter splits off, and what is left is a canonical word
+    assert split_letters(TailWord((2,), (1,)), 1) == ((2,), pure((1,)))
+    assert split_letters(TailWord((1, 2), (1,)), 1) == ((1,), TailWord((2,), (1,)))
+    assert split_letters(pure((1,)), 1) == ((1,), pure((1,)))
+    assert split_letters(pure((2, 1)), 1) == ((2,), pure((2, 1), 1))
 
 
 def test_exactly_one_behead_succeeds():
     for period in [(1,), (2,), (2, 1), (1, 2, 2)]:
         for prefix in [(), (1,), (2,), (1, 2), (2, 2, 1)]:
             w = TailWord(prefix, period)
-            hits = [i for i in (1, 2) if w.behead(i) is not None]
-            assert len(hits) == 1
+            hits = [i for i in (1, 2) if behead_by_constructor(w, i) is not None]
+            assert [(i,) for i in hits] == [split_letters(w, 1)[0]]
 
 
 @settings(max_examples=300)
@@ -81,9 +82,9 @@ def test_exactly_one_behead_succeeds():
 def test_prepend_behead_inverse(prefix, period, phase):
     w = TailWord(tuple(prefix), tuple(period), phase)
     for i in (1, 2):
-        assert w.prepend(i).behead(i) == w
-    i = w.letter_at(0)
-    assert w.behead(i).prepend(i) == w
+        assert split_letters(prepend_letters((i,), w), 1) == ((i,), w)
+    head, rest = split_letters(w, 1)
+    assert prepend_letters(head, rest) == w
 
 
 def fields(w: TailWord):
@@ -114,11 +115,13 @@ words_with_any_period = st.builds(
 def test_fast_constructors_match_the_validating_one(w, i):
     # phase and period reach the JSON, and __eq__ compares neither, so
     # every slot is compared, not just the denoted word
-    assert fields(w.prepend(i)) == fields(TailWord((i,) + w.prefix, w.period, w.phase))
-    got, want = w.behead(i), behead_by_constructor(w, i)
-    assert (got is None) == (want is None)
+    want = TailWord((i,) + w.prefix, w.period, w.phase)
+    assert fields(prepend_letters((i,), w)) == fields(want)
+    head, rest = split_letters(w, 1)
+    want = behead_by_constructor(w, i)
+    assert (head == (i,)) == (want is not None)
     if want is not None:
-        assert fields(got) == fields(want)
+        assert fields(rest) == fields(want)
     lb = leading_block(w)
     rest, m = w, 0
     while m <= w.depth + len(w.rot) and rest.letter_at(0) == 2:
@@ -136,7 +139,7 @@ def test_fast_constructors_match_the_validating_one(w, i):
 def test_bulk_prepend_matches_one_letter_at_a_time(w, letters):
     want = w
     for i in reversed(letters):
-        want = want.prepend(i)
+        want = TailWord((i,) + want.prefix, want.period, want.phase)
     assert fields(prepend_letters(letters, w)) == fields(want)
 
 
@@ -155,9 +158,9 @@ def test_block_split_matches_repeated_leading_block(w, n):
     assert got_ms == ms
     assert got_head == sum(((2,) * (m - 1) + (1,) for m in ms), ())
     assert fields(got_rest) == fields(rest)
-    # and block_prepend undoes the split, block by block
+    # and prepending the blocks undoes the split, block by block
     for m in reversed(ms):
-        rest = block_prepend(m, rest)
+        rest = prepend_letters(block(m), rest)
     assert fields(rest) == fields(w)
 
 
@@ -230,7 +233,14 @@ def test_index_recursion():
     for n in range(1, 513):
         w = index_to_word(n)
         for i in (1, 2):
-            assert word_to_index(w.prepend(i)) == 2 * (n - 1) + i
+            assert word_to_index(prepend_letters((i,), w)) == 2 * (n - 1) + i
+
+
+def test_block_letters():
+    assert block(1) == (1,)
+    assert block(3) == (2, 2, 1)
+    with pytest.raises(ValueError):
+        block(0)
 
 
 def test_leading_block():
