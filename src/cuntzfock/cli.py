@@ -15,6 +15,7 @@ from . import correspondence as corr
 from .ladder import (
     BoundsError,
     apply_op_token,
+    basis_map,
     check_mode,
     parse_boson_expr,
     parse_boson_word,
@@ -23,7 +24,7 @@ from .ladder import (
     parse_op_token,
 )
 from .rep import RepSpace, State, gp_vector
-from .words import TailWord, block, parse_letters, prepend_letters
+from .words import TailWord, parse_letters
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BOUNDS = 3
@@ -241,17 +242,13 @@ def cmd_graph(space_word: str, depth: int, label_kind: str, gens: str):
     lines = ["digraph basis {", "  rankdir=BT;"]
     for w in nodes:
         lines.append(f'  {ids[w]} [label="{_node_label(w, label_kind)}"];')
+    kind, top = ("t", 2) if gens == "otwo" else ("s", depth + 1)
+    edges = [(f"{kind}{k}", basis_map((kind, k, False))) for k in range(1, top + 1)]
     for w in nodes:
-        if gens == "otwo":
-            for i in (1, 2):
-                v = prepend_letters((i,), w)
-                if v in ids:
-                    lines.append(f'  {ids[w]} -> {ids[v]} [label="t{i}"];')
-        else:
-            for m in range(1, depth + 2):
-                v = prepend_letters(block(m), w)
-                if v in ids:
-                    lines.append(f'  {ids[w]} -> {ids[v]} [label="s{m}"];')
+        for name, fn in edges:
+            v = fn(w)[1]
+            if v in ids:
+                lines.append(f'  {ids[w]} -> {ids[v]} [label="{name}"];')
     lines.append("}")
     click.echo("\n".join(lines))
 

@@ -25,15 +25,16 @@ basis word; `boson_state` and `fermion_state` write it down directly, and
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby
 from typing import Iterable
 
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
-from .rep import RepSpace, State, map_basis
+from .rep import MAX_MODE, BasisMap, RepSpace, State, cached_map, generator_map, map_basis
 from .words import TailWord, block, leading_block, leading_blocks, prepend_letters, split_letters
 
-# The two guard rails, enforced by check_mode and check_particles below.
-MAX_MODE = 16
+# The two guard rails, enforced by check_mode and check_particles below; the
+# mode bound lives in `rep`, which caches the maps of s_m up to it.
 MAX_PARTICLES = 12
 
 FOCK_SPACE = RepSpace((1,))
@@ -53,12 +54,6 @@ def check_particles(count: int) -> None:
     """Refuse a particle count above MAX_PARTICLES."""
     if count > MAX_PARTICLES:
         raise BoundsError(f"{count} particles exceed the configured bound {MAX_PARTICLES}")
-
-
-def _check_mode_index(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    check_mode(n)
 
 
 # -- single-word actions ----------------------------------------------------
@@ -90,16 +85,26 @@ def _fermion_word(create: bool, n: int, w: TailWord):
     return (-ONE if passed.count(2) % 2 else ONE), prepend_letters(passed + (3 - last,), rest)
 
 
+def _ladder_map(kind: str, n: int, create: bool) -> BasisMap:
+    if n < 1:
+        raise ValueError(f"mode index must be >= 1, got {n}")
+    check_mode(n)
+    return partial(_boson_word if kind == "b" else _fermion_word, create, n)
+
+
+def basis_map(tok: tuple[str, int, bool]) -> BasisMap:
+    """The basis map of a token as returned by `parse_op_token`: one map per token, cached."""
+    return cached_map(tok, generator_map if tok[0] in "ts" else _ladder_map)
+
+
 def apply_boson(create: bool, n: int, state: State) -> State:
     """Exact action of b_n (create=False) or b_n* (create=True)."""
-    _check_mode_index(n)
-    return map_basis(state, lambda w: _boson_word(create, n, w))
+    return map_basis(state, cached_map(("b", n, create), _ladder_map))
 
 
 def apply_fermion(create: bool, n: int, state: State) -> State:
     """Exact action of a_n (create=False) or a_n* (create=True)."""
-    _check_mode_index(n)
-    return map_basis(state, lambda w: _fermion_word(create, n, w))
+    return map_basis(state, cached_map(("a", n, create), _ladder_map))
 
 
 # -- definitional oracles ---------------------------------------------------
@@ -376,14 +381,7 @@ def parse_op_token(token: str) -> tuple[str, int, bool]:
 
 def apply_op_token(tok, state: State) -> State:
     """Apply one token as returned by `parse_op_token`."""
-    kind, idx, star = tok
-    if kind == "t":
-        return rep.apply_t_star(idx, state) if star else rep.apply_t(idx, state)
-    if kind == "s":
-        return rep.apply_s_star(idx, state) if star else rep.apply_s(idx, state)
-    if kind == "b":
-        return apply_boson(star, idx, state)
-    return apply_fermion(star, idx, state)
+    return map_basis(state, basis_map(tok))
 
 
 # -- closed-form state builders ---------------------------------------------
@@ -441,44 +439,28 @@ def fermion_state_iterated(S: FermionSubset) -> State:
 
 
 def parse_fermion_word(w: TailWord):
-    """Invert `fermion_state` on a tail-1 basis word; None otherwise."""
+    """Invert `fermion_state` on a tail-1 basis word; None otherwise.
+
+    Mode j is occupied exactly when the j-th letter (from 1) is a 2.
+    """
     if w.rot != (1,):
         return None
-    modes: list[int] = []
-    prev = 0
-    gap = 0
-    for letter in w.prefix:
-        if letter == 1:
-            gap += 1
-        else:
-            mode = prev + gap + 1
-            modes.append(mode)
-            prev = mode
-            gap = 0
-    if gap:  # cannot happen for canonical words; guard for robustness
-        return None
-    return FermionSubset(modes)
+    return FermionSubset(j for j, letter in enumerate(w.prefix, 1) if letter == 2)
 
 
 def parse_boson_word(w: TailWord):
-    """Invert `boson_state` on a tail-1 basis word; None otherwise."""
+    """Invert `boson_state` on a tail-1 basis word; None otherwise.
+
+    A run of k 2s is the factor (b*_n)^k, where n - 1 counts the 1s before
+    it.  A canonical tail-1 word never ends in 1, so every 1 precedes a run.
+    """
     if w.rot != (1,):
         return None
-    factors: list[tuple[int, int]] = []
-    mode = 0
-    j = 0
-    prefix = w.prefix
-    while j < len(prefix):
-        ones = 0
-        while j < len(prefix) and prefix[j] == 1:
-            ones += 1
-            j += 1
-        twos = 0
-        while j < len(prefix) and prefix[j] == 2:
-            twos += 1
-            j += 1
-        if twos == 0:  # trailing 1-run; impossible for canonical words
-            return None
-        mode = ones + 1 if not factors else mode + ones
-        factors.append((mode, twos))
+    factors, mode = [], 1
+    for letter, run in groupby(w.prefix):
+        k = len(tuple(run))
+        if letter == 1:
+            mode += k
+        else:
+            factors.append((mode, k))
     return BosonMonomial(factors)

@@ -3,9 +3,11 @@
 A representation space is labelled by a nonempty word J; its basis is the
 set of canonical tail words whose periodic part is a rotation of J, and
 its GP vector is the pure word J^inf (fixed by the operator word t_J).
-Each generator is one of two word edits, lifted to states by `map_basis`:
-t_i, the operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head
-(s_m the block 2^(m-1) 1), and their adjoints strip it or annihilate.
+Each generator is one of two word edits, given as a basis map
+word -> (coeff, word) | None and lifted to states by `map_basis`: t_i, the
+operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head (s_m the
+block 2^(m-1) 1), and their adjoints strip it or annihilate.  The map of
+each op token is built once, on first use, and kept in `_MAPS`.
 
 Operators are given as state maps, plain functions State -> State, so the
 shift endomorphisms rho(x) = sum_m s_m x s_m* and
@@ -16,12 +18,38 @@ single summand picked out by the leading block survives.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
 from .words import (
-    TailWord, block, check_letters, leading_block, prepend_letters, render_letters, split_letters,
+    Letters, TailWord, _make, block, check_letters, leading_block, prepend_letters, render_letters,
+    split_letters,
 )
+
+# The mode bound: s_m, b_n and a_n take indices up to it (`ladder.check_mode`).
+MAX_MODE = 16
+
+BasisMap = Callable[[TailWord], "tuple[RadicalScalar, TailWord] | None"]
+
+# The basis map of each op token (kind, index, star), as `ladder.parse_op_token`
+# returns it, built on first use: t_i and s_m here, b_n and a_n in `ladder`.
+# t takes 1-2 and s, b and a at most MAX_MODE, so it holds at most 100 maps.
+_MAPS: dict[tuple[str, int, bool], BasisMap] = {}
+
+
+def cached_map(tok: tuple[str, int, bool], build: Callable[..., BasisMap]) -> BasisMap:
+    """The map of tok; build(*tok) checks the index and makes it on first use.
+
+    An index above MAX_MODE, which the oracles reach with s_m, is not
+    cached: its map is built anew on each call.
+    """
+    fn = _MAPS.get(tok)
+    if fn is None:
+        fn = build(*tok)
+        if tok[1] <= MAX_MODE:
+            _MAPS[tok] = fn
+    return fn
 
 
 class EngineError(RuntimeError):
@@ -64,22 +92,25 @@ class RepSpace:
         return RepSpace(tuple(swap[i] for i in self.period))
 
     def basis_words(self, max_depth: int) -> Iterator[TailWord]:
-        """All canonical basis words with prefix length <= max_depth."""
-        rot0 = self.gp_word().rot
-        r = len(rot0)
-        for phase in range(r):
-            yield TailWord((), self.period, phase)
+        """All canonical basis words with prefix length <= max_depth.
+
+        By depth, then phase, then the prefix read as a binary number with
+        its first letter lowest.  The last prefix letter differs from the
+        one the tail at that phase would supply, so every word is canonical
+        as built.
+        """
+        period = self.period
+        prim = self.gp_word().rot
+        r = len(prim)
+        rots = [prim[phase:] + prim[:phase] for phase in range(r)]
+        for rot in rots:
+            yield _make((), period, rot)
         for depth in range(1, max_depth + 1):
-            for phase in range(r):
-                blocked = rot0[(phase - 1) % r]
-                for code in range(2 ** (depth - 1)):
-                    prefix = []
-                    c = code
-                    for _ in range(depth - 1):
-                        prefix.append(1 + (c & 1))
-                        c >>= 1
-                    prefix.append(1 if blocked == 2 else 2)
-                    yield TailWord(tuple(prefix), self.period, phase)
+            heads = [letters[::-1] for letters in product((1, 2), repeat=depth - 1)]
+            for phase, rot in enumerate(rots):
+                last = (3 - prim[(phase - 1) % r],)
+                for head in heads:
+                    yield _make(head + last, period, rot)
 
 
 class State:
@@ -222,9 +253,7 @@ def _wrap(space: RepSpace, terms: dict) -> State:
     return out
 
 
-def map_basis(
-    state: State, fn: Callable[[TailWord], tuple[RadicalScalar, TailWord] | None]
-) -> State:
+def map_basis(state: State, fn: BasisMap) -> State:
     """Linear extension of a basis map.
 
     fn sends each basis word either to None (the word is annihilated) or
@@ -262,13 +291,13 @@ def gp_vector(space: RepSpace) -> State:
     return State.basis(space, space.gp_word())
 
 
-def _prepend(head: tuple[int, ...], state: State) -> State:
-    """The isometry that prepends the letters head to every word."""
-    return map_basis(state, lambda w: (ONE, prepend_letters(head, w)))
+def prepend_map(head: Letters) -> BasisMap:
+    """The basis map of the isometry that prepends the letters head to every word."""
+    return lambda w: (ONE, prepend_letters(head, w))
 
 
-def _strip(head: tuple[int, ...], state: State) -> State:
-    """The adjoint of `_prepend`; a word is rejected on its first letter before it is split."""
+def strip_map(head: Letters) -> BasisMap:
+    """The adjoint of `prepend_map`; a word is rejected on its first letter before it is split."""
     first, h = head[0], len(head)
 
     def f(w):
@@ -277,27 +306,33 @@ def _strip(head: tuple[int, ...], state: State) -> State:
         lead, rest = split_letters(w, h)
         return (ONE, rest) if lead == head else None
 
-    return map_basis(state, f)
+    return f
+
+
+def generator_map(kind: str, idx: int, star: bool) -> BasisMap:
+    """A new basis map of t_idx (kind "t") or s_idx (kind "s"), or of its adjoint when star."""
+    head = check_letters((idx,)) if kind == "t" else block(idx)
+    return strip_map(head) if star else prepend_map(head)
 
 
 def apply_t(i: int, state: State) -> State:
     """The isometry t_i: prepend the letter i."""
-    return _prepend(check_letters((i,)), state)
+    return map_basis(state, cached_map(("t", i, False), generator_map))
 
 
 def apply_t_star(i: int, state: State) -> State:
     """The adjoint t_i*: strip a leading letter i."""
-    return _strip(check_letters((i,)), state)
+    return map_basis(state, cached_map(("t", i, True), generator_map))
 
 
 def apply_t_word(letters, state: State) -> State:
     """Operator word t_J: the rightmost letter acts first, so J is prepended whole."""
-    return _prepend(check_letters(letters), state)
+    return map_basis(state, prepend_map(check_letters(letters)))
 
 
 def apply_s(m: int, state: State) -> State:
     """The embedded generator s_m = t_2^(m-1) t_1: prepend the block 2^(m-1) 1."""
-    return _prepend(block(m), state)
+    return map_basis(state, cached_map(("s", m, False), generator_map))
 
 
 def apply_s_star(m: int, state: State) -> State:
@@ -307,7 +342,7 @@ def apply_s_star(m: int, state: State) -> State:
     share `leading_block` or `leading_blocks` with the boson transport it
     is used to check.
     """
-    return _strip(block(m), state)
+    return map_basis(state, cached_map(("s", m, True), generator_map))
 
 
 # -- shift endomorphisms on operators given as state maps --------------------

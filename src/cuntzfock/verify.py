@@ -1,7 +1,11 @@
 """Executable re-derivations of the algebraic identities and branching laws.
 
-Every suite builds concrete states, applies the exact engine, and compares
-term maps; except for the floating-point oracle all checks are exact.
+Every suite applies the exact engine to concrete basis vectors and compares
+the results; except for the floating-point oracle all checks are exact.
+Each operator sends a basis word to one weighted word or to zero, so the
+relation suites compose the engine's basis maps on words and build a
+`State` only where an identity is a sum, or where a failed check is
+reported.
 "Span" claims of the branching laws are rendered as depth-bounded
 reachability witnesses: density itself is not finitely checkable.
 """
@@ -22,7 +26,7 @@ from .ladder import (
     FermionSubset,
     apply_boson,
     apply_fermion,
-    apply_op_token,
+    basis_map,
     boson_state,
     check_mode,
     check_particles,
@@ -34,9 +38,7 @@ from .rep import (
     RepSpace,
     State,
     apply_s,
-    apply_s_star,
     apply_t,
-    apply_t_star,
     apply_t_word,
     gp_vector,
 )
@@ -53,6 +55,51 @@ def _text(label: Label) -> str:
     return label() if callable(label) else label
 
 
+# -- word-level images ---------------------------------------------------------
+
+# The image of a basis word under a product of basis maps: one weighted word
+# (coeff, word), or None for zero.
+
+
+def _then(fn: Callable, image):
+    """The basis map fn applied after image: `map_basis` on one term."""
+    if image is None:
+        return None
+    r = fn(image[1])
+    if r is None or image[0] is ONE:
+        return r
+    return (image[0] if r[0] is ONE else image[0] * r[0]), r[1]
+
+
+def _negated(image):
+    return None if image is None else (-image[0], image[1])
+
+
+def _state(space: RepSpace, *images) -> State:
+    """The sum of images, as a state of space."""
+    terms: dict = {}
+    for image in filter(None, images):
+        c, w = image
+        terms[w] = terms[w] + c if w in terms else c
+    return State(space, terms)
+
+
+def _image(psi: State):
+    ((w, c),) = psi.items()
+    return c, w
+
+
+def _maps(x: str, top: int) -> dict:
+    """The basis maps of x_k and x_k* for k <= top, keyed (k, star)."""
+    return {(k, star): basis_map((x, k, star)) for k in range(1, top + 1) for star in (False, True)}
+
+
+def _ladder_action(x: str, top: int) -> Callable:
+    """act(star, k, image): x_k, or x_k* when star, after image; x is "b" or "a", k <= top."""
+    maps = _maps(x, top)
+    return lambda star, k, image: _then(maps[k, star], image)
+
+
 @dataclass
 class SuiteReport:
     """Outcome of one verification suite."""
@@ -66,16 +113,19 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, case: Label, expected, got) -> bool:
+    def check(self, case: Label, expected, got, space: RepSpace | None = None) -> bool:
         """Count one case and record a failure when expected != got.
 
         The label is a string or a zero-argument callable returning one.
         A callable is called only when the check fails, and before this
         method returns, so passing checks format no label and a lambda
-        over loop variables still names the case that failed.
+        over loop variables still names the case that failed.  With a
+        space, expected and got are word-level images, reported as states.
         """
         self.cases += 1
         if expected != got:
+            if space is not None:
+                expected, got = _state(space, expected), _state(space, got)
             self.failures.append(
                 {"case": _text(case), "expected": repr(expected), "got": repr(got)}
             )
@@ -408,34 +458,16 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                 apply_fermion(True, n, omega),
             )
     else:
-        # explicit creation images with exact signs, first rung
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                mode = p - i + 1
-                got = apply_fermion(True, mode, oms[j - 1])
-                if i == j:
-                    sign = (-1) ** (p - i)
-                    expected = t_word_state((2,) * (p - i + 1)) * sign
-                else:
-                    expected = zero
-                rep_.check(lambda: f"a_{mode}* Omega_{j} (l=1)", expected, got)
-        # higher rungs
-        for l in range(2, l_max + 1):
+        # explicit creation images with exact signs, rung by rung
+        for l in range(1, l_max + 1):
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     mode = p * (l - 1) + p - i + 1
                     got = apply_fermion(True, mode, oms[j - 1])
-                    if i == j:
-                        sign = (-1) ** (p - i + (p - 1) * (l - 1))
-                        letters = (
-                            (2,) * (p - i)
-                            + (1,)
-                            + ((2,) * (p - 1) + (1,)) * (l - 2)
-                            + (2,) * p
-                        )
-                        expected = t_word_state(letters) * sign
-                    else:
-                        expected = zero
+                    expected = zero
+                    if i == j:  # the word 2^(p-i) (1 2^(p-1))^(l-1) 2 on Omega
+                        letters = (2,) * (p - i) + ((1,) + (2,) * (p - 1)) * (l - 1) + (2,)
+                        expected = t_word_state(letters) * (-1) ** (p - i + (p - 1) * (l - 1))
                     rep_.check(lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
         # specialization at the GP vector itself
         for l in range(1, l_max + 1):
@@ -511,6 +543,16 @@ def _all_defining_words(max_len: int):
         yield from product((1, 2), repeat=k)
 
 
+def _adjoint_table(rep_: SuiteReport, x: str, maps: dict, top: int, space: RepSpace, w) -> None:
+    """x_i* x_j = delta_ij on the basis word w for i, j <= top; each x_j w is computed once."""
+    moved = [maps[j, False](w) for j in range(1, top + 1)]
+    for i in range(1, top + 1):
+        for j in range(1, top + 1):
+            got = _then(maps[i, True], moved[j - 1])
+            expected = (ONE, w) if i == j else None
+            rep_.check(lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got, space)
+
+
 def cuntz_suite(depth: int = 10) -> SuiteReport:
     """Generator relations on basis vectors, for both families.
 
@@ -532,33 +574,24 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             "oinfty_depth": oinfty_depth,
         },
     )
+    t, s = _maps("t", 2), _maps("s", oinfty_max)
     for J in _all_defining_words(max_j_len):
         space = RepSpace(J)
-        zero = State.zero(space)
         for w in space.basis_words(depth):
-            psi = State.basis(space, w)
-            moved = [apply_t(j, psi) for j in (1, 2)]
-            for i in (1, 2):
-                for j in (1, 2):
-                    got = apply_t_star(i, moved[j - 1])
-                    expected = psi if i == j else zero
-                    rep_.check(lambda: f"t_{i}* t_{j} on {w} in {space.label}", expected, got)
-            got = apply_t(1, apply_t_star(1, psi)) + apply_t(2, apply_t_star(2, psi))
-            rep_.check(lambda: f"range completeness on {w} in {space.label}", psi, got)
+            _adjoint_table(rep_, "t", t, 2, space, w)
+            got = _state(space, *(_then(t[i, False], t[i, True](w)) for i in (1, 2)))
+            rep_.check(
+                lambda: f"range completeness on {w} in {space.label}", State.basis(space, w), got
+            )
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
-        zero = State.zero(space)
         for w in space.basis_words(oinfty_depth):
-            psi = State.basis(space, w)
-            moved = [apply_s(j, psi) for j in range(1, oinfty_max + 1)]
-            for i in range(1, oinfty_max + 1):
-                for j in range(1, oinfty_max + 1):
-                    got = apply_s_star(i, moved[j - 1])
-                    expected = psi if i == j else zero
-                    rep_.check(lambda: f"s_{i}* s_{j} on {w} in {space.label}", expected, got)
-            acc = zero
+            _adjoint_table(rep_, "s", s, oinfty_max, space, w)
+            psi, acc = State.basis(space, w), State.zero(space)
             for m in range(1, oinfty_max + 1):
-                acc = acc + apply_s(m, apply_s_star(m, psi))
+                term = _then(s[m, False], s[m, True](w))
+                if term is not None:
+                    acc = acc + _state(space, term)
                 rep_.check_true(
                     lambda: f"partial range sum k={m} on {w} in {space.label}",
                     acc == psi or acc.is_zero(),
@@ -582,27 +615,29 @@ def _fermion_family(max_particles: int, max_mode: int):
 def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) -> dict:
     """[x_n, x_m*] = delta_nm, [x_n, x_m] = 0 and [x_n*, x_m*] = 0 on psi.
 
-    act is `apply_boson` (x = "b"), whose brackets are commutators written
-    [...], or `apply_fermion` (x = "a"), whose are anticommutators written {...}.
-    Every product is computed once per state: `once[(star, k)]` is x_k or
-    x_k* on psi, for k <= op_max (2 op_max applications), and
-    `twice[(outer, inner)]` is `outer` applied to `once[inner]` for every
-    ordered pair of those keys (4 op_max^2 applications).  Each bracket
-    reads two entries of `twice`, and together they read every entry.
-    Returns `once`, for the caller's own checks on psi.
+    act is `_ladder_action` of "b", whose brackets are commutators written
+    [...], or of "a", whose are anticommutators written {...}.
+    Every product is computed once on the word of psi: `once[(star, k)]` is
+    the image of x_k or x_k* for k <= op_max (2 op_max applications), and
+    `twice[(outer, inner)]` is `outer` applied after `once[inner]` for
+    every ordered pair of those keys (4 op_max^2 applications).  Each
+    bracket is a sum of two entries of `twice`, and together they read
+    every entry.  Returns `once`, for the caller's own checks on psi.
     """
     commute = x == "b"
     left, right = "[]" if commute else "{}"
-    zero = State.zero(psi.space)
+    space = psi.space
+    zero = State.zero(space)
     keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
-    once = {key: act(*key, psi) for key in keys}
+    image = _image(psi)
+    once = {key: act(*key, image) for key in keys}
     twice = {(outer, inner): act(*outer, once[inner]) for outer in keys for inner in keys}
     for n in range(1, op_max + 1):
         for m in range(1, op_max + 1):
             for star_n, star_m in ((False, True), (False, False), (True, True)):
                 nm = twice[(star_n, n), (star_m, m)]
                 mn = twice[(star_m, m), (star_n, n)]
-                got = nm - mn if commute else nm + mn
+                got = _state(space, nm, _negated(mn) if commute else mn)
                 expected = psi if n == m and star_m and not star_n else zero
                 rep_.check(
                     lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
@@ -618,9 +653,9 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
 
     [b_n, b_m*] = delta_nm, [b_n, b_m] = 0 and [b_n*, b_m*] = 0 for
     n, m <= max_mode, and the transport law s_k b_m = b_{m+1} s_k with its
-    adjoint for k, m <= 5.  On each state psi, b_m psi, b_m* psi and s_k psi
-    are computed once: the transport reads b_m psi from the bracket table
-    where m <= max_mode and computes the modes above it itself.
+    adjoint for k, m <= 5.  On the word of each state psi, b_m psi, b_m* psi
+    and s_k psi are computed once: the transport reads b_m psi from the
+    bracket table where m <= max_mode and computes the modes above it itself.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -636,23 +671,27 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     )
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
     transport = range(1, intertwine_max + 1)
+    b = _ladder_action("b", max(max_mode, intertwine_max + 1))
+    s = _maps("s", intertwine_max)
     for psi in states:
-        once = _bracket_relations(rep_, apply_boson, "b", psi, max_mode)
+        once = _bracket_relations(rep_, b, "b", psi, max_mode)
+        image = _image(psi)
         moved = {
-            (create, m): once[create, m] if m <= max_mode else apply_boson(create, m, psi)
+            (create, m): once[create, m] if m <= max_mode else b(create, m, image)
             for create in (False, True)
             for m in transport
         }
-        shifted = [apply_s(k, psi) for k in transport]
+        shifted = [_then(s[k, False], image) for k in transport]
         for k in transport:
             for m in transport:
                 for create in (False, True):
-                    got = apply_s(k, moved[create, m])
-                    expected = apply_boson(create, m + 1, shifted[k - 1])
+                    got = _then(s[k, False], moved[create, m])
+                    expected = b(create, m + 1, shifted[k - 1])
                     rep_.check(
                         lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
                         expected,
                         got,
+                        psi.space,
                     )
     return rep_
 
@@ -663,10 +702,11 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     {a_n, a_m*} = delta_nm, {a_n, a_m} = 0, {a_n*, a_m*} = 0 and the
     twisted transport t_i a_m = (-1)^(i-1) a_{m+1} t_i for n, m <= max_mode,
     and the rewriting of the operator word t_1^n t_2^m as a creation run
-    following t_1^(n+m) for n, m <= 6.  On each state psi, t_i psi, a_m psi
-    and a_m* psi are computed once; the transport reads a_m psi and a_m* psi
-    from the bracket table.  On each sample word psi of the rewrite, t_1^k psi
-    (k <= 12), t_2^m psi and t_1^n t_2^m psi are computed once.
+    following t_1^(n+m) for n, m <= 6.  On the word of each state psi,
+    t_i psi, a_m psi and a_m* psi are computed once; the transport reads
+    a_m psi and a_m* psi from the bracket table.  On each sample word psi
+    of the rewrite, t_1^k psi (k <= 12), t_2^m psi and t_1^n t_2^m psi are
+    computed once.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -681,31 +721,35 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
         },
     )
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
+    a = _ladder_action("a", max(max_mode + 1, 2 * word_identity_max))
+    t = _maps("t", 2)
     for psi in states:
-        once = _bracket_relations(rep_, apply_fermion, "a", psi, max_mode)
-        for i in (1, 2):
-            sign = 1 if i == 1 else -1
-            t_psi = apply_t(i, psi)
+        once = _bracket_relations(rep_, a, "a", psi, max_mode)
+        space = psi.space
+        for i, sign in ((1, lambda image: image), (2, _negated)):
+            t_psi = _then(t[i, False], _image(psi))
             for m in range(1, max_mode + 1):
-                got = apply_t(i, once[False, m])
-                expected = apply_fermion(False, m + 1, t_psi) * sign
-                rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
-                got = apply_fermion(True, m + 1, t_psi)
-                expected = apply_t(i, once[True, m]) * sign
-                rep_.check(lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
+                got = _then(t[i, False], once[False, m])
+                expected = sign(a(False, m + 1, t_psi))
+                rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got, space)
+                got = a(True, m + 1, t_psi)
+                expected = sign(_then(t[i, False], once[True, m]))
+                rep_.check(
+                    lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got, space
+                )
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
-    sample = [State.basis(space, w) for w in space.basis_words(3)]
+    sample = [(ONE, w) for w in space.basis_words(3)]
     powers, mixed = [], []  # per psi: t_1^k psi by k, and t_1^n t_2^m psi by (n, m)
     for psi in sample:
         power = [psi]
         for _ in range(2 * word_identity_max):
-            power.append(apply_t(1, power[-1]))
+            power.append(_then(t[1, False], power[-1]))
         table, t2_psi = {}, psi
         for m in range(1, word_identity_max + 1):
-            t2_psi = lhs = apply_t(2, t2_psi)
+            t2_psi = lhs = _then(t[2, False], t2_psi)
             for n in range(1, word_identity_max + 1):
-                lhs = table[n, m] = apply_t(1, lhs)
+                lhs = table[n, m] = _then(t[1, False], lhs)
         powers.append(power)
         mixed.append(table)
     for n in range(1, word_identity_max + 1):
@@ -714,8 +758,13 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
                 lhs = table[n, m]
                 rhs = power[n + m]
                 for k in range(n + m, n, -1):
-                    rhs = apply_fermion(True, k, rhs)
-                rep_.check(lambda: f"t_1^{n} t_2^{m} rewrite on {psi.render()}", lhs, rhs)
+                    rhs = a(True, k, rhs)
+                rep_.check(
+                    lambda: f"t_1^{n} t_2^{m} rewrite on {_state(space, psi).render()}",
+                    lhs,
+                    rhs,
+                    space,
+                )
     return rep_
 
 
@@ -905,16 +954,16 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     tokens = [parse_op_token(t) for t in ops]
     if start > dim:
         return FloatOracleResult(overflow=True, deviation=None)
-    state = State.basis(RepSpace((1,)), index_to_word(start))
+    image = (ONE, index_to_word(start))
     for tok in tokens:
-        state = apply_op_token(tok, state)
-        if any(word_to_index(w) > dim for w, _ in state.items()):
+        image = _then(basis_map(tok), image)
+        if image is not None and word_to_index(image[1]) > dim:
             return FloatOracleResult(overflow=True, deviation=None)
     num = _NumericFamily(dim)
     vec = {start: 1.0}
     for tok in tokens:
         vec = num.apply(tok, vec)
-    exact = {word_to_index(w): c.to_float() for w, c in state.items()}
+    exact = {} if image is None else {word_to_index(image[1]): image[0].to_float()}
     diffs = [abs(vec.get(k, 0.0) - exact.get(k, 0.0)) for k in vec.keys() | exact.keys()]
     deviation = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
     return FloatOracleResult(overflow=False, deviation=deviation)
@@ -963,18 +1012,17 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, got)
     # embedded generators on indices
     space = RepSpace((1,))
-    basis = [State.basis(space, w) for w in words[:embed_max_n]]
     for m in range(1, embed_max_m + 1):
-        for n, e_n in enumerate(basis, 1):
-            st = apply_s(m, e_n)
-            ((w, c),) = st.items()
+        s_m = basis_map(("s", m, False))
+        for n, e_n in enumerate(words[:embed_max_n], 1):
+            c, w = image = s_m(e_n)
             rep_.check_true(
                 lambda: f"s_{m} e_{n}",
                 c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
-                st.render,
+                lambda: _state(space, image).render(),
             )
     # ladder actions on the vacuum index
-    e1 = basis[0]
+    e1 = State.basis(space, words[0])
     zero = State.zero(space)
     for m in range(1, ladder_max + 1):
         target = State.basis(space, index_to_word(2 ** (m - 1) + 1))

@@ -160,6 +160,18 @@ CLI_DEFAULT_CASES = {
 CLI_DEFAULT_SHA256 = "149b9acf392b2be40021f8d4fdaa114353dee3f92d14d7f6d666453a3b6e52ac"
 
 
+def test_cli_default_cases_match_the_benchmark_pin():
+    """The benchmark pins the same counts; both pins are read, neither is edited."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (pin,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(workloads.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CASES"]
+    ]
+    assert pin == CLI_DEFAULT_CASES
+
+
 def test_verify_cli_default_case_counts():
     res = run("verify", "all", "--json")
     assert res.exit_code == 0
@@ -386,6 +398,18 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == []
+
+
+def test_importing_the_package_builds_no_basis_map():
+    code = (
+        "import cuntzfock, cuntzfock.cli, cuntzfock.verify; "
+        "from cuntzfock.rep import _MAPS; print(len(_MAPS))"
+    )
+    src = str(Path(cuntzfock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["0"]
 
 
 def test_float_oracle_runs_without_scipy():

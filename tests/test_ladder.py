@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from cuntzfock.ladder import (
 )
 from cuntzfock.radical import ONE, sqrt_of_nat
 from cuntzfock import ladder, rep, words
-from cuntzfock.rep import RepSpace, State, apply_s, apply_s_star, apply_t, apply_t_star, gp_vector
+from cuntzfock.rep import (
+    RepSpace, State, apply_rho, apply_s, apply_s_star, apply_t, apply_t_star, apply_zeta, gp_vector,
+)
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 
 P1 = RepSpace((1,))
@@ -150,6 +154,45 @@ def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
     for mod in (words, rep, ladder):
         monkeypatch.setattr(mod, "leading_block", boom)
     assert actions() == want
+
+
+def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
+    # The definitional forms may use the t/s generator actions, which define
+    # them, but not the transports or the b/a basis maps they are checked against.
+    from cuntzfock import verify
+
+    states = [State.basis(P1, w) for w in P1.basis_words(4)]
+    states.append(e(3) + e(6) * sqrt_of_nat(2) - e(13))
+    tokens = [(kind, n, star) for kind in "tsba" for n in (1, 2, 3) for star in (False, True)
+              if kind != "t" or n < 3]
+
+    def a_1(st):
+        return apply_t(1, apply_t_star(2, st))
+
+    def oracles():
+        out = []
+        for psi in states:
+            for create in (False, True):
+                out.append(ladder._b1_direct(create, psi))
+                for n in range(1, 5):
+                    out += [boson_via_shifts(create, n, psi), fermion_via_shifts(create, n, psi)]
+            out += [apply_rho(partial(ladder._b1_direct, False), psi), apply_zeta(a_1, psi)]
+        num = verify._NumericFamily.__wrapped__(64)  # a fresh family, built below
+        out += [num.apply(tok, {n: 1.0 / n for n in range(1, 65)}) for tok in tokens]
+        return out
+
+    want = oracles()
+
+    def boom(*args):
+        raise AssertionError(f"fast ladder action reached with {args}")
+
+    monkeypatch.setattr(ladder, "_boson_word", boom)
+    monkeypatch.setattr(ladder, "_fermion_word", boom)
+    monkeypatch.setattr(ladder, "_ladder_map", lambda *tok: boom)
+    monkeypatch.setattr(rep, "_MAPS", {
+        tok: boom if tok[0] in "ba" else fn for tok, fn in rep._MAPS.items()
+    })
+    assert oracles() == want
 
 
 def test_boson_state_closed_form():

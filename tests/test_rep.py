@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzfock import correspondence
-from cuntzfock.ladder import apply_boson, apply_fermion
+from cuntzfock import correspondence, rep
+from cuntzfock.ladder import BoundsError, apply_boson, apply_fermion, basis_map
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
+    MAX_MODE,
     EngineError,
     RepSpace,
     SpaceMismatchError,
@@ -325,3 +326,55 @@ def test_basis_words_canonical_and_distinct():
         assert len(words) == len(set(words))
         for w in words:
             assert TailWord(w.prefix, w.period, w.phase) == w
+
+
+def _basis_words_by_constructor(space, max_depth):
+    """Every basis word of space up to max_depth, built and canonicalised by
+    the validating `TailWord` constructor, in the order of `basis_words`."""
+    rot0 = space.gp_word().rot
+    r = len(rot0)
+    out = [TailWord((), space.period, phase) for phase in range(r)]
+    for depth in range(1, max_depth + 1):
+        for phase in range(r):
+            blocked = rot0[(phase - 1) % r]
+            for code in range(2 ** (depth - 1)):
+                prefix = [1 + (code >> k & 1) for k in range(depth - 1)]
+                prefix.append(1 if blocked == 2 else 2)
+                out.append(TailWord(tuple(prefix), space.period, phase))
+    return out
+
+
+def test_basis_words_equal_the_constructor_built_words_in_order():
+    for k in range(1, 4):
+        for J in product((1, 2), repeat=k):
+            space = RepSpace(J)
+            for depth in range(7):
+                got = [(w.prefix, w.period, w.rot) for w in space.basis_words(depth)]
+                want = [(w.prefix, w.period, w.rot)
+                        for w in _basis_words_by_constructor(space, depth)]
+                assert got == want, (J, depth)
+
+
+def test_each_token_has_one_cached_map_and_s_above_the_mode_bound_has_none():
+    tokens = [("t", i, star) for i in (1, 2) for star in (False, True)]
+    tokens += [(kind, n, star) for kind in "sba" for n in range(1, MAX_MODE + 1)
+               for star in (False, True)]
+    maps = {tok: basis_map(tok) for tok in tokens}
+    assert all(basis_map(tok) is maps[tok] for tok in tokens)
+    psi = basis(P1, (2, 1))
+    for m in (MAX_MODE + 1, MAX_MODE + 5):
+        assert apply_s_star(m, apply_s(m, psi)) == psi
+    assert set(rep._MAPS) == set(tokens) and len(tokens) == 100
+
+
+def test_a_bad_index_is_refused_when_its_map_is_built_and_nothing_is_cached():
+    psi = basis(P1, (2,))
+    for act, bad in ((apply_t, 3), (apply_t_star, 0), (apply_s, 0), (apply_s_star, -1)):
+        with pytest.raises(ValueError):
+            act(bad, psi)
+    for create in (False, True):
+        with pytest.raises(BoundsError):
+            apply_boson(create, MAX_MODE + 1, psi)
+        with pytest.raises(ValueError):
+            apply_fermion(create, 0, psi)
+    assert all(1 <= n <= (2 if kind == "t" else MAX_MODE) for kind, n, _ in rep._MAPS)

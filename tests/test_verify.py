@@ -8,8 +8,7 @@ import pytest
 from cuntzfock.correspondence import EngineError
 from cuntzfock.ladder import (
     BoundsError,
-    apply_boson,
-    apply_fermion,
+    basis_map,
     boson_state,
     parse_op_token,
 )
@@ -152,8 +151,13 @@ def test_relation_suites_small():
     assert car_suite(max_particles=2, max_mode=3).passed
 
 
-def _mode_2_creates_at_mode_1(act):
-    return lambda create, n, state: act(create, 1 if create and n == 2 else n, state)
+# The suites take every basis map from `verify.basis_map`: a fault planted
+# there reaches each product they compose.
+
+
+def _mode_2_creates_at_mode_1(tok):
+    kind, n, star = tok
+    return basis_map((kind, 1, star) if kind in "ba" and star and n == 2 else tok)
 
 
 def _bracket_failures(report):
@@ -167,8 +171,7 @@ def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
     # breaks the transport and word-rewrite checks too, which are left out here.
     from cuntzfock import verify
 
-    monkeypatch.setattr(verify, "apply_boson", _mode_2_creates_at_mode_1(apply_boson))
-    monkeypatch.setattr(verify, "apply_fermion", _mode_2_creates_at_mode_1(apply_fermion))
+    monkeypatch.setattr(verify, "basis_map", _mode_2_creates_at_mode_1)
     ccr = ccr_suite(max_particles=1, max_mode=2)
     car = car_suite(max_particles=1, max_mode=2)
     assert (ccr.cases, car.cases) == (186, 348)
@@ -198,24 +201,29 @@ def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
     ]
 
 
-def _mode_3_creates_at_mode_4(create, n, state):
-    return apply_boson(create, 4 if create and n == 3 else n, state)
+def _b_3_creates_at_mode_4_and_a_3_flips_sign(tok):
+    if tok == ("b", 3, True):
+        return basis_map(("b", 4, True))
+    fn = basis_map(tok)
+    if tok != ("a", 3, False):
+        return fn
 
+    def flipped(w):
+        out = fn(w)
+        return None if out is None else (-out[0], out[1])
 
-def _a_3_flips_sign(create, n, state):
-    out = apply_fermion(create, n, state)
-    return out if create or n != 3 else -out
+    return flipped
 
 
 def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
     # The reports of these two faults were recorded at commit b471745, where
-    # every check applied its own operators.  Shared products must not merge,
-    # drop, reorder or relabel a failure: the lists match entry for entry.
+    # every check applied its own operators to states.  Shared products and
+    # word-level images must not merge, drop, reorder or relabel a failure:
+    # the lists match entry for entry.
     from cuntzfock import verify
 
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
-    monkeypatch.setattr(verify, "apply_boson", _mode_3_creates_at_mode_4)
-    monkeypatch.setattr(verify, "apply_fermion", _a_3_flips_sign)
+    monkeypatch.setattr(verify, "basis_map", _b_3_creates_at_mode_4_and_a_3_flips_sign)
     for name, report in (("ccr", ccr_suite(2, 4)), ("car", car_suite(2, 4))):
         assert report.cases == recorded[name]["cases"]
         assert report.failures == recorded[name]["failures"]
@@ -234,22 +242,25 @@ def test_bracket_relations_apply_each_product_once():
 
     for op_max in (1, 3, 5):
         states = [boson_state(M) for M in verify._boson_family(2, op_max)]
-        for act, x in ((apply_boson, "b"), (apply_fermion, "a")):
+        for x in "ba":
+            act = counted(verify._ladder_action(x, op_max))
             report = SuiteReport(x)
             calls[0] = 0
             for psi in states:
-                verify._bracket_relations(report, counted(act), x, psi, op_max)
+                verify._bracket_relations(report, act, x, psi, op_max)
             assert calls[0] == len(states) * (2 * op_max + 4 * op_max ** 2)
             assert report.cases == len(states) * 3 * op_max ** 2
 
 
-# Engine calls of the suites at the CLI defaults, with their case counts.
-# Each bound is the count when every operator product is computed once per
-# state; a change that recomputes shared products fails here.
+# Engine calls of the suites at the CLI defaults, with their case counts:
+# `map_basis` calls plus the word-level applications of the basis maps the
+# suites take from `verify.basis_map`.  Each bound is the count when every
+# operator product is computed once per basis word and no map is applied to
+# a zero image; a change that recomputes shared products fails here.
 ENGINE_CALL_BOUNDS = {
-    "cuntz": (lambda: cuntz_suite(depth=8), 45_056, 82_944),
-    "ccr": (lambda: ccr_suite(4, 5), 15_750, 27_090),
-    "car": (lambda: car_suite(4, 5), 3_233, 6_152),
+    "cuntz": (lambda: cuntz_suite(depth=8), 45_056, 74_879),
+    "ccr": (lambda: ccr_suite(4, 5), 15_750, 21_840),
+    "car": (lambda: car_suite(4, 5), 3_233, 4_292),
 }
 ORACLE_INDEX_TO_WORD_BOUND = 16_449
 
@@ -257,7 +268,7 @@ ORACLE_INDEX_TO_WORD_BOUND = 16_449
 def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
     from cuntzfock import ladder, rep, verify
 
-    calls = {"map_basis": 0, "index_to_word": 0}
+    calls = {"engine": 0, "index_to_word": 0}
 
     def counted(name, f):
         def inner(*args):
@@ -265,14 +276,15 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
             return f(*args)
         return inner
 
-    monkeypatch.setattr(rep, "map_basis", counted("map_basis", rep.map_basis))
+    monkeypatch.setattr(rep, "map_basis", counted("engine", rep.map_basis))
     monkeypatch.setattr(ladder, "map_basis", rep.map_basis)
+    monkeypatch.setattr(verify, "basis_map", lambda tok: counted("engine", basis_map(tok)))
     monkeypatch.setattr(verify, "index_to_word", counted("index_to_word", verify.index_to_word))
     for name, (suite, cases, bound) in ENGINE_CALL_BOUNDS.items():
-        calls["map_basis"] = 0
+        calls["engine"] = 0
         report = suite()
         assert (report.passed, report.cases) == (True, cases), name
-        assert calls["map_basis"] <= bound, (name, calls)
+        assert calls["engine"] <= bound, (name, calls)
     report = oracle_suite(dim=1024, sequences=50)
     assert (report.passed, report.cases) == (True, 18_535)
     assert calls["index_to_word"] <= ORACLE_INDEX_TO_WORD_BOUND, calls
