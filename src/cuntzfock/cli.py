@@ -14,7 +14,6 @@ import click
 from . import correspondence as corr
 from .ladder import (
     BoundsError,
-    apply_op_token,
     basis_map,
     check_mode,
     parse_boson_expr,
@@ -23,7 +22,7 @@ from .ladder import (
     parse_fermion_word,
     parse_op_token,
 )
-from .rep import RepSpace, State, gp_vector
+from .rep import RepSpace, State, gp_vector, map_basis
 from .words import TailWord, parse_letters
 
 EXIT_VERIFY_FAIL = 1
@@ -196,7 +195,7 @@ def cmd_apply(operators: str, space_word: str, state_word: str, as_json: bool):
         state = State.basis(space, TailWord(parse_letters(state_word), space.period))
     tokens = [parse_op_token(t) for t in operators.split()]
     for tok in reversed(tokens):
-        state = apply_op_token(tok, state)
+        state = map_basis(state, basis_map(tok))
     if as_json:
         click.echo(json.dumps(state.to_json()))
     else:

@@ -30,11 +30,11 @@ from typing import Iterable
 
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
-from .rep import MAX_MODE, BasisMap, RepSpace, State, cached_map, generator_map, map_basis
+from .rep import BasisMap, RepSpace, State, generator_map, map_basis
 from .words import TailWord, block, leading_block, leading_blocks, prepend_letters, split_letters
 
-# The two guard rails, enforced by check_mode and check_particles below; the
-# mode bound lives in `rep`, which caches the maps of s_m up to it.
+# The two guard rails, enforced by check_mode and check_particles below.
+MAX_MODE = 16
 MAX_PARTICLES = 12
 
 FOCK_SPACE = RepSpace((1,))
@@ -85,26 +85,28 @@ def _fermion_word(create: bool, n: int, w: TailWord):
     return (-ONE if passed.count(2) % 2 else ONE), prepend_letters(passed + (3 - last,), rest)
 
 
-def _ladder_map(kind: str, n: int, create: bool) -> BasisMap:
+def basis_map(tok: tuple[str, int, bool]) -> BasisMap:
+    """A new basis map of a token (kind, index, star) as returned by `parse_op_token`.
+
+    A b or a index is checked here; t and s maps come from `rep.generator_map`.
+    """
+    kind, n, star = tok
+    if kind in "ts":
+        return generator_map(kind, n, star)
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     check_mode(n)
-    return partial(_boson_word if kind == "b" else _fermion_word, create, n)
-
-
-def basis_map(tok: tuple[str, int, bool]) -> BasisMap:
-    """The basis map of a token as returned by `parse_op_token`: one map per token, cached."""
-    return cached_map(tok, generator_map if tok[0] in "ts" else _ladder_map)
+    return partial(_boson_word if kind == "b" else _fermion_word, star, n)
 
 
 def apply_boson(create: bool, n: int, state: State) -> State:
     """Exact action of b_n (create=False) or b_n* (create=True)."""
-    return map_basis(state, cached_map(("b", n, create), _ladder_map))
+    return map_basis(state, basis_map(("b", n, create)))
 
 
 def apply_fermion(create: bool, n: int, state: State) -> State:
     """Exact action of a_n (create=False) or a_n* (create=True)."""
-    return map_basis(state, cached_map(("a", n, create), _ladder_map))
+    return map_basis(state, basis_map(("a", n, create)))
 
 
 # -- definitional oracles ---------------------------------------------------
@@ -379,11 +381,6 @@ def parse_op_token(token: str) -> tuple[str, int, bool]:
     return kind, int(idx), star
 
 
-def apply_op_token(tok, state: State) -> State:
-    """Apply one token as returned by `parse_op_token`."""
-    return map_basis(state, basis_map(tok))
-
-
 # -- closed-form state builders ---------------------------------------------
 
 
@@ -422,8 +419,9 @@ def boson_state_iterated(M: BosonMonomial) -> State:
     check_particles(M.particle_number)
     state = rep.gp_vector(FOCK_SPACE)
     for n, k in reversed(M.factors):
+        create = basis_map(("b", n, True))
         for _ in range(k):
-            state = apply_boson(True, n, state)
+            state = map_basis(state, create)
     return state
 
 

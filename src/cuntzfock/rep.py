@@ -6,8 +6,7 @@ its GP vector is the pure word J^inf (fixed by the operator word t_J).
 Each generator is one of two word edits, given as a basis map
 word -> (coeff, word) | None and lifted to states by `map_basis`: t_i, the
 operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head (s_m the
-block 2^(m-1) 1), and their adjoints strip it or annihilate.  The map of
-each op token is built once, on first use, and kept in `_MAPS`.
+block 2^(m-1) 1), and their adjoints strip it or annihilate.
 
 Operators are given as state maps, plain functions State -> State, so the
 shift endomorphisms rho(x) = sum_m s_m x s_m* and
@@ -27,29 +26,7 @@ from .words import (
     split_letters,
 )
 
-# The mode bound: s_m, b_n and a_n take indices up to it (`ladder.check_mode`).
-MAX_MODE = 16
-
 BasisMap = Callable[[TailWord], "tuple[RadicalScalar, TailWord] | None"]
-
-# The basis map of each op token (kind, index, star), as `ladder.parse_op_token`
-# returns it, built on first use: t_i and s_m here, b_n and a_n in `ladder`.
-# t takes 1-2 and s, b and a at most MAX_MODE, so it holds at most 100 maps.
-_MAPS: dict[tuple[str, int, bool], BasisMap] = {}
-
-
-def cached_map(tok: tuple[str, int, bool], build: Callable[..., BasisMap]) -> BasisMap:
-    """The map of tok; build(*tok) checks the index and makes it on first use.
-
-    An index above MAX_MODE, which the oracles reach with s_m, is not
-    cached: its map is built anew on each call.
-    """
-    fn = _MAPS.get(tok)
-    if fn is None:
-        fn = build(*tok)
-        if tok[1] <= MAX_MODE:
-            _MAPS[tok] = fn
-    return fn
 
 
 class EngineError(RuntimeError):
@@ -317,12 +294,12 @@ def generator_map(kind: str, idx: int, star: bool) -> BasisMap:
 
 def apply_t(i: int, state: State) -> State:
     """The isometry t_i: prepend the letter i."""
-    return map_basis(state, cached_map(("t", i, False), generator_map))
+    return map_basis(state, generator_map("t", i, False))
 
 
 def apply_t_star(i: int, state: State) -> State:
     """The adjoint t_i*: strip a leading letter i."""
-    return map_basis(state, cached_map(("t", i, True), generator_map))
+    return map_basis(state, generator_map("t", i, True))
 
 
 def apply_t_word(letters, state: State) -> State:
@@ -332,7 +309,7 @@ def apply_t_word(letters, state: State) -> State:
 
 def apply_s(m: int, state: State) -> State:
     """The embedded generator s_m = t_2^(m-1) t_1: prepend the block 2^(m-1) 1."""
-    return map_basis(state, cached_map(("s", m, False), generator_map))
+    return map_basis(state, generator_map("s", m, False))
 
 
 def apply_s_star(m: int, state: State) -> State:
@@ -342,7 +319,7 @@ def apply_s_star(m: int, state: State) -> State:
     share `leading_block` or `leading_blocks` with the boson transport it
     is used to check.
     """
-    return map_basis(state, cached_map(("s", m, True), generator_map))
+    return map_basis(state, generator_map("s", m, True))
 
 
 # -- shift endomorphisms on operators given as state maps --------------------

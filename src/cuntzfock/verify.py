@@ -21,6 +21,7 @@ from typing import Callable
 
 from . import correspondence as corr
 from .ladder import (
+    MAX_MODE,
     BosonMonomial,
     BoundsError,
     FermionSubset,
@@ -90,14 +91,8 @@ def _image(psi: State):
 
 
 def _maps(x: str, top: int) -> dict:
-    """The basis maps of x_k and x_k* for k <= top, keyed (k, star)."""
-    return {(k, star): basis_map((x, k, star)) for k in range(1, top + 1) for star in (False, True)}
-
-
-def _ladder_action(x: str, top: int) -> Callable:
-    """act(star, k, image): x_k, or x_k* when star, after image; x is "b" or "a", k <= top."""
-    maps = _maps(x, top)
-    return lambda star, k, image: _then(maps[k, star], image)
+    """The basis maps of x_k and x_k* for k <= top, keyed (star, k)."""
+    return {(star, k): basis_map((x, k, star)) for star in (False, True) for k in range(1, top + 1)}
 
 
 @dataclass
@@ -545,10 +540,10 @@ def _all_defining_words(max_len: int):
 
 def _adjoint_table(rep_: SuiteReport, x: str, maps: dict, top: int, space: RepSpace, w) -> None:
     """x_i* x_j = delta_ij on the basis word w for i, j <= top; each x_j w is computed once."""
-    moved = [maps[j, False](w) for j in range(1, top + 1)]
+    moved = [maps[False, j](w) for j in range(1, top + 1)]
     for i in range(1, top + 1):
         for j in range(1, top + 1):
-            got = _then(maps[i, True], moved[j - 1])
+            got = _then(maps[True, i], moved[j - 1])
             expected = (ONE, w) if i == j else None
             rep_.check(lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got, space)
 
@@ -579,7 +574,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         space = RepSpace(J)
         for w in space.basis_words(depth):
             _adjoint_table(rep_, "t", t, 2, space, w)
-            got = _state(space, *(_then(t[i, False], t[i, True](w)) for i in (1, 2)))
+            got = _state(space, *(_then(t[False, i], t[True, i](w)) for i in (1, 2)))
             rep_.check(
                 lambda: f"range completeness on {w} in {space.label}", State.basis(space, w), got
             )
@@ -589,7 +584,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             _adjoint_table(rep_, "s", s, oinfty_max, space, w)
             psi, acc = State.basis(space, w), State.zero(space)
             for m in range(1, oinfty_max + 1):
-                term = _then(s[m, False], s[m, True](w))
+                term = _then(s[False, m], s[True, m](w))
                 if term is not None:
                     acc = acc + _state(space, term)
                 rep_.check_true(
@@ -612,11 +607,11 @@ def _fermion_family(max_particles: int, max_mode: int):
             yield FermionSubset(modes)
 
 
-def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) -> dict:
+def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max: int) -> dict:
     """[x_n, x_m*] = delta_nm, [x_n, x_m] = 0 and [x_n*, x_m*] = 0 on psi.
 
-    act is `_ladder_action` of "b", whose brackets are commutators written
-    [...], or of "a", whose are anticommutators written {...}.
+    maps is `_maps` of "b", whose brackets are commutators written [...],
+    or of "a", whose are anticommutators written {...}.
     Every product is computed once on the word of psi: `once[(star, k)]` is
     the image of x_k or x_k* for k <= op_max (2 op_max applications), and
     `twice[(outer, inner)]` is `outer` applied after `once[inner]` for
@@ -630,8 +625,8 @@ def _bracket_relations(rep_: SuiteReport, act, x: str, psi: State, op_max: int) 
     zero = State.zero(space)
     keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
     image = _image(psi)
-    once = {key: act(*key, image) for key in keys}
-    twice = {(outer, inner): act(*outer, once[inner]) for outer in keys for inner in keys}
+    once = {key: _then(maps[key], image) for key in keys}
+    twice = {(outer, inner): _then(maps[outer], once[inner]) for outer in keys for inner in keys}
     for n in range(1, op_max + 1):
         for m in range(1, op_max + 1):
             for star_n, star_m in ((False, True), (False, False), (True, True)):
@@ -671,22 +666,22 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     )
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
     transport = range(1, intertwine_max + 1)
-    b = _ladder_action("b", max(max_mode, intertwine_max + 1))
+    b = _maps("b", max(max_mode, intertwine_max + 1))
     s = _maps("s", intertwine_max)
     for psi in states:
         once = _bracket_relations(rep_, b, "b", psi, max_mode)
         image = _image(psi)
         moved = {
-            (create, m): once[create, m] if m <= max_mode else b(create, m, image)
+            (create, m): once[create, m] if m <= max_mode else _then(b[create, m], image)
             for create in (False, True)
             for m in transport
         }
-        shifted = [_then(s[k, False], image) for k in transport]
+        shifted = [_then(s[False, k], image) for k in transport]
         for k in transport:
             for m in transport:
                 for create in (False, True):
-                    got = _then(s[k, False], moved[create, m])
-                    expected = b(create, m + 1, shifted[k - 1])
+                    got = _then(s[False, k], moved[create, m])
+                    expected = _then(b[create, m + 1], shifted[k - 1])
                     rep_.check(
                         lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
                         expected,
@@ -699,9 +694,10 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
 def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     """Anticommutation relations of the fermion family on creation states.
 
-    {a_n, a_m*} = delta_nm, {a_n, a_m} = 0, {a_n*, a_m*} = 0 and the
-    twisted transport t_i a_m = (-1)^(i-1) a_{m+1} t_i for n, m <= max_mode,
-    and the rewriting of the operator word t_1^n t_2^m as a creation run
+    {a_n, a_m*} = delta_nm, {a_n, a_m} = 0 and {a_n*, a_m*} = 0 for
+    n, m <= max_mode, the twisted transport t_i a_m = (-1)^(i-1) a_{m+1} t_i
+    for m <= min(max_mode, MAX_MODE - 1), as it needs a_{m+1}, and the
+    rewriting of the operator word t_1^n t_2^m as a creation run
     following t_1^(n+m) for n, m <= 6.  On the word of each state psi,
     t_i psi, a_m psi and a_m* psi are computed once; the transport reads
     a_m psi and a_m* psi from the bracket table.  On each sample word psi
@@ -721,19 +717,20 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
         },
     )
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
-    a = _ladder_action("a", max(max_mode + 1, 2 * word_identity_max))
+    transport_max = min(max_mode, MAX_MODE - 1)
+    a = _maps("a", max(transport_max + 1, 2 * word_identity_max))
     t = _maps("t", 2)
     for psi in states:
         once = _bracket_relations(rep_, a, "a", psi, max_mode)
         space = psi.space
         for i, sign in ((1, lambda image: image), (2, _negated)):
-            t_psi = _then(t[i, False], _image(psi))
-            for m in range(1, max_mode + 1):
-                got = _then(t[i, False], once[False, m])
-                expected = sign(a(False, m + 1, t_psi))
+            t_psi = _then(t[False, i], _image(psi))
+            for m in range(1, transport_max + 1):
+                got = _then(t[False, i], once[False, m])
+                expected = sign(_then(a[False, m + 1], t_psi))
                 rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got, space)
-                got = a(True, m + 1, t_psi)
-                expected = sign(_then(t[i, False], once[True, m]))
+                got = _then(a[True, m + 1], t_psi)
+                expected = sign(_then(t[False, i], once[True, m]))
                 rep_.check(
                     lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got, space
                 )
@@ -744,12 +741,12 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     for psi in sample:
         power = [psi]
         for _ in range(2 * word_identity_max):
-            power.append(_then(t[1, False], power[-1]))
+            power.append(_then(t[False, 1], power[-1]))
         table, t2_psi = {}, psi
         for m in range(1, word_identity_max + 1):
-            t2_psi = lhs = _then(t[2, False], t2_psi)
+            t2_psi = lhs = _then(t[False, 2], t2_psi)
             for n in range(1, word_identity_max + 1):
-                lhs = table[n, m] = _then(t[1, False], lhs)
+                lhs = table[n, m] = _then(t[False, 1], lhs)
         powers.append(power)
         mixed.append(table)
     for n in range(1, word_identity_max + 1):
@@ -758,7 +755,7 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
                 lhs = table[n, m]
                 rhs = power[n + m]
                 for k in range(n + m, n, -1):
-                    rhs = a(True, k, rhs)
+                    rhs = _then(a[True, k], rhs)
                 rep_.check(
                     lambda: f"t_1^{n} t_2^{m} rewrite on {_state(space, psi).render()}",
                     lhs,

@@ -214,6 +214,13 @@ def test_verify_ccr_car_output_is_pinned_off_the_transport_range(args):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == NARROW_AND_WIDE_SHA256[args]
 
 
+def test_verify_car_runs_at_the_mode_bound():
+    # the transport t_i a_m = +-a_{m+1} t_i needs a_{m+1}, so it stops at m = 15
+    res = run("verify", "car", "--modes", "16", "--particles", "1")
+    assert res.exit_code == 0, res.output
+    assert "car: PASS [14364 cases]" in res.output
+
+
 def test_verify_refusals_keep_their_exit_codes():
     # exit 1 is reserved for a failed verification
     assert run("verify", "ccr", "--modes", "17").exit_code == 3
@@ -301,11 +308,11 @@ def test_apply_mode_bound_exit_3():
 def test_apply_refuses_s_indices_before_applying(monkeypatch):
     assert run("apply", "s16").exit_code == 0
 
-    def never(tok, state):
-        raise AssertionError(f"{tok} applied before the word was refused")
+    def never(state, fn):
+        raise AssertionError(f"{fn} applied before the word was refused")
 
     # s40000 alone would take seconds: each s_m prepends a block of length m
-    monkeypatch.setattr(cli_mod, "apply_op_token", never)
+    monkeypatch.setattr(cli_mod, "map_basis", never)
     for word in ("s17", "s40000", "s40000* t1 b2"):
         res = run("apply", word)
         assert res.exit_code == 3, res.output
@@ -398,18 +405,6 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == []
-
-
-def test_importing_the_package_builds_no_basis_map():
-    code = (
-        "import cuntzfock, cuntzfock.cli, cuntzfock.verify; "
-        "from cuntzfock.rep import _MAPS; print(len(_MAPS))"
-    )
-    src = str(Path(cuntzfock.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.split() == ["0"]
 
 
 def test_float_oracle_runs_without_scipy():

@@ -188,10 +188,6 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
 
     monkeypatch.setattr(ladder, "_boson_word", boom)
     monkeypatch.setattr(ladder, "_fermion_word", boom)
-    monkeypatch.setattr(ladder, "_ladder_map", lambda *tok: boom)
-    monkeypatch.setattr(rep, "_MAPS", {
-        tok: boom if tok[0] in "ba" else fn for tok, fn in rep._MAPS.items()
-    })
     assert oracles() == want
 
 
@@ -224,6 +220,14 @@ def test_closed_forms_match_iteration():
         for modes in itertools.combinations(range(1, 11), n):
             S = FermionSubset(modes)
             assert fermion_state(S) == fermion_state_iterated(S)
+
+
+def test_iterated_boson_state_builds_one_map_per_mode(monkeypatch):
+    build, built = ladder.basis_map, []
+    monkeypatch.setattr(ladder, "basis_map", lambda tok: built.append(tok) or build(tok))
+    M = parse_boson_expr("1^3 4 6^2")
+    assert boson_state_iterated(M) == boson_state(M)
+    assert built == [("b", 6, True), ("b", 4, True), ("b", 1, True)]
 
 
 def test_parse_fermion_word():

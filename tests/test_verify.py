@@ -229,25 +229,25 @@ def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
         assert report.failures == recorded[name]["failures"]
 
 
-def test_bracket_relations_apply_each_product_once():
+def test_bracket_relations_apply_each_product_once(monkeypatch):
     from cuntzfock import verify
 
     calls = [0]
+    then = verify._then
 
-    def counted(act):
-        def inner(*args):
-            calls[0] += 1
-            return act(*args)
-        return inner
+    def counted(*args):
+        calls[0] += 1
+        return then(*args)
 
+    monkeypatch.setattr(verify, "_then", counted)
     for op_max in (1, 3, 5):
         states = [boson_state(M) for M in verify._boson_family(2, op_max)]
         for x in "ba":
-            act = counted(verify._ladder_action(x, op_max))
+            maps = verify._maps(x, op_max)
             report = SuiteReport(x)
             calls[0] = 0
             for psi in states:
-                verify._bracket_relations(report, act, x, psi, op_max)
+                verify._bracket_relations(report, maps, x, psi, op_max)
             assert calls[0] == len(states) * (2 * op_max + 4 * op_max ** 2)
             assert report.cases == len(states) * 3 * op_max ** 2
 
