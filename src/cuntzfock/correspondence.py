@@ -22,11 +22,13 @@ word back) and must agree exactly.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 from .ladder import (
     BosonMonomial,
     FermionSubset,
+    _boson,
+    _fermion,
     boson_state_iterated,
     check_particles,
     parse_fermion_word,
@@ -122,22 +124,16 @@ def forward(M: BosonMonomial) -> CorrespondencePair:
             modes.extend(range(start, start + k))
             ks.append(k)
         shift += k
-    return CorrespondencePair(M, FermionSubset(modes), _norms(tuple(ks))[0])
+    return CorrespondencePair(M, _fermion(tuple(modes)), _norms(tuple(ks))[0])
 
 
-def inverse(S: FermionSubset) -> CorrespondencePair:
-    """Transfer a fermion monomial back to its boson preimage.
+def _runs(elements: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The boson factors of a fermion image, and their multiplicities above 1.
 
-    The j-th block, of length l_j + 1 starting at x_j, becomes the mode
-    x_j - sum_{i<j} (l_i + 1) with multiplicity l_j + 1; the norm factor
-    is the reciprocal of the forward one.  So the element s at position i
-    (from 0) comes from mode s - i: constant along a block, and growing
-    by at least one from each block to the next.
+    The element s at position i (from 0) comes from mode s - i: constant
+    along a block, and growing by at least one from each block to the next.
     """
-    elements = S.elements
-    check_particles(len(elements))
-    factors: list[tuple[int, int]] = []
-    ks: list[int] = []
+    factors, ks = [], []
     n = k = 0  # the current run of equal s - i: its mode and its length
     for i, s in enumerate(elements):
         if s - i == n:
@@ -152,7 +148,20 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
         factors.append((n, k))
         if k > 1:
             ks.append(k)
-    return CorrespondencePair(BosonMonomial(factors), S, _norms(tuple(ks))[1])
+    return tuple(factors), tuple(ks)
+
+
+def inverse(S: FermionSubset) -> CorrespondencePair:
+    """Transfer a fermion monomial back to its boson preimage.
+
+    The j-th block, of length l_j + 1 starting at x_j, becomes the mode
+    x_j - sum_{i<j} (l_i + 1) with multiplicity l_j + 1; the norm factor
+    is the reciprocal of the forward one.
+    """
+    elements = S.elements
+    check_particles(len(elements))
+    factors, ks = _runs(elements)
+    return CorrespondencePair(_boson(factors, len(elements)), S, _norms(ks)[1])
 
 
 def forward_operational(M: BosonMonomial) -> CorrespondencePair:
@@ -175,21 +184,17 @@ def forward_operational(M: BosonMonomial) -> CorrespondencePair:
 def enumerate_grade(n: int, max_mode: int) -> list[CorrespondencePair]:
     """All n-particle pairs with boson modes <= max_mode, in lex order.
 
-    `combinations_with_replacement` yields the sorted mode multisets in
-    lex order already, so the pairs need no sort, and counting each
-    sorted multiset in order gives its factors in mode order.
+    Sorted modes m_0 <= ... <= m_{n-1} go to s_i = m_i + i, so the images are
+    the n-subsets of {1, ..., max_mode + n - 1}, which `combinations` yields
+    in lex order, the order the map keeps; each row is read off its image.
     """
     if n < 0:
         raise ValueError("particle count must be >= 0")
     check_particles(n)
-    if n == 0:
-        return [CorrespondencePair(BosonMonomial(), FermionSubset(), ONE)]
     pairs = []
-    for modes in combinations_with_replacement(range(1, max_mode + 1), n):
-        counts: dict[int, int] = {}
-        for m in modes:
-            counts[m] = counts.get(m, 0) + 1
-        pairs.append(forward(BosonMonomial(counts.items())))
+    for elements in combinations(range(1, max_mode + n), n):
+        factors, ks = _runs(elements)
+        pairs.append(CorrespondencePair(_boson(factors, n), _fermion(elements), _norms(ks)[0]))
     return pairs
 
 

@@ -31,7 +31,7 @@ from typing import Iterable
 from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis
-from .words import TailWord, block, leading_block, leading_blocks, prepend_letters, split_letters
+from .words import TailWord, leading_block, nth_block, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
@@ -60,19 +60,19 @@ def check_particles(count: int) -> None:
 
 
 def _boson_word(create: bool, n: int, w: TailWord):
-    split = leading_blocks(w, n)
-    if split is None:
+    # w = head . 2^(m-1) 1 . rest: b_n* inserts one 2 where the n-th block
+    # starts, b_n removes one from there; the n-1 blocks in head pass unchanged
+    found = nth_block(w, n)
+    if found is None:
         return None
-    ms, head, rest = split  # w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . rest
-    m = ms[-1]
+    start, m = found
     if create:
-        c, edited = sqrt_of_nat(m), m + 1
-    elif m == 1:
+        head, rest = split_letters(w, start)
+        return sqrt_of_nat(m), prepend_letters(head + (2,), rest)
+    if m == 1:
         return None
-    else:
-        c, edited = sqrt_of_nat(m - 1), m - 1
-    # the first n-1 blocks pass unchanged; the n-th is rewritten
-    return c, prepend_letters(head[:len(head) - m] + block(edited), rest)
+    head, rest = split_letters(w, start + 1)
+    return sqrt_of_nat(m - 1), prepend_letters(head[:-1], rest)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):
@@ -291,6 +291,21 @@ class FermionSubset:
         return FermionSubset(data)
 
 
+def _boson(factors: tuple[tuple[int, int], ...], particles: int) -> BosonMonomial:
+    """Fill the slots of a monomial with valid factors and their particle count; unchecked."""
+    M = BosonMonomial.__new__(BosonMonomial)
+    M._factors = factors
+    M._particles = particles
+    return M
+
+
+def _fermion(elements: tuple[int, ...]) -> FermionSubset:
+    """Fill the slot of a subset with elements strictly increasing from 1; unchecked."""
+    S = FermionSubset.__new__(FermionSubset)
+    S._elements = elements
+    return S
+
+
 def normal_order_fermion(modes):
     """Sort a creation monomial, tracking the permutation sign.
 
@@ -414,23 +429,30 @@ def fermion_state(S: FermionSubset) -> State:
     return State.basis(FOCK_SPACE, TailWord(tuple(letters), FOCK_SPACE.period))
 
 
+def _created(kind: str, factors) -> State:
+    """The GP vector under the creations (x*_n)^k of factors, x = kind, on its one word."""
+    coeff, w = ONE, FOCK_SPACE.gp_word()
+    for n, k in reversed(factors):
+        create = basis_map((kind, n, True))
+        for _ in range(k):
+            r = create(w)
+            if r is None:
+                return State.zero(FOCK_SPACE)
+            c, w = r
+            if c is not ONE:
+                coeff = c if coeff is ONE else coeff * c
+    return State.basis(FOCK_SPACE, w, coeff)
+
+
 def boson_state_iterated(M: BosonMonomial) -> State:
     """The same vector built by actually applying the creations."""
     check_particles(M.particle_number)
-    state = rep.gp_vector(FOCK_SPACE)
-    for n, k in reversed(M.factors):
-        create = basis_map(("b", n, True))
-        for _ in range(k):
-            state = map_basis(state, create)
-    return state
+    return _created("b", M.factors)
 
 
 def fermion_state_iterated(S: FermionSubset) -> State:
     check_particles(S.particle_number)
-    state = rep.gp_vector(FOCK_SPACE)
-    for s in reversed(S.elements):
-        state = apply_fermion(True, s, state)
-    return state
+    return _created("a", [(s, 1) for s in S.elements])
 
 
 # -- reading words back -----------------------------------------------------
@@ -443,7 +465,7 @@ def parse_fermion_word(w: TailWord):
     """
     if w.rot != (1,):
         return None
-    return FermionSubset(j for j, letter in enumerate(w.prefix, 1) if letter == 2)
+    return _fermion(tuple(j for j, letter in enumerate(w.prefix, 1) if letter == 2))
 
 
 def parse_boson_word(w: TailWord):

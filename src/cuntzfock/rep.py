@@ -315,9 +315,9 @@ def apply_s(m: int, state: State) -> State:
 def apply_s_star(m: int, state: State) -> State:
     """The adjoint s_m* = t_1* (t_2*)^(m-1): strip the block 2^(m-1) 1.
 
-    The block length is given, not searched for, so this action does not
-    share `leading_block` or `leading_blocks` with the boson transport it
-    is used to check.
+    The block length is given, not searched for, so this action shares
+    neither `leading_block` nor the boson transport's `nth_block` with the
+    transports it is used to check.
     """
     return map_basis(state, generator_map("s", m, True))
 

@@ -176,13 +176,12 @@ def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
     return len(prefix) + k, _make((), w.period, rot[k:] + rot[:k])
 
 
-def leading_blocks(w: TailWord, n: int) -> "tuple[list[int], Letters, TailWord] | None":
-    """Split off the first n leading blocks: w = 2^(m_1-1) 1 ... 2^(m_n-1) 1 . v.
+def nth_block(w: TailWord, n: int) -> "tuple[int, int] | None":
+    """Find the n-th leading block: w = head . 2^(m-1) 1 . v with n-1 blocks in head.
 
-    Returns ([m_1, ..., m_n], head, v), with head the letters of the n
-    blocks, or None when the word turns into 2^inf before n blocks.  The
-    prefix and as many copies of the tail as hold the n-th 1 are scanned
-    once, and the word is split once.
+    Returns (len(head), m), or None when the word turns into 2^inf before
+    n blocks.  The prefix and as many copies of the tail as hold the n-th
+    1 are scanned once; the word itself is not split.
     """
     letters = w.prefix
     short = n - letters.count(1)
@@ -191,14 +190,10 @@ def leading_blocks(w: TailWord, n: int) -> "tuple[list[int], Letters, TailWord] 
         if not per_rot:
             return None
         letters += w.rot * -(-short // per_rot)
-    ms: list[int] = []
     start = 0
-    for _ in range(n):
-        j = letters.index(1, start) + 1
-        ms.append(j - start)
-        start = j
-    head, rest = split_letters(w, start)
-    return ms, head, rest
+    for _ in range(n - 1):
+        start = letters.index(1, start) + 1
+    return start, letters.index(1, start) + 1 - start
 
 
 def prepend_letters(letters: Letters, w: TailWord) -> TailWord:

@@ -16,6 +16,7 @@ from cuntzfock.correspondence import (
 )
 from cuntzfock.ladder import (
     BosonMonomial,
+    MAX_MODE,
     MAX_PARTICLES,
     BoundsError,
     FermionSubset,
@@ -23,6 +24,7 @@ from cuntzfock.ladder import (
     apply_fermion,
     boson_state,
     fermion_state,
+    parse_fermion_word,
 )
 from cuntzfock.radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from cuntzfock.rep import State
@@ -158,7 +160,7 @@ def test_enumerate_grade():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 8))
+@given(st.integers(0, 5), st.integers(-3, 8))
 def test_enumerate_grade_matches_from_modes(n, m):
     # the definitional rows: each sorted mode multiset through from_modes
     expected = [
@@ -166,6 +168,9 @@ def test_enumerate_grade_matches_from_modes(n, m):
         for c in itertools.combinations_with_replacement(range(1, m + 1), n)
     ]
     assert enumerate_grade(n, m) == expected
+    if m <= 0:
+        # no mode to put a particle in: only the vacuum row of grade 0
+        assert expected == ([forward(bm())] if n == 0 else [])
 
 
 def _multiplicity_patterns(total: int) -> list[tuple[int, ...]]:
@@ -239,7 +244,69 @@ def test_forward_operational_errors_name_the_monomial(monkeypatch):
         forward_operational(M)
 
 
+def test_forward_operational_takes_its_own_route(monkeypatch):
+    # it reaches the word by creations alone, not through the closed forms it checks
+    from cuntzfock import correspondence, ladder, words
+
+    multisets = itertools.combinations_with_replacement(range(1, 5), 3)
+    monomials = [BosonMonomial.from_modes(c) for c in multisets]
+    want = [forward(M) for M in monomials]
+
+    def boom(*args):
+        raise AssertionError(f"closed form reached with {args}")
+
+    for mod, name in [(correspondence, "forward"), (correspondence, "inverse"),
+                      (ladder, "boson_state"), (ladder, "leading_block"), (words, "leading_block")]:
+        monkeypatch.setattr(mod, name, boom)
+    assert [forward_operational(M) for M in monomials] == want
+
+
+def test_forward_operational_refuses_an_annihilated_word(monkeypatch):
+    from cuntzfock import ladder
+    from cuntzfock.correspondence import EngineError
+
+    M = bm((2, 3), (5, 1))
+    monkeypatch.setattr(ladder, "_boson_word", lambda create, n, w: None)
+    assert ladder.boson_state_iterated(M).is_zero()
+    with pytest.raises(EngineError, match=re.escape(str(M))):
+        forward_operational(M)
+
+
 # -- monomials and pairs are immutable values ---------------------------------
+
+
+def _assert_same_as_checked(pair):
+    """The monomials of pair equal, and hash like, the ones the checking constructors build."""
+    boson, fermion = pair.boson, pair.fermion
+    checked_boson = BosonMonomial(boson.factors)
+    checked_fermion = FermionSubset(fermion.elements)
+    assert boson.particle_number == checked_boson.particle_number == len(fermion.elements)
+    assert fermion.particle_number == len(fermion.elements)
+    assert boson == checked_boson and hash(boson) == hash(checked_boson)
+    assert fermion == checked_fermion and hash(fermion) == hash(checked_fermion)
+    assert type(boson.factors) is tuple and all(type(f) is tuple for f in boson.factors)
+    assert type(fermion.elements) is tuple
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, MAX_MODE), max_size=MAX_PARTICLES),
+    st.sets(st.integers(1, 40), max_size=MAX_PARTICLES),
+    st.integers(0, MAX_PARTICLES),
+    st.integers(-1, 4),
+)
+def test_unchecked_builders_make_the_checked_values(modes, elements, n, m):
+    pair = forward(BosonMonomial.from_modes(modes))
+    _assert_same_as_checked(pair)
+    S = FermionSubset(sorted(elements))
+    _assert_same_as_checked(inverse(S))
+    _assert_same_as_checked(inverse(pair.fermion))
+    for row in enumerate_grade(n, m):
+        assert row.boson.particle_number == n
+        _assert_same_as_checked(row)
+    ((word, _),) = fermion_state(S).items()
+    read = parse_fermion_word(word)
+    assert read == S and hash(read) == hash(S) and type(read.elements) is tuple
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ from cuntzfock.words import (
     block,
     index_to_word,
     leading_block,
-    leading_blocks,
+    nth_block,
     parse_letters,
     prepend_letters,
     pure,
@@ -143,6 +143,17 @@ def test_bulk_prepend_matches_one_letter_at_a_time(w, letters):
     assert fields(prepend_letters(letters, w)) == fields(want)
 
 
+def leading_blocks(w: TailWord, n: int):
+    """The lengths of the first n blocks, their letters and the rest, from `nth_block`."""
+    found = [nth_block(w, j) for j in range(1, n + 1)]
+    if found[-1] is None:
+        return None
+    ms = [m for _, m in found]
+    start, m = found[-1]
+    head, rest = split_letters(w, start + m)
+    return ms, head, rest
+
+
 @settings(max_examples=400)
 @given(words_with_any_period, st.integers(1, 16))
 def test_block_split_matches_repeated_leading_block(w, n):
@@ -150,10 +161,14 @@ def test_block_split_matches_repeated_leading_block(w, n):
     for _ in range(n):
         lb = leading_block(rest)
         if lb is None:
-            assert leading_blocks(w, n) is None
+            assert nth_block(w, n) is None
             return
         ms.append(lb[0])
         rest = lb[1]
+    # each block starts where the blocks before it end
+    assert [nth_block(w, j) for j in range(1, n + 1)] == [
+        (sum(ms[:j - 1]), ms[j - 1]) for j in range(1, n + 1)
+    ]
     got_ms, got_head, got_rest = leading_blocks(w, n)
     assert got_ms == ms
     assert got_head == sum(((2,) * (m - 1) + (1,) for m in ms), ())
@@ -195,10 +210,13 @@ def test_phase_is_read_back_from_the_tail():
 
 
 def test_block_split_runs_into_the_tail():
+    assert nth_block(TailWord((2, 1, 2), (1,)), 4) == (5, 1)
     assert leading_blocks(TailWord((2, 1, 2), (1,)), 4) == (
         [2, 2, 1, 1], (2, 1, 2, 1, 1, 1), pure((1,))
     )
+    assert nth_block(TailWord((1,), (2,)), 2) is None
     assert leading_blocks(TailWord((1,), (2,)), 2) is None
+    assert nth_block(pure((2, 2, 1)), 2) == (3, 3)
     assert leading_blocks(pure((2, 2, 1)), 2) == ([3, 3], (2, 2, 1, 2, 2, 1), pure((2, 2, 1)))
 
 
