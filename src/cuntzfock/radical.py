@@ -99,10 +99,13 @@ class RadicalScalar:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RadicalScalar({1: other})
-        if not isinstance(other, RadicalScalar):
-            return NotImplemented
+        # scalars meet scalars far more often than rationals, so the class
+        # test comes first: isinstance against Fraction goes through ABCMeta
+        if other.__class__ is not RadicalScalar:
+            if isinstance(other, (int, Fraction)):
+                other = RadicalScalar({1: other})
+            elif not isinstance(other, RadicalScalar):
+                return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:

@@ -3,9 +3,9 @@
 Every suite applies the exact engine to concrete basis vectors and compares
 the results; except for the floating-point oracle all checks are exact.
 Each operator sends a basis word to one weighted word or to zero, so the
-relation suites compose the engine's basis maps on words and build a
-`State` only where an identity is a sum, or where a failed check is
-reported.
+relation suites compose the engine's basis maps on words and add the
+terms of a sum on words too; a `State` is built only to report a failed
+check.
 "Span" claims of the branching laws are rendered as depth-bounded
 reachability witnesses: density itself is not finitely checkable.
 """
@@ -85,6 +85,25 @@ def _state(space: RepSpace, *images) -> State:
     return State(space, terms)
 
 
+def _plus(space: RepSpace, a, b):
+    """The sum a + b of two images, itself an image when it has one word or none.
+
+    A sum of two distinct words is returned as a `State` of space: no
+    identity the suites check has one, so only a failing check builds it,
+    and a `State` a stays one as terms are added to it.
+    """
+    if b is None:
+        return a
+    if a is None:
+        return b
+    if a.__class__ is State:
+        return a + _state(space, b)
+    if a[1] != b[1]:
+        return _state(space, a, b)
+    c = a[0] + b[0]
+    return (c, a[1]) if c else None
+
+
 def _image(psi: State):
     ((w, c),) = psi.items()
     return c, w
@@ -115,12 +134,15 @@ class SuiteReport:
         A callable is called only when the check fails, and before this
         method returns, so passing checks format no label and a lambda
         over loop variables still names the case that failed.  With a
-        space, expected and got are word-level images, reported as states.
+        space, expected and got are word-level images, or states from
+        `_plus`, and are reported as states.
         """
         self.cases += 1
         if expected != got:
             if space is not None:
-                expected, got = _state(space, expected), _state(space, got)
+                expected, got = (
+                    x if x.__class__ is State else _state(space, x) for x in (expected, got)
+                )
             self.failures.append(
                 {"case": _text(case), "expected": repr(expected), "got": repr(got)}
             )
@@ -238,15 +260,23 @@ def check_ff_class(
 
 
 def _peel_to(target: TailWord, w: TailWord) -> bool:
-    """Greedy block peeling: does w reach target by repeated s_m* steps?"""
-    for _ in range(w.depth + len(w.rot) + 2):
-        if w == target:
-            return True
-        lb = leading_block(w)
-        if lb is None:
-            return False
-        _, w = lb
-    return w == target
+    """Does w reach target by repeated s_m* steps?
+
+    Each step peels the leading block 2^(m-1) 1.  The steps walk the
+    prefix past each of its 1s, keeping the tail; once no 1 is left in
+    the prefix, each step rotates the tail past its next 1.  So w reaches
+    exactly itself, the rests of its prefix after a 1 with its tail, and
+    the empty-prefix words of its tail rotated past one of its 1s.
+    """
+    if target == w:
+        return True
+    prefix, rot, rest = w.prefix, w.rot, target.prefix
+    h = len(prefix) - len(rest)
+    if h > 0 and prefix[h - 1] == 1 and prefix[h:] == rest and target.rot == rot:
+        return True
+    return not rest and any(
+        rot[k - 1] == 1 and rot[k:] + rot[:k] == target.rot for k in range(1, len(rot) + 1)
+    )
 
 
 def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteReport:
@@ -553,8 +583,9 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
 
     Two-letter family: t_i* t_j = delta_ij and range completeness, on every
     basis word of every space with |J| <= 3, prefix depth <= depth.
-    Embedded family: s_i* s_j = delta_ij for indices <= 8, and the partial
-    range sums act as 0/1 on basis words of prefix depth <= 6.
+    Embedded family: s_i* s_j = delta_ij for indices <= 8, and on basis
+    words of prefix depth <= 6 the partial range sum of s_m s_m* over
+    m <= k is 0 below the word's leading block length and 1 from it on.
     Each t_j psi and each s_j psi is computed once per basis vector psi and
     read by every adjoint that checks it.
     """
@@ -574,23 +605,25 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         space = RepSpace(J)
         for w in space.basis_words(depth):
             _adjoint_table(rep_, "t", t, 2, space, w)
-            got = _state(space, *(_then(t[False, i], t[True, i](w)) for i in (1, 2)))
+            got = _plus(space, *(_then(t[False, i], t[True, i](w)) for i in (1, 2)))
             rep_.check(
-                lambda: f"range completeness on {w} in {space.label}", State.basis(space, w), got
+                lambda: f"range completeness on {w} in {space.label}", (ONE, w), got, space
             )
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
         for w in space.basis_words(oinfty_depth):
             _adjoint_table(rep_, "s", s, oinfty_max, space, w)
-            psi, acc = State.basis(space, w), State.zero(space)
+            # w = 2^(L-1) 1 v has one leading block: the sum reaches w at k = L
+            lb = leading_block(w)
+            whole, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
+            acc = None
             for m in range(1, oinfty_max + 1):
-                term = _then(s[False, m], s[True, m](w))
-                if term is not None:
-                    acc = acc + _state(space, term)
-                rep_.check_true(
+                acc = _plus(space, acc, _then(s[False, m], s[True, m](w)))
+                rep_.check(
                     lambda: f"partial range sum k={m} on {w} in {space.label}",
-                    acc == psi or acc.is_zero(),
-                    lambda: repr(acc),
+                    whole if m >= at else None,
+                    acc,
+                    space,
                 )
     return rep_
 
@@ -622,7 +655,6 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
     commute = x == "b"
     left, right = "[]" if commute else "{}"
     space = psi.space
-    zero = State.zero(space)
     keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
     image = _image(psi)
     once = {key: _then(maps[key], image) for key in keys}
@@ -632,13 +664,14 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
             for star_n, star_m in ((False, True), (False, False), (True, True)):
                 nm = twice[(star_n, n), (star_m, m)]
                 mn = twice[(star_m, m), (star_n, n)]
-                got = _state(space, nm, _negated(mn) if commute else mn)
-                expected = psi if n == m and star_m and not star_n else zero
+                got = _plus(space, nm, _negated(mn) if commute else mn)
+                expected = image if n == m and star_m and not star_n else None
                 rep_.check(
                     lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
                     f"{'*' if star_m else ''}{right} on {psi.render()}",
                     expected,
                     got,
+                    space,
                 )
     return once
 

@@ -8,7 +8,8 @@ the same infinite sequence exactly when their canonical forms coincide.
 
 The tail-1 family ("period (1)") additionally carries the integer codec
 idx(empty) = 1, idx(i . w) = 2*(idx(w) - 1) + i, identifying its basis
-with the standard basis of l2(N).
+with the standard basis of l2(N).  Unrolled, idx(w) - 1 is the prefix
+read last letter first as binary digits, each letter i giving i - 1.
 """
 
 from __future__ import annotations
@@ -240,22 +241,23 @@ def block(m: int) -> Letters:
     return (2,) * (m - 1) + (1,)
 
 
+# The codec's binary digits: letter i <-> digit i - 1.
+_DIGITS = bytes.maketrans(b"\x01\x02", b"01")
+_LETTERS = bytes.maketrans(b"01", b"\x01\x02")
+
+
 def word_to_index(w: TailWord) -> int:
     """Position of a tail-1 word in the l2(N) basis."""
     if w.rot != (1,):
         raise ValueError(f"{w} is not a tail-1 word")
-    n = 1
-    for i in reversed(w.prefix):
-        n = 2 * (n - 1) + i
-    return n
+    prefix = w.prefix
+    return int(bytes(prefix[::-1]).translate(_DIGITS), 2) + 1 if prefix else 1
 
 
 def index_to_word(n: int) -> TailWord:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    out = []
-    while n > 1:  # n = 2*(m - 1) + i with i = 2 - n % 2 and m = (n + 1) // 2
-        out.append(2 - n % 2)
-        n = (n + 1) // 2
-    # the last letter taken is 2 (from n = 2), never the tail's 1: canonical
-    return _make(tuple(out), (1,), (1,))
+    if n == 1:
+        return _make((), (1,), (1,))
+    # the last letter is the leading binary digit 1, a 2, never the tail's 1: canonical
+    return _make(tuple(format(n - 1, "b")[::-1].encode().translate(_LETTERS)), (1,), (1,))

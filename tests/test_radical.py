@@ -50,6 +50,21 @@ def test_equal_scalars_hash_equal():
     assert {Fraction(1, 2): "half"}[half] == "half"
 
 
+def test_equality_against_each_kind_of_operand():
+    r2 = sqrt_of_nat(2)
+    half = promote(Fraction(1, 2))
+    # another scalar
+    assert ONE == promote(1) and r2 == RadicalScalar({2: 1}) and r2 + ONE == ONE + r2
+    assert ONE != r2 and r2 != RadicalScalar({2: 2}) and half != RadicalScalar({2: Fraction(1, 2)})
+    # int and Fraction, from either side
+    assert ONE == 1 and 1 == ONE and ZERO == 0 and half == Fraction(1, 2)
+    assert Fraction(1, 2) == half and ONE != 2 and r2 != 1 and half != Fraction(1, 3)
+    # a foreign type is never equal, and the comparison does not raise
+    for foreign in ("1", None, (1,), [ONE], object()):
+        assert ONE != foreign and not ONE == foreign and foreign != ONE
+    assert ONE.__eq__("1") is NotImplemented
+
+
 def test_mul_coprime_radicands():
     assert sqrt_of_nat(2) * sqrt_of_nat(3) == sqrt_of_nat(6)
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzfock.correspondence import EngineError
 from cuntzfock.ladder import (
@@ -14,9 +16,12 @@ from cuntzfock.ladder import (
 )
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
+from cuntzfock.words import TailWord, leading_block
 from cuntzfock.verify import (
     SuiteReport,
     _NumericFamily,
+    _all_defining_words,
+    _peel_to,
     boson_branch_witness,
     car_suite,
     ccr_suite,
@@ -227,6 +232,129 @@ def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
     for name, report in (("ccr", ccr_suite(2, 4)), ("car", car_suite(2, 4))):
         assert report.cases == recorded[name]["cases"]
         assert report.failures == recorded[name]["failures"]
+
+
+def _t_2_star_as_t_1_star(tok):
+    return basis_map(("t", 1, True) if tok == ("t", 2, True) else tok)
+
+
+def _b_2_star_as_t_1(tok):
+    return basis_map(("t", 1, False) if tok == ("b", 2, True) else tok)
+
+
+@pytest.mark.parametrize(
+    "name, fault, suite",
+    [
+        ("cuntz t2* as t1*", _t_2_star_as_t_1_star, lambda: cuntz_suite(depth=0)),
+        ("ccr b2* as t1", _b_2_star_as_t_1, lambda: ccr_suite(1, 2)),
+    ],
+)
+def test_two_word_sums_report_the_recorded_failures(monkeypatch, name, fault, suite):
+    # Under these faults a range-completeness sum or a bracket lands on two
+    # distinct words, e.g. "<P2(1): [1] (1)  +  [1] 2(1)>".  The reports were
+    # recorded at commit f28e1c9, where every such sum was built as a State;
+    # sums added on words must report the same text, entry for entry.
+    from cuntzfock import verify
+
+    recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
+    monkeypatch.setattr(verify, "basis_map", fault)
+    report = suite()
+    assert any("  +  " in f["got"] for f in report.failures)
+    assert report.cases == recorded[name]["cases"]
+    assert report.failures == recorded[name]["failures"]
+
+
+def test_passing_suites_build_no_state(monkeypatch):
+    # every sum of a passing check is added on words: a State is built only
+    # to report a failure
+    from cuntzfock import verify
+
+    calls = [0]
+    state = verify._state
+
+    def counted(*args):
+        calls[0] += 1
+        return state(*args)
+
+    monkeypatch.setattr(verify, "_state", counted)
+    for report in (cuntz_suite(depth=4), ccr_suite(2, 3), car_suite(2, 3)):
+        assert report.passed and report.cases
+    assert calls[0] == 0
+
+
+def _s_star_annihilates(tok):
+    kind, _, star = tok
+    return (lambda w: None) if kind == "s" and star else basis_map(tok)
+
+
+def test_partial_range_sums_fail_when_s_star_annihilates(monkeypatch):
+    # sum_{m <= k} s_m s_m* is the identity on a word from its leading block
+    # length on, and 0 below it; an all-zero sum must not pass
+    from cuntzfock import verify
+
+    monkeypatch.setattr(verify, "basis_map", _s_star_annihilates)
+    report = cuntz_suite(depth=0)
+    assert report.cases == 9356  # as when it passes
+    partial = [f for f in report.failures if f["case"].startswith("partial range sum")]
+    expected = []
+    for period in ((1,), (2,)):
+        space = RepSpace(period)
+        for w in space.basis_words(6):
+            lb = leading_block(w)
+            if lb is None:  # 2^inf: every partial sum is 0
+                continue
+            for k in range(lb[0], 9):
+                expected.append({
+                    "case": f"partial range sum k={k} on {w} in {space.label}",
+                    "expected": f"<{space.label}: [1] {w}>",
+                    "got": f"<{space.label}: 0>",
+                })
+    assert partial == expected
+
+
+def _peeled(w):
+    """The words w reaches by greedy block peeling: repeated `leading_block`."""
+    reached = [w]
+    for _ in range(w.depth + len(w.rot) + 2):
+        lb = leading_block(reached[-1])
+        if lb is None:
+            break
+        reached.append(lb[1])
+    return reached
+
+
+def test_closed_form_peel_matches_greedy_peeling():
+    pairs = 0
+    for J in _all_defining_words(3):
+        basis = list(RepSpace(J).basis_words(4))
+        for w in basis:
+            reached = _peeled(w)
+            for target in basis:
+                assert _peel_to(target, w) == (target in reached), (target, w)
+                pairs += 1
+    assert pairs == 17_408
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_closed_form_peel_matches_greedy_peeling_on_deep_words(prefix, period, phase, data):
+    w = TailWord(prefix, period, phase)
+    reached = _peeled(w)
+    target = data.draw(st.one_of(
+        st.sampled_from(reached),
+        st.builds(
+            TailWord,
+            st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
+            st.just(period),
+            st.integers(0, 3),
+        ),
+    ))
+    assert _peel_to(target, w) == (target in reached)
 
 
 def test_bracket_relations_apply_each_product_once(monkeypatch):

@@ -224,16 +224,18 @@ def test_word_to_index_examples():
     assert word_to_index(pure((1,))) == 1
     assert word_to_index(TailWord((2,), (1,))) == 2
     assert word_to_index(TailWord((1, 2), (1,))) == 3
-    with pytest.raises(ValueError):
-        word_to_index(pure((2, 1)))
+    for w in (pure((2, 1)), pure((2,)), TailWord((1, 1), (2,)), TailWord((2,), (2, 1), 1)):
+        with pytest.raises(ValueError, match="not a tail-1 word"):
+            word_to_index(w)
 
 
 def test_index_to_word_examples():
     assert index_to_word(1) == pure((1,))
     assert index_to_word(4) == TailWord((2, 2), (1,))
     assert index_to_word(5) == TailWord((1, 1, 2), (1,))
-    with pytest.raises(ValueError):
-        index_to_word(0)
+    for n in (0, -1, -2 ** 62):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            index_to_word(n)
 
 
 def test_index_bijection_exhaustive():
@@ -252,6 +254,24 @@ def test_index_recursion():
         w = index_to_word(n)
         for i in (1, 2):
             assert word_to_index(prepend_letters((i,), w)) == 2 * (n - 1) + i
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 2 ** 62))
+def test_codec_past_the_exhaustive_window(n):
+    w = index_to_word(n)
+    assert word_to_index(w) == n
+    assert fields(w) == fields(TailWord(w.prefix, (1,)))
+    for i in (1, 2):  # idx(i . w) = 2 (idx(w) - 1) + i
+        assert word_to_index(prepend_letters((i,), w)) == 2 * (n - 1) + i
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([1, 2]), max_size=62).map(tuple))
+def test_codec_reads_every_tail_1_word(prefix):
+    w = TailWord(prefix, (1,))
+    n = word_to_index(w)
+    assert 1 <= n < 2 ** 62 + 1 and fields(index_to_word(n)) == fields(w)
 
 
 def test_block_letters():
