@@ -19,17 +19,16 @@ from .ladder import (
     parse_boson_word,
     parse_fermion_word,
 )
+from .oracles import apply_rho, apply_zeta
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_nat
 from .rep import (
     RepSpace,
     SpaceMismatchError,
     State,
-    apply_rho,
     apply_s,
     apply_s_star,
     apply_t,
     apply_t_star,
-    apply_zeta,
     gp_vector,
 )
 from .words import TailWord, index_to_word, word_to_index

@@ -14,9 +14,6 @@ On a word both are one split and one prepend (`words.split_letters`,
 or shortens the n-th by one 2; a_n passes the first n-1 letters, with a
 sign for each 2, and flips the n-th.
 
-The slow definitional forms (the weighted series for b_1 and the nested
-twisted shifts for a_n) are kept as cross-check oracles.
-
 Closed forms: iterated creations on the tail-1 GP vector produce a single
 basis word; `boson_state` and `fermion_state` write it down directly, and
 `parse_fermion_word` / `parse_boson_word` read it back.
@@ -28,10 +25,9 @@ from functools import partial
 from itertools import groupby
 from typing import Iterable
 
-from . import rep
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis
-from .words import TailWord, leading_block, nth_block, prepend_letters, split_letters
+from .words import TailWord, nth_block, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
@@ -107,57 +103,6 @@ def apply_boson(create: bool, n: int, state: State) -> State:
 def apply_fermion(create: bool, n: int, state: State) -> State:
     """Exact action of a_n (create=False) or a_n* (create=True)."""
     return map_basis(state, basis_map(("a", n, create)))
-
-
-# -- definitional oracles ---------------------------------------------------
-
-
-def _b1_direct(create: bool, state: State) -> State:
-    """b_1 (create=False) or b_1* (create=True) from its weighted block series.
-
-    b_1 = sum_m sqrt(m) s_m s_{m+1}* and b_1* = sum_m sqrt(m) s_{m+1} s_m*.
-    On a basis word whose leading block has length L, s_k* survives only
-    for k = L, so the block picks the one summand (m = L - 1, or m = L for
-    b_1*); that summand is evaluated through the generator actions alone.
-    """
-    acc = State.zero(state.space)
-    for w, c in state.items():
-        lb = leading_block(w)
-        if lb is None:
-            continue
-        m = lb[0] if create else lb[0] - 1
-        if m < 1:
-            continue
-        psi = State.basis(state.space, w, c)
-        if create:
-            term = rep.apply_s(m + 1, rep.apply_s_star(m, psi))
-        else:
-            term = rep.apply_s(m, rep.apply_s_star(m + 1, psi))
-        acc = acc + term * sqrt_of_nat(m)
-    return acc
-
-
-def boson_via_shifts(create: bool, n: int, state: State) -> State:
-    """Oracle: b_n as the (n-1)-fold shift endomorphism applied to b_1."""
-    op = partial(_b1_direct, create)
-    for _ in range(n - 1):
-        op = partial(rep.apply_rho, op)
-    return op(state)
-
-
-def fermion_via_shifts(create: bool, n: int, state: State) -> State:
-    """Oracle: a_n as the (n-1)-fold twisted shift of a_1 = t_1 t_2*.
-
-    For create, the shifts act on a_1* = t_2 t_1* instead.
-    """
-    i, j = (2, 1) if create else (1, 2)
-
-    def op(st: State) -> State:
-        return rep.apply_t(i, rep.apply_t_star(j, st))
-
-    for _ in range(n - 1):
-        op = partial(rep.apply_zeta, op)
-    return op(state)
 
 
 # -- monomial types ---------------------------------------------------------

@@ -175,6 +175,8 @@ class RadicalScalar:
         """Divide by a rational or by a single term q*sqrt(d)."""
         other = promote(other)
         if len(other._num) != 1:
+            if not other._num:
+                raise ZeroDivisionError("division by zero")
             raise ValueError("division only by rationals or single radical terms")
         (d, n), = other._num.items()
         # 1 / ((n/m) sqrt(d)) = m sqrt(d) / (n d)

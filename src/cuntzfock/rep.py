@@ -7,12 +7,6 @@ Each generator is one of two word edits, given as a basis map
 word -> (coeff, word) | None and lifted to states by `map_basis`: t_i, the
 operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head (s_m the
 block 2^(m-1) 1), and their adjoints strip it or annihilate.
-
-Operators are given as state maps, plain functions State -> State, so the
-shift endomorphisms rho(x) = sum_m s_m x s_m* and
-zeta(y) = t_1 y t_1* - t_2 y t_2* take such a map and apply its image to a
-state.  The rho sum needs no truncation: on a basis word at most the
-single summand picked out by the leading block survives.
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
 from .words import (
-    Letters, TailWord, _make, block, check_letters, leading_block, prepend_letters, render_letters,
+    Letters, TailWord, _make, block, check_letters, prepend_letters, render_letters,
     split_letters,
 )
 
@@ -313,43 +307,5 @@ def apply_s(m: int, state: State) -> State:
 
 
 def apply_s_star(m: int, state: State) -> State:
-    """The adjoint s_m* = t_1* (t_2*)^(m-1): strip the block 2^(m-1) 1.
-
-    The block length is given, not searched for, so this action shares
-    neither `leading_block` nor the boson transport's `nth_block` with the
-    transports it is used to check.
-    """
+    """The adjoint s_m* = t_1* (t_2*)^(m-1): strip the block 2^(m-1) 1."""
     return map_basis(state, generator_map("s", m, True))
-
-
-# -- shift endomorphisms on operators given as state maps --------------------
-
-
-def apply_rho(op: Callable[[State], State], state: State) -> State:
-    """The shift endomorphism rho(op) = sum_m s_m op s_m*, applied to a state.
-
-    For a basis word u only the m given by the leading block of u has
-    s_m* u != 0, so the sum contributes at most one term per basis word.
-    """
-    acc = State.zero(state.space)
-    for w, c in state.items():
-        lb = leading_block(w)
-        if lb is None:
-            continue
-        m, rest = lb
-        acc = acc + apply_s(m, op(State.basis(state.space, rest, c)))
-    return acc
-
-
-def apply_zeta(op: Callable[[State], State], state: State) -> State:
-    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a state.
-
-    op is linear, so a branch whose t_i* image is zero contributes zero and
-    op is not called on it: on a basis word exactly one branch survives.
-    """
-    plus, minus = (apply_t_star(i, state) for i in (1, 2))
-    if plus:
-        plus = apply_t(1, op(plus))
-    if minus:
-        minus = apply_t(2, op(minus))
-    return plus - minus

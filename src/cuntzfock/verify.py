@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
@@ -34,6 +33,7 @@ from .ladder import (
     fermion_state,
     parse_op_token,
 )
+from .oracles import _NumericFamily, leading_block
 from .radical import ONE, promote, sqrt_factorial
 from .rep import (
     RepSpace,
@@ -43,7 +43,7 @@ from .rep import (
     apply_t_word,
     gp_vector,
 )
-from .words import TailWord, flip, index_to_word, leading_block, prepend_letters, word_to_index
+from .words import TailWord, flip, index_to_word, prepend_letters, word_to_index
 
 
 # -- reports ---------------------------------------------------------------
@@ -289,6 +289,8 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
     basis word (prefix depth <= depth) by creation blocks witnesses
     cyclicity at desk scale.
     """
+    if value < 1:
+        raise ValueError(f"value must be >= 1, got {value}")
     check_depth(depth)
     if variant == "p":
         p = value
@@ -882,85 +884,6 @@ class FloatOracleResult:
     @property
     def ok(self) -> bool:
         return not self.overflow
-
-
-@lru_cache(maxsize=None)  # one family per dim, built on first use
-class _NumericFamily:
-    """Truncated operators on span{e_1..e_dim}, built from the index codec.
-
-    Each operator is a weighted partial permutation held as a dict
-    {src: (dst, w)}: e_src goes to w e_dst, and every other basis vector
-    goes to 0.  A vector is a dict {index: weight} of its nonzero entries,
-    so applying an operator is one lookup per entry.  Operators are cached
-    by their token.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._ops: dict[tuple, dict] = {}
-
-    def op(self, kind: str, idx: int, star: bool = False) -> dict:
-        """The operator of a token as returned by `parse_op_token`."""
-        tok = (kind, idx, star)
-        if tok not in self._ops:
-            self._ops[tok] = self._build(kind, idx, star)
-        return self._ops[tok]
-
-    def _build(self, kind: str, idx: int, star: bool) -> dict:
-        op, mul = self.op, self._mul
-        if star:
-            return {dst: (src, w) for src, (dst, w) in op(kind, idx).items()}
-        if kind == "t":  # t_i e_n = e_{2(n-1)+i}, cut to the window
-            return {n: (2 * (n - 1) + idx, 1.0) for n in range(1, (self.dim + 2 - idx) // 2 + 1)}
-        if kind == "s":  # s_m = t_2^{m-1} t_1
-            return op("t", 1) if idx == 1 else mul(op("t", 2), op("s", idx - 1))
-        ms = range(1, self.dim.bit_length() + 1)  # s_m is 0 on the window once 2^(m-1) > dim
-        if kind == "b" and idx == 1:  # b_1 = sum_m sqrt(m) s_m s_{m+1}*
-            terms = (mul(op("s", m), op("s", m + 1, True)) for m in ms)
-            return self._sum(*(
-                {src: (dst, math.sqrt(m) * w) for src, (dst, w) in term.items()}
-                for m, term in zip(ms, terms)
-            ))
-        if kind == "b":  # b_n = rho(b_{n-1}) = sum_m s_m b_{n-1} s_m*
-            prev = op("b", idx - 1)
-            return self._sum(*(mul(mul(op("s", m), prev), op("s", m, True)) for m in ms))
-        if idx == 1:  # a_1 = t_1 t_2*
-            return mul(op("t", 1), op("t", 2, True))
-        # a_n = zeta(a_{n-1}) = t_1 a_{n-1} t_1* - t_2 a_{n-1} t_2*
-        one, two = (mul(mul(op("t", i), op("a", idx - 1)), op("t", i, True)) for i in (1, 2))
-        return self._sum(one, {src: (dst, -w) for src, (dst, w) in two.items()})
-
-    @staticmethod
-    def _mul(a: dict, b: dict) -> dict:
-        """The product a b (b acts first): b's targets joined to a's sources."""
-        out = {}
-        for src, (mid, b_w) in b.items():
-            hit = a.get(mid)
-            if hit is not None:
-                out[src] = (hit[0], hit[1] * b_w)
-        return out
-
-    @staticmethod
-    def _sum(*terms: dict) -> dict:
-        """The sum of terms with disjoint sources and disjoint targets: a basis
-        map of the permutative representation yields one term, never more."""
-        out = {}
-        for term in terms:
-            out.update(term)
-        size = sum(map(len, terms))
-        if len(out) < size or len({dst for dst, _ in out.values()}) < size:
-            raise corr.EngineError("series terms overlap: a basis map yields more than one term")
-        return out
-
-    def apply(self, tok, vec: dict) -> dict:
-        """The operator of `tok` applied to a sparse vector {index: weight}."""
-        op = self.op(*tok)
-        out = {}
-        for src, x in vec.items():
-            hit = op.get(src)
-            if hit is not None:
-                out[hit[0]] = hit[1] * x
-        return out
 
 
 def check_dim(dim: int) -> None:

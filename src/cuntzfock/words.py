@@ -59,8 +59,7 @@ class TailWord:
     constructor is the only entry that validates and canonicalises words
     from outside.  Every edit the generator and ladder actions make goes
     through `prepend_letters` or its inverse `split_letters`, which keep
-    these invariants and build their results with `_make`; only the
-    oracles' block finder `leading_block` keeps a split of its own.
+    these invariants and build their results with `_make`.
     """
 
     __slots__ = ("prefix", "period", "rot", "_hash")
@@ -157,26 +156,6 @@ def flip(w: TailWord) -> TailWord:
     )
 
 
-def leading_block(w: TailWord) -> "tuple[int, TailWord] | None":
-    """Split w = 2^(m-1) 1 . v and return (m, v); None when the word is 2^inf.
-
-    Every word over {1,2} other than 2^inf has a unique such split, which
-    is what makes infinite sums over these blocks collapse to one summand.
-    This is the block finder of the definitional oracles; it shares no
-    code with `split_letters`, which the fast actions are built on.
-    """
-    prefix = w.prefix
-    if 1 in prefix:
-        j = prefix.index(1)
-        return j + 1, _make(prefix[j + 1:], w.period, w.rot)
-    rot = w.rot
-    if 1 not in rot:
-        return None
-    # the block ends inside the tail: the rest is the tail rotated past it
-    k = rot.index(1) + 1
-    return len(prefix) + k, _make((), w.period, rot[k:] + rot[:k])
-
-
 def nth_block(w: TailWord, n: int) -> "tuple[int, int] | None":
     """Find the n-th leading block: w = head . 2^(m-1) 1 . v with n-1 blocks in head.
 
@@ -235,7 +214,7 @@ def split_letters(w: TailWord, h: int) -> "tuple[Letters, TailWord]":
 
 
 def block(m: int) -> Letters:
-    """The block 2^(m-1) 1 that s_m prepends; `leading_block` splits it off again."""
+    """The block 2^(m-1) 1 that s_m prepends."""
     if m < 1:
         raise ValueError(f"generator index must be >= 1, got {m}")
     return (2,) * (m - 1) + (1,)

@@ -420,6 +420,30 @@ def test_float_oracle_runs_without_scipy():
     assert out.stdout.split() == ["False", "False"]
 
 
+PACKAGE = Path(cuntzfock.__file__).parent
+
+
+def _imports(nodes):
+    """(target, bound) for each name that an import statement among nodes binds.
+
+    target is the dotted name imported, with relative imports made absolute:
+    `from .rep import State` gives ("cuntzfock.rep.State", "State") and
+    `import os.path` gives ("os.path", "os").
+    """
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.name, a.asname or a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cuntzfock" if node.level else None, node.module]))
+            for a in node.names:
+                yield f"{module}.{a.name}", a.asname or a.name
+
+
+def _module_tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
 def test_imports_match_declared_dependencies():
     """The third-party modules the package imports, lazily or not, are exactly
     the runtime dependencies that pyproject.toml declares."""
@@ -428,11 +452,39 @@ def test_imports_match_declared_dependencies():
     declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     declared_names = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in declared}
     imported = set()
-    for path in Path(cuntzfock.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported.update(target.split(".")[0] for target, _ in _imports(ast.walk(tree)))
     third_party = imported - set(sys.stdlib_module_names) - {"cuntzfock"}
     assert third_party == declared_names == {"click"}
+
+
+# What `oracles` may import from the package: `radical`, the t/s generator
+# actions that define the oracles, and the word builder.  Nothing else of the
+# fast path they check, and no fast module imports them.
+ORACLE_IMPORTS = {f"cuntzfock.rep.{name}" for name in (
+    "State", "EngineError", "apply_t", "apply_t_star", "apply_s", "apply_s_star",
+)} | {"cuntzfock.words._make"}
+FAST_MODULES = ("radical", "words", "rep", "ladder", "correspondence", "cli")
+
+
+def test_oracles_and_fast_layers_import_each_other_only_one_way():
+    for target, _ in _imports(ast.walk(_module_tree("oracles"))):
+        top = target.split(".")[0]
+        stdlib = top in sys.stdlib_module_names and top != "dataclasses"
+        assert stdlib or target in ORACLE_IMPORTS or target.startswith("cuntzfock.radical."), target
+    for name in FAST_MODULES:
+        for target, _ in _imports(ast.walk(_module_tree(name))):
+            assert not f"{target}.".startswith("cuntzfock.oracles."), (name, target)
+
+
+def test_modules_use_every_name_they_import():
+    """No module keeps a module-level import it never reads; `__init__` imports to re-export."""
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [target for target, bound in _imports(tree.body)
+                  if bound not in read and not target.startswith("__future__.")]
+        assert not unused, (path.name, unused)

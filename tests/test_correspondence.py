@@ -246,7 +246,7 @@ def test_forward_operational_errors_name_the_monomial(monkeypatch):
 
 def test_forward_operational_takes_its_own_route(monkeypatch):
     # it reaches the word by creations alone, not through the closed forms it checks
-    from cuntzfock import correspondence, ladder, words
+    from cuntzfock import correspondence, ladder, oracles
 
     multisets = itertools.combinations_with_replacement(range(1, 5), 3)
     monomials = [BosonMonomial.from_modes(c) for c in multisets]
@@ -256,7 +256,7 @@ def test_forward_operational_takes_its_own_route(monkeypatch):
         raise AssertionError(f"closed form reached with {args}")
 
     for mod, name in [(correspondence, "forward"), (correspondence, "inverse"),
-                      (ladder, "boson_state"), (ladder, "leading_block"), (words, "leading_block")]:
+                      (ladder, "boson_state"), (oracles, "leading_block")]:
         monkeypatch.setattr(mod, name, boom)
     assert [forward_operational(M) for M in monomials] == want
 

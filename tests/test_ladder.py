@@ -12,10 +12,8 @@ from cuntzfock.ladder import (
     apply_fermion,
     boson_state,
     boson_state_iterated,
-    boson_via_shifts,
     fermion_state,
     fermion_state_iterated,
-    fermion_via_shifts,
     normal_order_fermion,
     parse_boson_expr,
     parse_boson_word,
@@ -23,9 +21,12 @@ from cuntzfock.ladder import (
     parse_fermion_word,
 )
 from cuntzfock.radical import ONE, sqrt_of_nat
-from cuntzfock import ladder, rep, words
+from cuntzfock import ladder, oracles
+from cuntzfock.oracles import (
+    _b1_direct, _NumericFamily, apply_rho, apply_zeta, boson_via_shifts, fermion_via_shifts,
+)
 from cuntzfock.rep import (
-    RepSpace, State, apply_rho, apply_s, apply_s_star, apply_t, apply_t_star, apply_zeta, gp_vector,
+    RepSpace, State, apply_s, apply_s_star, apply_t, apply_t_star, gp_vector,
 )
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 
@@ -114,13 +115,13 @@ def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):
     # a_1 follow one branch per level on a basis word: at most n - 1 zeta
     # calls for a_n, where calling both branches would make 2^(n-1) - 1.
     calls = [0]
-    zeta = rep.apply_zeta
+    zeta = oracles.apply_zeta
 
     def counted(op, state):
         calls[0] += 1
         return zeta(op, state)
 
-    monkeypatch.setattr(rep, "apply_zeta", counted)
+    monkeypatch.setattr(oracles, "apply_zeta", counted)
     words_ = [TailWord(p, (1,)) for p in [(), (2,), (1, 2), (2, 1, 1, 2), (2,) * 9 + (1, 2)]]
     for w in words_:
         psi = State.basis(P1, w)
@@ -151,16 +152,13 @@ def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
     def boom(w):
         raise AssertionError(f"leading_block reached on {w}")
 
-    for mod in (words, rep, ladder):
-        monkeypatch.setattr(mod, "leading_block", boom)
+    monkeypatch.setattr(oracles, "leading_block", boom)
     assert actions() == want
 
 
 def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
     # The definitional forms may use the t/s generator actions, which define
     # them, but not the transports or the b/a basis maps they are checked against.
-    from cuntzfock import verify
-
     states = [State.basis(P1, w) for w in P1.basis_words(4)]
     states.append(e(3) + e(6) * sqrt_of_nat(2) - e(13))
     tokens = [(kind, n, star) for kind in "tsba" for n in (1, 2, 3) for star in (False, True)
@@ -173,11 +171,11 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
         out = []
         for psi in states:
             for create in (False, True):
-                out.append(ladder._b1_direct(create, psi))
+                out.append(_b1_direct(create, psi))
                 for n in range(1, 5):
                     out += [boson_via_shifts(create, n, psi), fermion_via_shifts(create, n, psi)]
-            out += [apply_rho(partial(ladder._b1_direct, False), psi), apply_zeta(a_1, psi)]
-        num = verify._NumericFamily.__wrapped__(64)  # a fresh family, built below
+            out += [apply_rho(partial(_b1_direct, False), psi), apply_zeta(a_1, psi)]
+        num = _NumericFamily.__wrapped__(64)  # a fresh family, built below
         out += [num.apply(tok, {n: 1.0 / n for n in range(1, 65)}) for tok in tokens]
         return out
 

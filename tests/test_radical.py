@@ -139,6 +139,9 @@ def test_division_by_rational_and_radical():
     assert ONE / sqrt_of_nat(2) == RadicalScalar({2: Fraction(1, 2)})
     with pytest.raises(ValueError):
         x / (ONE + sqrt_of_nat(2))
+    for num, den in [(ONE, 0), (ONE, ZERO), (1, ZERO)]:
+        with pytest.raises(ZeroDivisionError):
+            num / den
 
 
 def test_json_round_trip():

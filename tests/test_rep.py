@@ -10,19 +10,18 @@ from cuntzfock import correspondence
 from cuntzfock.ladder import (
     MAX_MODE, BoundsError, apply_boson, apply_fermion, basis_map, parse_op_token,
 )
+from cuntzfock.oracles import apply_rho, apply_zeta
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
     EngineError,
     RepSpace,
     SpaceMismatchError,
     State,
-    apply_rho,
     apply_s,
     apply_s_star,
     apply_t,
     apply_t_star,
     apply_t_word,
-    apply_zeta,
     gp_vector,
     map_basis,
 )

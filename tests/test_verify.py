@@ -14,12 +14,12 @@ from cuntzfock.ladder import (
     boson_state,
     parse_op_token,
 )
+from cuntzfock.oracles import _NumericFamily, leading_block
 from cuntzfock.radical import ONE
 from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
-from cuntzfock.words import TailWord, leading_block
+from cuntzfock.words import TailWord
 from cuntzfock.verify import (
     SuiteReport,
-    _NumericFamily,
     _all_defining_words,
     _peel_to,
     boson_branch_witness,
@@ -117,6 +117,9 @@ def test_branching_oinfty():
             assert check_branching_oinfty(v, variant, depth=6).passed
     with pytest.raises(ValueError):
         check_branching_oinfty(2, "x")
+    for variant in ("q", "p"):
+        with pytest.raises(ValueError, match="value must be >= 1"):
+            check_branching_oinfty(0, variant)
 
 
 def test_branching_boson():

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuntzfock.oracles import leading_block
 from cuntzfock.words import (
     TailWord,
     flip,
     block,
     index_to_word,
-    leading_block,
     nth_block,
     parse_letters,
     prepend_letters,
