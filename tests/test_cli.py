@@ -273,6 +273,14 @@ def test_verify_depth_bound_exit_3_before_enumerating(monkeypatch):
         assert "depth 13 exceeds" in res.output
 
 
+def test_verify_branch_oinfty_value_bound_exit_3():
+    # each value sets the period of a space, and -p is held to the mode
+    # bound, as the index of s_p is
+    res = run("verify", "branch-oinfty", "-p", "17")
+    assert res.exit_code == 3, res.output
+    assert "mode 17 exceeds" in res.output
+
+
 def test_verify_roundtrip_max_subset_bound_exit_3():
     # --max-subset is held to the particle bound like --particles
     assert run("verify", "roundtrip", "--max-subset", "13").exit_code == 3
@@ -476,6 +484,18 @@ def test_oracles_and_fast_layers_import_each_other_only_one_way():
     for name in FAST_MODULES:
         for target, _ in _imports(ast.walk(_module_tree(name))):
             assert not f"{target}.".startswith("cuntzfock.oracles."), (name, target)
+
+
+# The actions that lift a basis map to states.  `verify` composes the basis
+# maps of `ladder.basis_map` on words and imports none of them.
+STATE_LIFTS = {"apply_boson", "apply_fermion", "apply_t", "apply_t_star", "apply_s",
+               "apply_s_star", "apply_t_word", "map_basis"}
+
+
+def test_verify_imports_no_state_lift():
+    tree = _module_tree("verify")
+    imported = {target.rsplit(".", 1)[-1] for target, _ in _imports(ast.walk(tree))}
+    assert not imported & STATE_LIFTS, imported & STATE_LIFTS
 
 
 def test_modules_use_every_name_they_import():

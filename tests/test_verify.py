@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from cuntzfock.ladder import (
 )
 from cuntzfock.oracles import _NumericFamily, leading_block
 from cuntzfock.radical import ONE
-from cuntzfock.rep import RepSpace, apply_t_word, gp_vector
+from cuntzfock.rep import RepSpace, State, apply_t_word, gp_vector
 from cuntzfock.words import TailWord
 from cuntzfock.verify import (
     SuiteReport,
@@ -209,18 +210,21 @@ def test_broken_ladder_fails_with_each_family_s_bracket_labels(monkeypatch):
     ]
 
 
-def _b_3_creates_at_mode_4_and_a_3_flips_sign(tok):
-    if tok == ("b", 3, True):
-        return basis_map(("b", 4, True))
-    fn = basis_map(tok)
-    if tok != ("a", 3, False):
-        return fn
+def _b_n_creates_at_n_plus_1_and_a_n_flips_sign(n):
+    def fault(tok):
+        if tok == ("b", n, True):
+            return basis_map(("b", n + 1, True))
+        fn = basis_map(tok)
+        if tok != ("a", n, False):
+            return fn
 
-    def flipped(w):
-        out = fn(w)
-        return None if out is None else (-out[0], out[1])
+        def flipped(w):
+            out = fn(w)
+            return None if out is None else (-out[0], out[1])
 
-    return flipped
+        return flipped
+
+    return fault
 
 
 def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
@@ -231,7 +235,7 @@ def test_faulty_ladders_report_the_recorded_failures(monkeypatch):
     from cuntzfock import verify
 
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
-    monkeypatch.setattr(verify, "basis_map", _b_3_creates_at_mode_4_and_a_3_flips_sign)
+    monkeypatch.setattr(verify, "basis_map", _b_n_creates_at_n_plus_1_and_a_n_flips_sign(3))
     for name, report in (("ccr", ccr_suite(2, 4)), ("car", car_suite(2, 4))):
         assert report.cases == recorded[name]["cases"]
         assert report.failures == recorded[name]["failures"]
@@ -267,22 +271,55 @@ def test_two_word_sums_report_the_recorded_failures(monkeypatch, name, fault, su
     assert report.failures == recorded[name]["failures"]
 
 
-def test_passing_suites_build_no_state(monkeypatch):
-    # every sum of a passing check is added on words: a State is built only
-    # to report a failure
+def test_faulty_ladders_fail_every_suite_that_reads_them(monkeypatch):
+    # b_1* acting as b_2*, and a_1 with its sign flipped: the branching
+    # suites and the oracle's vacuum checks take their maps from
+    # `verify.basis_map` too, so the fault reaches them
     from cuntzfock import verify
 
-    calls = [0]
-    state = verify._state
+    monkeypatch.setattr(verify, "basis_map", _b_n_creates_at_n_plus_1_and_a_n_flips_sign(1))
+    assert not check_branching_boson(2).passed
+    assert not check_branching_fermion(2).passed
+    oracle = oracle_suite(dim=64, sequences=5)
+    assert "b_1* e_1" in [f["case"] for f in oracle.failures]
 
-    def counted(*args):
-        calls[0] += 1
-        return state(*args)
 
-    monkeypatch.setattr(verify, "_state", counted)
-    for report in (cuntz_suite(depth=4), ccr_suite(2, 3), car_suite(2, 3)):
+def test_passing_suites_build_no_state(monkeypatch):
+    # every sum of a passing check is added on words and every operator is
+    # a basis map composed on words: a State is built only to report a
+    # failure, and no suite lifts a map to states
+    from cuntzfock import ladder, rep, verify
+
+    calls = {"_state": 0, "map_basis": 0}
+
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+        return inner
+
+    monkeypatch.setattr(verify, "_state", counted("_state", verify._state))
+    monkeypatch.setattr(rep, "map_basis", counted("map_basis", rep.map_basis))
+    monkeypatch.setattr(ladder, "map_basis", rep.map_basis)
+    suites = [cuntz_suite(depth=4), ccr_suite(2, 3), car_suite(2, 3)]
+    suites += [check_branching_oinfty(v, variant, depth=4) for v in (1, 3) for variant in "pq"]
+    suites += [check_branching_boson(p) for p in (1, 2, 3)]
+    suites += [check_branching_fermion(p, starred) for p in (1, 3) for starred in (False, True)]
+    suites.append(oracle_suite(dim=64, sequences=5))
+    for report in suites:
         assert report.passed and report.cases
-    assert calls[0] == 0
+    assert calls == {"_state": 0, "map_basis": 0}
+
+
+def test_class_predicates_refuse_a_state_that_is_not_one_word():
+    space = RepSpace((1,))
+    omega = gp_vector(space)
+    two_words = omega + apply_t_word((2,), omega)
+    for psi in (State.zero(space), two_words):
+        with pytest.raises(ValueError, match=re.escape(repr(psi))):
+            check_bf_class(psi, 1, 1, 1)
+        with pytest.raises(ValueError, match=re.escape(repr(psi))):
+            check_ff_class(psi, 1, 1)
 
 
 def _s_star_annihilates(tok):
@@ -430,6 +467,17 @@ def test_roundtrip_suite_refuses_max_subset_above_the_particle_bound():
     for max_subset in (13, 40):
         with pytest.raises(BoundsError):
             roundtrip_suite(max_subset=max_subset)
+
+
+@pytest.mark.parametrize("variant", ["p", "q"])
+def test_branching_oinfty_refuses_a_value_above_the_mode_bound(monkeypatch, variant):
+    # refused before any word is built: the work grows with the value's period
+    def never(self, max_depth):
+        raise AssertionError("basis words built before the value was checked")
+
+    monkeypatch.setattr(RepSpace, "basis_words", never)
+    with pytest.raises(BoundsError):
+        check_branching_oinfty(17, variant)
 
 
 def test_unreached_words_fail_branching_oinfty(monkeypatch):
