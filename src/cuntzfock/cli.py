@@ -16,6 +16,7 @@ from .ladder import (
     BoundsError,
     basis_map,
     check_mode,
+    check_particles,
     parse_boson_expr,
     parse_boson_word,
     parse_fermion_expr,
@@ -29,24 +30,25 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BOUNDS = 3
 
 
-def _bounds_guard(fn):
-    def wrapped(*args, **kwargs):
+class _Command(click.Command):
+    """A command whose bound refusals exit 3 and whose bad values are usage errors (exit 2)."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except BoundsError as exc:
             click.echo(f"refused: {exc}", err=True)
             sys.exit(EXIT_BOUNDS)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
+            raise click.UsageError(str(exc), ctx)
 
 
 @click.group()
 def main():
     """Exact boson/fermion transfer on permutative representation spaces."""
+
+
+main.command_class = _Command
 
 
 def _echo_pair(pair: corr.CorrespondencePair, as_json: bool, sign: int = 1) -> None:
@@ -65,7 +67,6 @@ def _echo_pair(pair: corr.CorrespondencePair, as_json: bool, sign: int = 1) -> N
 @click.argument("monomial")
 @click.option("--check", is_flag=True, help="Re-derive through the representation space.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_bounds_guard
 def cmd_map(monomial: str, check: bool, as_json: bool):
     """Transfer a boson creation monomial, e.g. "1^2 3"."""
     M = parse_boson_expr(monomial)
@@ -82,7 +83,6 @@ def cmd_map(monomial: str, check: bool, as_json: bool):
 @main.command("unmap")
 @click.argument("monomial")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_bounds_guard
 def cmd_unmap(monomial: str, as_json: bool):
     """Transfer a fermion creation monomial back, e.g. "1 2 4"."""
     sign, S = parse_fermion_expr(monomial)
@@ -94,7 +94,6 @@ def cmd_unmap(monomial: str, as_json: bool):
 @click.option("-n", "--particles", type=int, required=True, help="Particle count.")
 @click.option("-m", "--max-mode", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of TSV.")
-@_bounds_guard
 def cmd_table(particles: int, max_mode: int, as_json: bool):
     """List every transfer pair of one particle grade."""
     check_mode(max_mode)
@@ -148,7 +147,6 @@ _SUITES = {
 @click.option("--sequences", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=20240809, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON reports.")
-@_bounds_guard
 def cmd_verify(suites, as_json, **options):
     """Run named verification suites.
 
@@ -163,6 +161,14 @@ def cmd_verify(suites, as_json, **options):
         raise click.UsageError(f"unknown suite(s): {', '.join(unknown)}")
     global verify
     from . import verify
+    # every option is held to its bound before the first suite runs, whichever suites
+    # read it; -p to the top mode of `branch-fermion` when that suite is named
+    verify.check_depth(options["depth"])
+    check_particles(max(options["particles"], options["max_subset"]))
+    check_mode(options["modes"])
+    p_max = options["p_max"]
+    check_mode(verify.branch_modes(p_max) if "branch-fermion" in names else p_max)
+    verify.check_oracle_dim(options["dim"])
     reports = [rep for n in names for rep in _SUITES[n](options)]
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))
@@ -182,7 +188,6 @@ def cmd_verify(suites, as_json, **options):
 @click.option("--state", "state_word", default=None,
               help="Basis word to start from (prefix letters); default GP vector.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_bounds_guard
 def cmd_apply(operators: str, space_word: str, state_word: str, as_json: bool):
     """Apply an operator word, e.g. "b1* b1*" or "t1 t2* a3".
 
@@ -226,7 +231,6 @@ def _node_label(word: TailWord, label_kind: str) -> str:
               default="words", show_default=True)
 @click.option("--gens", type=click.Choice(["otwo", "oinfty"]), default="otwo",
               show_default=True)
-@_bounds_guard
 def cmd_graph(space_word: str, depth: int, label_kind: str, gens: str):
     """Emit the basis tree of a space as DOT text."""
     if len(space_word) > 3:

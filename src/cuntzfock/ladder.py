@@ -26,7 +26,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
-from .rep import BasisMap, RepSpace, State, generator_map, map_basis
+from .rep import BasisMap, RepSpace, State, generator_map, map_basis, then
 from .words import TailWord, nth_block, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
@@ -376,17 +376,14 @@ def fermion_state(S: FermionSubset) -> State:
 
 def _created(kind: str, factors) -> State:
     """The GP vector under the creations (x*_n)^k of factors, x = kind, on its one word."""
-    coeff, w = ONE, FOCK_SPACE.gp_word()
+    image = (ONE, FOCK_SPACE.gp_word())
     for n, k in reversed(factors):
         create = basis_map((kind, n, True))
         for _ in range(k):
-            r = create(w)
-            if r is None:
-                return State.zero(FOCK_SPACE)
-            c, w = r
-            if c is not ONE:
-                coeff = c if coeff is ONE else coeff * c
-    return State.basis(FOCK_SPACE, w, coeff)
+            image = then(create, image)
+    if image is None:
+        return State.zero(FOCK_SPACE)
+    return State.basis(FOCK_SPACE, image[1], image[0])
 
 
 def boson_state_iterated(M: BosonMonomial) -> State:

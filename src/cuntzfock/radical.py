@@ -282,8 +282,8 @@ def promote(x) -> RadicalScalar:
 def sqrt_of_nat(n: int) -> RadicalScalar:
     """Exact sqrt(n) for n >= 1, with the square part extracted.
 
-    sqrt(1) is the ONE object itself, so that callers which skip products
-    by ONE (such as `rep.map_basis`) also skip unit weights.
+    sqrt(1) is the ONE object itself, so that `rep.then`, which skips
+    products by ONE, also skips unit weights.
     """
     s, d = _square_split(n)
     if s == d == 1:

@@ -16,10 +16,12 @@ from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
 from .words import (
-    Letters, TailWord, _make, block, check_letters, prepend_letters, render_letters,
-    split_letters,
+    Letters, TailWord, _make, block, check_letters, flip, prepend_letters, pure,
+    render_letters, split_letters,
 )
 
+# The image of a basis word under a product of basis maps: one weighted word
+# (coeff, word), or None for zero.
 BasisMap = Callable[[TailWord], "tuple[RadicalScalar, TailWord] | None"]
 
 
@@ -56,11 +58,10 @@ class RepSpace:
         return self.label
 
     def gp_word(self) -> TailWord:
-        return TailWord((), self.period, 0)
+        return pure(self.period)
 
     def flip(self) -> "RepSpace":
-        swap = {1: 2, 2: 1}
-        return RepSpace(tuple(swap[i] for i in self.period))
+        return RepSpace(flip(self.gp_word()).period)
 
     def basis_words(self, max_depth: int) -> Iterator[TailWord]:
         """All canonical basis words with prefix length <= max_depth.
@@ -71,15 +72,13 @@ class RepSpace:
         as built.
         """
         period = self.period
-        prim = self.gp_word().rot
-        r = len(prim)
-        rots = [prim[phase:] + prim[:phase] for phase in range(r)]
+        rots = [pure(period, phase).rot for phase in range(len(self.gp_word().rot))]
         for rot in rots:
             yield _make((), period, rot)
         for depth in range(1, max_depth + 1):
             heads = [letters[::-1] for letters in product((1, 2), repeat=depth - 1)]
-            for phase, rot in enumerate(rots):
-                last = (3 - prim[(phase - 1) % r],)
+            for rot in rots:
+                last = (3 - rot[-1],)
                 for head in heads:
                     yield _make(head + last, period, rot)
 
@@ -224,27 +223,37 @@ def _wrap(space: RepSpace, terms: dict) -> State:
     return out
 
 
+def then(fn: BasisMap, image):
+    """The basis map fn applied after image: `map_basis` on one term.
+
+    A product with a factor that is the ONE object itself is not computed:
+    the other factor is reused as the new coefficient.
+    """
+    if image is None:
+        return None
+    r = fn(image[1])
+    if r is None or image[0] is ONE:
+        return r
+    return (image[0] if r[0] is ONE else image[0] * r[0]), r[1]
+
+
 def map_basis(state: State, fn: BasisMap) -> State:
-    """Linear extension of a basis map.
+    """Linear extension of a basis map: `then` on each term.
 
     fn sends each basis word either to None (the word is annihilated) or
     to a single (coeff, word) pair.  Every operator of the engine is a
     partial injection on words, so two words with one image are an engine
     bug: they raise `EngineError` instead of being added up.
-    A product with a factor that is the ONE object itself is not computed:
-    the other factor is reused as the new coefficient.
     """
     acc: dict[TailWord, RadicalScalar] = {}
     for w, c in state.items():
-        r = fn(w)
+        r = then(fn, (c, w))
         if r is None:
             continue
-        cc, ww = r
-        if ww in acc:
-            raise _collision(state, fn, w, ww)
-        if cc is not ONE:
-            c = cc if c is ONE else c * cc
-        acc[ww] = c
+        c, image = r
+        if image in acc:
+            raise _collision(state, fn, w, image)
+        acc[image] = c
     return _wrap(state.space, acc)
 
 

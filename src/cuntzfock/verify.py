@@ -33,7 +33,7 @@ from .ladder import (
 )
 from .oracles import _NumericFamily, leading_block
 from .radical import ONE, promote, sqrt_factorial
-from .rep import RepSpace, State
+from .rep import RepSpace, State, then
 from .words import TailWord, flip, index_to_word, prepend_letters, word_to_index
 
 
@@ -49,19 +49,6 @@ def _text(label: Label) -> str:
 
 # -- word-level images ---------------------------------------------------------
 
-# The image of a basis word under a product of basis maps: one weighted word
-# (coeff, word), or None for zero.
-
-
-def _then(fn: Callable, image):
-    """The basis map fn applied after image: `map_basis` on one term."""
-    if image is None:
-        return None
-    r = fn(image[1])
-    if r is None or image[0] is ONE:
-        return r
-    return (image[0] if r[0] is ONE else image[0] * r[0]), r[1]
-
 
 def _negated(image):
     return None if image is None else (-image[0], image[1])
@@ -75,7 +62,7 @@ def _times(image, k):
 def _t_word(t: dict, letters, image):
     """The operator word t_letters after image, its rightmost letter first; t is `_maps("t", 2)`."""
     for i in reversed(letters):
-        image = _then(t[False, i], image)
+        image = then(t[False, i], image)
     return image
 
 
@@ -200,7 +187,7 @@ class BranchWitness:
     labels: list
 
 
-# -- the depth bound ---------------------------------------------------------
+# -- the depth bound and the branching modes ---------------------------------
 
 # Basis words double with each prefix letter, so the suites that walk
 # every word up to a depth refuse depths above this before they start.
@@ -211,6 +198,11 @@ def check_depth(depth: int) -> None:
     """Refuse a basis-word depth above MAX_DEPTH."""
     if depth > MAX_DEPTH:
         raise BoundsError(f"depth {depth} exceeds the configured bound {MAX_DEPTH}")
+
+
+def branch_modes(p: int) -> int:
+    """The top mode the branching suites reach at parameter p: their 3 rungs of p modes."""
+    return 3 * p
 
 
 # -- class predicates --------------------------------------------------------
@@ -230,7 +222,7 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = 3) -> SuiteRepo
     b = _maps("b", q * (n_max - 1) + max(q, i))
     for n in range(1, n_max + 1):
         base = q * (n - 1)
-        got = _then(b[False, base + i], _then(b[True, base + i], image))
+        got = then(b[False, base + i], then(b[True, base + i], image))
         rep_.check(lambda: f"b b* at mode {base + i}", _times(image, lam), got)
         for j in range(1, q + 1):
             if j == i:
@@ -238,7 +230,7 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = 3) -> SuiteRepo
             rep_.check(
                 lambda: f"b at mode {base + j} annihilates",
                 None,
-                _then(b[False, base + j], image),
+                then(b[False, base + j], image),
             )
     return rep_
 
@@ -261,7 +253,7 @@ def check_ff_class(
         rep_.check(
             lambda: f"{'a*' if starred else 'a'} at mode {base + i} annihilates",
             None,
-            _then(a[starred, base + i], image),
+            then(a[starred, base + i], image),
         )
         for j in range(1, p + 1):
             if j == i:
@@ -269,7 +261,7 @@ def check_ff_class(
             rep_.check(
                 lambda: f"{'a' if starred else 'a*'} at mode {base + j} annihilates",
                 None,
-                _then(a[not starred, base + j], image),
+                then(a[not starred, base + j], image),
             )
     return rep_
 
@@ -316,7 +308,7 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
         p = value
         space = RepSpace((1,) + (2,) * (p - 1))
         anchor = (ONE, prepend_letters((2,) * (p - 1), space.gp_word()))
-        fixed = _then(basis_map(("s", p, False)), anchor)
+        fixed = then(basis_map(("s", p, False)), anchor)
         label = f"Pinf({p})"
     elif variant == "q":
         q = value
@@ -393,7 +385,7 @@ def check_branching_boson(p: int) -> SuiteReport:
     witness = boson_branch_witness(p)
     oms = [_image(v) for v in witness.vectors]
     anchor = oms[0]
-    t, b, s = _maps("t", 2), _maps("b", p * n_max), _maps("s", 4)
+    t, b, s = _maps("t", 2), _maps("b", branch_modes(p)), _maps("s", 4)
     rep_.check(
         "anchor fixed by s_1^(p-1) s_2",
         anchor,
@@ -409,34 +401,34 @@ def check_branching_boson(p: int) -> SuiteReport:
             for j in range(1, p + 1):
                 mode = p * (n - 1) + p - j + 1
                 expected = _t_word(t, t_i * (n - 1) + (1,) * p, om) if i == j else None
-                rep_.check(lambda: f"b_{mode} Omega_{i}", expected, _then(b[False, mode], om))
+                rep_.check(lambda: f"b_{mode} Omega_{i}", expected, then(b[False, mode], om))
     # creation transport: s-generators raise the previous branch
     rep_.check(
-        "s_1 Omega_1 = b_1 Omega_p", _then(b[False, 1], oms[-1]), _then(s[False, 1], anchor)
+        "s_1 Omega_1 = b_1 Omega_p", then(b[False, 1], oms[-1]), then(s[False, 1], anchor)
     )
-    rep_.check("s_2 Omega_1 = Omega_p", oms[-1], _then(s[False, 2], anchor))
+    rep_.check("s_2 Omega_1 = Omega_p", oms[-1], then(s[False, 2], anchor))
     for i in range(2, p + 1):
         rep_.check(
-            lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2], _then(s[False, 1], oms[i - 1])
+            lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2], then(s[False, 1], oms[i - 1])
         )
         rep_.check(
             lambda: f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
-            _then(b[True, 1], oms[i - 2]),
-            _then(s[False, 2], oms[i - 1]),
+            then(b[True, 1], oms[i - 2]),
+            then(s[False, 2], oms[i - 1]),
         )
     for n in (3, 4):
         # the (b_1*)^(n-2) Omega_p norm is sqrt((n-1)!) since b_1 b_1* doubles
         expected = oms[-1]
         for _ in range(n - 2):
-            expected = _then(b[True, 1], expected)
+            expected = then(b[True, 1], expected)
         expected = _times(expected, ONE / sqrt_factorial(n - 1))
-        rep_.check(lambda: f"s_{n} Omega_1", expected, _then(s[False, n], anchor))
+        rep_.check(lambda: f"s_{n} Omega_1", expected, then(s[False, n], anchor))
         for i in range(2, p + 1):
             expected = oms[i - 2]
             for _ in range(n - 1):
-                expected = _then(b[True, 1], expected)
+                expected = then(b[True, 1], expected)
             expected = _times(expected, ONE / sqrt_factorial(n - 1))
-            rep_.check(lambda: f"s_{n} Omega_{i}", expected, _then(s[False, n], oms[i - 1]))
+            rep_.check(lambda: f"s_{n} Omega_{i}", expected, then(s[False, n], oms[i - 1]))
     return rep_
 
 
@@ -477,14 +469,14 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
 
     oms = [_image(v) for v in fermion_branch_witness(p, starred=False).vectors]
     omega = oms[0]
-    t, a = _maps("t", 2), _maps("a", max(5, p * l_max))
+    t, a = _maps("t", 2), _maps("a", max(5, branch_modes(p)))
 
     if p == 1:
         for n in range(1, 6):
             rep_.check(
                 lambda: f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
                 _t_word(t, (1,) * (n - 1) + (2,), omega),
-                _then(a[True, n], omega),
+                then(a[True, n], omega),
             )
     else:
         # explicit creation images with exact signs, rung by rung
@@ -492,7 +484,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     mode = p * (l - 1) + p - i + 1
-                    got = _then(a[True, mode], oms[j - 1])
+                    got = then(a[True, mode], oms[j - 1])
                     expected = None
                     if i == j:  # the word 2^(p-i) (1 2^(p-1))^(l-1) 2 on Omega
                         letters = (2,) * (p - i) + ((1,) + (2,) * (p - 1)) * (l - 1) + (2,)
@@ -506,13 +498,13 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
             rep_.check(
                 lambda: f"a_{p * l}* Omega",
                 _times(_t_word(t, letters, omega), sign),
-                _then(a[True, p * l], omega),
+                then(a[True, p * l], omega),
             )
             for i in range(1, p):
                 rep_.check(
                     lambda: f"a_{p * (l - 1) + i}* Omega = 0",
                     None,
-                    _then(a[True, p * (l - 1) + i], omega),
+                    then(a[True, p * (l - 1) + i], omega),
                 )
         # pairing relations
         for l in range(1, l_max + 1):
@@ -522,10 +514,10 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                 rep_.check(
                     lambda: f"a_{mode} a_{mode}* Omega_{i}",
                     om_i,
-                    _then(a[False, mode], _then(a[True, mode], om_i)),
+                    then(a[False, mode], then(a[True, mode], om_i)),
                 )
                 rep_.check(
-                    lambda: f"a_{mode} Omega_{i} = 0", None, _then(a[False, mode], om_i)
+                    lambda: f"a_{mode} Omega_{i} = 0", None, then(a[False, mode], om_i)
                 )
                 for j in range(1, p + 1):
                     if j == i:
@@ -534,29 +526,29 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                     rep_.check(
                         lambda: f"a_{mode}* a_{mode} Omega_{j}",
                         om_j,
-                        _then(a[True, mode], _then(a[False, mode], om_j)),
+                        then(a[True, mode], then(a[False, mode], om_j)),
                     )
                     rep_.check(
                         lambda: f"a_{mode}* Omega_{j} = 0",
                         None,
-                        _then(a[True, mode], om_j),
+                        then(a[True, mode], om_j),
                     )
 
     # letter action on the branch vacua
-    rep_.check("t_1 Omega_1 = Omega_p", oms[-1], _then(t[False, 1], omega))
+    rep_.check("t_1 Omega_1 = Omega_p", oms[-1], then(t[False, 1], omega))
     rep_.check(
         "t_2 Omega_1 = a_1* Omega_p",
-        _then(a[True, 1], oms[-1]),
-        _then(t[False, 2], omega),
+        then(a[True, 1], oms[-1]),
+        then(t[False, 2], omega),
     )
     for j in range(2, p + 1):
         rep_.check(
             lambda: f"t_1 Omega_{j} = a_1 Omega_{j - 1}",
-            _then(a[False, 1], oms[j - 2]),
-            _then(t[False, 1], oms[j - 1]),
+            then(a[False, 1], oms[j - 2]),
+            then(t[False, 1], oms[j - 1]),
         )
         rep_.check(
-            lambda: f"t_2 Omega_{j} = Omega_{j - 1}", oms[j - 2], _then(t[False, 2], oms[j - 1])
+            lambda: f"t_2 Omega_{j} = Omega_{j - 1}", oms[j - 2], then(t[False, 2], oms[j - 1])
         )
 
     # class membership, with the letter flip for the starred classes
@@ -580,7 +572,7 @@ def _adjoint_table(rep_: SuiteReport, x: str, maps: dict, top: int, space: RepSp
     moved = [maps[False, j](w) for j in range(1, top + 1)]
     for i in range(1, top + 1):
         for j in range(1, top + 1):
-            got = _then(maps[True, i], moved[j - 1])
+            got = then(maps[True, i], moved[j - 1])
             expected = (ONE, w) if i == j else None
             rep_.check(lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got)
 
@@ -612,7 +604,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         space = RepSpace(J)
         for w in space.basis_words(depth):
             _adjoint_table(rep_, "t", t, 2, space, w)
-            got = _plus(*(_then(t[False, i], t[True, i](w)) for i in (1, 2)))
+            got = _plus(*(then(t[False, i], t[True, i](w)) for i in (1, 2)))
             rep_.check(lambda: f"range completeness on {w} in {space.label}", (ONE, w), got)
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
@@ -623,7 +615,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             whole, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
             acc = None
             for m in range(1, oinfty_max + 1):
-                acc = _plus(acc, _then(s[False, m], s[True, m](w)))
+                acc = _plus(acc, then(s[False, m], s[True, m](w)))
                 rep_.check(
                     lambda: f"partial range sum k={m} on {w} in {space.label}",
                     whole if m >= at else None,
@@ -660,8 +652,8 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
     left, right = "[]" if commute else "{}"
     keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
     image = _image(psi)
-    once = {key: _then(maps[key], image) for key in keys}
-    twice = {(outer, inner): _then(maps[outer], once[inner]) for outer in keys for inner in keys}
+    once = {key: then(maps[key], image) for key in keys}
+    twice = {(outer, inner): then(maps[outer], once[inner]) for outer in keys for inner in keys}
     for n in range(1, op_max + 1):
         for m in range(1, op_max + 1):
             for star_n, star_m in ((False, True), (False, False), (True, True)):
@@ -707,16 +699,16 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
         once = _bracket_relations(rep_, b, "b", psi, max_mode)
         image = _image(psi)
         moved = {
-            (create, m): once[create, m] if m <= max_mode else _then(b[create, m], image)
+            (create, m): once[create, m] if m <= max_mode else then(b[create, m], image)
             for create in (False, True)
             for m in transport
         }
-        shifted = [_then(s[False, k], image) for k in transport]
+        shifted = [then(s[False, k], image) for k in transport]
         for k in transport:
             for m in transport:
                 for create in (False, True):
-                    got = _then(s[False, k], moved[create, m])
-                    expected = _then(b[create, m + 1], shifted[k - 1])
+                    got = then(s[False, k], moved[create, m])
+                    expected = then(b[create, m + 1], shifted[k - 1])
                     rep_.check(
                         lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
                         expected,
@@ -757,13 +749,13 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     for psi in states:
         once = _bracket_relations(rep_, a, "a", psi, max_mode)
         for i, sign in ((1, lambda image: image), (2, _negated)):
-            t_psi = _then(t[False, i], _image(psi))
+            t_psi = then(t[False, i], _image(psi))
             for m in range(1, transport_max + 1):
-                got = _then(t[False, i], once[False, m])
-                expected = sign(_then(a[False, m + 1], t_psi))
+                got = then(t[False, i], once[False, m])
+                expected = sign(then(a[False, m + 1], t_psi))
                 rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
-                got = _then(a[True, m + 1], t_psi)
-                expected = sign(_then(t[False, i], once[True, m]))
+                got = then(a[True, m + 1], t_psi)
+                expected = sign(then(t[False, i], once[True, m]))
                 rep_.check(lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
@@ -772,12 +764,12 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     for psi in sample:
         power = [psi]
         for _ in range(2 * word_identity_max):
-            power.append(_then(t[False, 1], power[-1]))
+            power.append(then(t[False, 1], power[-1]))
         table, t2_psi = {}, psi
         for m in range(1, word_identity_max + 1):
-            t2_psi = lhs = _then(t[False, 2], t2_psi)
+            t2_psi = lhs = then(t[False, 2], t2_psi)
             for n in range(1, word_identity_max + 1):
-                lhs = table[n, m] = _then(t[False, 1], lhs)
+                lhs = table[n, m] = then(t[False, 1], lhs)
         powers.append(power)
         mixed.append(table)
     for n in range(1, word_identity_max + 1):
@@ -786,7 +778,7 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
                 lhs = table[n, m]
                 rhs = power[n + m]
                 for k in range(n + m, n, -1):
-                    rhs = _then(a[True, k], rhs)
+                    rhs = then(a[True, k], rhs)
                 rep_.check(
                     lambda: f"t_1^{n} t_2^{m} rewrite on {_state(space, psi).render()}",
                     lhs,
@@ -886,6 +878,16 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dim must be a power of two from 1 to 2^14, got {dim}")
 
 
+ORACLE_STARTS = 8  # random oracle pipelines start at e_1..e_8; the fixed ones reach e_5
+
+
+def check_oracle_dim(dim: int) -> None:
+    """Refuse a dim that `check_dim` refuses, or one below ORACLE_STARTS."""
+    check_dim(dim)
+    if dim < ORACLE_STARTS:
+        raise ValueError(f"dim must be >= {ORACLE_STARTS} for the oracle suite, got {dim}")
+
+
 def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
     """Compare the exact engine against truncated double-precision operators.
 
@@ -903,7 +905,7 @@ def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
         return FloatOracleResult(overflow=True, deviation=None)
     image = (ONE, index_to_word(start))
     for tok in tokens:
-        image = _then(basis_map(tok), image)
+        image = then(basis_map(tok), image)
         if image is not None and word_to_index(image[1]) > dim:
             return FloatOracleResult(overflow=True, deviation=None)
     num = _NumericFamily(dim)
@@ -924,11 +926,8 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     12 on e_1; and `sequences` random in-window operator pipelines of 1 to
     6 tokens whose float deviation must stay below 1e-9.
     """
-    check_dim(dim)
+    check_oracle_dim(dim)
     max_index, ladder_max, embed_max_m, embed_max_n = 2 ** 14, 12, 16, min(dim, 4096)
-    max_start = 8  # random pipelines start at e_1..e_8; the fixed ones reach e_5
-    if dim < max_start:
-        raise ValueError(f"dim must be >= {max_start} for the oracle suite, got {dim}")
     tolerance = 1e-9
     rep_ = SuiteReport(
         "oracle",
@@ -973,10 +972,10 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     a, b = _maps("a", ladder_max), _maps("b", ladder_max)
     for m in range(1, ladder_max + 1):
         target = (ONE, index_to_word(2 ** (m - 1) + 1))
-        rep_.check(lambda: f"a_{m}* e_1", target, _then(a[True, m], e1))
-        rep_.check(lambda: f"a_{m} e_1", None, _then(a[False, m], e1))
-        rep_.check(lambda: f"b_{m}* e_1", target, _then(b[True, m], e1))
-        rep_.check(lambda: f"b_{m} e_1", None, _then(b[False, m], e1))
+        rep_.check(lambda: f"a_{m}* e_1", target, then(a[True, m], e1))
+        rep_.check(lambda: f"a_{m} e_1", None, then(a[False, m], e1))
+        rep_.check(lambda: f"b_{m}* e_1", target, then(b[True, m], e1))
+        rep_.check(lambda: f"b_{m} e_1", None, then(b[False, m], e1))
     # fixed float-oracle pipelines
     for ops, start in ((["t2", "t1", "t2*"], 1), (["b1*", "b1"], 1), (["a3*"], 1)):
         res = float_oracle(dim, ops, start)
@@ -998,7 +997,7 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             kind = rng.choice("ttssba")
             idx = rng.randint(1, 2) if kind == "t" else rng.randint(1, 4)
             ops.append(f"{kind}{idx}{'*' if rng.random() < 0.5 else ''}")
-        start = rng.randint(1, max_start)
+        start = rng.randint(1, ORACLE_STARTS)
         res = float_oracle(dim, ops, start)
         if res.overflow:
             continue

@@ -56,31 +56,18 @@ class TailWord:
     `rot` is the primitive root of `period` rotated by `phase` letters; the
     phase is not stored but read back from `rot`.  A nonempty prefix never
     ends in rot[-1]: that letter would be absorbed into the tail.  The
-    constructor is the only entry that validates and canonicalises words
-    from outside.  Every edit the generator and ladder actions make goes
-    through `prepend_letters` or its inverse `split_letters`, which keep
-    these invariants and build their results with `_make`.
+    constructor is the only entry that validates words from outside, and
+    it canonicalises them with `prepend_letters` on `pure(period, phase)`.
+    Every edit the generator and ladder actions make goes through
+    `prepend_letters` or its inverse `split_letters`, which keep these
+    invariants and build their results with `_make`.
     """
 
     __slots__ = ("prefix", "period", "rot", "_hash")
 
     def __init__(self, prefix=(), period=(1,), phase: int = 0):
-        prefix = check_letters(prefix)
-        period = check_letters(period)
-        if not period:
-            raise ValueError("period must be nonempty")
-        r = _primitive_len(period)
-        prim = period[:r]
-        phase %= r
-        p = list(prefix)
-        # absorb prefix letters already supplied by the periodic tail
-        while p and p[-1] == prim[(phase - 1) % r]:
-            p.pop()
-            phase = (phase - 1) % r
-        self.prefix = tuple(p)
-        self.period = period
-        self.rot = prim[phase:] + prim[:phase]
-        self._hash = hash((self.prefix, self.rot))
+        w = prepend_letters(check_letters(prefix), pure(period, phase))
+        self.prefix, self.period, self.rot, self._hash = w.prefix, w.period, w.rot, w._hash
 
     # the infinite word is determined by (prefix, rot)
     def __eq__(self, other) -> bool:
@@ -143,17 +130,20 @@ def _make(prefix: Letters, period: Letters, rot: Letters) -> TailWord:
 
 
 def pure(period, phase: int = 0) -> TailWord:
-    return TailWord((), period, phase)
+    """The word rot^inf, rot the primitive root of period rotated by phase letters."""
+    period = check_letters(period)
+    if not period:
+        raise ValueError("period must be nonempty")
+    r = _primitive_len(period)
+    prim = period[:r]
+    phase %= r
+    return _make((), period, prim[phase:] + prim[:phase])
 
 
 def flip(w: TailWord) -> TailWord:
-    """Swap the letters 1 <-> 2 throughout."""
-    swap = {1: 2, 2: 1}
-    return TailWord(
-        tuple(swap[i] for i in w.prefix),
-        tuple(swap[i] for i in w.period),
-        w.phase,
-    )
+    """Swap the letters 1 <-> 2 throughout; the swap of a canonical word is canonical."""
+    prefix, period, rot = (tuple(3 - i for i in x) for x in (w.prefix, w.period, w.rot))
+    return _make(prefix, period, rot)
 
 
 def nth_block(w: TailWord, n: int) -> "tuple[int, int] | None":

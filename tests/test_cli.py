@@ -287,6 +287,26 @@ def test_verify_roundtrip_max_subset_bound_exit_3():
     assert run("verify", "roundtrip", "--max-subset", "40").exit_code == 3
 
 
+def test_verify_refuses_every_bound_before_the_first_suite_runs(monkeypatch):
+    # each bound here is read only by a suite after `cuntz`, the first one under `all`
+    from cuntzfock import verify
+
+    def never(**kwargs):
+        raise AssertionError("cuntz ran before the refusal")
+
+    monkeypatch.setattr(verify, "cuntz_suite", never)
+    for args, code in (
+        (("-p", "6"), 3),
+        (("--dim", "3"), 2),
+        (("--dim", "4"), 2),
+        (("--modes", "17"), 3),
+        (("--particles", "13"), 3),
+        (("--max-subset", "13"), 3),
+    ):
+        res = run("verify", "all", *args)
+        assert res.exit_code == code, (args, res.output)
+
+
 def test_verify_failure_exit_1(monkeypatch):
     failing = SuiteReport("rigged", cases=1, failures=[
         {"case": "x", "expected": "a", "got": "b"}
@@ -496,6 +516,12 @@ def test_verify_imports_no_state_lift():
     tree = _module_tree("verify")
     imported = {target.rsplit(".", 1)[-1] for target, _ in _imports(ast.walk(tree))}
     assert not imported & STATE_LIFTS, imported & STATE_LIFTS
+
+
+def test_ladder_and_verify_compose_basis_maps_with_rep_then():
+    for name in ("ladder", "verify"):
+        imported = {target for target, _ in _imports(ast.walk(_module_tree(name)))}
+        assert "cuntzfock.rep.then" in imported, name
 
 
 def test_modules_use_every_name_they_import():

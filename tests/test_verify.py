@@ -401,13 +401,13 @@ def test_bracket_relations_apply_each_product_once(monkeypatch):
     from cuntzfock import verify
 
     calls = [0]
-    then = verify._then
+    then = verify.then
 
     def counted(*args):
         calls[0] += 1
         return then(*args)
 
-    monkeypatch.setattr(verify, "_then", counted)
+    monkeypatch.setattr(verify, "then", counted)
     for op_max in (1, 3, 5):
         states = [boson_state(M) for M in verify._boson_family(2, op_max)]
         for x in "ba":

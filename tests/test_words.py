@@ -300,6 +300,41 @@ def test_flip():
     assert flip(fw) == w
 
 
+def is_canonical(w: TailWord) -> bool:
+    """rot is primitive, and a nonempty prefix does not end in the letter the tail supplies."""
+    r = len(w.rot)
+    primitive = all(w.rot != w.rot[:d] * (r // d) for d in range(1, r) if r % d == 0)
+    return primitive and not (w.prefix and w.prefix[-1] == w.rot[-1])
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sampled_from([1, 2]), max_size=8).map(tuple),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+    st.integers(-9, 9),
+)
+def test_constructor_and_flip_give_canonical_words(prefix, period, phase):
+    # the word prefix . rot^inf, with rot the period rotated by phase letters
+    def letter(j):
+        return prefix[j] if j < len(prefix) else period[(phase + j - len(prefix)) % len(period)]
+
+    count = len(prefix) + 3 * len(period) + 12
+    w = TailWord(prefix, period, phase)
+    assert [w.letter_at(j) for j in range(count)] == [letter(j) for j in range(count)]
+    assert is_canonical(w) and w.period == period
+    fw = flip(w)
+    assert [fw.letter_at(j) for j in range(count)] == [3 - letter(j) for j in range(count)]
+    assert is_canonical(fw) and fw.period == tuple(3 - i for i in period)
+    assert fields(flip(fw)) == fields(w)
+
+
+def test_an_empty_period_is_refused():
+    with pytest.raises(ValueError):
+        pure(())
+    with pytest.raises(ValueError):
+        TailWord((1,), ())
+
+
 def test_json_round_trip():
     w = TailWord((2, 1), (2, 1), 1)
     assert w.depth == 2  # genuinely canonical: nothing absorbs
