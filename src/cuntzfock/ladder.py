@@ -27,13 +27,14 @@ from typing import Iterable
 
 from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis, then
-from .words import TailWord, nth_block, prepend_letters, split_letters
+from .words import TailWord, index_to_word, nth_block, prepend_letters, split_letters
 
 # The two guard rails, enforced by check_mode and check_particles below.
 MAX_MODE = 16
 MAX_PARTICLES = 12
 
 FOCK_SPACE = RepSpace((1,))
+_VACUUM = FOCK_SPACE.gp_word()
 
 
 class BoundsError(ValueError):
@@ -352,31 +353,26 @@ def boson_state(M: BosonMonomial) -> State:
     """
     check_particles(M.particle_number)
     letters: list[int] = []
-    prev = None
+    prev = 1
     for n, k in M.factors:
-        gap = (n - 1) if prev is None else (n - prev)
-        letters.extend([1] * gap)
+        letters.extend([1] * (n - prev))
         letters.extend([2] * k)
         prev = n
     coeff = sqrt_factorial_product(k for _, k in M.factors)
-    return State.basis(FOCK_SPACE, TailWord(tuple(letters), FOCK_SPACE.period), coeff)
+    return State.basis(FOCK_SPACE, prepend_letters(tuple(letters), _VACUUM), coeff)
 
 
 def fermion_state(S: FermionSubset) -> State:
     """The single basis term of an iterated fermion creation monomial."""
     check_particles(S.particle_number)
-    letters: list[int] = []
-    prev = 0
-    for s in S.elements:
-        letters.extend([1] * (s - prev - 1))
-        letters.append(2)
-        prev = s
-    return State.basis(FOCK_SPACE, TailWord(tuple(letters), FOCK_SPACE.period))
+    # a*_S Omega = e_idx: the codec's word has a 2 at each mode in S, 1s elsewhere
+    idx = 1 + sum(1 << (s - 1) for s in S.elements)
+    return State.basis(FOCK_SPACE, index_to_word(idx))
 
 
 def _created(kind: str, factors) -> State:
     """The GP vector under the creations (x*_n)^k of factors, x = kind, on its one word."""
-    image = (ONE, FOCK_SPACE.gp_word())
+    image = (ONE, _VACUUM)
     for n, k in reversed(factors):
         create = basis_map((kind, n, True))
         for _ in range(k):

@@ -46,7 +46,7 @@ def _square_split(n: int) -> tuple[int, int]:
 class RadicalScalar:
     """A finite sum of rational multiples of square roots of integers."""
 
-    __slots__ = ("_den", "_num", "_hash")
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms: Mapping[int, object] | None = None):
         # Rationals report numerator and denominator in lowest terms, so
@@ -65,7 +65,6 @@ class RadicalScalar:
                 den = den // gcd(den, m) * m
         self._den = den
         self._num = {d: n * (den // m) for d, (n, m) in parts.items()}
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -110,12 +109,9 @@ class RadicalScalar:
 
     def __hash__(self) -> int:
         # a rational scalar equals its Fraction (and int), so it hashes as one
-        if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(Fraction(self._num.get(1, 0), self._den))
-            else:
-                self._hash = hash((self._den, tuple(sorted(self._num.items()))))
-        return self._hash
+        if self.is_rational():
+            return hash(Fraction(self._num.get(1, 0), self._den))
+        return hash((self._den, tuple(sorted(self._num.items()))))
 
     # -- ring operations ----------------------------------------------
 
@@ -238,7 +234,6 @@ def _wrap(den: int, num: dict[int, int]) -> RadicalScalar:
     out = RadicalScalar.__new__(RadicalScalar)
     out._den = den
     out._num = num
-    out._hash = None
     return out
 
 

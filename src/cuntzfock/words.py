@@ -63,11 +63,11 @@ class TailWord:
     invariants and build their results with `_make`.
     """
 
-    __slots__ = ("prefix", "period", "rot", "_hash")
+    __slots__ = ("prefix", "period", "rot")
 
     def __init__(self, prefix=(), period=(1,), phase: int = 0):
         w = prepend_letters(check_letters(prefix), pure(period, phase))
-        self.prefix, self.period, self.rot, self._hash = w.prefix, w.period, w.rot, w._hash
+        self.prefix, self.period, self.rot = w.prefix, w.period, w.rot
 
     # the infinite word is determined by (prefix, rot)
     def __eq__(self, other) -> bool:
@@ -76,7 +76,7 @@ class TailWord:
         return self.prefix == other.prefix and self.rot == other.rot
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.prefix, self.rot))
 
     @property
     def phase(self) -> int:
@@ -125,7 +125,6 @@ def _make(prefix: Letters, period: Letters, rot: Letters) -> TailWord:
     w.prefix = prefix
     w.period = period
     w.rot = rot
-    w._hash = hash((prefix, rot))
     return w
 
 
