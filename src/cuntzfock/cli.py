@@ -142,7 +142,8 @@ _SUITES = {
 @click.option("--modes", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--particles", type=click.IntRange(min=0), default=4, show_default=True)
 @click.option("--max-subset", type=click.IntRange(min=1), default=12, show_default=True)
-@click.option("-p", "--p-max", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("-p", "--p-max", type=click.IntRange(min=1), default=4, show_default=True,
+              help="Largest p of the branch suites; branch-boson stops at p = 3.")
 @click.option("--dim", type=int, default=1024, show_default=True)
 @click.option("--sequences", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=20240809, show_default=True)

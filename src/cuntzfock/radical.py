@@ -4,11 +4,12 @@ A scalar is a finite map from squarefree radicands d >= 1 to nonzero
 rational coefficients; the radicand 1 carries the rational part.  It is
 stored as one positive integer denominator and a map from radicands to
 nonzero integer numerators, with no factor common to the denominator and
-every numerator.  That form is canonical (square parts extracted, zero
-coefficients dropped, fractions reduced), so equality of values is
-equality of stored forms, and each sum or product needs one gcd pass
-rather than one per term.  This is exactly the coefficient arithmetic
-needed for ladder-operator weights sqrt(k) and normalization constants
+every numerator, and nothing else: the hash is computed when asked.
+That form is canonical (square parts extracted, zero coefficients
+dropped, fractions reduced), so equality of values is equality of stored
+forms, and each sum or product needs one gcd pass rather than one per
+term.  This is exactly the coefficient arithmetic needed for
+ladder-operator weights sqrt(k) and normalization constants
 sqrt(k_1! ... k_m!).
 """
 

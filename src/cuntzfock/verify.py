@@ -391,11 +391,12 @@ def check_branching_boson(p: int) -> SuiteReport:
         anchor,
         _t_word(t, (1,) * (p - 1) + (2, 1), anchor),
     )
-    for i, (vec, om) in enumerate(zip(witness.vectors, oms), 1):
+    for i, (vec, om, label) in enumerate(zip(witness.vectors, oms, witness.labels), 1):
+        _, _, residue, lam = label
         rep_.check(lambda: f"Omega_{i} unit", ONE, vec.norm2())
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
         rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, _t_word(t, t_i, om))
-        rep_.absorb(check_bf_class(vec, p, p - i + 1, 2, n_max=n_max))
+        rep_.absorb(check_bf_class(vec, p, residue, lam, n_max=n_max))
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, n_max + 1):
             for j in range(1, p + 1):
@@ -798,8 +799,8 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
     mode bounds round-trip exactly; the two norm factors multiply to 1;
     the operational route through the representation space agrees with
     the index combinatorics; grades are conserved, and within each grade
-    up to 4 the fermion images are pairwise distinct and cover all subsets
-    of {1..8}.
+    up to 4 every row of `enumerate_grade` equals `forward` of its boson,
+    and the images are pairwise distinct and cover all subsets of {1..8}.
     Parameters above the particle or mode bound are refused before any work.
     """
     check_particles(max_subset)
@@ -838,14 +839,16 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
         rep_.check(lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
     for n in range(grade_max + 1):
         pairs = corr.enumerate_grade(n, 6)
-        images = {p.fermion for p in pairs}
+        fwds = [corr.forward(p.boson) for p in pairs]
+        images = {f.fermion for f in fwds}
         rep_.check_true(
             lambda: f"grade {n} images pairwise distinct",
-            len(images) == len(pairs),
-            lambda: f"{len(pairs)} pairs, {len(images)} distinct images",
+            len(images) == len(pairs) and fwds == pairs,
+            lambda: f"{len(pairs)} pairs, {len(images)} distinct images, "
+            f"{sum(p != f for p, f in zip(pairs, fwds))} rows unlike forward",
         )
     for n in range(1, grade_max + 1):
-        images = {p.fermion for p in corr.enumerate_grade(n, 8)}
+        images = {corr.forward(p.boson).fermion for p in corr.enumerate_grade(n, 8)}
         missing = [
             S
             for S in (FermionSubset(c) for c in combinations(range(1, 9), n))

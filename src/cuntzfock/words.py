@@ -53,14 +53,15 @@ def _primitive_len(period: Letters) -> int:
 class TailWord:
     """Canonical eventually periodic infinite word: prefix . rot(period)^inf.
 
-    `rot` is the primitive root of `period` rotated by `phase` letters; the
-    phase is not stored but read back from `rot`.  A nonempty prefix never
-    ends in rot[-1]: that letter would be absorbed into the tail.  The
-    constructor is the only entry that validates words from outside, and
-    it canonicalises them with `prepend_letters` on `pure(period, phase)`.
-    Every edit the generator and ladder actions make goes through
-    `prepend_letters` or its inverse `split_letters`, which keep these
-    invariants and build their results with `_make`.
+    A word is its three fields: `rot` is the primitive root of `period`
+    rotated by `phase` letters (the phase is read back from `rot`), and
+    the hash of (prefix, rot) is taken when asked.  A nonempty prefix
+    never ends in rot[-1]: that letter would be absorbed into the tail.
+    The constructor is the only entry that validates words from outside,
+    and it canonicalises them with `prepend_letters` on `pure(period,
+    phase)`.  Every edit the generator and ladder actions make goes
+    through `prepend_letters` or its inverse `split_letters`, which keep
+    these invariants and build their results with `_make`.
     """
 
     __slots__ = ("prefix", "period", "rot")

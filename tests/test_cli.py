@@ -281,6 +281,13 @@ def test_verify_branch_oinfty_value_bound_exit_3():
     assert "mode 17 exceeds" in res.output
 
 
+def test_verify_branch_boson_stops_at_p_3():
+    # a larger -p is accepted, and the suite still checks p = 1, 2 and 3 only
+    res = run("verify", "branch-boson", "-p", "6", "--json")
+    assert res.exit_code == 0, res.output
+    assert [r["params"]["p"] for r in json.loads(res.output)] == [1, 2, 3]
+
+
 def test_verify_roundtrip_max_subset_bound_exit_3():
     # --max-subset is held to the particle bound like --particles
     assert run("verify", "roundtrip", "--max-subset", "13").exit_code == 3

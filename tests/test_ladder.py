@@ -21,7 +21,7 @@ from cuntzfock.ladder import (
     parse_fermion_word,
 )
 from cuntzfock.radical import ONE, sqrt_of_nat
-from cuntzfock import ladder, oracles
+from cuntzfock import ladder, oracles, words
 from cuntzfock.oracles import (
     _b1_direct, _NumericFamily, apply_rho, apply_zeta, boson_via_shifts, fermion_via_shifts,
 )
@@ -218,6 +218,26 @@ def test_closed_forms_match_iteration():
         for modes in itertools.combinations(range(1, 11), n):
             S = FermionSubset(modes)
             assert fermion_state(S) == fermion_state_iterated(S)
+
+
+def test_closed_forms_build_one_word_per_state(monkeypatch):
+    # every word is built by `words._make` or by the checking constructor;
+    # TailWord.__new__ itself is not patched, since deleting a patched
+    # __new__ leaves CPython's slot pointing at the patch's wrapper
+    built = []
+
+    def counted(f):
+        return lambda *args: built.append(f) or f(*args)
+
+    monkeypatch.setattr(words, "_make", counted(words._make))
+    monkeypatch.setattr(TailWord, "__init__", counted(TailWord.__init__))
+    monomials = [parse_boson_expr(e) for e in ("", "1", "1^3", "2 5^2", "1^2 3 7^4")]
+    subsets = [FermionSubset(s) for s in ((), (1,), (3,), (1, 2, 6), (2, 4, 5, 9, 16))]
+    for build, values in ((boson_state, monomials), (fermion_state, subsets)):
+        for value in values:
+            built.clear()
+            build(value)
+            assert len(built) == 1, (build.__name__, value)
 
 
 def test_iterated_boson_state_builds_one_map_per_mode(monkeypatch):

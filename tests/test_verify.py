@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzfock.correspondence import EngineError
+from cuntzfock.correspondence import CorrespondencePair, EngineError
 from cuntzfock.ladder import (
+    BosonMonomial,
     BoundsError,
     basis_map,
     boson_state,
@@ -460,6 +461,32 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
 
 def test_roundtrip_suite_small():
     assert roundtrip_suite(max_subset=6, max_particles=3, max_mode=4).passed
+
+
+def _faulty_grade_rows(monkeypatch, shift_modes: bool):
+    """Plant a fault in `enumerate_grade`: reciprocal coefficients, and bosons
+    one mode too high if shift_modes; each row keeps its true fermion image."""
+    from cuntzfock import correspondence as corr
+
+    enumerate_grade = corr.enumerate_grade
+
+    def faulty(n, max_mode):
+        rows = []
+        for p in enumerate_grade(n, max_mode):
+            boson = BosonMonomial([(m + shift_modes, k) for m, k in p.boson.factors])
+            rows.append(CorrespondencePair(boson, p.fermion, ONE / p.coeff))
+        return rows
+
+    monkeypatch.setattr(corr, "enumerate_grade", faulty)
+
+
+@pytest.mark.parametrize("shift_modes", [True, False])
+def test_roundtrip_checks_each_grade_row_against_forward(monkeypatch, shift_modes):
+    _faulty_grade_rows(monkeypatch, shift_modes)
+    report = roundtrip_suite(12, 4, 5)
+    assert not report.passed
+    failed = {f["case"] for f in report.failures}
+    assert {f"grade {n} images pairwise distinct" for n in (2, 3, 4)} <= failed
 
 
 def test_roundtrip_suite_refuses_max_subset_above_the_particle_bound():
