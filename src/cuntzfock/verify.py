@@ -848,7 +848,8 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
             f"{sum(p != f for p, f in zip(pairs, fwds))} rows unlike forward",
         )
     for n in range(1, grade_max + 1):
-        images = {corr.forward(p.boson).fermion for p in corr.enumerate_grade(n, 8)}
+        rows = corr.enumerate_grade(n, 8)
+        images = {corr.forward(p.boson).fermion for p in rows}
         missing = [
             S
             for S in (FermionSubset(c) for c in combinations(range(1, 9), n))
