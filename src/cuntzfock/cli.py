@@ -16,7 +16,6 @@ from .ladder import (
     BoundsError,
     basis_map,
     check_mode,
-    check_particles,
     parse_boson_expr,
     parse_boson_word,
     parse_fermion_expr,
@@ -104,38 +103,6 @@ def cmd_table(particles: int, max_mode: int, as_json: bool):
         click.echo(corr.grade_table_tsv(pairs), nl=False)
 
 
-# The suites module, imported by `cmd_verify` when it runs a suite, so that
-# the other commands start without loading it.
-verify = None
-
-_SUITES = {
-    "cuntz": lambda o: [verify.cuntz_suite(depth=o["depth"])],
-    "ccr": lambda o: [verify.ccr_suite(max_particles=o["particles"], max_mode=o["modes"])],
-    "car": lambda o: [verify.car_suite(max_particles=o["particles"], max_mode=o["modes"])],
-    "branch-oinfty": lambda o: [
-        verify.check_branching_oinfty(v, variant, depth=o["depth"])
-        for variant in ("p", "q")
-        for v in range(1, o["p_max"] + 1)
-    ],
-    "branch-boson": lambda o: [
-        verify.check_branching_boson(p) for p in range(1, min(o["p_max"], 3) + 1)
-    ],
-    "branch-fermion": lambda o: [
-        verify.check_branching_fermion(p, starred=starred)
-        for starred in (False, True)
-        for p in range(1, o["p_max"] + 1)
-    ],
-    "roundtrip": lambda o: [
-        verify.roundtrip_suite(
-            max_subset=o["max_subset"], max_particles=o["particles"], max_mode=o["modes"]
-        )
-    ],
-    "oracle": lambda o: [
-        verify.oracle_suite(dim=o["dim"], sequences=o["sequences"], seed=o["seed"])
-    ],
-}
-
-
 @main.command("verify")
 @click.argument("suites", nargs=-1, required=True)
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
@@ -154,23 +121,8 @@ def cmd_verify(suites, as_json, **options):
     Known names: cuntz ccr car branch-oinfty branch-boson branch-fermion
     roundtrip oracle, or `all`.
     """
-    names = list(suites)
-    if names == ["all"]:
-        names = list(_SUITES)
-    unknown = [n for n in names if n not in _SUITES]
-    if unknown:
-        raise click.UsageError(f"unknown suite(s): {', '.join(unknown)}")
-    global verify
-    from . import verify
-    # every option is held to its bound before the first suite runs, whichever suites
-    # read it; -p to the top mode of `branch-fermion` when that suite is named
-    verify.check_depth(options["depth"])
-    check_particles(max(options["particles"], options["max_subset"]))
-    check_mode(options["modes"])
-    p_max = options["p_max"]
-    check_mode(verify.branch_modes(p_max) if "branch-fermion" in names else p_max)
-    verify.check_oracle_dim(options["dim"])
-    reports = [rep for n in names for rep in _SUITES[n](options)]
+    from . import verify  # here, so that the other commands start without the suites
+    reports = verify.run(suites, options)
     if as_json:
         click.echo(json.dumps([r.to_json() for r in reports]))
     else:

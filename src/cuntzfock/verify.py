@@ -4,8 +4,9 @@ Every suite applies the exact engine to concrete basis vectors and compares
 the results; except for the floating-point oracle all checks are exact.
 Each operator sends a basis word to one weighted word or to zero, so every
 suite composes the engine's basis maps on words and adds the terms of a
-sum on words too; a `State` is built only to report a failed check, in the
-space that its words name.
+sum on words too: a passing check builds no `State` beyond its inputs (the
+branch witnesses, the class predicates' candidates, the states of `ccr` and
+`car`), and a failed one reports in the space that its words name.
 "Span" claims of the branching laws are rendered as depth-bounded
 reachability witnesses: density itself is not finitely checkable.
 """
@@ -187,7 +188,7 @@ class BranchWitness:
     labels: list
 
 
-# -- the depth bound and the branching modes ---------------------------------
+# -- the depth bound and the branching rungs ---------------------------------
 
 # Basis words double with each prefix letter, so the suites that walk
 # every word up to a depth refuse depths above this before they start.
@@ -200,15 +201,21 @@ def check_depth(depth: int) -> None:
         raise BoundsError(f"depth {depth} exceeds the configured bound {MAX_DEPTH}")
 
 
+# The branching suites and class predicates check rungs n = 1..RUNGS, of modes p(n-1)+1..pn.
+RUNGS = 3
+# `branch-boson` runs for p <= min(p_max, BOSON_P_MAX): lifting it adds p = 4 to `verify all`.
+BOSON_P_MAX = 3
+
+
 def branch_modes(p: int) -> int:
-    """The top mode the branching suites reach at parameter p: their 3 rungs of p modes."""
-    return 3 * p
+    """The top mode the branching suites reach at parameter p: their RUNGS rungs of p modes."""
+    return RUNGS * p
 
 
 # -- class predicates --------------------------------------------------------
 
 
-def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = 3) -> SuiteReport:
+def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = RUNGS) -> SuiteReport:
     """Verify the boson class relations at a candidate cyclic vector.
 
     For n = 1..n_max: b_{q(n-1)+i} b*_{q(n-1)+i} psi = lam psi, and
@@ -236,7 +243,7 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = 3) -> SuiteRepo
 
 
 def check_ff_class(
-    psi: State, p: int, i: int, starred: bool = False, n_max: int = 3
+    psi: State, p: int, i: int, starred: bool = False, n_max: int = RUNGS
 ) -> SuiteReport:
     """Verify the fermion class relations at a candidate cyclic vector.
 
@@ -369,14 +376,13 @@ def check_branching_boson(p: int) -> SuiteReport:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    n_max = 3
-    rep_ = SuiteReport("branch-boson", {"p": p, "n_max": n_max})
+    rep_ = SuiteReport("branch-boson", {"p": p, "n_max": RUNGS})
 
     # part A: single branch with amplification lambda = p
     space_a = RepSpace((1,) + (2,) * (p - 1))
     anchor_a = State.basis(space_a, prepend_letters((2,) * (p - 1), space_a.gp_word()))
     rep_.check("part A anchor unit", ONE, anchor_a.norm2())
-    rep_.absorb(check_bf_class(anchor_a, 1, 1, p, n_max=n_max))
+    rep_.absorb(check_bf_class(anchor_a, 1, 1, p))
 
     if p == 1:
         return rep_
@@ -396,9 +402,9 @@ def check_branching_boson(p: int) -> SuiteReport:
         rep_.check(lambda: f"Omega_{i} unit", ONE, vec.norm2())
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
         rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, _t_word(t, t_i, om))
-        rep_.absorb(check_bf_class(vec, p, residue, lam, n_max=n_max))
+        rep_.absorb(check_bf_class(vec, p, residue, lam))
         # ladder relations: annihilators pair branches with s_1^p shifts
-        for n in range(1, n_max + 1):
+        for n in range(1, RUNGS + 1):
             for j in range(1, p + 1):
                 mode = p * (n - 1) + p - j + 1
                 expected = _t_word(t, t_i * (n - 1) + (1,) * p, om) if i == j else None
@@ -465,10 +471,10 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    l_max = 3
-    rep_ = SuiteReport("branch-fermion", {"p": p, "starred": starred, "l_max": l_max})
+    rep_ = SuiteReport("branch-fermion", {"p": p, "starred": starred, "l_max": RUNGS})
 
-    oms = [_image(v) for v in fermion_branch_witness(p, starred=False).vectors]
+    unstarred = fermion_branch_witness(p)
+    oms = [_image(v) for v in unstarred.vectors]
     omega = oms[0]
     t, a = _maps("t", 2), _maps("a", max(5, branch_modes(p)))
 
@@ -481,7 +487,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
             )
     else:
         # explicit creation images with exact signs, rung by rung
-        for l in range(1, l_max + 1):
+        for l in range(1, RUNGS + 1):
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     mode = p * (l - 1) + p - i + 1
@@ -493,7 +499,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                         expected = _times(_t_word(t, letters, omega), sign)
                     rep_.check(lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
         # specialization at the GP vector itself
-        for l in range(1, l_max + 1):
+        for l in range(1, RUNGS + 1):
             sign = (-1) ** ((p - 1) * l)
             letters = ((2,) * (p - 1) + (1,)) * (l - 1) + (2,) * p
             rep_.check(
@@ -508,7 +514,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                     then(a[True, p * (l - 1) + i], omega),
                 )
         # pairing relations
-        for l in range(1, l_max + 1):
+        for l in range(1, RUNGS + 1):
             for i in range(1, p + 1):
                 mode = p * (l - 1) + p - i + 1
                 om_i = oms[i - 1]
@@ -553,10 +559,10 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
         )
 
     # class membership, with the letter flip for the starred classes
-    family = fermion_branch_witness(p, starred=starred)
+    family = fermion_branch_witness(p, starred=True) if starred else unstarred
     for vec, (_, _, residue, star_flag) in zip(family.vectors, family.labels):
         rep_.check("branch vacuum unit", ONE, vec.norm2())
-        rep_.absorb(check_ff_class(vec, p, residue, starred=star_flag, n_max=l_max))
+        rep_.absorb(check_ff_class(vec, p, residue, starred=star_flag))
     return rep_
 
 
@@ -866,16 +872,6 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
 # -- the l2(N) codec and the floating oracle ---------------------------------
 
 
-@dataclass
-class FloatOracleResult:
-    overflow: bool
-    deviation: float | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.overflow
-
-
 def check_dim(dim: int) -> None:
     """Refuse a float-oracle dimension that is not a power of two up to 2^14."""
     if dim < 1 or dim & (dim - 1) or dim > 2 ** 14:
@@ -892,34 +888,33 @@ def check_oracle_dim(dim: int) -> None:
         raise ValueError(f"dim must be >= {ORACLE_STARTS} for the oracle suite, got {dim}")
 
 
-def float_oracle(dim: int, ops, start: int = 1) -> FloatOracleResult:
+def float_oracle(dim: int, ops, start: int = 1) -> float | None:
     """Compare the exact engine against truncated double-precision operators.
 
     The operator tokens, strings such as "b1*", are applied in list order
     (first token first) to the basis vector e_start, once exactly and once
     numerically.  If e_start or any exact intermediate lies outside the
-    truncation window the comparison is reported as an overflow instead of
-    a deviation.  Both results are sparse {index: weight} vectors; the
-    deviation is the largest |float - exact| over the union of their
-    supports (0.0 when both are zero), and NaN when any difference is NaN.
+    truncation window the comparison is an overflow and None is returned
+    instead of a deviation.  Both results are sparse {index: weight}
+    vectors; the deviation is the largest |float - exact| over the union of
+    their supports (0.0 when both are zero), and NaN when any difference is NaN.
     """
     check_dim(dim)
     tokens = [parse_op_token(t) for t in ops]
     if start > dim:
-        return FloatOracleResult(overflow=True, deviation=None)
+        return None
     image = (ONE, index_to_word(start))
     for tok in tokens:
         image = then(basis_map(tok), image)
         if image is not None and word_to_index(image[1]) > dim:
-            return FloatOracleResult(overflow=True, deviation=None)
+            return None
     num = _NumericFamily(dim)
     vec = {start: 1.0}
     for tok in tokens:
         vec = num.apply(tok, vec)
     exact = {} if image is None else {word_to_index(image[1]): image[0].to_float()}
     diffs = [abs(vec.get(k, 0.0) - exact.get(k, 0.0)) for k in vec.keys() | exact.keys()]
-    deviation = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
-    return FloatOracleResult(overflow=False, deviation=deviation)
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
 
 def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) -> SuiteReport:
@@ -982,11 +977,11 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
         rep_.check(lambda: f"b_{m} e_1", None, then(b[False, m], e1))
     # fixed float-oracle pipelines
     for ops, start in ((["t2", "t1", "t2*"], 1), (["b1*", "b1"], 1), (["a3*"], 1)):
-        res = float_oracle(dim, ops, start)
+        deviation = float_oracle(dim, ops, start)
         rep_.check_true(
             lambda: f"pipeline {ops} from e_{start}",
-            res.ok and res.deviation <= tolerance,
-            lambda: f"overflow={res.overflow} deviation={res.deviation}",
+            deviation is not None and deviation <= tolerance,
+            lambda: f"overflow={deviation is None} deviation={deviation}",
         )
     # randomized pipelines
     rng = random.Random(seed)
@@ -1002,16 +997,16 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             idx = rng.randint(1, 2) if kind == "t" else rng.randint(1, 4)
             ops.append(f"{kind}{idx}{'*' if rng.random() < 0.5 else ''}")
         start = rng.randint(1, ORACLE_STARTS)
-        res = float_oracle(dim, ops, start)
-        if res.overflow:
+        deviation = float_oracle(dim, ops, start)
+        if deviation is None:
             continue
         collected += 1
-        if math.isnan(res.deviation) or res.deviation > worst:
-            worst = res.deviation  # a NaN stays: nothing compares greater
+        if math.isnan(deviation) or deviation > worst:
+            worst = deviation  # a NaN stays: nothing compares greater
         rep_.check_true(
             lambda: f"random pipeline {ops} from e_{start}",
-            res.deviation <= tolerance,
-            lambda: f"deviation={res.deviation}",
+            deviation <= tolerance,
+            lambda: f"deviation={deviation}",
         )
     rep_.check_true(
         lambda: f"collected {sequences} in-window pipelines",
@@ -1020,3 +1015,54 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     )
     rep_.params["worst_deviation"] = worst
     return rep_
+
+
+# -- the suite table ---------------------------------------------------------
+
+# The suites of `cuntzfock verify` by name, each computing its reports from the command's options.
+SUITES = {
+    "cuntz": lambda o: [cuntz_suite(depth=o["depth"])],
+    "ccr": lambda o: [ccr_suite(max_particles=o["particles"], max_mode=o["modes"])],
+    "car": lambda o: [car_suite(max_particles=o["particles"], max_mode=o["modes"])],
+    "branch-oinfty": lambda o: [
+        check_branching_oinfty(v, variant, depth=o["depth"])
+        for variant in ("p", "q")
+        for v in range(1, o["p_max"] + 1)
+    ],
+    "branch-boson": lambda o: [
+        check_branching_boson(p) for p in range(1, min(o["p_max"], BOSON_P_MAX) + 1)
+    ],
+    "branch-fermion": lambda o: [
+        check_branching_fermion(p, starred=starred)
+        for starred in (False, True)
+        for p in range(1, o["p_max"] + 1)
+    ],
+    "roundtrip": lambda o: [
+        roundtrip_suite(
+            max_subset=o["max_subset"], max_particles=o["particles"], max_mode=o["modes"]
+        )
+    ],
+    "oracle": lambda o: [
+        oracle_suite(dim=o["dim"], sequences=o["sequences"], seed=o["seed"])
+    ],
+}
+
+
+def run(names, options: dict) -> list:
+    """The reports of the named suites, `all` naming every one; an unknown name is a ValueError.
+
+    Every option is held to its bound before the first suite runs, whichever suites read it.
+    """
+    names = list(names)
+    if names == ["all"]:
+        names = list(SUITES)
+    unknown = [n for n in names if n not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+    check_depth(options["depth"])
+    check_particles(max(options["particles"], options["max_subset"]))
+    check_mode(options["modes"])
+    p_max = options["p_max"]
+    check_mode(branch_modes(p_max) if "branch-fermion" in names else p_max)
+    check_oracle_dim(options["dim"])
+    return [rep for n in names for rep in SUITES[n](options)]

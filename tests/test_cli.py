@@ -288,6 +288,16 @@ def test_verify_branch_boson_stops_at_p_3():
     assert [r["params"]["p"] for r in json.loads(res.output)] == [1, 2, 3]
 
 
+def test_verify_help_names_exactly_the_suite_table():
+    from cuntzfock import verify
+
+    res = run("verify", "--help")
+    known = re.search(r"Known names: (.*?)\.\n", res.output, re.S).group(1)
+    names = known.replace(",", " ").replace("`", "").split()
+    names.remove("or")
+    assert sorted(names) == sorted([*verify.SUITES, "all"])
+
+
 def test_verify_roundtrip_max_subset_bound_exit_3():
     # --max-subset is held to the particle bound like --particles
     assert run("verify", "roundtrip", "--max-subset", "13").exit_code == 3
@@ -315,10 +325,12 @@ def test_verify_refuses_every_bound_before_the_first_suite_runs(monkeypatch):
 
 
 def test_verify_failure_exit_1(monkeypatch):
+    from cuntzfock import verify
+
     failing = SuiteReport("rigged", cases=1, failures=[
         {"case": "x", "expected": "a", "got": "b"}
     ])
-    monkeypatch.setitem(cli_mod._SUITES, "roundtrip", lambda o: [failing])
+    monkeypatch.setitem(verify.SUITES, "roundtrip", lambda o: [failing])
     res = run("verify", "roundtrip")
     assert res.exit_code == 1
     assert "FAIL" in res.output
@@ -541,3 +553,20 @@ def test_modules_use_every_name_they_import():
         unused = [target for target, bound in _imports(tree.body)
                   if bound not in read and not target.startswith("__future__.")]
         assert not unused, (path.name, unused)
+
+
+def test_cli_holds_no_suite_table_and_reads_only_verify_run():
+    """`verify` owns its suites: cli.py keys no dict by a suite name, binds no
+    module-level `verify`, and reads nothing of that module but `run`."""
+    from cuntzfock import verify
+
+    tree = _module_tree("cli")
+    keys = {k.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for k in node.keys if isinstance(k, ast.Constant)}
+    assert not keys & set(verify.SUITES)
+    bound = {t.id for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    assert "verify" not in bound
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "verify"}
+    assert read == {"run"}

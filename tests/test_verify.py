@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuntzfock.cli import cmd_verify
 from cuntzfock.correspondence import CorrespondencePair, EngineError
 from cuntzfock.ladder import (
     BosonMonomial,
@@ -519,29 +520,24 @@ def test_unreached_words_fail_branching_oinfty(monkeypatch):
 
 
 def test_float_oracle_permutation_sequence_is_exact():
-    res = float_oracle(256, ["t2", "t1", "t2*"], 1)
-    assert res.ok and res.deviation == 0.0
+    assert float_oracle(256, ["t2", "t1", "t2*"], 1) == 0.0
     for dim in (1, 2, 4):  # the smallest windows: the suite refuses them, the oracle not
-        res = float_oracle(dim, ["t1", "t1*"], 1)
-        assert res.ok and res.deviation == 0.0
-    res = float_oracle(64, ["t1*"], 2)  # annihilated: both results are zero
-    assert res.ok and res.deviation == 0.0
+        assert float_oracle(dim, ["t1", "t1*"], 1) == 0.0
+    assert float_oracle(64, ["t1*"], 2) == 0.0  # annihilated: both results are zero
 
 
 def test_float_oracle_ladder_weights():
     res = float_oracle(256, ["b1*", "b1"], 1)
-    assert res.ok and res.deviation <= 1e-9
+    assert res is not None and res <= 1e-9
     res = float_oracle(256, ["a3*"], 1)
-    assert res.ok and res.deviation <= 1e-9
+    assert res is not None and res <= 1e-9
 
 
 def test_float_oracle_overflow_reported():
-    res = float_oracle(4, ["t2", "t2", "t2"], 1)
-    assert res.overflow and res.deviation is None
+    assert float_oracle(4, ["t2", "t2", "t2"], 1) is None
     # a start outside the window overflows too, even when the image is inside
     for ops, start in (([], 9), (["t1*", "t1*"], 5)):
-        res = float_oracle(4, ops, start)
-        assert res.overflow and res.deviation is None
+        assert float_oracle(4, ops, start) is None
 
 
 def _dense_family(dim):
@@ -598,19 +594,19 @@ def _planted(monkeypatch, dim, tok, entries):
 def test_sparse_deviation_compares_the_union_of_supports(monkeypatch):
     # t_1 e_1 = e_1: a wrong target, then no target at all
     _planted(monkeypatch, 64, ("t", 1, False), {1: (3, 1.0)})  # wrong target
-    assert float_oracle(64, ["t1"], 1).deviation == 1.0
+    assert float_oracle(64, ["t1"], 1) == 1.0
     family = _planted(monkeypatch, 64, ("t", 1, False), {})
     del family._ops["t", 1, False][1]  # e_1 dropped: the float result is empty
-    assert float_oracle(64, ["t1"], 1).deviation == 1.0
+    assert float_oracle(64, ["t1"], 1) == 1.0
     # t_1* e_2 = 0 exactly: a float image of it is the only support
     _planted(monkeypatch, 64, ("t", 1, True), {2: (1, 1.0)})
-    assert float_oracle(64, ["t1*"], 2).deviation == 1.0
+    assert float_oracle(64, ["t1*"], 2) == 1.0
 
 
 def test_nan_weight_gives_a_nan_deviation_and_fails_the_suite(monkeypatch):
     _planted(monkeypatch, 64, ("b", 1, False), {2: (1, math.nan)})  # b_1 e_2 = e_1
     res = float_oracle(64, ["b1*", "b1"], 1)
-    assert res.ok and math.isnan(res.deviation)
+    assert res is not None and math.isnan(res)
     r = oracle_suite(dim=64, sequences=5)
     assert {
         "case": "pipeline ['b1*', 'b1'] from e_1",
@@ -619,7 +615,7 @@ def test_nan_weight_gives_a_nan_deviation_and_fails_the_suite(monkeypatch):
     } in r.failures
     # NaN wins over a larger finite difference met first, as with np.max
     _planted(monkeypatch, 64, ("t", 1, False), {1: (3, math.nan)})  # t_1 e_1 = e_1
-    assert math.isnan(float_oracle(64, ["t1"], 1).deviation)
+    assert math.isnan(float_oracle(64, ["t1"], 1))
 
 
 def test_numeric_sum_refuses_overlapping_terms():
@@ -664,11 +660,38 @@ def test_report_json():
     assert data["pass"] is True and data["cases"] == 2
 
 
+# The options of `cuntzfock verify` at their defaults, as `verify.run` receives them.
+CLI_OPTIONS = {o.name: o.default for o in cmd_verify.params if o.name not in ("suites", "as_json")}
+
+
+def test_run_expands_all_and_refuses_unknown_names(monkeypatch):
+    from cuntzfock import verify
+
+    with pytest.raises(ValueError, match=r"unknown suite\(s\): bogus"):
+        verify.run(["cuntz", "bogus"], CLI_OPTIONS)
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda o, name=name: [name])
+    assert verify.run(["all"], CLI_OPTIONS) == list(verify.SUITES)
+    assert verify.run(("oracle", "cuntz"), CLI_OPTIONS) == ["oracle", "cuntz"]
+
+
+def test_run_holds_p_to_the_rungs_of_branch_fermion(monkeypatch):
+    from cuntzfock import verify
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda o, name=name: [name])
+    options = {**CLI_OPTIONS, "p_max": 5}
+    assert verify.run(["branch-fermion"], options) == ["branch-fermion"]  # top mode 15
+    monkeypatch.setattr(verify, "RUNGS", 4)
+    with pytest.raises(BoundsError, match="mode 20"):
+        verify.run(["branch-fermion"], options)
+    assert verify.run(["branch-boson"], options) == ["branch-boson"]
+
+
 def test_oracle_suite_fails_a_nan_deviation(monkeypatch):
     from cuntzfock import verify
 
-    nan = verify.FloatOracleResult(overflow=False, deviation=float("nan"))
-    monkeypatch.setattr(verify, "float_oracle", lambda dim, ops, start=1: nan)
+    monkeypatch.setattr(verify, "float_oracle", lambda dim, ops, start=1: float("nan"))
     r = oracle_suite(dim=256, sequences=5)
     random_failures = [f for f in r.failures if f["case"].startswith("random pipeline")]
     assert len(random_failures) == 5
