@@ -1,11 +1,11 @@
 import ast
-import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -143,8 +143,8 @@ def test_verify_json():
     assert all(r["pass"] for r in reports)
 
 
-# Case counts and the sha256 of `verify all --json` at the CLI defaults.  A
-# change to the output of `verify` has to update the pin on purpose.
+# Case counts of `verify all --json` at the CLI defaults.  A change to the
+# output of `verify` has to update the pin on purpose.
 CLI_DEFAULT_CASES = {
     "cuntz": 45_056,
     "ccr": 15_750,
@@ -157,7 +157,31 @@ CLI_DEFAULT_CASES = {
 }
 
 
-CLI_DEFAULT_SHA256 = "149b9acf392b2be40021f8d4fdaa114353dee3f92d14d7f6d666453a3b6e52ac"
+# Golden reports: each file under tests/golden holds the reports of one
+# `verify ... --json` call, one per line as `json.dumps` writes a report.  The
+# call must print exactly those lines joined as `json.dumps` joins a list, so
+# a golden file fixes the output byte for byte, and a change to it is a diff
+# of the reports that moved.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_golden(res, name):
+    """res printed the reports of the golden file name, byte for byte; on a
+    mismatch the failure names each report that differs, with both lines."""
+    want_lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    want = ("[" + ", ".join(want_lines) + "]\n").encode()
+    if res.stdout_bytes == want:
+        return
+    got_lines = [json.dumps(r) for r in json.loads(res.stdout_bytes)]
+    differ = []
+    for k in range(max(len(got_lines), len(want_lines))):
+        got, expected = (lines[k] if k < len(lines) else "" for lines in (got_lines, want_lines))
+        if got != expected:
+            suite = json.loads(got or expected)["suite"]
+            differ.append(f"report {k} ({suite}):\n  golden: {expected}\n  output: {got}")
+    pytest.fail(f"`verify --json` differs from golden/{name}:\n" + "\n".join(differ or [
+        "the reports agree, but not their bytes"
+    ]))
 
 
 def test_cli_default_cases_match_the_benchmark_pin():
@@ -180,38 +204,47 @@ def test_verify_cli_default_case_counts():
         assert r["pass"], r["failures"][:3]
         counts[r["suite"]] = counts.get(r["suite"], 0) + r["cases"]
     assert counts == CLI_DEFAULT_CASES
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == CLI_DEFAULT_SHA256
+    assert_golden(res, "verify_all.jsonl")
 
 
-# The sha256 of `verify all --json` at a deeper setting: depth 10, the
-# oracle window at 4096 and 200 random sequences.
+# `verify all --json` at a deeper setting: depth 10, the oracle window at
+# 4096 and 200 random sequences.
 DEEP_ARGS = ("--depth", "10", "--dim", "4096", "--sequences", "200")
-DEEP_SHA256 = "3bf1279d5d8c6614917266faa163ef6de15b25e1b095df19850320a7153505d9"
 
 
 def test_verify_cli_deep_output_is_pinned():
     res = run("verify", "all", "--json", *DEEP_ARGS)
     assert res.exit_code == 0
     assert all(r["pass"] for r in json.loads(res.output))
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == DEEP_SHA256
+    assert_golden(res, "verify_all_deep.jsonl")
 
 
-# The sha256 of `verify ccr car --json` where the bracket range (--modes) is
-# below and above ccr's transport range, which runs to mode 5 at any --modes.
-NARROW_AND_WIDE_SHA256 = {
-    ("--modes", "3", "--particles", "2"):
-        "21a3c2e7cda17a12b72d378d77984817913ec4ba616ea301f184546e609dba5f",
-    ("--modes", "7", "--particles", "3"):
-        "6c556877424ed63b478695b7aa919a7106e5824e39e353d59e0af5b92351ff31",
+# `verify ccr car --json` where the bracket range (--modes) is below and
+# above ccr's transport range, which runs to mode 5 at any --modes.
+NARROW_AND_WIDE = {
+    ("--modes", "3", "--particles", "2"): "verify_ccr_car_modes_3.jsonl",
+    ("--modes", "7", "--particles", "3"): "verify_ccr_car_modes_7.jsonl",
 }
 
 
-@pytest.mark.parametrize("args", sorted(NARROW_AND_WIDE_SHA256))
+@pytest.mark.parametrize("args", sorted(NARROW_AND_WIDE))
 def test_verify_ccr_car_output_is_pinned_off_the_transport_range(args):
     res = run("verify", "ccr", "car", "--json", *args)
     assert res.exit_code == 0
     assert all(r["pass"] for r in json.loads(res.output))
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == NARROW_AND_WIDE_SHA256[args]
+    assert_golden(res, NARROW_AND_WIDE[args])
+
+
+def test_golden_mismatch_names_the_reports_that_differ():
+    golden = (GOLDEN / "verify_ccr_car_modes_3.jsonl").read_text(encoding="utf-8").splitlines()
+    car = json.loads(golden[1])
+    car["cases"] += 1
+    printed = SimpleNamespace(stdout_bytes=f"[{golden[0]}, {json.dumps(car)}]\n".encode())
+    with pytest.raises(pytest.fail.Exception) as failed:
+        assert_golden(printed, "verify_ccr_car_modes_3.jsonl")
+    message = str(failed.value)
+    assert "report 1 (car)" in message and "(ccr)" not in message
+    assert f'"cases": {car["cases"]}' in message
 
 
 def test_verify_car_runs_at_the_mode_bound():
