@@ -7,8 +7,8 @@ functions State -> State, so rho(x) = sum_m s_m x s_m* and
 zeta(y) = t_1 y t_1* - t_2 y t_2* take such a map and apply its image to
 a state.  The rho sum needs no truncation: on a basis word at most the
 single summand picked out by the leading block survives.
-`_NumericFamily` builds the same forms as truncated float operators on
-l2(N) for the float comparison in `verify`.
+`_NumericFamily` builds the same forms as truncated operators on l2(N),
+with exact weights, for the comparison of `verify.float_oracle`.
 
 These forms share no code with the fast path they check.  They are built
 from the t/s generator actions, which define them, and `apply_s_star`
@@ -21,11 +21,10 @@ no fast module imports it, are checked by a static layering test.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, partial
 from typing import Callable
 
-from .radical import sqrt_of_nat
+from .radical import ONE, sqrt_of_nat
 from .rep import EngineError, State, apply_s, apply_s_star, apply_t, apply_t_star
 from .words import _make
 
@@ -132,7 +131,12 @@ def fermion_via_shifts(create: bool, n: int, state: State) -> State:
     return op(state)
 
 
-# -- truncated float operators on l2(N) ---------------------------------------
+# -- truncated exact operators on l2(N) ---------------------------------------
+
+
+def _times(a, b):
+    """The product a b, reusing a factor when the other is the ONE object, as `rep.then` does."""
+    return b if a is ONE else a if b is ONE else a * b
 
 
 @lru_cache(maxsize=None)  # one family per dim, built on first use
@@ -142,8 +146,9 @@ class _NumericFamily:
     Each operator is a weighted partial permutation held as a dict
     {src: (dst, w)}: e_src goes to w e_dst, and every other basis vector
     goes to 0.  A vector is a dict {index: weight} of its nonzero entries,
-    so applying an operator is one lookup per entry.  Operators are cached
-    by their token.
+    so applying an operator is one lookup per entry.  Weights are exact
+    `RadicalScalar`s: `t_i` has weight ONE and `b_1` the square roots
+    sqrt(m) of its series.  Operators are cached by their token.
     """
 
     def __init__(self, dim: int):
@@ -162,14 +167,14 @@ class _NumericFamily:
         if star:
             return {dst: (src, w) for src, (dst, w) in op(kind, idx).items()}
         if kind == "t":  # t_i e_n = e_{2(n-1)+i}, cut to the window
-            return {n: (2 * (n - 1) + idx, 1.0) for n in range(1, (self.dim + 2 - idx) // 2 + 1)}
+            return {n: (2 * (n - 1) + idx, ONE) for n in range(1, (self.dim + 2 - idx) // 2 + 1)}
         if kind == "s":  # s_m = t_2^{m-1} t_1
             return op("t", 1) if idx == 1 else mul(op("t", 2), op("s", idx - 1))
         ms = range(1, self.dim.bit_length() + 1)  # s_m is 0 on the window once 2^(m-1) > dim
         if kind == "b" and idx == 1:  # b_1 = sum_m sqrt(m) s_m s_{m+1}*
             terms = (mul(op("s", m), op("s", m + 1, True)) for m in ms)
             return self._sum(*(
-                {src: (dst, math.sqrt(m) * w) for src, (dst, w) in term.items()}
+                {src: (dst, _times(sqrt_of_nat(m), w)) for src, (dst, w) in term.items()}
                 for m, term in zip(ms, terms)
             ))
         if kind == "b":  # b_n = rho(b_{n-1}) = sum_m s_m b_{n-1} s_m*
@@ -188,7 +193,7 @@ class _NumericFamily:
         for src, (mid, b_w) in b.items():
             hit = a.get(mid)
             if hit is not None:
-                out[src] = (hit[0], hit[1] * b_w)
+                out[src] = (hit[0], _times(hit[1], b_w))
         return out
 
     @staticmethod
@@ -210,5 +215,5 @@ class _NumericFamily:
         for src, x in vec.items():
             hit = op.get(src)
             if hit is not None:
-                out[hit[0]] = hit[1] * x
+                out[hit[0]] = _times(hit[1], x)
         return out

@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated scale, one line per criterion.
 
 Run with `pytest tests/test_acceptance.py -s` to see the pass/fail lines.
-All comparisons are exact except the floating oracle (tolerance 1e-9).
+All comparisons are exact.
 """
 
 import itertools
@@ -218,11 +218,9 @@ def test_criterion_7_codec_and_oracle():
     if report.cases != CRITERION_7_CASES:
         detail += f" {report.cases} cases, expected {CRITERION_7_CASES}"
     _line(
-        "criterion-7 codec and float oracle",
+        "criterion-7 codec and exact l2(N) oracle",
         report.passed and report.cases == CRITERION_7_CASES,
-        detail
-        or f"({report.cases} cases, worst deviation {report.params['worst_deviation']:.2e}, "
-        f"{time.time() - t0:.2f}s)",
+        detail or f"({report.cases} cases, {time.time() - t0:.2f}s)",
     )
 
 

@@ -369,6 +369,38 @@ def test_verify_failure_exit_1(monkeypatch):
     assert "FAIL" in res.output
 
 
+def _nth_block_one_too_far(w, n):
+    """`words.nth_block` with a planted fault: from mode 6 on it passes n blocks,
+    one too many, and runs off the letters it extended for n."""
+    letters = w.prefix
+    short = n - letters.count(1)
+    if short > 0:
+        per_rot = w.rot.count(1)
+        if not per_rot:
+            return None
+        letters += w.rot * -(-short // per_rot)
+    start = 0
+    for _ in range(n - 1 + (n >= 6)):
+        start = letters.index(1, start) + 1
+    return start, letters.index(1, start) + 1 - start
+
+
+def test_an_engine_exception_in_a_suite_is_a_failed_check(monkeypatch):
+    from cuntzfock import ladder
+
+    monkeypatch.setattr(ladder, "nth_block", _nth_block_one_too_far)
+    res = run("verify", "ccr", "car", "--json")
+    assert res.exit_code == 1, res.output
+    ccr, car = json.loads(res.output)
+    (failure,) = ccr["failures"]
+    assert (ccr["suite"], ccr["pass"], failure["case"]) == ("ccr", False, "the suite runs to its end")
+    assert failure["got"].startswith("ValueError: tuple.index(x): x not in tuple (in ")
+    assert (car["suite"], car["pass"]) == ("car", True)  # the next suite still runs
+    res = run("verify", "ccr")
+    assert res.exit_code == 1
+    assert "ccr: FAIL (1 failures)" in res.output
+
+
 def test_apply():
     res = run("apply", "b1* b1*")
     assert res.exit_code == 0

@@ -176,7 +176,7 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
                     out += [boson_via_shifts(create, n, psi), fermion_via_shifts(create, n, psi)]
             out += [apply_rho(partial(_b1_direct, False), psi), apply_zeta(a_1, psi)]
         num = _NumericFamily.__wrapped__(64)  # a fresh family, built below
-        out += [num.apply(tok, {n: 1.0 / n for n in range(1, 65)}) for tok in tokens]
+        out += [num.apply(tok, {n: ONE / n for n in range(1, 65)}) for tok in tokens]
         return out
 
     want = oracles()
