@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -8,7 +11,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import cuntzfock
 from cuntzfock import cli as cli_mod
@@ -19,8 +21,37 @@ from cuntzfock.verify import SuiteReport
 from cuntzfock.words import parse_letters
 
 
+class _Tee(io.StringIO):
+    """A captured stream that also writes into a shared one, in call order."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
 def run(*args):
-    return CliRunner().invoke(main, args)
+    """Run the CLI in-process, as the console script does (`sys.exit(main())`).
+
+    `output` is stdout and stderr together, in the order they were written;
+    `exception` is the SystemExit of a non-zero exit, or what the call raised.
+    """
+    output = io.StringIO()
+    stdout, stderr = _Tee(output), _Tee(output)
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            sys.exit(main(list(args)))
+        except SystemExit as exc:
+            code = exc.code
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return SimpleNamespace(exit_code=code, output=output.getvalue(),
+                           stdout_bytes=stdout.getvalue().encode(), exception=exception)
 
 
 def test_map():
@@ -245,6 +276,14 @@ def test_golden_mismatch_names_the_reports_that_differ():
     message = str(failed.value)
     assert "report 1 (car)" in message and "(ccr)" not in message
     assert f'"cases": {car["cases"]}' in message
+
+
+def test_verify_takes_suite_names_after_an_option():
+    # `verify ccr --json car` names both suites, as `verify ccr car --json` does
+    res = run("verify", "ccr", "--json", "car", "--modes", "3", "--particles", "2")
+    assert res.exit_code == 0, res.output
+    assert_golden(res, "verify_ccr_car_modes_3.jsonl")
+    assert run("verify", "ccr", "--json", "car", "--bogus").exit_code == 2
 
 
 def test_verify_car_runs_at_the_mode_bound():
@@ -503,10 +542,11 @@ def test_graph_label_requires_tail1():
 
 def test_cli_import_stays_light():
     """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
-    no suites module (`verify` is imported only when a suite runs), and no
-    dataclass machinery: the engine's value types are plain slotted classes."""
+    no suites module (`verify` is imported only when a suite runs), no
+    dataclass machinery (the engine's value types are plain slotted classes),
+    and no click: the commands are parsed by the standard library's argparse."""
     heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify",
-             "dataclasses")
+             "dataclasses", "click")
     code = (
         "import sys, cuntzfock.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
@@ -517,6 +557,72 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == []
+
+
+def _cold(*argv, start=subprocess.run, **kwargs):
+    """One cold call as the console script makes it, with the package found here."""
+    src = str(Path(cuntzfock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys; from cuntzfock.cli import main; sys.exit(main())"
+    return start([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded as a module; the benchmark drives the CLI through it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up while it is built
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_cold_calls_print_what_the_benchmark_expects(workloads):
+    """The benchmark's cold calls must print, byte for byte, the JSON that the
+    command gives in-process, plus a newline; a mismatch fails every such op."""
+    for argv, want in workloads.CLI_CALLS:
+        out = _cold(*argv, capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (0, want() + "\n", ""), argv
+
+
+def test_benchmark_runs_verify_in_process(workloads, monkeypatch):
+    """perfbench's `_run_cli` reaches a command through `cli.main.main(argv, ...)`
+    and reads the exit code of the SystemExit it raises; if that shape breaks,
+    every op of the `verify` workload fails."""
+    from cuntzfock import verify
+
+    run_cli = workloads._run_cli
+    code, text = run_cli(["verify", "roundtrip", "--json"])
+    assert code == 0
+    (report,) = json.loads(text)
+    assert (report["suite"], report["pass"]) == ("roundtrip", True)
+    failing = SuiteReport("rigged", cases=1, failures=[
+        {"case": "x", "expected": "a", "got": "b"}
+    ])
+    monkeypatch.setitem(verify.SUITES, "roundtrip", lambda o: [failing])
+    code, text = run_cli(["verify", "roundtrip", "--json"])
+    assert code == 1
+    assert [r["pass"] for r in json.loads(text)] == [False]
+
+
+def test_a_closed_stdout_ends_the_call_quietly():
+    # `| head -c 20` closes the pipe long before the 750 kB table is written
+    proc = _cold("table", "-n", "4", "-m", "16", "--json", start=subprocess.Popen,
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), head, err) == (0, b'[{"boson": {"factors', b"")
+    # `verify` writes a line per suite, each into a pipe already closed
+    proc = _cold("verify", "cuntz", "ccr", "car", "--depth", "1", "--particles", "1",
+                 start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_float_oracle_runs_without_scipy():
@@ -568,7 +674,7 @@ def test_imports_match_declared_dependencies():
         tree = ast.parse(path.read_text())
         imported.update(target.split(".")[0] for target, _ in _imports(ast.walk(tree)))
     third_party = imported - set(sys.stdlib_module_names) - {"cuntzfock"}
-    assert third_party == declared_names == {"click"}
+    assert third_party == declared_names == set()
 
 
 # What `oracles` may import from the package: `radical`, the t/s generator

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuntzfock.cli import cmd_verify
+from cuntzfock import cli
 from cuntzfock.correspondence import CorrespondencePair, EngineError
 from cuntzfock.ladder import (
     MAX_MODE,
@@ -671,7 +671,8 @@ def test_report_json():
 
 
 # The options of `cuntzfock verify` at their defaults, as `verify.run` receives them.
-CLI_OPTIONS = {o.name: o.default for o in cmd_verify.params if o.name not in ("suites", "as_json")}
+CLI_OPTIONS = {k: v for k, v in vars(cli._PARSER.parse_args(["verify", "all"])).items()
+               if k not in ("suites", "as_json", "command", "parser")}
 
 
 def test_run_expands_all_and_refuses_unknown_names(monkeypatch):
