@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import traceback
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
@@ -122,14 +120,17 @@ def _maps(x: str, top: int) -> dict:
     return {(star, k): basis_map((x, k, star)) for star in (False, True) for k in range(1, top + 1)}
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one verification suite."""
 
-    suite: str
-    params: dict = field(default_factory=dict)
-    cases: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("suite", "params", "cases", "failures")
+
+    def __init__(self, suite: str, params: dict | None = None, cases: int = 0,
+                 failures: list | None = None):
+        self.suite = suite
+        self.params = {} if params is None else params
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -180,13 +181,15 @@ class SuiteReport:
         }
 
 
-@dataclass
 class BranchWitness:
     """Cyclic vectors exhibiting one branching decomposition."""
 
-    space: RepSpace
-    vectors: list
-    labels: list
+    __slots__ = ("space", "vectors", "labels")
+
+    def __init__(self, space: RepSpace, vectors: list, labels: list):
+        self.space = space
+        self.vectors = vectors
+        self.labels = labels
 
 
 # -- the depth bound and the branching rungs ---------------------------------
@@ -1067,9 +1070,12 @@ def run(names, options: dict) -> list:
         try:
             reports += SUITES[name](options)
         except Exception as exc:  # the options are in bounds, so this is a fault of the engine
-            where = traceback.extract_tb(exc.__traceback__)[-1]
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # to the frame that raised it
+                tb = tb.tb_next
+            where = f"in {tb.tb_frame.f_code.co_name}, line {tb.tb_lineno}"
             failed = SuiteReport(name)
             failed.check_true("the suite runs to its end", False,
-                              f"{type(exc).__name__}: {exc} (in {where.name}, line {where.lineno})")
+                              f"{type(exc).__name__}: {exc} ({where})")
             reports.append(failed)
     return reports

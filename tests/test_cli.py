@@ -433,7 +433,11 @@ def test_an_engine_exception_in_a_suite_is_a_failed_check(monkeypatch):
     ccr, car = json.loads(res.output)
     (failure,) = ccr["failures"]
     assert (ccr["suite"], ccr["pass"], failure["case"]) == ("ccr", False, "the suite runs to its end")
-    assert failure["got"].startswith("ValueError: tuple.index(x): x not in tuple (in ")
+    # the report names the innermost frame: the planted function's last line, its return
+    code = _nth_block_one_too_far.__code__
+    line = max(line for *_, line in code.co_lines() if line is not None)
+    assert failure["got"] == ("ValueError: tuple.index(x): x not in tuple "
+                              f"(in _nth_block_one_too_far, line {line})")
     assert (car["suite"], car["pass"]) == ("car", True)  # the next suite still runs
     res = run("verify", "ccr")
     assert res.exit_code == 1
@@ -540,23 +544,54 @@ def test_graph_label_requires_tail1():
     assert run("graph", "--space", "21", "--label", "fermions").exit_code == 2
 
 
-def test_cli_import_stays_light():
-    """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
-    no suites module (`verify` is imported only when a suite runs), no
-    dataclass machinery (the engine's value types are plain slotted classes),
-    and no click: the commands are parsed by the standard library's argparse."""
-    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify",
-             "dataclasses", "click")
-    code = (
-        "import sys, cuntzfock.cli; "
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
-    )
+def _loaded_after(code: str, names) -> set[str]:
+    """Which of names are in sys.modules after a fresh interpreter runs code.
+
+    The names go to stderr, since the code may print to stdout.
+    """
+    code += (f"\nimport sys; print(' '.join(m for m in {tuple(names)!r} if m in sys.modules),"
+             " file=sys.stderr)")
     # the child finds the package where this process found it, installed or not
     src = str(Path(cuntzfock.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.split() == []
+    return set(out.stderr.split())
+
+
+def test_cli_import_stays_light():
+    """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
+    no suites module (`verify` is imported only when a suite runs) and so no
+    oracles, no dataclass machinery (the engine's value types and `verify`'s
+    reports are plain slotted classes), and no click: the commands are parsed
+    by the standard library's argparse."""
+    heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify",
+             "cuntzfock.oracles", "dataclasses", "click")
+    assert _loaded_after("import cuntzfock.cli", heavy) == set()
+
+
+def test_the_package_root_loads_a_module_on_first_use():
+    """`import cuntzfock.radical` (the `scalars` set-up) loads `radical` alone, and a
+    public name of the root loads the module that defines it."""
+    engine = [f"cuntzfock.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    assert _loaded_after("import cuntzfock.radical", engine) == {"cuntzfock.radical"}
+    assert _loaded_after("from cuntzfock import RadicalScalar", engine) == {
+        "cuntzfock.radical"}
+    assert _loaded_after("import cuntzfock", engine) == set()
+    assert _loaded_after("from cuntzfock import apply_rho", engine) == {
+        "cuntzfock.oracles", "cuntzfock.radical", "cuntzfock.rep", "cuntzfock.words"}
+    # a submodule that is no public name is imported as one
+    assert _loaded_after("from cuntzfock import cli", engine) >= {"cuntzfock.cli"}
+
+
+def test_a_cold_map_loads_neither_oracles_nor_suites():
+    code = "from cuntzfock.cli import main; main(['map', '1^2 3', '--json'])"
+    assert _loaded_after(code, ("cuntzfock.oracles", "cuntzfock.verify")) == set()
+
+
+def test_verify_imports_no_dataclasses_or_traceback():
+    heavy = ("dataclasses", "inspect", "traceback")
+    assert _loaded_after("import cuntzfock.verify", heavy) == set()
 
 
 def _cold(*argv, start=subprocess.run, **kwargs):

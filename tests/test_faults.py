@@ -1,7 +1,8 @@
 """Planted engine faults that `cuntzfock verify all` must catch.
 
 Each entry replaces one engine function by a version with a one-line fault,
-and `verify all` at the CLI defaults must then report at least one failed
+in its module and in every engine module that imports it by name, and
+`verify all` at the CLI defaults must then report at least one failed
 check.  The suites named with each fault are the ones that caught it when it
 was added; the test holds them to it, so a suite that stops catching a fault
 fails here, while a suite that starts catching one does not.  No entry is
@@ -12,10 +13,13 @@ skipped or expected to fail: a fault that no suite catches is a gap in
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
-from cuntzfock import correspondence, ladder
+# every engine module is loaded before a fault is planted, so that no module
+# binds a faulty function by importing it while the fault is in place
+from cuntzfock import correspondence, ladder, verify, words  # noqa: F401
 from cuntzfock.cli import main
 from cuntzfock.radical import sqrt_of_nat
 
@@ -48,16 +52,65 @@ def boson_creation_weight_times_sqrt2_from_mode_4(boson_word):
     return fault
 
 
-# name -> (ladder function, fault, suites that catch it)
+def split_rotates_the_rest_once_more_from_6(split_letters):
+    def fault(w, h):
+        head, rest = split_letters(w, h)
+        if h < 6 or h <= len(w.prefix) or len(w.rot) == 1:
+            return head, rest
+        return head, words._make((), rest.period, rest.rot[1:] + rest.rot[:1])
+    return fault
+
+
+def runs_report_one_more_for_runs_of_3_in_subsets_of_5(runs):
+    def fault(elements):
+        factors, ks = runs(elements)
+        if len(elements) < 5:
+            return factors, ks
+        return factors, tuple(k + 1 if k >= 3 else k for k in ks)
+    return fault
+
+
+def index_to_word_one_off_above_300(index_to_word):
+    def fault(n):
+        return index_to_word(n + 1 if n > 300 else n)
+    return fault
+
+
+# name -> (module, function, fault, suites that catch it)
 FAULTS = {
     "a_n sign flipped for n >= 7": (
-        "_fermion_word", fermion_sign_flipped_from_mode_7, {"car", "branch-fermion", "oracle"}),
+        ladder, "_fermion_word", fermion_sign_flipped_from_mode_7,
+        {"car", "branch-fermion", "oracle"}),
     "b_n annihilates a block of length 2 for n >= 7": (
-        "_boson_word", boson_annihilates_a_block_of_2_from_mode_7, {"branch-boson"}),
+        ladder, "_boson_word", boson_annihilates_a_block_of_2_from_mode_7, {"branch-boson"}),
     "b_n* weight times sqrt(2) for n >= 4": (
-        "_boson_word", boson_creation_weight_times_sqrt2_from_mode_4,
+        ladder, "_boson_word", boson_creation_weight_times_sqrt2_from_mode_4,
         {"ccr", "branch-boson", "roundtrip"}),
+    "split_letters rotates the rest once more past the prefix, h >= 6, period > 1": (
+        words, "split_letters", split_rotates_the_rest_once_more_from_6,
+        {"branch-boson", "branch-fermion"}),
+    "_runs reports k + 1 for runs of k >= 3 in subsets of 5 or more": (
+        correspondence, "_runs", runs_report_one_more_for_runs_of_3_in_subsets_of_5,
+        {"roundtrip"}),
+    "index_to_word(n) gives the word of n + 1 above 300": (
+        words, "index_to_word", index_to_word_one_off_above_300, {"oracle"}),
 }
+
+
+def plant(monkeypatch, module, name: str, fault) -> list[str]:
+    """Replace module.name by fault(module.name) in every engine module that
+    binds it, and return where it was replaced."""
+    original = getattr(module, name)
+    faulty = fault(original)
+    planted = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.partition(".")[0] != "cuntzfock":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, faulty)
+                planted.append(f"{mod_name}.{attr}")
+    return planted
 
 
 def verify_all_failures() -> dict[str, int]:
@@ -74,11 +127,21 @@ def verify_all_failures() -> dict[str, int]:
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_verify_all_catches_the_planted_fault(name, monkeypatch):
-    target, plant, catchers = FAULTS[name]
-    monkeypatch.setattr(ladder, target, plant(getattr(ladder, target)))
+    module, target, fault, catchers = FAULTS[name]
+    plant(monkeypatch, module, target, fault)
     # norm factors are cached across calls: start from none, so that a fault
     # on their path is computed, not read from a run without it
     monkeypatch.setattr(correspondence, "_NORMS", {})
     failures = verify_all_failures()
     caught = {suite for suite, count in failures.items() if count}
     assert caught >= catchers, failures
+
+
+def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
+    """`ladder`, `rep` and `verify` import `words` functions by name: each alias is patched."""
+    planted = plant(monkeypatch, words, "split_letters", split_rotates_the_rest_once_more_from_6)
+    assert {"cuntzfock.words.split_letters", "cuntzfock.ladder.split_letters",
+            "cuntzfock.rep.split_letters"} <= set(planted), planted
+    planted = plant(monkeypatch, words, "index_to_word", index_to_word_one_off_above_300)
+    assert {"cuntzfock.words.index_to_word", "cuntzfock.ladder.index_to_word",
+            "cuntzfock.verify.index_to_word"} <= set(planted), planted
