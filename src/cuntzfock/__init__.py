@@ -8,11 +8,11 @@ import importlib
 
 # each public name, under the module that defines it
 _PUBLIC = {
-    "correspondence": ("CorrespondencePair", "enumerate_grade", "forward",
-                       "forward_operational", "inverse"),
-    "ladder": ("BosonMonomial", "BoundsError", "FermionSubset", "apply_boson", "apply_fermion",
-               "boson_state", "fermion_state", "normal_order_fermion", "parse_boson_word",
-               "parse_fermion_word"),
+    "correspondence": ("BosonMonomial", "BoundsError", "CorrespondencePair", "FermionSubset",
+                       "enumerate_grade", "forward", "forward_operational", "inverse",
+                       "normal_order_fermion"),
+    "ladder": ("apply_boson", "apply_fermion", "boson_state", "fermion_state",
+               "parse_boson_word", "parse_fermion_word"),
     "oracles": ("apply_rho", "apply_zeta"),
     "radical": ("ONE", "ZERO", "RadicalScalar", "sqrt_of_nat"),
     "rep": ("RepSpace", "SpaceMismatchError", "State", "apply_s", "apply_s_star", "apply_t",

@@ -3,6 +3,11 @@
 Exit codes: 0 success / all suites pass, 1 verification failure,
 2 usage or parse error, 3 bound refusal.
 
+Only the transfer (`correspondence`) is imported with this module, so a
+cold `map`, `unmap` or `table` loads no words, representation spaces or
+ladder operators; `apply` and `graph` import those when they run, and
+`verify` its suites.
+
 The parser is built once, at import.  A parsed call names its `cmd_*`
 function, which is looked up on this module when the call runs, so a
 function replaced here (a monkeypatch, a tracer's wrapper) is the one that
@@ -17,18 +22,7 @@ import os
 import sys
 
 from . import correspondence as corr
-from .ladder import (
-    BoundsError,
-    basis_map,
-    check_mode,
-    parse_boson_expr,
-    parse_boson_word,
-    parse_fermion_expr,
-    parse_fermion_word,
-    parse_op_token,
-)
-from .rep import RepSpace, State, gp_vector, map_basis
-from .words import TailWord, parse_letters
+from .correspondence import BoundsError, check_mode, parse_boson_expr, parse_fermion_expr
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BOUNDS = 3
@@ -116,6 +110,10 @@ def cmd_apply(operators: str, space_word: str, state_word: str | None, as_json: 
 
     Tokens form an operator product: the rightmost token acts first.
     """
+    from .ladder import basis_map, parse_op_token
+    from .rep import RepSpace, State, gp_vector, map_basis
+    from .words import TailWord, parse_letters
+
     space = RepSpace(parse_letters(space_word))
     if state_word is None:
         state = gp_vector(space)
@@ -130,7 +128,10 @@ def cmd_apply(operators: str, space_word: str, state_word: str | None, as_json: 
         _echo(state.render())
 
 
-def _node_label(word: TailWord, label_kind: str) -> str:
+def _node_label(word, label_kind: str) -> str:
+    """A basis word (a `words.TailWord`) as a node label of the kind asked for."""
+    from .ladder import parse_boson_word, parse_fermion_word
+
     if label_kind == "words":
         return word.render()
     if label_kind == "fermions":
@@ -149,6 +150,10 @@ def _node_label(word: TailWord, label_kind: str) -> str:
 
 def cmd_graph(space_word: str, depth: int, label_kind: str, gens: str):
     """Emit the basis tree of a space as DOT text."""
+    from .ladder import basis_map
+    from .rep import RepSpace
+    from .words import parse_letters
+
     if len(space_word) > 3:
         raise BoundsError("defining words longer than 3 are refused here")
     if depth > 6:

@@ -18,23 +18,261 @@ blocks, with multiplicity l+1 and norm factor 1/sqrt((l+1)!).
 `forward` is the pure index combinatorics; `forward_operational` reroutes
 through the representation space (iterated creations, then reading the
 word back) and must agree exactly.
+
+The labels of both bases live here too: `BosonMonomial` and
+`FermionSubset`, their text grammars (`parse_boson_expr`,
+`parse_fermion_expr`) and the mode/particle guard rails.  The transfer
+needs nothing else, so this module imports only `radical`, and `map`,
+`unmap` and `table` start without the words, the representation spaces
+or the ladder operators.  `ladder` imports the labels from here;
+`forward_operational` imports `ladder` and `rep` on its first call.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
+from typing import Iterable
 
-from .ladder import (
-    BosonMonomial,
-    FermionSubset,
-    _boson,
-    _fermion,
-    boson_state_iterated,
-    check_particles,
-    parse_fermion_word,
-)
 from .radical import ONE, RadicalScalar, sqrt_factorial_product
-from .rep import EngineError
+
+# -- the guard rails ---------------------------------------------------------
+
+# The two guard rails, enforced by check_mode and check_particles below.
+MAX_MODE = 16
+MAX_PARTICLES = 12
+
+
+class BoundsError(ValueError):
+    """An input exceeded the mode/particle guard rails."""
+
+
+def check_mode(n: int) -> None:
+    """Refuse a mode index above MAX_MODE."""
+    if n > MAX_MODE:
+        raise BoundsError(f"mode {n} exceeds the configured bound {MAX_MODE}")
+
+
+def check_particles(count: int) -> None:
+    """Refuse a particle count above MAX_PARTICLES."""
+    if count > MAX_PARTICLES:
+        raise BoundsError(f"{count} particles exceed the configured bound {MAX_PARTICLES}")
+
+
+# -- monomial types ---------------------------------------------------------
+
+
+def _bad_mode(n: int) -> ValueError:
+    """The error for a mode not above the one before it (0 before the first)."""
+    if n < 1:
+        return ValueError(f"mode index must be >= 1, got {n}")
+    return ValueError("modes must be strictly increasing")
+
+
+class BosonMonomial:
+    """(b*_{n_1})^{k_1} ... (b*_{n_m})^{k_m} with n_1 < ... < n_m, k_i >= 1.
+
+    An immutable value: `factors` is read-only, the factor sequence is
+    stored as a tuple of (mode, mult) pairs, and two monomials are equal,
+    and hash alike, when their factors are.
+    """
+
+    __slots__ = ("_factors", "_particles")
+
+    def __init__(self, factors: Iterable[tuple[int, int]] = ()):
+        pairs = []
+        prev = particles = 0
+        for n, k in factors:
+            if n <= prev:
+                raise _bad_mode(n)
+            if k < 1:
+                raise ValueError("multiplicities must be >= 1")
+            pairs.append((n, k))
+            prev = n
+            particles += k
+        self._factors = tuple(pairs)
+        self._particles = particles
+
+    @staticmethod
+    def from_modes(modes) -> "BosonMonomial":
+        counts: dict[int, int] = {}
+        for n in modes:
+            if n < 1:
+                raise ValueError(f"mode index must be >= 1, got {n}")
+            counts[n] = counts.get(n, 0) + 1
+        return BosonMonomial(sorted(counts.items()))
+
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return self._factors
+
+    @property
+    def particle_number(self) -> int:
+        return self._particles
+
+    @property
+    def max_mode(self) -> int:
+        return self._factors[-1][0] if self._factors else 0
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._factors == other._factors
+
+    def __hash__(self) -> int:
+        return hash((self._factors,))
+
+    def __repr__(self) -> str:
+        return f"BosonMonomial(factors={self._factors!r})"
+
+    def render(self) -> str:
+        return " ".join(f"{n}^{k}" if k > 1 else str(n) for n, k in self._factors)
+
+    def __str__(self) -> str:
+        return self.render() or "(vacuum)"
+
+    def to_json(self) -> dict:
+        return {"factors": [{"mode": n, "mult": k} for n, k in self._factors]}
+
+    @staticmethod
+    def from_json(data: dict) -> "BosonMonomial":
+        return BosonMonomial((f["mode"], f["mult"]) for f in data["factors"])
+
+
+class FermionSubset:
+    """a*_{s_1} ... a*_{s_r} for a strictly increasing set of modes.
+
+    An immutable value: `elements` is read-only and stored as a tuple, and
+    two subsets are equal, and hash alike, when their elements are.
+    """
+
+    __slots__ = ("_elements",)
+
+    def __init__(self, elements: Iterable[int] = ()):
+        elements = tuple(elements)
+        prev = 0
+        for s in elements:
+            if s <= prev:
+                raise _bad_mode(s)
+            prev = s
+        self._elements = elements
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return self._elements
+
+    @property
+    def particle_number(self) -> int:
+        return len(self._elements)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._elements == other._elements
+
+    def __hash__(self) -> int:
+        return hash((self._elements,))
+
+    def __repr__(self) -> str:
+        return f"FermionSubset(elements={self._elements!r})"
+
+    def render(self) -> str:
+        return " ".join(str(s) for s in self._elements)
+
+    def __str__(self) -> str:
+        return self.render() or "(vacuum)"
+
+    def to_json(self) -> list:
+        return list(self._elements)
+
+    @staticmethod
+    def from_json(data) -> "FermionSubset":
+        return FermionSubset(data)
+
+
+def _boson(factors: tuple[tuple[int, int], ...], particles: int) -> BosonMonomial:
+    """Fill the slots of a monomial with valid factors and their particle count; unchecked."""
+    M = BosonMonomial.__new__(BosonMonomial)
+    M._factors = factors
+    M._particles = particles
+    return M
+
+
+def _fermion(elements: tuple[int, ...]) -> FermionSubset:
+    """Fill the slot of a subset with elements strictly increasing from 1; unchecked."""
+    S = FermionSubset.__new__(FermionSubset)
+    S._elements = elements
+    return S
+
+
+def normal_order_fermion(modes):
+    """Sort a creation monomial, tracking the permutation sign.
+
+    Returns (sign, FermionSubset), or None when a mode repeats (the
+    square of a creation operator vanishes).
+    """
+    modes = list(modes)
+    if len(set(modes)) != len(modes):
+        return None
+    inversions = sum(
+        1
+        for i in range(len(modes))
+        for j in range(i + 1, len(modes))
+        if modes[i] > modes[j]
+    )
+    sign = -1 if inversions % 2 else 1
+    return sign, FermionSubset(sorted(modes))
+
+
+# -- the monomial grammar ---------------------------------------------------
+
+
+def parse_boson_expr(text: str) -> BosonMonomial:
+    """Parse `1^2 3 5` (optionally prefixed by `b:`) into a monomial."""
+    text = text.strip()
+    if text.startswith("b:"):
+        text = text[2:]
+    counts: dict[int, int] = {}
+    for token in text.split():
+        mode, _, mult = token.partition("^")
+        try:
+            n = int(mode)
+            k = int(mult) if mult else 1
+        except ValueError:
+            raise ValueError(f"bad monomial token {token!r}") from None
+        if n < 1 or k < 1:
+            raise ValueError(f"bad monomial token {token!r}")
+        counts[n] = counts.get(n, 0) + k  # added up, never expanded
+    check_particles(sum(counts.values()))
+    return BosonMonomial(sorted(counts.items()))
+
+
+def parse_fermion_expr(text: str) -> tuple[int, FermionSubset]:
+    """Parse `1 2 5` (optionally prefixed by `a:`); returns (sign, subset).
+
+    Out-of-order modes are normal ordered, contributing the permutation
+    sign; a repeated mode is rejected since the monomial vanishes.
+    """
+    text = text.strip()
+    if text.startswith("a:"):
+        text = text[2:]
+    modes: list[int] = []
+    for token in text.split():
+        try:
+            n = int(token)
+        except ValueError:
+            raise ValueError(f"bad mode token {token!r}") from None
+        if n < 1:
+            raise ValueError(f"bad mode token {token!r}")
+        modes.append(n)
+    check_particles(len(modes))  # before the quadratic sign count
+    ordered = normal_order_fermion(modes)
+    if ordered is None:
+        raise ValueError("repeated fermion mode: the monomial vanishes")
+    return ordered
+
+
+# -- the transfer ------------------------------------------------------------
 
 
 # Norm factors and their reciprocals, keyed by the multiplicities above 1 in
@@ -164,6 +402,18 @@ def inverse(S: FermionSubset) -> CorrespondencePair:
     return CorrespondencePair(_boson(factors, len(elements)), S, _norms(ks)[1])
 
 
+@cache
+def _word_layers():
+    """`ladder` and `rep`, imported on the first operational transfer and kept.
+
+    The labels and the rest of the transfer need neither.  Kept, because an
+    import statement on every call costs about 1 us, some 5% of a call.
+    """
+    from . import ladder, rep
+
+    return ladder, rep
+
+
 def forward_operational(M: BosonMonomial) -> CorrespondencePair:
     """Transfer through the representation space instead of index algebra.
 
@@ -171,13 +421,15 @@ def forward_operational(M: BosonMonomial) -> CorrespondencePair:
     word back as a fermion monomial.  The intermediate state must be a
     single basis term; anything else is an engine bug.
     """
-    state = boson_state_iterated(M)
+    ladder, rep = _word_layers()
+    state = ladder.boson_state_iterated(M)
     if len(state) != 1:
-        raise EngineError(f"creation monomial {M} did not yield a single word: {state!r}")
+        raise rep.EngineError(f"creation monomial {M} did not yield a single word: {state!r}")
     ((word, coeff),) = state.items()
-    S = parse_fermion_word(word)
+    S = ladder.parse_fermion_word(word)
     if S is None:
-        raise EngineError(f"word {word} of creation monomial {M} is not a fermion monomial word")
+        raise rep.EngineError(
+            f"word {word} of creation monomial {M} is not a fermion monomial word")
     return CorrespondencePair(M, S, coeff)
 
 

@@ -19,18 +19,15 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
 from . import correspondence as corr
-from .ladder import (
+from .correspondence import (
     MAX_MODE,
     BosonMonomial,
     BoundsError,
     FermionSubset,
-    basis_map,
-    boson_state,
     check_mode,
     check_particles,
-    fermion_state,
-    parse_op_token,
 )
+from .ladder import basis_map, boson_state, fermion_state, parse_op_token
 from .oracles import _NumericFamily, leading_block
 from .radical import ONE, promote, sqrt_factorial
 from .rep import RepSpace, State, then

@@ -12,12 +12,8 @@ from fractions import Fraction
 
 from cuntzfock import correspondence as corr
 from cuntzfock import verify
-from cuntzfock.ladder import (
-    BosonMonomial,
-    FermionSubset,
-    apply_boson,
-    apply_fermion,
-)
+from cuntzfock.correspondence import BosonMonomial, FermionSubset
+from cuntzfock.ladder import apply_boson, apply_fermion
 from cuntzfock.radical import (
     ONE,
     RadicalScalar,

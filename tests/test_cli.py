@@ -8,14 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 
 import cuntzfock
-from cuntzfock import cli as cli_mod
 from cuntzfock.cli import main
-from cuntzfock.ladder import BoundsError, parse_boson_expr
+from cuntzfock.correspondence import BoundsError, parse_boson_expr
 from cuntzfock.rep import RepSpace, State, apply_s
 from cuntzfock.verify import SuiteReport
 from cuntzfock.words import parse_letters
@@ -461,13 +460,15 @@ def test_apply_mode_bound_exit_3():
 
 
 def test_apply_refuses_s_indices_before_applying(monkeypatch):
+    from cuntzfock import rep
+
     assert run("apply", "s16").exit_code == 0
 
     def never(state, fn):
         raise AssertionError(f"{fn} applied before the word was refused")
 
     # s40000 alone would take seconds: each s_m prepends a block of length m
-    monkeypatch.setattr(cli_mod, "map_basis", never)
+    monkeypatch.setattr(rep, "map_basis", never)
     for word in ("s17", "s40000", "s40000* t1 b2"):
         res = run("apply", word)
         assert res.exit_code == 3, res.output
@@ -559,15 +560,28 @@ def _loaded_after(code: str, names) -> set[str]:
     return set(out.stderr.split())
 
 
+# The engine modules that act on words, which the transfer and its labels do not need.
+WORD_LAYERS = ("cuntzfock.words", "cuntzfock.rep", "cuntzfock.ladder")
+
+
 def test_cli_import_stays_light():
     """A cold `cuntzfock` call loads no float or symbolic numeric stack, no pool,
     no suites module (`verify` is imported only when a suite runs) and so no
     oracles, no dataclass machinery (the engine's value types and `verify`'s
     reports are plain slotted classes), and no click: the commands are parsed
-    by the standard library's argparse."""
+    by the standard library's argparse.  Of the engine it loads the transfer
+    alone: the words, the representation spaces and the ladder operators are
+    imported by the commands that act on words (`apply`, `graph`, `map --check`)."""
     heavy = ("numpy", "scipy", "sympy", "gmpy2", "concurrent.futures", "cuntzfock.verify",
-             "cuntzfock.oracles", "dataclasses", "click")
+             "cuntzfock.oracles", "dataclasses", "click", *WORD_LAYERS)
     assert _loaded_after("import cuntzfock.cli", heavy) == set()
+
+
+def test_the_transfer_loads_radical_alone():
+    engine = ["cuntzfock", *(f"cuntzfock.{p.stem}" for p in PACKAGE.glob("*.py")
+                             if p.stem != "__init__")]
+    assert _loaded_after("import cuntzfock.correspondence", engine) == {
+        "cuntzfock", "cuntzfock.radical", "cuntzfock.correspondence"}
 
 
 def test_the_package_root_loads_a_module_on_first_use():
@@ -584,9 +598,23 @@ def test_the_package_root_loads_a_module_on_first_use():
     assert _loaded_after("from cuntzfock import cli", engine) >= {"cuntzfock.cli"}
 
 
-def test_a_cold_map_loads_neither_oracles_nor_suites():
-    code = "from cuntzfock.cli import main; main(['map', '1^2 3', '--json'])"
-    assert _loaded_after(code, ("cuntzfock.oracles", "cuntzfock.verify")) == set()
+def test_a_cold_transfer_loads_no_word_layer_oracles_or_suites():
+    unwanted = (*WORD_LAYERS, "cuntzfock.oracles", "cuntzfock.verify")
+    for argv in (["map", "1^2 3", "--json"], ["unmap", "1 2 4", "--json"],
+                 ["table", "-n", "2", "-m", "3", "--json"]):
+        code = f"from cuntzfock.cli import main; main({argv!r})"
+        assert _loaded_after(code, unwanted) == set(), argv
+
+
+def test_a_cold_checked_map_loads_the_ladder_and_prints_the_same_pair():
+    code = "from cuntzfock.cli import main; main(['map', '2^3 5 9', '--check', '--json'])"
+    assert _loaded_after(code, WORD_LAYERS) == set(WORD_LAYERS)
+    out = _cold("map", "2^3 5 9", "--check", "--json", capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        '{"boson": {"factors": [{"mode": 2, "mult": 3}, {"mode": 5, "mult": 1}, '
+        '{"mode": 9, "mult": 1}]}, "fermion": [2, 3, 4, 8, 13], '
+        '"coeff": {"terms": [{"radicand": 6, "num": 1, "den": 1}]}}\n')
 
 
 def test_verify_imports_no_dataclasses_or_traceback():
@@ -749,16 +777,36 @@ def test_ladder_and_verify_compose_basis_maps_with_rep_then():
         assert "cuntzfock.rep.then" in imported, name
 
 
+# Module-level imports kept for readers outside the package: perfbench reads
+# `ladder.parse_boson_expr` (perfbench/warmup.py:22, perfbench/workloads.py:341,347).
+REEXPORTED = {"cuntzfock.correspondence.parse_boson_expr": "ladder.py"}
+
+
 def test_modules_use_every_name_they_import():
-    """No module keeps a module-level import it never reads; `__init__` imports to re-export."""
+    """No module keeps a module-level import it never reads, but for the names of
+    REEXPORTED; `__init__` imports to re-export."""
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = [target for target, bound in _imports(tree.body)
-                  if bound not in read and not target.startswith("__future__.")]
+                  if bound not in read and not target.startswith("__future__.")
+                  and REEXPORTED.get(target) != path.name]
         assert not unused, (path.name, unused)
+
+
+def test_the_benchmark_reads_the_engine_where_it_did():
+    """perfbench times the transfer functions as `corr.<name>` and builds its
+    inputs from `ladder`'s names: each must stay where it reads it."""
+    from cuntzfock import correspondence, ladder
+
+    for name in ("forward", "inverse", "forward_operational", "enumerate_grade"):
+        fn = getattr(correspondence, name)
+        assert type(fn) is FunctionType, name
+        assert fn.__module__ == "cuntzfock.correspondence", name
+    for name in ("BosonMonomial", "FermionSubset", "parse_boson_expr"):
+        assert getattr(ladder, name) is getattr(correspondence, name), name
 
 
 def test_cli_holds_no_suite_table_and_reads_only_verify_run():

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzfock.correspondence import (
+    MAX_MODE,
+    MAX_PARTICLES,
+    BosonMonomial,
+    BoundsError,
+    FermionSubset,
     enumerate_grade,
     forward,
     forward_operational,
@@ -15,11 +20,6 @@ from cuntzfock.correspondence import (
     inverse,
 )
 from cuntzfock.ladder import (
-    BosonMonomial,
-    MAX_MODE,
-    MAX_PARTICLES,
-    BoundsError,
-    FermionSubset,
     apply_boson,
     apply_fermion,
     boson_state,
@@ -228,18 +228,18 @@ def test_pair_json():
 
 
 def test_forward_operational_errors_name_the_monomial(monkeypatch):
-    from cuntzfock import correspondence
-    from cuntzfock.correspondence import EngineError
+    from cuntzfock import ladder
     from cuntzfock.ladder import boson_state, fermion_state
+    from cuntzfock.rep import EngineError
 
     M = bm((2, 3), (5, 1))
     two_terms = boson_state(M) + fermion_state(fs(1, 3))
-    monkeypatch.setattr(correspondence, "boson_state_iterated", lambda m: two_terms)
+    monkeypatch.setattr(ladder, "boson_state_iterated", lambda m: two_terms)
     with pytest.raises(EngineError, match=re.escape(str(M))):
         forward_operational(M)
     # a single word that does not read back as a fermion monomial
-    monkeypatch.setattr(correspondence, "boson_state_iterated", boson_state)
-    monkeypatch.setattr(correspondence, "parse_fermion_word", lambda w: None)
+    monkeypatch.setattr(ladder, "boson_state_iterated", boson_state)
+    monkeypatch.setattr(ladder, "parse_fermion_word", lambda w: None)
     with pytest.raises(EngineError, match=re.escape(str(M))):
         forward_operational(M)
 
@@ -263,7 +263,7 @@ def test_forward_operational_takes_its_own_route(monkeypatch):
 
 def test_forward_operational_refuses_an_annihilated_word(monkeypatch):
     from cuntzfock import ladder
-    from cuntzfock.correspondence import EngineError
+    from cuntzfock.rep import EngineError
 
     M = bm((2, 3), (5, 1))
     monkeypatch.setattr(ladder, "_boson_word", lambda create, n, w: None)

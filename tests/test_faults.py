@@ -70,6 +70,20 @@ def runs_report_one_more_for_runs_of_3_in_subsets_of_5(runs):
     return fault
 
 
+def fermion_label_last_one_higher_in_subsets_of_5(fermion):
+    def fault(elements):
+        if len(elements) < 5:
+            return fermion(elements)
+        return fermion(elements[:-1] + (elements[-1] + 1,))
+    return fault
+
+
+def nth_block_answers_for_n_plus_1_from_6(nth_block):
+    def fault(w, n):
+        return nth_block(w, n + 1 if n >= 6 else n)
+    return fault
+
+
 def index_to_word_one_off_above_300(index_to_word):
     def fault(n):
         return index_to_word(n + 1 if n > 300 else n)
@@ -94,6 +108,12 @@ FAULTS = {
         {"roundtrip"}),
     "index_to_word(n) gives the word of n + 1 above 300": (
         words, "index_to_word", index_to_word_one_off_above_300, {"oracle"}),
+    "_fermion raises the last element by one in subsets of 5 or more": (
+        correspondence, "_fermion", fermion_label_last_one_higher_in_subsets_of_5,
+        {"roundtrip"}),
+    "nth_block(w, n) answers for n + 1 when n >= 6": (
+        words, "nth_block", nth_block_answers_for_n_plus_1_from_6,
+        {"ccr", "branch-boson", "oracle"}),
 }
 
 
@@ -138,10 +158,15 @@ def test_verify_all_catches_the_planted_fault(name, monkeypatch):
 
 
 def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
-    """`ladder`, `rep` and `verify` import `words` functions by name: each alias is patched."""
+    """`ladder`, `rep` and `verify` import `words` functions by name, and `ladder` imports
+    the label builders of `correspondence`: each alias is patched."""
     planted = plant(monkeypatch, words, "split_letters", split_rotates_the_rest_once_more_from_6)
     assert {"cuntzfock.words.split_letters", "cuntzfock.ladder.split_letters",
             "cuntzfock.rep.split_letters"} <= set(planted), planted
     planted = plant(monkeypatch, words, "index_to_word", index_to_word_one_off_above_300)
     assert {"cuntzfock.words.index_to_word", "cuntzfock.ladder.index_to_word",
             "cuntzfock.verify.index_to_word"} <= set(planted), planted
+    planted = plant(monkeypatch, correspondence, "_fermion",
+                    fermion_label_last_one_higher_in_subsets_of_5)
+    assert {"cuntzfock.correspondence._fermion",
+            "cuntzfock.ladder._fermion"} <= set(planted), planted

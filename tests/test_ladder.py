@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzfock.ladder import (
+from cuntzfock.correspondence import (
     BosonMonomial,
     BoundsError,
     FermionSubset,
+    normal_order_fermion,
+    parse_boson_expr,
+    parse_fermion_expr,
+)
+from cuntzfock.ladder import (
     apply_boson,
     apply_fermion,
     boson_state,
     boson_state_iterated,
     fermion_state,
     fermion_state_iterated,
-    normal_order_fermion,
-    parse_boson_expr,
     parse_boson_word,
-    parse_fermion_expr,
     parse_fermion_word,
 )
 from cuntzfock.radical import ONE, sqrt_of_nat

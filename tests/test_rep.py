@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzfock import correspondence
-from cuntzfock.ladder import (
-    MAX_MODE, BoundsError, apply_boson, apply_fermion, basis_map, parse_op_token,
-)
+from cuntzfock import correspondence, ladder
+from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError
+from cuntzfock.ladder import apply_boson, apply_fermion, basis_map, parse_op_token
 from cuntzfock.oracles import apply_rho, apply_zeta
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
@@ -303,8 +302,12 @@ def test_image_of_a_sum_is_the_sum_of_the_images(parts, labelled):
     assert op(total) == images
 
 
-def test_a_collision_names_both_words_and_the_image():
-    assert correspondence.EngineError is EngineError
+def test_a_collision_names_both_words_and_the_image(monkeypatch):
+    # the transfer's engine errors are this module's, not a class of their own
+    monkeypatch.setattr(ladder, "_boson_word", lambda create, n, w: None)
+    with pytest.raises(EngineError) as err:
+        correspondence.forward_operational(BosonMonomial([(1, 1)]))
+    assert err.type is EngineError
     u, v = TailWord((2,), (1,)), TailWord((1, 2), (1,))
     psi = State.basis(P1, u) + State.basis(P1, v, sqrt_of_nat(2))
     image = pure((1,))

@@ -9,18 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuntzfock import cli
-from cuntzfock.correspondence import CorrespondencePair, EngineError
-from cuntzfock.ladder import (
-    MAX_MODE,
-    BosonMonomial,
-    BoundsError,
-    basis_map,
-    boson_state,
-    parse_op_token,
-)
+from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
+from cuntzfock.ladder import basis_map, boson_state, parse_op_token
 from cuntzfock.oracles import _NumericFamily, leading_block
 from cuntzfock.radical import ONE, sqrt_of_nat
-from cuntzfock.rep import RepSpace, State, apply_t_word, gp_vector
+from cuntzfock.rep import EngineError, RepSpace, State, apply_t_word, gp_vector
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 from cuntzfock.verify import (
     SuiteReport,
