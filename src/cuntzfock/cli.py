@@ -101,6 +101,8 @@ def cmd_verify(suites: list[str], as_json: bool, **options):
             _echo(r.summary())
             for f in r.failures[:10]:
                 _echo(f"    {f['case']}: expected {f['expected']}, got {f['got']}")
+            if len(r.failures) > 10:
+                _echo(f"    ... and {len(r.failures) - 10} more")
     if not all(r.passed for r in reports):
         return EXIT_VERIFY_FAIL
 

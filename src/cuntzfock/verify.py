@@ -56,11 +56,15 @@ def _times(image, k):
     return None if image is None else (image[0] * k, image[1])
 
 
-def _t_word(t: dict, letters, image):
-    """The operator word t_letters after image, its rightmost letter first; t is `_maps("t", 2)`."""
-    for i in reversed(letters):
-        image = then(t[False, i], image)
-    return image
+def _word(maps: dict, star: bool, modes, image) -> list:
+    """The images of image under the right ends of the operator word of the
+    maps[star, k], k in modes read left to right: entry r is the image once
+    the rightmost r letters have acted, and the last entry the whole word's."""
+    images = [image]
+    for k in reversed(modes):
+        image = then(maps[star, k], image)
+        images.append(image)
+    return images
 
 
 def _space(image) -> RepSpace:
@@ -117,32 +121,56 @@ def _maps(x: str, top: int) -> dict:
     return {(star, k): basis_map((x, k, star)) for star in (False, True) for k in range(1, top + 1)}
 
 
+# The relation families: every check names one, and a report counts its cases by family.
+FAMILIES = (
+    # cuntz: x_i* x_j = delta_ij, t_1 t_1* + t_2 t_2* = 1, the partial sums of s_m s_m*
+    "t-adjoint", "t-range", "s-adjoint", "s-range",
+    # the branching suites: vacua, cycle words, reachability, the class predicates,
+    # the ladder images of the branch vacua and the generators' action on them
+    "unit", "cycle", "reach", "bf-class", "ff-class",
+    "b-ladder", "s-raise", "a-create", "a-pairing", "t-action",
+    # ccr and car: the brackets, x_m moved past a generator, car's rewrite of t_1^n t_2^m
+    "ccr", "s-transport", "car", "t-transport", "t-rewrite",
+    # roundtrip: inverses, norm factors, grades, the operational route, `enumerate_grade`
+    "inverse", "norm", "grade", "operational", "enumerate",
+    # oracle: the index codec, the letters and s_m on indices, the ladders at e_1, pipelines
+    "codec", "t-index", "s-index", "vacuum", "pipeline",
+)
+_NO_CASES = dict.fromkeys(FAMILIES, 0)  # copied by each report: a copy is faster than fromkeys
+
+
 class SuiteReport:
     """Outcome of one verification suite."""
 
-    __slots__ = ("suite", "params", "cases", "failures")
+    __slots__ = ("suite", "params", "failures", "relations", "_unsorted")
 
     def __init__(self, suite: str, params: dict | None = None, cases: int = 0,
                  failures: list | None = None):
         self.suite = suite
         self.params = {} if params is None else params
-        self.cases = cases
         self.failures = [] if failures is None else failures
+        self.relations = _NO_CASES.copy()  # cases by family
+        self._unsorted = cases  # cases of a report built whole, outside any family
+
+    @property
+    def cases(self) -> int:
+        return self._unsorted + sum(self.relations.values())
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, case: Label, expected, got) -> bool:
-        """Count one case and record a failure when expected != got.
+    def check(self, family: str, case: Label, expected, got) -> bool:
+        """Count one case of family and record a failure when expected != got.
 
-        The label is a string or a zero-argument callable returning one.
-        A callable is called only when the check fails, and before this
-        method returns, so passing checks format no label and a lambda
-        over loop variables still names the case that failed.  Word-level
-        images, and states from `_plus`, are reported as states (`_reported`).
+        The family is a name of `FAMILIES`.  The label is a string or a
+        zero-argument callable returning one.  A callable is called only
+        when the check fails, and before this method returns, so passing
+        checks format no label and a lambda over loop variables still names
+        the case that failed.  Word-level images, and states from `_plus`,
+        are reported as states (`_reported`).
         """
-        self.cases += 1
+        self.relations[family] += 1
         if expected != got:
             expected, got = _reported(expected, got), _reported(got, expected)
             self.failures.append(
@@ -151,9 +179,9 @@ class SuiteReport:
             return False
         return True
 
-    def check_true(self, case: Label, ok: bool, detail: Label = "") -> bool:
-        """Count one case that holds when ok is true; labels as in `check`."""
-        self.cases += 1
+    def check_true(self, family: str, case: Label, ok: bool, detail: Label = "") -> bool:
+        """Count one case of family that holds when ok is true; labels as in `check`."""
+        self.relations[family] += 1
         if not ok:
             self.failures.append(
                 {"case": _text(case), "expected": "true", "got": _text(detail) or "false"}
@@ -161,12 +189,17 @@ class SuiteReport:
         return ok
 
     def absorb(self, other: "SuiteReport") -> None:
-        self.cases += other.cases
+        self._unsorted += other._unsorted
         self.failures.extend(other.failures)
+        for family, n in other.relations.items():
+            if n:
+                self.relations[family] += n
 
     def summary(self) -> str:
+        """One line: the suite, its status and its cases, then the nonzero counts by family."""
         status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
-        return f"{self.suite}: {status} [{self.cases} cases]"
+        counts = ", ".join(f"{family} {n}" for family, n in self.relations.items() if n)
+        return f"{self.suite}: {status} [{self.cases} cases]" + (counts and f" ({counts})")
 
     def to_json(self) -> dict:
         return {
@@ -223,24 +256,8 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = RUNGS) -> Suite
     b_{q(n-1)+j} psi = 0 for j != i.  psi is one basis word.
     """
     lam = promote(lam)
-    rep_ = SuiteReport(
-        "bf-class", {"q": q, "i": i, "lambda": lam.render(), "n_max": n_max}
-    )
-    image = _image(psi)
-    b = _maps("b", q * (n_max - 1) + max(q, i))
-    for n in range(1, n_max + 1):
-        base = q * (n - 1)
-        got = then(b[False, base + i], then(b[True, base + i], image))
-        rep_.check(lambda: f"b b* at mode {base + i}", _times(image, lam), got)
-        for j in range(1, q + 1):
-            if j == i:
-                continue
-            rep_.check(
-                lambda: f"b at mode {base + j} annihilates",
-                None,
-                then(b[False, base + j], image),
-            )
-    return rep_
+    rep_ = SuiteReport("bf-class", {"q": q, "i": i, "lambda": lam.render(), "n_max": n_max})
+    return _class_rungs(rep_, "b", psi, q, i, (False, True), lam, False)
 
 
 def check_ff_class(
@@ -251,26 +268,34 @@ def check_ff_class(
     Unstarred: a_{p(n-1)+i} psi = 0 and a*_{p(n-1)+j} psi = 0 for j != i.
     Starred: the roles of a and a* are exchanged.  psi is one basis word.
     """
-    rep_ = SuiteReport(
-        "ff-class", {"p": p, "i": i, "starred": starred, "n_max": n_max}
-    )
+    rep_ = SuiteReport("ff-class", {"p": p, "i": i, "starred": starred, "n_max": n_max})
+    return _class_rungs(rep_, "a", psi, p, i, (starred,), None, not starred)
+
+
+def _class_rungs(rep_: SuiteReport, x: str, psi: State, q: int, i: int, stars: tuple, lam,
+                 other: bool) -> SuiteReport:
+    """Check a class predicate's rungs n = 1..n_max on psi's one word, rep_'s suite as the family.
+
+    At the residue mode k = q(n-1)+i the operator word x_k^stars (its
+    rightmost letter first) sends the word to lam times itself, or to zero
+    when lam is None; at every other mode j of the rung, x_j (x_j* when
+    other) annihilates it.  n_max is rep_'s parameter.
+    """
     image = _image(psi)
-    a = _maps("a", p * (n_max - 1) + max(p, i))
+    family, n_max = rep_.suite, rep_.params["n_max"]
+    maps = _maps(x, q * (n_max - 1) + max(q, i))
+    expected = None if lam is None else _times(image, lam)
     for n in range(1, n_max + 1):
-        base = p * (n - 1)
-        rep_.check(
-            lambda: f"{'a*' if starred else 'a'} at mode {base + i} annihilates",
-            None,
-            then(a[starred, base + i], image),
-        )
-        for j in range(1, p + 1):
-            if j == i:
-                continue
-            rep_.check(
-                lambda: f"{'a' if starred else 'a*'} at mode {base + j} annihilates",
-                None,
-                then(a[not starred, base + j], image),
-            )
+        base = q * (n - 1)
+        got = image
+        for star in reversed(stars):
+            got = then(maps[star, base + i], got)
+        rep_.check(family, lambda: " ".join(x + "*" * star for star in stars)
+                   + f" at mode {base + i}{' annihilates' if lam is None else ''}", expected, got)
+        for j in range(1, q + 1):
+            if j != i:
+                rep_.check(family, lambda: f"{x}{'*' * other} at mode {base + j} annihilates",
+                           None, then(maps[other, base + j], image))
     return rep_
 
 
@@ -322,7 +347,7 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
         q = value
         space = RepSpace((1,) * q + (2,))
         anchor = (ONE, prepend_letters((1,) * (q - 1) + (2,), space.gp_word()))
-        fixed = _t_word(_maps("t", 2), (1,) * (q - 1) + (2, 1), anchor)  # s_1^(q-1) s_2
+        fixed = _word(_maps("t", 2), False, (1,) * (q - 1) + (2, 1), anchor)[-1]  # s_1^(q-1) s_2
         label = f"Pinf(1^{q - 1} 2)"
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'p' or 'q'")
@@ -331,15 +356,15 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
         "branch-oinfty",
         {"variant": variant, "value": value, "depth": depth, "class": label},
     )
-    rep_.check("anchor is a unit vector", ONE, anchor[0] * anchor[0])
-    rep_.check("anchor fixed by its cycle word", anchor, fixed)
+    rep_.check("unit", "anchor is a unit vector", ONE, anchor[0] * anchor[0])
+    rep_.check("cycle", "anchor fixed by its cycle word", anchor, fixed)
     unreachable = [
         w.render()
         for w in space.basis_words(depth)
         if not _peel_to(anchor[1], w)
     ]
     rep_.check_true(
-        lambda: f"reachability to depth {depth}",
+        "reach", lambda: f"reachability to depth {depth}",
         not unreachable,
         lambda: f"unreached: {unreachable[:5]} (+{max(0, len(unreachable) - 5)})",
     )
@@ -382,7 +407,7 @@ def check_branching_boson(p: int) -> SuiteReport:
     # part A: single branch with amplification lambda = p
     space_a = RepSpace((1,) + (2,) * (p - 1))
     anchor_a = State.basis(space_a, prepend_letters((2,) * (p - 1), space_a.gp_word()))
-    rep_.check("part A anchor unit", ONE, anchor_a.norm2())
+    rep_.check("unit", "part A anchor unit", ONE, anchor_a.norm2())
     rep_.absorb(check_bf_class(anchor_a, 1, 1, p))
 
     if p == 1:
@@ -394,49 +419,39 @@ def check_branching_boson(p: int) -> SuiteReport:
     anchor = oms[0]
     t, b, s = _maps("t", 2), _maps("b", branch_modes(p)), _maps("s", 4)
     rep_.check(
-        "anchor fixed by s_1^(p-1) s_2",
-        anchor,
-        _t_word(t, (1,) * (p - 1) + (2, 1), anchor),
+        "cycle", "anchor fixed by s_1^(p-1) s_2", anchor,
+        _word(t, False, (1,) * (p - 1) + (2, 1), anchor)[-1],
     )
     for i, (vec, om, label) in enumerate(zip(witness.vectors, oms, witness.labels), 1):
         _, _, residue, lam = label
-        rep_.check(lambda: f"Omega_{i} unit", ONE, vec.norm2())
+        rep_.check("unit", lambda: f"Omega_{i} unit", ONE, vec.norm2())
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
-        rep_.check(lambda: f"T_{i} fixes Omega_{i}", om, _t_word(t, t_i, om))
+        rep_.check("cycle", lambda: f"T_{i} fixes Omega_{i}", om, _word(t, False, t_i, om)[-1])
         rep_.absorb(check_bf_class(vec, p, residue, lam))
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, RUNGS + 1):
             for j in range(1, p + 1):
                 mode = p * (n - 1) + p - j + 1
-                expected = _t_word(t, t_i * (n - 1) + (1,) * p, om) if i == j else None
-                rep_.check(lambda: f"b_{mode} Omega_{i}", expected, then(b[False, mode], om))
+                expected = _word(t, False, t_i * (n - 1) + (1,) * p, om)[-1] if i == j else None
+                rep_.check("b-ladder", lambda: f"b_{mode} Omega_{i}", expected,
+                           then(b[False, mode], om))
     # creation transport: s-generators raise the previous branch
-    rep_.check(
-        "s_1 Omega_1 = b_1 Omega_p", then(b[False, 1], oms[-1]), then(s[False, 1], anchor)
-    )
-    rep_.check("s_2 Omega_1 = Omega_p", oms[-1], then(s[False, 2], anchor))
+    rep_.check("s-raise", "s_1 Omega_1 = b_1 Omega_p", then(b[False, 1], oms[-1]),
+               then(s[False, 1], anchor))
+    rep_.check("s-raise", "s_2 Omega_1 = Omega_p", oms[-1], then(s[False, 2], anchor))
     for i in range(2, p + 1):
-        rep_.check(
-            lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2], then(s[False, 1], oms[i - 1])
-        )
-        rep_.check(
-            lambda: f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
-            then(b[True, 1], oms[i - 2]),
-            then(s[False, 2], oms[i - 1]),
-        )
+        rep_.check("s-raise", lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2],
+                   then(s[False, 1], oms[i - 1]))
+        rep_.check("s-raise", lambda: f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
+                   then(b[True, 1], oms[i - 2]), then(s[False, 2], oms[i - 1]))
     for n in (3, 4):
-        # the (b_1*)^(n-2) Omega_p norm is sqrt((n-1)!) since b_1 b_1* doubles
-        expected = oms[-1]
-        for _ in range(n - 2):
-            expected = then(b[True, 1], expected)
-        expected = _times(expected, ONE / sqrt_factorial(n - 1))
-        rep_.check(lambda: f"s_{n} Omega_1", expected, then(s[False, n], anchor))
-        for i in range(2, p + 1):
-            expected = oms[i - 2]
-            for _ in range(n - 1):
-                expected = then(b[True, 1], expected)
-            expected = _times(expected, ONE / sqrt_factorial(n - 1))
-            rep_.check(lambda: f"s_{n} Omega_{i}", expected, then(s[False, n], oms[i - 1]))
+        # the (b_1*)^(n-2) Omega_p norm is sqrt((n-1)!) since b_1 b_1* doubles; s_n raises
+        # Omega_i from Omega_(i-1) (Omega_1 from Omega_p) by n-1 powers of b_1* (Omega_1 by n-2)
+        scale = ONE / sqrt_factorial(n - 1)
+        for i in range(1, p + 1):
+            raised = _word(b, True, (1,) * (n - 1 - (i == 1)), oms[i - 2])[-1]
+            rep_.check("s-raise", lambda: f"s_{n} Omega_{i}", _times(raised, scale),
+                       then(s[False, n], oms[i - 1]))
     return rep_
 
 
@@ -482,9 +497,8 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
     if p == 1:
         for n in range(1, 6):
             rep_.check(
-                lambda: f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
-                _t_word(t, (1,) * (n - 1) + (2,), omega),
-                then(a[True, n], omega),
+                "a-create", lambda: f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
+                _word(t, False, (1,) * (n - 1) + (2,), omega)[-1], then(a[True, n], omega),
             )
     else:
         # explicit creation images with exact signs, rung by rung
@@ -497,72 +511,51 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                     if i == j:  # the word 2^(p-i) (1 2^(p-1))^(l-1) 2 on Omega
                         letters = (2,) * (p - i) + ((1,) + (2,) * (p - 1)) * (l - 1) + (2,)
                         sign = (-1) ** (p - i + (p - 1) * (l - 1))
-                        expected = _times(_t_word(t, letters, omega), sign)
-                    rep_.check(lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
+                        expected = _times(_word(t, False, letters, omega)[-1], sign)
+                    rep_.check("a-create", lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
         # specialization at the GP vector itself
         for l in range(1, RUNGS + 1):
             sign = (-1) ** ((p - 1) * l)
             letters = ((2,) * (p - 1) + (1,)) * (l - 1) + (2,) * p
             rep_.check(
-                lambda: f"a_{p * l}* Omega",
-                _times(_t_word(t, letters, omega), sign),
-                then(a[True, p * l], omega),
+                "a-create", lambda: f"a_{p * l}* Omega",
+                _times(_word(t, False, letters, omega)[-1], sign), then(a[True, p * l], omega),
             )
             for i in range(1, p):
-                rep_.check(
-                    lambda: f"a_{p * (l - 1) + i}* Omega = 0",
-                    None,
-                    then(a[True, p * (l - 1) + i], omega),
-                )
+                rep_.check("a-create", lambda: f"a_{p * (l - 1) + i}* Omega = 0", None,
+                           then(a[True, p * (l - 1) + i], omega))
         # pairing relations
         for l in range(1, RUNGS + 1):
             for i in range(1, p + 1):
                 mode = p * (l - 1) + p - i + 1
                 om_i = oms[i - 1]
-                rep_.check(
-                    lambda: f"a_{mode} a_{mode}* Omega_{i}",
-                    om_i,
-                    then(a[False, mode], then(a[True, mode], om_i)),
-                )
-                rep_.check(
-                    lambda: f"a_{mode} Omega_{i} = 0", None, then(a[False, mode], om_i)
-                )
+                rep_.check("a-pairing", lambda: f"a_{mode} a_{mode}* Omega_{i}", om_i,
+                           then(a[False, mode], then(a[True, mode], om_i)))
+                rep_.check("a-pairing", lambda: f"a_{mode} Omega_{i} = 0", None,
+                           then(a[False, mode], om_i))
                 for j in range(1, p + 1):
                     if j == i:
                         continue
                     om_j = oms[j - 1]
-                    rep_.check(
-                        lambda: f"a_{mode}* a_{mode} Omega_{j}",
-                        om_j,
-                        then(a[True, mode], then(a[False, mode], om_j)),
-                    )
-                    rep_.check(
-                        lambda: f"a_{mode}* Omega_{j} = 0",
-                        None,
-                        then(a[True, mode], om_j),
-                    )
+                    rep_.check("a-pairing", lambda: f"a_{mode}* a_{mode} Omega_{j}", om_j,
+                               then(a[True, mode], then(a[False, mode], om_j)))
+                    rep_.check("a-pairing", lambda: f"a_{mode}* Omega_{j} = 0", None,
+                               then(a[True, mode], om_j))
 
-    # letter action on the branch vacua
-    rep_.check("t_1 Omega_1 = Omega_p", oms[-1], then(t[False, 1], omega))
-    rep_.check(
-        "t_2 Omega_1 = a_1* Omega_p",
-        then(a[True, 1], oms[-1]),
-        then(t[False, 2], omega),
-    )
-    for j in range(2, p + 1):
-        rep_.check(
-            lambda: f"t_1 Omega_{j} = a_1 Omega_{j - 1}",
-            then(a[False, 1], oms[j - 2]),
-            then(t[False, 1], oms[j - 1]),
-        )
-        rep_.check(
-            lambda: f"t_2 Omega_{j} = Omega_{j - 1}", oms[j - 2], then(t[False, 2], oms[j - 1])
-        )
+    # letter action on the branch vacua: t_1 and t_2 each send Omega_j to Omega_(j-1), and
+    # Omega_1 to Omega_p, one of them through a_1: t_2 through a_1* on Omega_1, t_1 on the rest
+    for j in range(1, p + 1):
+        for i in (1, 2):
+            ladder = (i == 2) == (j == 1)
+            prev = then(a[j == 1, 1], oms[j - 2]) if ladder else oms[j - 2]
+            rep_.check("t-action", lambda: f"t_{i} Omega_{j} = "
+                       f"{'a_1' + '*' * (j == 1) + ' ' if ladder else ''}"
+                       f"Omega_{p if j == 1 else j - 1}", prev, then(t[False, i], oms[j - 1]))
 
     # class membership, with the letter flip for the starred classes
-    family = fermion_branch_witness(p, starred=True) if starred else unstarred
-    for vec, (_, _, residue, star_flag) in zip(family.vectors, family.labels):
-        rep_.check("branch vacuum unit", ONE, vec.norm2())
+    witness = fermion_branch_witness(p, starred=True) if starred else unstarred
+    for vec, (_, _, residue, star_flag) in zip(witness.vectors, witness.labels):
+        rep_.check("unit", "branch vacuum unit", ONE, vec.norm2())
         rep_.absorb(check_ff_class(vec, p, residue, starred=star_flag))
     return rep_
 
@@ -575,14 +568,15 @@ def _all_defining_words(max_len: int):
         yield from product((1, 2), repeat=k)
 
 
-def _adjoint_table(rep_: SuiteReport, x: str, maps: dict, top: int, space: RepSpace, w) -> None:
+def _adjoint_table(rep_: SuiteReport, family: str, x: str, maps: dict, top: int,
+                   space: RepSpace, w) -> None:
     """x_i* x_j = delta_ij on the basis word w for i, j <= top; each x_j w is computed once."""
     moved = [maps[False, j](w) for j in range(1, top + 1)]
     for i in range(1, top + 1):
         for j in range(1, top + 1):
             got = then(maps[True, i], moved[j - 1])
             expected = (ONE, w) if i == j else None
-            rep_.check(lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got)
+            rep_.check(family, lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got)
 
 
 def cuntz_suite(depth: int = 10) -> SuiteReport:
@@ -611,13 +605,14 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     for J in _all_defining_words(max_j_len):
         space = RepSpace(J)
         for w in space.basis_words(depth):
-            _adjoint_table(rep_, "t", t, 2, space, w)
+            _adjoint_table(rep_, "t-adjoint", "t", t, 2, space, w)
             got = _plus(*(then(t[False, i], t[True, i](w)) for i in (1, 2)))
-            rep_.check(lambda: f"range completeness on {w} in {space.label}", (ONE, w), got)
+            rep_.check("t-range", lambda: f"range completeness on {w} in {space.label}",
+                       (ONE, w), got)
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
         for w in space.basis_words(oinfty_depth):
-            _adjoint_table(rep_, "s", s, oinfty_max, space, w)
+            _adjoint_table(rep_, "s-adjoint", "s", s, oinfty_max, space, w)
             # w = 2^(L-1) 1 v has one leading block: the sum reaches w at k = L
             lb = leading_block(w)
             whole, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
@@ -625,7 +620,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             for m in range(1, oinfty_max + 1):
                 acc = _plus(acc, then(s[False, m], s[True, m](w)))
                 rep_.check(
-                    lambda: f"partial range sum k={m} on {w} in {space.label}",
+                    "s-range", lambda: f"partial range sum k={m} on {w} in {space.label}",
                     whole if m >= at else None,
                     acc,
                 )
@@ -657,7 +652,7 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
     every entry.  Returns `once`, for the caller's own checks on psi.
     """
     commute = x == "b"
-    left, right = "[]" if commute else "{}"
+    family, (left, right) = ("ccr", "[]") if commute else ("car", "{}")
     keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
     image = _image(psi)
     once = {key: then(maps[key], image) for key in keys}
@@ -669,13 +664,20 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
                 mn = twice[(star_m, m), (star_n, n)]
                 got = _plus(nm, _negated(mn) if commute else mn)
                 expected = image if n == m and star_m and not star_n else None
-                rep_.check(
-                    lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
-                    f"{'*' if star_m else ''}{right} on {psi.render()}",
-                    expected,
-                    got,
-                )
+                rep_.check(family, lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
+                           f"{'*' if star_m else ''}{right} on {psi.render()}", expected, got)
     return once
+
+
+def _transport(g, maps: dict, once: dict, g_image, modes):
+    """x_m moved past the generator g, for m in modes and x_m then x_m*.
+
+    Yields (star, m, g x_m^star psi, x_{m+1}^star g psi), reading x_m^star
+    psi from once and taking g psi as g_image.
+    """
+    for m in modes:
+        for star in (False, True):
+            yield star, m, then(g, once[star, m]), then(maps[star, m + 1], g_image)
 
 
 def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
@@ -706,22 +708,17 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     for psi in states:
         once = _bracket_relations(rep_, b, "b", psi, max_mode)
         image = _image(psi)
-        moved = {
-            (create, m): once[create, m] if m <= max_mode else then(b[create, m], image)
-            for create in (False, True)
-            for m in transport
-        }
-        shifted = [then(s[False, k], image) for k in transport]
+        for m in range(max_mode + 1, intertwine_max + 1):  # the modes above the bracket table
+            once[False, m], once[True, m] = then(b[False, m], image), then(b[True, m], image)
         for k in transport:
-            for m in transport:
-                for create in (False, True):
-                    got = then(s[False, k], moved[create, m])
-                    expected = then(b[create, m + 1], shifted[k - 1])
-                    rep_.check(
-                        lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
-                        expected,
-                        got,
-                    )
+            moves = _transport(s[False, k], b, once, then(s[False, k], image), transport)
+            for create, m, moved, raised in moves:
+                rep_.check(
+                    "s-transport",
+                    lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
+                    raised,
+                    moved,
+                )
     return rep_
 
 
@@ -757,39 +754,28 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     for psi in states:
         once = _bracket_relations(rep_, a, "a", psi, max_mode)
         for i, sign in ((1, lambda image: image), (2, _negated)):
-            t_psi = then(t[False, i], _image(psi))
-            for m in range(1, transport_max + 1):
-                got = then(t[False, i], once[False, m])
-                expected = sign(then(a[False, m + 1], t_psi))
-                rep_.check(lambda: f"t_{i} a_{m} transport on {psi.render()}", expected, got)
-                got = then(a[True, m + 1], t_psi)
-                expected = sign(then(t[False, i], once[True, m]))
-                rep_.check(lambda: f"a_{m + 1}* t_{i} transport on {psi.render()}", expected, got)
+            moves = _transport(t[False, i], a, once, then(t[False, i], _image(psi)),
+                               range(1, transport_max + 1))
+            for star, m, moved, raised in moves:
+                # t_i a_m = sign a_{m+1} t_i, and its adjoint a_{m+1}* t_i = sign t_i a_m*
+                expected, got = (moved, raised) if star else (raised, moved)
+                rep_.check("t-transport", lambda: (f"a_{m + 1}* t_{i}" if star else f"t_{i} a_{m}")
+                           + f" transport on {psi.render()}", sign(expected), got)
     # operator word rewriting on a sample of basis vectors
     space = RepSpace((1,))
     sample = [(ONE, w) for w in space.basis_words(3)]
-    powers, mixed = [], []  # per psi: t_1^k psi by k, and t_1^n t_2^m psi by (n, m)
-    for psi in sample:
-        power = [psi]
-        for _ in range(2 * word_identity_max):
-            power.append(then(t[False, 1], power[-1]))
-        table, t2_psi = {}, psi
-        for m in range(1, word_identity_max + 1):
-            t2_psi = lhs = then(t[False, 2], t2_psi)
-            for n in range(1, word_identity_max + 1):
-                lhs = table[n, m] = then(t[False, 1], lhs)
-        powers.append(power)
-        mixed.append(table)
+    ones, twos = (1,) * word_identity_max, (2,) * word_identity_max
+    powers = [_word(t, False, ones + ones, psi) for psi in sample]  # t_1^k psi by k
+    # t_1^n t_2^m psi by m - 1 and n
+    mixed = [[_word(t, False, ones, t2) for t2 in _word(t, False, twos, psi)[1:]] for psi in sample]
     for n in range(1, word_identity_max + 1):
         for m in range(1, word_identity_max + 1):
             for psi, power, table in zip(sample, powers, mixed):
-                lhs = table[n, m]
-                rhs = power[n + m]
-                for k in range(n + m, n, -1):
-                    rhs = then(a[True, k], rhs)
+                rhs = _word(a, True, range(n + 1, n + m + 1), power[n + m])[-1]
                 rep_.check(
+                    "t-rewrite",
                     lambda: f"t_1^{n} t_2^{m} rewrite on {_state(space, psi).render()}",
-                    lhs,
+                    table[m - 1][n],
                     rhs,
                 )
     return rep_
@@ -829,27 +815,29 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
             S = FermionSubset(elements)
             pair = corr.inverse(S)
             back = corr.forward(pair.boson)
-            rep_.check(lambda: f"forward(inverse({S}))", S, back.fermion)
-            rep_.check(lambda: f"C*D = 1 for {S}", ONE, back.coeff * pair.coeff)
+            rep_.check("inverse", lambda: f"forward(inverse({S}))", S, back.fermion)
+            rep_.check("norm", lambda: f"C*D = 1 for {S}", ONE, back.coeff * pair.coeff)
     for M in _boson_family(max_particles, max_mode):
         fwd = corr.forward(M)
-        rep_.check(lambda: f"grade of forward({M})", M.particle_number, fwd.fermion.particle_number)
+        rep_.check("grade", lambda: f"grade of forward({M})", M.particle_number,
+                   fwd.fermion.particle_number)
         if M.factors:
             back = corr.inverse(fwd.fermion)
-            rep_.check(lambda: f"inverse(forward({M}))", M, back.boson)
-            rep_.check(lambda: f"D*C = 1 for {M}", ONE, fwd.coeff * back.coeff)
+            rep_.check("inverse", lambda: f"inverse(forward({M}))", M, back.boson)
+            rep_.check("norm", lambda: f"D*C = 1 for {M}", ONE, fwd.coeff * back.coeff)
         sq = fwd.coeff * fwd.coeff
         expected_sq = promote(math.prod(math.factorial(k) for _, k in M.factors))
-        rep_.check(lambda: f"coeff^2 integral for {M}", expected_sq, sq)
+        rep_.check("norm", lambda: f"coeff^2 integral for {M}", expected_sq, sq)
         op = corr.forward_operational(M)
-        rep_.check(lambda: f"operational fermion image of {M}", fwd.fermion, op.fermion)
-        rep_.check(lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
+        rep_.check("operational", lambda: f"operational fermion image of {M}", fwd.fermion,
+                   op.fermion)
+        rep_.check("operational", lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
     for n in range(grade_max + 1):
         pairs = corr.enumerate_grade(n, 6)
         fwds = [corr.forward(p.boson) for p in pairs]
         images = {f.fermion for f in fwds}
         rep_.check_true(
-            lambda: f"grade {n} images pairwise distinct",
+            "enumerate", lambda: f"grade {n} images pairwise distinct",
             len(images) == len(pairs) and fwds == pairs,
             lambda: f"{len(pairs)} pairs, {len(images)} distinct images, "
             f"{sum(p != f for p, f in zip(pairs, fwds))} rows unlike forward",
@@ -863,7 +851,7 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
             if S not in images
         ]
         rep_.check_true(
-            lambda: f"grade {n} covers subsets of 1..8",
+            "enumerate", lambda: f"grade {n} covers subsets of 1..8",
             not missing,
             lambda: f"missing {missing[:3]}",
         )
@@ -952,12 +940,12 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             bad.append(n)
         if n <= keep:
             words.append(w)
-    rep_.check_true("index bijection", not bad, lambda: f"broken at {bad[:5]}")
+    rep_.check_true("codec", "index bijection", not bad, lambda: f"broken at {bad[:5]}")
     # letter action on indices
     for n, w in enumerate(words[:letter_max], 1):
         for i in (1, 2):
             got = word_to_index(prepend_letters((i,), w))
-            rep_.check(lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, got)
+            rep_.check("t-index", lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, got)
     # embedded generators on indices
     space = RepSpace((1,))
     for m in range(1, embed_max_m + 1):
@@ -965,24 +953,24 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
         for n, e_n in enumerate(words[:embed_max_n], 1):
             c, w = image = s_m(e_n)
             rep_.check_true(
-                lambda: f"s_{m} e_{n}",
+                "s-index", lambda: f"s_{m} e_{n}",
                 c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
                 lambda: _state(space, image).render(),
             )
     # ladder actions on the vacuum index
     e1 = (ONE, words[0])
-    a, b = _maps("a", ladder_max), _maps("b", ladder_max)
+    ladders = {x: _maps(x, ladder_max) for x in "ab"}
     for m in range(1, ladder_max + 1):
         target = (ONE, index_to_word(2 ** (m - 1) + 1))
-        rep_.check(lambda: f"a_{m}* e_1", target, then(a[True, m], e1))
-        rep_.check(lambda: f"a_{m} e_1", None, then(a[False, m], e1))
-        rep_.check(lambda: f"b_{m}* e_1", target, then(b[True, m], e1))
-        rep_.check(lambda: f"b_{m} e_1", None, then(b[False, m], e1))
+        for x in "ab":
+            for star in (True, False):
+                rep_.check("vacuum", lambda: f"{x}_{m}{'*' * star} e_1", target if star else None,
+                           then(ladders[x][star, m], e1))
     # fixed pipelines
     for ops, start in ((["t2", "t1", "t2*"], 1), (["b1*", "b1"], 1), (["a3*"], 1)):
         agree = float_oracle(dim, ops, start)
         rep_.check_true(
-            lambda: f"pipeline {ops} from e_{start}",
+            "pipeline", lambda: f"pipeline {ops} from e_{start}",
             agree is True,
             lambda: "overflow" if agree is None else "images differ",
         )
@@ -1003,9 +991,10 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
         if agree is None:
             continue
         collected += 1
-        rep_.check_true(lambda: f"random pipeline {ops} from e_{start}", agree, "images differ")
+        rep_.check_true("pipeline", lambda: f"random pipeline {ops} from e_{start}", agree,
+                        "images differ")
     rep_.check_true(
-        lambda: f"collected {sequences} in-window pipelines",
+        "pipeline", lambda: f"collected {sequences} in-window pipelines",
         collected == sequences,
         lambda: f"only {collected} after {attempts} attempts",
     )
@@ -1071,8 +1060,8 @@ def run(names, options: dict) -> list:
             while tb.tb_next is not None:  # to the frame that raised it
                 tb = tb.tb_next
             where = f"in {tb.tb_frame.f_code.co_name}, line {tb.tb_lineno}"
-            failed = SuiteReport(name)
-            failed.check_true("the suite runs to its end", False,
-                              f"{type(exc).__name__}: {exc} ({where})")
-            reports.append(failed)
+            reports.append(SuiteReport(name, cases=1, failures=[{
+                "case": "the suite runs to its end", "expected": "true",
+                "got": f"{type(exc).__name__}: {exc} ({where})",
+            }]))
     return reports

@@ -407,6 +407,24 @@ def test_verify_failure_exit_1(monkeypatch):
     assert "FAIL" in res.output
 
 
+def test_verify_text_names_the_failures_it_leaves_out(monkeypatch):
+    from cuntzfock import verify
+
+    failing = SuiteReport("rigged", cases=12, failures=[
+        {"case": f"x{k}", "expected": "a", "got": "b"} for k in range(12)
+    ])
+    monkeypatch.setitem(verify.SUITES, "roundtrip", lambda o: [failing])
+    res = run("verify", "roundtrip")
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "rigged: FAIL (12 failures) [12 cases]",
+        *[f"    x{k}: expected a, got b" for k in range(10)],
+        "    ... and 2 more",
+    ]
+    res = run("verify", "roundtrip", "--json")
+    assert [len(r["failures"]) for r in json.loads(res.output)] == [12]
+
+
 def _nth_block_one_too_far(w, n):
     """`words.nth_block` with a planted fault: from mode 6 on it passes n blocks,
     one too many, and runs off the letters it extended for n."""

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import re
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from cuntzfock import cli
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
 from cuntzfock.ladder import basis_map, boson_state, parse_op_token
 from cuntzfock.oracles import _NumericFamily, leading_block
-from cuntzfock.radical import ONE, sqrt_of_nat
+from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import EngineError, RepSpace, State, apply_t_word, gp_vector
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 from cuntzfock.verify import (
@@ -68,18 +70,66 @@ def _never_called():
 
 def test_passing_checks_format_no_label():
     r = SuiteReport("lazy")
-    assert r.check(_never_called, ONE, ONE)
-    assert r.check_true(_never_called, True, _never_called)
+    assert r.check("unit", _never_called, ONE, ONE)
+    assert r.check_true("reach", _never_called, True, _never_called)
     assert r.passed and r.cases == 2
+
+
+# Scalars of up to three radical terms, none zero, and the words of one space: few
+# enough words that random images often share one.
+_SCALARS = st.builds(
+    lambda a, b, c: promote(a) + promote(b) * sqrt_of_nat(2) + promote(c) * sqrt_of_nat(3),
+    *[st.integers(-3, 3)] * 3,
+).filter(bool)
+_SUM_SPACE = RepSpace((1, 2))
+_SUM_WORDS = list(_SUM_SPACE.basis_words(1))
+
+
+@st.composite
+def _images_to_sum(draw):
+    """Images to add in turn: new weighted words, zeros, and negations of earlier ones."""
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["word", "word", "zero", "cancel"]))
+        if kind == "cancel" and parts:
+            c_w = draw(st.sampled_from(parts))
+            parts.append(None if c_w is None else (-c_w[0], c_w[1]))
+        elif kind == "zero":
+            parts.append(None)
+        else:
+            parts.append((draw(_SCALARS), draw(st.sampled_from(_SUM_WORDS))))
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images_to_sum())
+def test_word_level_sums_equal_the_state_sums_of_their_parts(parts):
+    # as the range sums of `cuntz` and the brackets of `ccr`/`car` add them: in turn,
+    # from no image, the accumulator becoming a State once it holds two words
+    from cuntzfock import verify
+
+    total = reduce(verify._plus, parts, None)
+    want = State.zero(_SUM_SPACE)
+    for part in parts:
+        if part is not None:
+            want = want + State.basis(_SUM_SPACE, part[1], part[0])
+    if total is None:
+        got = State.zero(_SUM_SPACE)
+    elif total.__class__ is tuple:
+        assert total[0], total  # an image never carries a zero weight
+        got = State.basis(_SUM_SPACE, total[1], total[0])
+    else:
+        got = total
+    assert got == want, parts
 
 
 def test_failing_checks_record_the_label_text():
     r = SuiteReport("lazy")
     for n in range(3):
-        r.check(lambda: f"case {n}", 0, n)
-        r.check_true(lambda: f"flag {n}", n == 0, lambda: f"n={n}")
-    r.check("plain", 0, 1)
-    r.check_true("bare", False)
+        r.check("unit", lambda: f"case {n}", 0, n)
+        r.check_true("reach", lambda: f"flag {n}", n == 0, lambda: f"n={n}")
+    r.check("unit", "plain", 0, 1)
+    r.check_true("reach", "bare", False)
     assert r.cases == 8
     assert r.failures == [
         {"case": "case 1", "expected": "0", "got": "1"},
@@ -747,3 +797,45 @@ def test_oracle_dim_is_refused_before_any_check(monkeypatch, dim):
     if dim not in (1, 2, 4):  # float_oracle takes every power of two up to 2^14
         with pytest.raises(ValueError, match="dim must be"):
             float_oracle(dim, ["t1"])
+
+
+def test_every_family_is_counted_by_verify_all():
+    # no dead family: every name of the table counts cases at the CLI defaults, and the
+    # counts by family of each report add up to its cases
+    from cuntzfock import verify
+
+    totals = dict.fromkeys(verify.FAMILIES, 0)
+    reports = verify.run(["all"], CLI_OPTIONS)
+    for r in reports:
+        assert r.passed, (r.suite, r.failures[:3])
+        assert list(r.relations) == list(verify.FAMILIES)
+        assert sum(r.relations.values()) == r.cases, r.suite
+        for family, n in r.relations.items():
+            totals[family] += n
+    assert [family for family, n in totals.items() if not n] == []
+    assert len(set(verify.FAMILIES)) == len(verify.FAMILIES)
+    assert reports[0].summary() == (
+        "cuntz: PASS [45056 cases] (t-adjoint 28672, t-range 7168, s-adjoint 8192, s-range 1024)"
+    )
+
+
+# The public functions and classes of `verify`.  perfbench's tracer opens a span on
+# every call of one, so a helper made public here would be traced on each check.
+VERIFY_PUBLIC = {
+    "BranchWitness", "SuiteReport", "boson_branch_witness", "branch_modes", "car_suite",
+    "ccr_suite", "check_bf_class", "check_branching_boson", "check_branching_fermion",
+    "check_branching_oinfty", "check_depth", "check_dim", "check_ff_class",
+    "check_oracle_dim", "cuntz_suite", "fermion_branch_witness", "float_oracle",
+    "oracle_suite", "roundtrip_suite", "run",
+}
+
+
+def test_verify_keeps_its_public_functions_and_classes():
+    from cuntzfock import verify
+
+    tree = ast.parse(Path(verify.__file__).read_text())
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert public == VERIFY_PUBLIC
