@@ -11,12 +11,11 @@ _PUBLIC = {
     "correspondence": ("BosonMonomial", "BoundsError", "CorrespondencePair", "FermionSubset",
                        "enumerate_grade", "forward", "forward_operational", "inverse",
                        "normal_order_fermion"),
-    "ladder": ("apply_boson", "apply_fermion", "boson_state", "fermion_state",
-               "parse_boson_word", "parse_fermion_word"),
+    "ladder": ("apply", "boson_state", "fermion_state", "parse_boson_word",
+               "parse_fermion_word"),
     "oracles": ("apply_rho", "apply_zeta"),
     "radical": ("ONE", "ZERO", "RadicalScalar", "sqrt_of_nat"),
-    "rep": ("RepSpace", "SpaceMismatchError", "State", "apply_s", "apply_s_star", "apply_t",
-            "apply_t_star", "gp_vector"),
+    "rep": ("RepSpace", "SpaceMismatchError", "State", "gp_vector"),
     "words": ("TailWord", "index_to_word", "word_to_index"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

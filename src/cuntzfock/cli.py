@@ -112,8 +112,8 @@ def cmd_apply(operators: str, space_word: str, state_word: str | None, as_json: 
 
     Tokens form an operator product: the rightmost token acts first.
     """
-    from .ladder import basis_map, parse_op_token
-    from .rep import RepSpace, State, gp_vector, map_basis
+    from .ladder import apply
+    from .rep import RepSpace, State, gp_vector
     from .words import TailWord, parse_letters
 
     space = RepSpace(parse_letters(space_word))
@@ -121,9 +121,7 @@ def cmd_apply(operators: str, space_word: str, state_word: str | None, as_json: 
         state = gp_vector(space)
     else:
         state = State.basis(space, TailWord(parse_letters(state_word), space.period))
-    tokens = [parse_op_token(t) for t in operators.split()]
-    for tok in reversed(tokens):
-        state = map_basis(state, basis_map(tok))
+    state = apply(operators, state)
     if as_json:
         _echo(json.dumps(state.to_json()))
     else:

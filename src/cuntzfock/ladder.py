@@ -14,31 +14,40 @@ On a word both are one split and one prepend (`words.split_letters`,
 or shortens the n-th by one 2; a_n passes the first n-1 letters, with a
 sign for each 2, and flips the n-th.
 
+Every operator token (t_i, s_m, b_n, a_n and their adjoints) has one
+grammar, `parse_op_token`, and one basis map, `basis_map`; `apply` acts
+with a whole operator word on a state, rightmost token first.
+
 Closed forms: iterated creations on the tail-1 GP vector produce a single
-basis word; `boson_state` and `fermion_state` write it down directly, and
-`parse_fermion_word` / `parse_boson_word` read it back.
+basis word.  `fermion_state` writes it down through the l2(N) codec, and
+`boson_state` is the fermion word of its image under the transfer unitary
+U (`correspondence.forward`), with U's norm factor as its coefficient.
+`parse_fermion_word` reads a word back, and `parse_boson_word` reads it
+through U^-1.
 
 The monomial labels (`BosonMonomial`, `FermionSubset`), their grammars and
 the mode/particle bounds are defined in `correspondence` and imported from
-there; this module adds the operator-token grammar `parse_op_token`.
+there.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import groupby
 
 # parse_boson_expr is not used here: it stays readable as `ladder.parse_boson_expr`,
 # where perfbench (warmup.py, workloads.py) reads it
 from .correspondence import (
     BosonMonomial,
     FermionSubset,
+    _boson,
     _fermion,
+    _runs,
     check_mode,
     check_particles,
+    forward,
     parse_boson_expr,
 )
-from .radical import ONE, sqrt_factorial_product, sqrt_of_nat
+from .radical import ONE, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis, then
 from .words import TailWord, index_to_word, nth_block, prepend_letters, split_letters
 
@@ -89,16 +98,6 @@ def basis_map(tok: tuple[str, int, bool]) -> BasisMap:
     return partial(_boson_word if kind == "b" else _fermion_word, star, n)
 
 
-def apply_boson(create: bool, n: int, state: State) -> State:
-    """Exact action of b_n (create=False) or b_n* (create=True)."""
-    return map_basis(state, basis_map(("b", n, create)))
-
-
-def apply_fermion(create: bool, n: int, state: State) -> State:
-    """Exact action of a_n (create=False) or a_n* (create=True)."""
-    return map_basis(state, basis_map(("a", n, create)))
-
-
 # -- the operator-token grammar ---------------------------------------------
 
 _TOKEN_KINDS = {"t", "s", "b", "a"}
@@ -122,32 +121,40 @@ def parse_op_token(token: str) -> tuple[str, int, bool]:
     return kind, int(idx), star
 
 
+def apply(operators: str, state: State) -> State:
+    """The operator word operators, e.g. "b1* b1*" or "t1 t2* a3", applied to state.
+
+    Tokens form an operator product: the rightmost token acts first.  Every
+    token is parsed, and so held to the mode bound, before any of them acts.
+    """
+    maps = [basis_map(parse_op_token(token)) for token in operators.split()]
+    for fn in reversed(maps):
+        state = map_basis(state, fn)
+    return state
+
+
 # -- closed-form state builders ---------------------------------------------
+
+
+def _subset_word(elements: tuple[int, ...]) -> TailWord:
+    """The codec word of a*_S Omega: a 2 at each mode in S, 1s elsewhere."""
+    return index_to_word(1 + sum(1 << (s - 1) for s in elements))
 
 
 def boson_state(M: BosonMonomial) -> State:
     """The single basis term of an iterated boson creation monomial.
 
-    The word spells out each mode gap in 1s and each multiplicity in 2s;
-    the coefficient is the product of sqrt(k_i!).
+    The word is that of U M = forward(M).fermion, and the coefficient U's
+    norm factor, the product of sqrt(k_i!).
     """
-    check_particles(M.particle_number)
-    letters: list[int] = []
-    prev = 1
-    for n, k in M.factors:
-        letters.extend([1] * (n - prev))
-        letters.extend([2] * k)
-        prev = n
-    coeff = sqrt_factorial_product(k for _, k in M.factors)
-    return State.basis(FOCK_SPACE, prepend_letters(tuple(letters), _VACUUM), coeff)
+    pair = forward(M)
+    return State.basis(FOCK_SPACE, _subset_word(pair.fermion.elements), pair.coeff)
 
 
 def fermion_state(S: FermionSubset) -> State:
     """The single basis term of an iterated fermion creation monomial."""
     check_particles(S.particle_number)
-    # a*_S Omega = e_idx: the codec's word has a 2 at each mode in S, 1s elsewhere
-    idx = 1 + sum(1 << (s - 1) for s in S.elements)
-    return State.basis(FOCK_SPACE, index_to_word(idx))
+    return State.basis(FOCK_SPACE, _subset_word(S.elements))
 
 
 def _created(kind: str, factors) -> State:
@@ -189,16 +196,10 @@ def parse_fermion_word(w: TailWord):
 def parse_boson_word(w: TailWord):
     """Invert `boson_state` on a tail-1 basis word; None otherwise.
 
-    A run of k 2s is the factor (b*_n)^k, where n - 1 counts the 1s before
-    it.  A canonical tail-1 word never ends in 1, so every 1 precedes a run.
+    The word's fermion subset read through U^-1 (`correspondence._runs`),
+    with no particle bound.
     """
-    if w.rot != (1,):
+    S = parse_fermion_word(w)
+    if S is None:
         return None
-    factors, mode = [], 1
-    for letter, run in groupby(w.prefix):
-        k = len(tuple(run))
-        if letter == 1:
-            mode += k
-        else:
-            factors.append((mode, k))
-    return BosonMonomial(factors)
+    return _boson(_runs(S.elements)[0], len(S.elements))

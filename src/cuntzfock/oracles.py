@@ -11,9 +11,11 @@ single summand picked out by the leading block survives.
 with exact weights, for the comparison of `verify.float_oracle`.
 
 These forms share no code with the fast path they check.  They are built
-from the t/s generator actions, which define them, and `apply_s_star`
-is given its block length rather than searching for it, so it shares
-neither `leading_block` nor the boson transport's `nth_block`.
+from the t/s generators, which define them: `rep.generator_map` lifted
+by `rep.map_basis`, with no mode bound, since the rho series reaches s_m
+above `MAX_MODE`.  s_m* is given its block length rather than searching
+for it, so it shares neither `leading_block` nor the boson transport's
+`nth_block`.
 `leading_block` keeps a split of its own, built with `words._make`, not
 `split_letters`.  The import allowlist of this module, and the rule that
 no fast module imports it, are checked by a static layering test.
@@ -25,7 +27,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .radical import ONE, sqrt_of_nat
-from .rep import EngineError, State, apply_s, apply_s_star, apply_t, apply_t_star
+from .rep import EngineError, State, generator_map, map_basis
 from .words import _make
 
 
@@ -62,7 +64,8 @@ def apply_rho(op: Callable[[State], State], state: State) -> State:
         if lb is None:
             continue
         m, rest = lb
-        acc = acc + apply_s(m, op(State.basis(state.space, rest, c)))
+        image = op(State.basis(state.space, rest, c))
+        acc = acc + map_basis(image, generator_map("s", m, False))
     return acc
 
 
@@ -72,11 +75,11 @@ def apply_zeta(op: Callable[[State], State], state: State) -> State:
     op is linear, so a branch whose t_i* image is zero contributes zero and
     op is not called on it: on a basis word exactly one branch survives.
     """
-    plus, minus = (apply_t_star(i, state) for i in (1, 2))
+    plus, minus = (map_basis(state, generator_map("t", i, True)) for i in (1, 2))
     if plus:
-        plus = apply_t(1, op(plus))
+        plus = map_basis(op(plus), generator_map("t", 1, False))
     if minus:
-        minus = apply_t(2, op(minus))
+        minus = map_basis(op(minus), generator_map("t", 2, False))
     return plus - minus
 
 
@@ -89,7 +92,7 @@ def _b1_direct(create: bool, state: State) -> State:
     b_1 = sum_m sqrt(m) s_m s_{m+1}* and b_1* = sum_m sqrt(m) s_{m+1} s_m*.
     On a basis word whose leading block has length L, s_k* survives only
     for k = L, so the block picks the one summand (m = L - 1, or m = L for
-    b_1*); that summand is evaluated through the generator actions alone.
+    b_1*); that summand is evaluated through the generator maps alone.
     """
     acc = State.zero(state.space)
     for w, c in state.items():
@@ -99,12 +102,9 @@ def _b1_direct(create: bool, state: State) -> State:
         m = lb[0] if create else lb[0] - 1
         if m < 1:
             continue
-        psi = State.basis(state.space, w, c)
-        if create:
-            term = apply_s(m + 1, apply_s_star(m, psi))
-        else:
-            term = apply_s(m, apply_s_star(m + 1, psi))
-        acc = acc + term * sqrt_of_nat(m)
+        strip, prepend = (m, m + 1) if create else (m + 1, m)
+        term = map_basis(State.basis(state.space, w, c), generator_map("s", strip, True))
+        acc = acc + map_basis(term, generator_map("s", prepend, False)) * sqrt_of_nat(m)
     return acc
 
 
@@ -122,9 +122,10 @@ def fermion_via_shifts(create: bool, n: int, state: State) -> State:
     For create, the shifts act on a_1* = t_2 t_1* instead.
     """
     i, j = (2, 1) if create else (1, 2)
+    prepend, strip = generator_map("t", i, False), generator_map("t", j, True)
 
     def op(st: State) -> State:
-        return apply_t(i, apply_t_star(j, st))
+        return map_basis(map_basis(st, strip), prepend)
 
     for _ in range(n - 1):
         op = partial(apply_zeta, op)

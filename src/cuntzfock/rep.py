@@ -1,12 +1,14 @@
-"""States and generator actions for permutative representations.
+"""States and generator maps for permutative representations.
 
 A representation space is labelled by a nonempty word J; its basis is the
 set of canonical tail words whose periodic part is a rotation of J, and
 its GP vector is the pure word J^inf (fixed by the operator word t_J).
 Each generator is one of two word edits, given as a basis map
-word -> (coeff, word) | None and lifted to states by `map_basis`: t_i, the
-operator word t_J and s_m = t_2^(m-1) t_1 prepend a fixed head (s_m the
-block 2^(m-1) 1), and their adjoints strip it or annihilate.
+word -> (coeff, word) | None: t_i, the operator word t_J and
+s_m = t_2^(m-1) t_1 prepend a fixed head (s_m the block 2^(m-1) 1), and
+their adjoints strip it or annihilate.  `generator_map` builds the map of
+t_i, s_m or an adjoint, and `map_basis` lifts any basis map to states; an
+operator word is applied through `ladder.apply`.
 """
 
 from __future__ import annotations
@@ -293,28 +295,3 @@ def generator_map(kind: str, idx: int, star: bool) -> BasisMap:
     """A new basis map of t_idx (kind "t") or s_idx (kind "s"), or of its adjoint when star."""
     head = check_letters((idx,)) if kind == "t" else block(idx)
     return strip_map(head) if star else prepend_map(head)
-
-
-def apply_t(i: int, state: State) -> State:
-    """The isometry t_i: prepend the letter i."""
-    return map_basis(state, generator_map("t", i, False))
-
-
-def apply_t_star(i: int, state: State) -> State:
-    """The adjoint t_i*: strip a leading letter i."""
-    return map_basis(state, generator_map("t", i, True))
-
-
-def apply_t_word(letters, state: State) -> State:
-    """Operator word t_J: the rightmost letter acts first, so J is prepended whole."""
-    return map_basis(state, prepend_map(check_letters(letters)))
-
-
-def apply_s(m: int, state: State) -> State:
-    """The embedded generator s_m = t_2^(m-1) t_1: prepend the block 2^(m-1) 1."""
-    return map_basis(state, generator_map("s", m, False))
-
-
-def apply_s_star(m: int, state: State) -> State:
-    """The adjoint s_m* = t_1* (t_2*)^(m-1): strip the block 2^(m-1) 1."""
-    return map_basis(state, generator_map("s", m, True))

@@ -92,16 +92,17 @@ def _reported(x, other):
 def _plus(a, b):
     """The sum a + b of two images, itself an image when it has one word or none.
 
-    A sum of two distinct words is returned as a `State`: no identity the
-    suites check has one, so only a failing check builds it, and a `State`
-    a stays one as terms are added to it.
+    A sum of two or more distinct words is returned as a `State`: no
+    identity the suites check has one, so only a failing check builds it.
+    A `State` a that b cancels back to one word is an image again.
     """
     if b is None:
         return a
     if a is None:
         return b
     if a.__class__ is State:
-        return a + _state(a.space, b)
+        total = a + _state(a.space, b)
+        return _image(total) if len(total) == 1 else total
     if a[1] != b[1]:
         return _state(_space(a), a, b)
     c = a[0] + b[0]

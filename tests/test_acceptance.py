@@ -13,7 +13,7 @@ from fractions import Fraction
 from cuntzfock import correspondence as corr
 from cuntzfock import verify
 from cuntzfock.correspondence import BosonMonomial, FermionSubset
-from cuntzfock.ladder import apply_boson, apply_fermion
+from cuntzfock.ladder import apply
 from cuntzfock.radical import (
     ONE,
     RadicalScalar,
@@ -21,7 +21,7 @@ from cuntzfock.radical import (
     promote,
     sqrt_of_nat,
 )
-from cuntzfock.rep import RepSpace, State, apply_t_word, gp_vector
+from cuntzfock.rep import RepSpace, State, gp_vector
 
 P1 = RepSpace((1,))
 OMEGA = gp_vector(P1)
@@ -39,17 +39,11 @@ def _line(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _bosons(*modes) -> State:
-    state = OMEGA
-    for n in reversed(modes):
-        state = apply_boson(True, n, state)
-    return state
+    return apply(" ".join(f"b{n}*" for n in modes), OMEGA)
 
 
 def _fermions(*modes) -> State:
-    state = OMEGA
-    for n in reversed(modes):
-        state = apply_fermion(True, n, state)
-    return state
+    return apply(" ".join(f"a{n}*" for n in modes), OMEGA)
 
 
 def _monomials(max_particles: int, max_mode: int):
@@ -195,9 +189,9 @@ def test_criterion_6_branching():
     # exact sign control: the first-rung image of the (2 1) cycle vector
     # is minus the doubled letter word, so the unsigned claim must fail
     omega21 = gp_vector(RepSpace((2, 1)))
-    got = apply_fermion(True, 2, omega21)
-    minus = apply_t_word((2, 2), omega21) * (-1)
-    plus = apply_t_word((2, 2), omega21)
+    got = apply("a2*", omega21)
+    minus = apply("t2 t2", omega21) * (-1)
+    plus = apply("t2 t2", omega21)
     ok = ok and got == minus and got != plus
     cases = sum(r.cases for r in reports)
     _line(

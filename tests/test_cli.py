@@ -15,7 +15,8 @@ import pytest
 import cuntzfock
 from cuntzfock.cli import main
 from cuntzfock.correspondence import BoundsError, parse_boson_expr
-from cuntzfock.rep import RepSpace, State, apply_s
+from cuntzfock.ladder import apply
+from cuntzfock.rep import RepSpace, State
 from cuntzfock.verify import SuiteReport
 from cuntzfock.words import parse_letters
 
@@ -540,7 +541,7 @@ def test_graph_oinfty_edges_follow_s_m():
         expected = set()
         for label, w in words.items():
             for m in range(1, depth + 2):
-                ((v, c),) = apply_s(m, State.basis(space, w)).items()
+                ((v, c),) = apply(f"s{m}", State.basis(space, w)).items()
                 assert c == 1
                 if v.render() in words:
                     expected.add((label, m, v.render()))
@@ -759,10 +760,10 @@ def test_imports_match_declared_dependencies():
 
 
 # What `oracles` may import from the package: `radical`, the t/s generator
-# actions that define the oracles, and the word builder.  Nothing else of the
-# fast path they check, and no fast module imports them.
+# maps that define the oracles and their lift to states, and the word builder.
+# Nothing else of the fast path they check, and no fast module imports them.
 ORACLE_IMPORTS = {f"cuntzfock.rep.{name}" for name in (
-    "State", "EngineError", "apply_t", "apply_t_star", "apply_s", "apply_s_star",
+    "State", "EngineError", "map_basis", "generator_map",
 )} | {"cuntzfock.words._make"}
 FAST_MODULES = ("radical", "words", "rep", "ladder", "correspondence", "cli")
 
@@ -779,8 +780,7 @@ def test_oracles_and_fast_layers_import_each_other_only_one_way():
 
 # The actions that lift a basis map to states.  `verify` composes the basis
 # maps of `ladder.basis_map` on words and imports none of them.
-STATE_LIFTS = {"apply_boson", "apply_fermion", "apply_t", "apply_t_star", "apply_s",
-               "apply_s_star", "apply_t_word", "map_basis"}
+STATE_LIFTS = {"apply", "map_basis"}
 
 
 def test_verify_imports_no_state_lift():

@@ -20,8 +20,7 @@ from cuntzfock.correspondence import (
     inverse,
 )
 from cuntzfock.ladder import (
-    apply_boson,
-    apply_fermion,
+    apply,
     boson_state,
     fermion_state,
     parse_fermion_word,
@@ -373,11 +372,11 @@ def test_reprs_keep_their_text():
 # -- particle number, through the space -----------------------------------------
 
 
-def _number_operator(apply, top: int, state: State) -> State:
-    """sum_{n <= top} x_n* x_n on state, for x = b (apply_boson) or a (apply_fermion)."""
+def _number_operator(x: str, top: int, state: State) -> State:
+    """sum_{n <= top} x_n* x_n on state, for x = "b" or "a"."""
     total = State.zero(state.space)
     for n in range(1, top + 1):
-        total = total + apply(True, n, apply(False, n, state))
+        total = total + apply(f"{x}{n}* {x}{n}", state)
     return total
 
 
@@ -391,13 +390,13 @@ def test_particle_number_through_the_space():
             M = BosonMonomial.from_modes(modes)
             psi = boson_state(M)
             top = M.max_mode
-            assert _number_operator(apply_boson, top, psi) == psi * k
-            assert apply_boson(False, top + 1, psi).is_zero()
+            assert _number_operator("b", top, psi) == psi * k
+            assert apply(f"b{top + 1}", psi).is_zero()
             S = forward(M).fermion
             phi = fermion_state(S)
             top = S.elements[-1] if S.elements else 0
-            assert _number_operator(apply_fermion, top, phi) == phi * k
-            assert apply_fermion(False, top + 1, phi).is_zero()
+            assert _number_operator("a", top, phi) == phi * k
+            assert apply(f"a{top + 1}", phi).is_zero()
             cases += 1
     assert cases == 126
 

@@ -1,10 +1,13 @@
 from functools import partial
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzfock.correspondence import (
+    MAX_MODE,
+    MAX_PARTICLES,
     BosonMonomial,
     BoundsError,
     FermionSubset,
@@ -13,8 +16,7 @@ from cuntzfock.correspondence import (
     parse_fermion_expr,
 )
 from cuntzfock.ladder import (
-    apply_boson,
-    apply_fermion,
+    apply,
     boson_state,
     boson_state_iterated,
     fermion_state,
@@ -22,14 +24,12 @@ from cuntzfock.ladder import (
     parse_boson_word,
     parse_fermion_word,
 )
-from cuntzfock.radical import ONE, sqrt_of_nat
+from cuntzfock.radical import ONE, sqrt_factorial_product, sqrt_of_nat
 from cuntzfock import ladder, oracles, words
 from cuntzfock.oracles import (
     _b1_direct, _NumericFamily, apply_rho, apply_zeta, boson_via_shifts, fermion_via_shifts,
 )
-from cuntzfock.rep import (
-    RepSpace, State, apply_s, apply_s_star, apply_t, apply_t_star, gp_vector,
-)
+from cuntzfock.rep import RepSpace, State, gp_vector
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 
 P1 = RepSpace((1,))
@@ -40,6 +40,11 @@ def e(n):
     return State.basis(P1, index_to_word(n))
 
 
+def act(x, create, n, psi):
+    """x_n* (create) or x_n on psi, for x = "b" or "a", as an operator token."""
+    return apply(f"{x}{n}*" if create else f"{x}{n}", psi)
+
+
 def single_index(state):
     ((w, c),) = state.items()
     return word_to_index(w), c
@@ -47,31 +52,31 @@ def single_index(state):
 
 def test_boson_creation_on_vacuum():
     for m in range(1, 7):
-        idx, c = single_index(apply_boson(True, m, OMEGA))
+        idx, c = single_index(act("b", True, m, OMEGA))
         assert idx == 2 ** (m - 1) + 1
         assert c == ONE
 
 
 def test_boson_annihilates_vacuum():
     for m in range(1, 7):
-        assert apply_boson(False, m, OMEGA).is_zero()
+        assert act("b", False, m, OMEGA).is_zero()
 
 
 def test_boson_number_one():
-    assert apply_boson(False, 1, e(2)) == OMEGA
+    assert act("b", False, 1, e(2)) == OMEGA
 
 
 def test_fermion_creation_on_vacuum():
     for m in range(1, 7):
-        idx, c = single_index(apply_fermion(True, m, OMEGA))
+        idx, c = single_index(act("a", True, m, OMEGA))
         assert idx == 2 ** (m - 1) + 1
         assert c == ONE
-        assert apply_fermion(False, m, OMEGA).is_zero()
+        assert act("a", False, m, OMEGA).is_zero()
 
 
 def test_fermion_nilpotent():
     psi = fermion_state(FermionSubset((2, 4)))
-    assert apply_fermion(True, 1, apply_fermion(True, 1, psi)).is_zero()
+    assert act("a", True, 1, act("a", True, 1, psi)).is_zero()
 
 
 def test_transport_agrees_with_shift_oracles():
@@ -80,9 +85,9 @@ def test_transport_agrees_with_shift_oracles():
         psi = State.basis(P1, w)
         for n in range(1, 7):
             for create in (False, True):
-                fast = apply_boson(create, n, psi)
+                fast = act("b", create, n, psi)
                 assert fast == boson_via_shifts(create, n, psi)
-                fast = apply_fermion(create, n, psi)
+                fast = act("a", create, n, psi)
                 assert fast == fermion_via_shifts(create, n, psi)
 
 
@@ -93,8 +98,8 @@ def test_transport_in_other_spaces():
         for w in space.basis_words(3):
             psi = State.basis(space, w)
             for n in range(1, 5):
-                assert apply_boson(False, n, psi) == boson_via_shifts(False, n, psi)
-                assert apply_fermion(True, n, psi) == fermion_via_shifts(True, n, psi)
+                assert act("b", False, n, psi) == boson_via_shifts(False, n, psi)
+                assert act("a", True, n, psi) == fermion_via_shifts(True, n, psi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,8 +113,8 @@ def test_transport_in_other_spaces():
 def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, create):
     space = RepSpace(period)
     psi = State.basis(space, TailWord(prefix, period, phase))
-    assert apply_boson(create, n, psi) == boson_via_shifts(create, n, psi)
-    assert apply_fermion(create, n, psi) == fermion_via_shifts(create, n, psi)
+    assert act("b", create, n, psi) == boson_via_shifts(create, n, psi)
+    assert act("a", create, n, psi) == fermion_via_shifts(create, n, psi)
 
 
 def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):
@@ -130,7 +135,7 @@ def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):
         for n in range(1, 17):
             for create in (False, True):
                 calls[0] = 0
-                assert fermion_via_shifts(create, n, psi) == apply_fermion(create, n, psi)
+                assert fermion_via_shifts(create, n, psi) == act("a", create, n, psi)
                 assert calls[0] <= n - 1
 
 
@@ -142,11 +147,11 @@ def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
         out = []
         for psi in states:
             for i in (1, 2):
-                out += [apply_t(i, psi), apply_t_star(i, psi)]
+                out += [apply(f"t{i}", psi), apply(f"t{i}*", psi)]
             for n in range(1, 7):
-                out += [apply_s(n, psi), apply_s_star(n, psi)]
+                out += [apply(f"s{n}", psi), apply(f"s{n}*", psi)]
                 for create in (False, True):
-                    out += [apply_boson(create, n, psi), apply_fermion(create, n, psi)]
+                    out += [act("b", create, n, psi), act("a", create, n, psi)]
         return out
 
     want = actions()
@@ -159,7 +164,7 @@ def test_fast_actions_do_not_reach_the_oracle_block_finder(monkeypatch):
 
 
 def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
-    # The definitional forms may use the t/s generator actions, which define
+    # The definitional forms may use the t/s generator maps, which define
     # them, but not the transports or the b/a basis maps they are checked against.
     states = [State.basis(P1, w) for w in P1.basis_words(4)]
     states.append(e(3) + e(6) * sqrt_of_nat(2) - e(13))
@@ -167,7 +172,7 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
               if kind != "t" or n < 3]
 
     def a_1(st):
-        return apply_t(1, apply_t_star(2, st))
+        return apply("t1 t2*", st)
 
     def oracles():
         out = []
@@ -275,6 +280,52 @@ def test_parse_word_round_trips():
         assert got == w
 
 
+# -- the closed forms against the letter spellings they replaced -------------
+
+
+def _spelled_word(M):
+    """The word of M spelled in letters: each mode gap in 1s, each multiplicity in 2s."""
+    letters, prev = [], 1
+    for n, k in M.factors:
+        letters += [1] * (n - prev) + [2] * k
+        prev = n
+    return TailWord(tuple(letters), (1,))
+
+
+def _read_runs(w):
+    """The monomial of a tail-1 word read run by run: a run of k 2s is (b*_n)^k,
+    where n - 1 counts the 1s before it."""
+    factors, mode = [], 1
+    for letter, run in groupby(w.prefix):
+        k = len(tuple(run))
+        if letter == 1:
+            mode += k
+        else:
+            factors.append((mode, k))
+    return BosonMonomial(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, MAX_MODE), max_size=MAX_PARTICLES).map(BosonMonomial.from_modes))
+def test_boson_state_is_the_spelled_word(M):
+    ((w, c),) = boson_state(M).items()
+    assert w == _spelled_word(M)
+    ks = [k for _, k in M.factors]
+    assert c == sqrt_factorial_product(ks)
+    assert (c is ONE) == all(k == 1 for k in ks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, 2]), max_size=40).map(tuple))
+def test_parse_boson_word_reads_runs_past_the_particle_bound(prefix):
+    w = TailWord(prefix, (1,))
+    M = parse_boson_word(w)
+    assert M == _read_runs(w)
+    assert M.particle_number == prefix.count(2)
+    # the same letters on another space are no boson word
+    assert parse_boson_word(TailWord(prefix, (2, 1))) is None
+
+
 def test_normal_order():
     assert normal_order_fermion([2, 1]) == (-1, FermionSubset((1, 2)))
     assert normal_order_fermion([1, 1]) is None
@@ -285,9 +336,7 @@ def test_ccr_small():
     psi = boson_state(BosonMonomial(((1, 1), (3, 2))))
     for n in range(1, 5):
         for m in range(1, 5):
-            comm = apply_boson(False, n, apply_boson(True, m, psi)) - apply_boson(
-                True, m, apply_boson(False, n, psi)
-            )
+            comm = apply(f"b{n} b{m}*", psi) - apply(f"b{m}* b{n}", psi)
             assert comm == (psi if n == m else State.zero(P1))
 
 
@@ -295,9 +344,7 @@ def test_car_small():
     psi = fermion_state(FermionSubset((1, 3)))
     for n in range(1, 5):
         for m in range(1, 5):
-            anti = apply_fermion(False, n, apply_fermion(True, m, psi)) + apply_fermion(
-                True, m, apply_fermion(False, n, psi)
-            )
+            anti = apply(f"a{n} a{m}*", psi) + apply(f"a{m}* a{n}", psi)
             assert anti == (psi if n == m else State.zero(P1))
 
 
@@ -305,9 +352,7 @@ def test_boson_intertwining():
     psi = boson_state(BosonMonomial(((2, 1),)))
     for k in range(1, 5):
         for m in range(1, 5):
-            assert apply_s(k, apply_boson(True, m, psi)) == apply_boson(
-                True, m + 1, apply_s(k, psi)
-            )
+            assert apply(f"s{k} b{m}*", psi) == apply(f"b{m + 1}* s{k}", psi)
 
 
 def test_fermion_intertwining_signs():
@@ -315,8 +360,8 @@ def test_fermion_intertwining_signs():
     for i in (1, 2):
         sign = 1 if i == 1 else -1
         for m in range(1, 5):
-            lhs = apply_t(i, apply_fermion(False, m, psi))
-            rhs = apply_fermion(False, m + 1, apply_t(i, psi)) * sign
+            lhs = apply(f"t{i} a{m}", psi)
+            rhs = apply(f"a{m + 1} t{i}", psi) * sign
             assert lhs == rhs
 
 
@@ -370,11 +415,11 @@ def test_monomial_validation():
 
 def test_bounds_refusal():
     with pytest.raises(BoundsError):
-        apply_boson(True, 17, OMEGA)
+        act("b", True, 17, OMEGA)
     with pytest.raises(BoundsError):
         boson_state(BosonMonomial(((1, 13),)))
     # the bound itself is allowed
-    assert not apply_boson(True, 16, OMEGA).is_zero()
+    assert not act("b", True, 16, OMEGA).is_zero()
 
 
 def test_monomial_from_list_factors_is_a_value():

@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_public_name_is_the_object_of_its_module():
-    assert len(cuntzfock.__all__) == len(set(cuntzfock.__all__)) == 32
+    assert len(cuntzfock.__all__) == len(set(cuntzfock.__all__)) == 27
     for name in cuntzfock.__all__:
         module = importlib.import_module(f"cuntzfock.{cuntzfock._MODULE_OF[name]}")
         value = getattr(cuntzfock, name)
@@ -45,3 +45,15 @@ def test_readme_library_tour_runs():
     M = namespace["M"]
     assert namespace["forward"](M) == namespace["forward_operational"](M)
     assert len(namespace["e2"]) == 1  # b1* Ω is a single basis term
+
+
+def test_readme_lists_every_public_name_under_its_module():
+    text = README.read_text()
+    section = text[text.index("### Public names"):]
+    section = section[:section.index("\n#", 1)]
+    listed = {}
+    for module, names in re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section, re.M):
+        listed[module] = re.findall(r"`(\w+)`", names)
+    assert listed == {module: list(names) for module, names in cuntzfock._PUBLIC.items()}
+    assert sorted(n for names in listed.values() for n in names) == cuntzfock.__all__
+    assert f"binds these {len(cuntzfock.__all__)} names" in " ".join(section.split())

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cuntzfock import correspondence, ladder
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError
-from cuntzfock.ladder import apply_boson, apply_fermion, basis_map, parse_op_token
+from cuntzfock.ladder import apply, basis_map, parse_op_token
 from cuntzfock.oracles import apply_rho, apply_zeta
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import (
@@ -16,11 +17,7 @@ from cuntzfock.rep import (
     RepSpace,
     SpaceMismatchError,
     State,
-    apply_s,
-    apply_s_star,
-    apply_t,
-    apply_t_star,
-    apply_t_word,
+    generator_map,
     gp_vector,
     map_basis,
 )
@@ -38,14 +35,14 @@ def test_gp_vector_is_fixed_by_its_cycle_word():
     for J in [(1,), (2, 1), (2, 2, 1), (1, 1, 2)]:
         space = RepSpace(J)
         om = gp_vector(space)
-        assert apply_t_word(J, om) == om
+        assert apply(" ".join(f"t{i}" for i in J), om) == om
         assert om.norm2() == ONE
 
 
 def test_gp_examples():
-    assert apply_t(1, gp_vector(P1)) == gp_vector(P1)
+    assert apply("t1", gp_vector(P1)) == gp_vector(P1)
     om = gp_vector(P21)
-    assert apply_t(2, apply_t(1, om)) == om
+    assert apply("t2 t1", om) == om
 
 
 def test_state_arithmetic_and_mismatch():
@@ -64,10 +61,10 @@ def test_state_arithmetic_and_mismatch():
 def test_isometry_relations_sample():
     psi = basis(P1, (1, 2, 2)) + sqrt_of_nat(2) * basis(P1, (2,))
     for i in (1, 2):
-        assert apply_t_star(i, apply_t(i, psi)) == psi
+        assert apply(f"t{i}* t{i}", psi) == psi
         j = 3 - i
-        assert apply_t_star(j, apply_t(i, psi)).is_zero()
-    total = apply_t(1, apply_t_star(1, psi)) + apply_t(2, apply_t_star(2, psi))
+        assert apply(f"t{j}* t{i}", psi).is_zero()
+    total = apply("t1 t1*", psi) + apply("t2 t2*", psi)
     assert total == psi
 
 
@@ -81,7 +78,7 @@ def test_inner_product_orthonormal():
 def test_apply_s_matches_codec_formula():
     for m in range(1, 9):
         for n in (1, 2, 3, 17, 100):
-            st = apply_s(m, State.basis(P1, index_to_word(n)))
+            st = apply(f"s{m}", State.basis(P1, index_to_word(n)))
             ((w, c),) = st.items()
             assert c == ONE
             assert word_to_index(w) == 2 ** (m - 1) * (2 * n - 1)
@@ -89,18 +86,19 @@ def test_apply_s_matches_codec_formula():
 
 def test_apply_s_examples():
     e1 = State.basis(P1, index_to_word(1))
-    ((w, _),) = apply_s(3, e1).items()
+    ((w, _),) = apply("s3", e1).items()
     assert word_to_index(w) == 4
-    ((w, _),) = apply_s(2, gp_vector(P1)).items()
+    ((w, _),) = apply("s2", gp_vector(P1)).items()
     assert word_to_index(w) == 2
 
 
 def test_s_isometries():
     psi = basis(P1, (1, 2)) + basis(P1, (2, 2))
-    # s_m takes indices above the mode bound, which the oracles reach
+    # the map of s_m takes indices above the mode bound, which the oracles reach
     for m in (*range(1, 9), MAX_MODE + 1, MAX_MODE + 5):
-        assert apply_s_star(m, apply_s(m, psi)) == psi
-        assert apply_s_star(m + 1, apply_s(m, psi)).is_zero()
+        image = map_basis(psi, generator_map("s", m, False))
+        assert map_basis(image, generator_map("s", m, True)) == psi
+        assert map_basis(image, generator_map("s", m + 1, True)).is_zero()
 
 
 def identity(state):
@@ -125,23 +123,19 @@ def test_zeta_of_identity_is_grading():
 
 def test_zeta_shifts_the_first_fermion():
     # zeta(a_1) = a_2 and zeta^2(a_1) = a_3 on every basis word to depth 10
-    from cuntzfock.ladder import apply_fermion
-
-    def a1(state):
-        return apply_t(1, apply_t_star(2, state))
-
+    a1 = partial(apply, "t1 t2*")
     for w in P1.basis_words(10):
         psi = State.basis(P1, w)
-        assert apply_zeta(a1, psi) == apply_fermion(False, 2, psi)
-        assert apply_zeta(partial(apply_zeta, a1), psi) == apply_fermion(False, 3, psi)
+        assert apply_zeta(a1, psi) == apply("a2", psi)
+        assert apply_zeta(partial(apply_zeta, a1), psi) == apply("a3", psi)
 
 
 def test_operator_adjoints():
     # <t_2 t_1* psi, phi> = <psi, t_1 t_2* phi>
     psi = basis(P1, (1, 2))
     phi = basis(P1, (2, 2))
-    lhs = apply_t(2, apply_t_star(1, psi)).inner(phi)
-    assert lhs == psi.inner(apply_t(1, apply_t_star(2, phi)))
+    lhs = apply("t2 t1*", psi).inner(phi)
+    assert lhs == psi.inner(apply("t1 t2*", phi))
     assert lhs == ONE
 
 
@@ -178,24 +172,29 @@ def _states(draw):
     return state
 
 
+def _t(i, psi, star=False):
+    """t_i, or t_i* when star, on psi: one letter, one map."""
+    return map_basis(psi, generator_map("t", i, star))
+
+
 def _s_by_letters(m, psi):
-    psi = apply_t(1, psi)
+    psi = _t(1, psi)
     for _ in range(m - 1):
-        psi = apply_t(2, psi)
+        psi = _t(2, psi)
     return psi
 
 
 def _s_star_by_letters(m, psi):
     for _ in range(m - 1):
-        psi = apply_t_star(2, psi)
-    return apply_t_star(1, psi)
+        psi = _t(2, psi, star=True)
+    return _t(1, psi, star=True)
 
 
 @settings(max_examples=300)
 @given(_states(), st.integers(1, 6))
 def test_block_generators_match_letter_compositions(psi, m):
-    assert apply_s(m, psi) == _s_by_letters(m, psi)
-    assert apply_s_star(m, psi) == _s_star_by_letters(m, psi)
+    assert apply(f"s{m}", psi) == _s_by_letters(m, psi)
+    assert apply(f"s{m}*", psi) == _s_star_by_letters(m, psi)
 
 
 @settings(max_examples=200)
@@ -203,25 +202,29 @@ def test_block_generators_match_letter_compositions(psi, m):
 def test_operator_word_matches_letter_by_letter(psi, J):
     want = psi
     for i in reversed(J):
-        want = apply_t(i, want)
-    assert apply_t_word(J, psi) == want
+        want = _t(i, want)
+    assert apply(" ".join(f"t{i}" for i in J), psi) == want
 
 
 def test_block_generators_reject_index_zero():
-    with pytest.raises(ValueError):
-        apply_s(0, gp_vector(P1))
-    with pytest.raises(ValueError):
-        apply_s_star(0, gp_vector(P1))
+    for star in (False, True):
+        with pytest.raises(ValueError):
+            generator_map("s", 0, star)
+    for word in ("s0", "s0*"):
+        with pytest.raises(ValueError):
+            apply(word, gp_vector(P1))
 
 
 def test_generators_check_their_letters_on_the_zero_state():
     zero = State.zero(P1)
     for act in (
-        partial(apply_t, 3),
-        partial(apply_t_star, 0),
-        partial(apply_t_word, (1, 3)),
-        partial(apply_s, 0),
-        partial(apply_s_star, 0),
+        partial(apply, "t3"),
+        partial(apply, "t0*"),
+        partial(apply, "t1 t3"),
+        partial(apply, "s0"),
+        partial(apply, "s0*"),
+        partial(_t, 3),
+        partial(_t, 0, star=True),
     ):
         with pytest.raises(ValueError):
             act(zero)
@@ -236,17 +239,11 @@ _CUNTZ_SPACES = [RepSpace(J) for k in (1, 2, 3) for J in product((1, 2), repeat=
 
 def _operators():
     """(label, state map) for each generator and ladder operator the suites apply."""
-    for i in (1, 2):
-        yield f"t{i}", partial(apply_t, i)
-        yield f"t{i}*", partial(apply_t_star, i)
-    for m in range(1, 9):
-        yield f"s{m}", partial(apply_s, m)
-        yield f"s{m}*", partial(apply_s_star, m)
-    for n in range(1, 6):
-        for star in (False, True):
-            suffix = "*" if star else ""
-            yield f"b{n}{suffix}", partial(apply_boson, star, n)
-            yield f"a{n}{suffix}", partial(apply_fermion, star, n)
+    labels = [f"t{i}" for i in (1, 2)] + [f"s{m}" for m in range(1, 9)]
+    labels += [f"{x}{n}" for n in range(1, 6) for x in "ba"]
+    for label in labels:
+        for star in ("", "*"):
+            yield label + star, partial(apply, label + star)
 
 
 _OPERATORS = list(_operators())
@@ -300,6 +297,58 @@ def test_image_of_a_sum_is_the_sum_of_the_images(parts, labelled):
         total = total + part
         images = images + op(part)
     assert op(total) == images
+
+
+# Operator tokens of every kind within the mode bound, and one above it.
+_TOKENS = st.one_of(
+    st.builds("t{}{}".format, st.integers(1, 2), st.sampled_from(["", "*"])),
+    st.builds("{}{}{}".format, st.sampled_from("sba"), st.integers(1, MAX_MODE),
+              st.sampled_from(["", "*"])),
+)
+_OVER_BOUND = st.builds("{}{}{}".format, st.sampled_from("sba"),
+                        st.integers(MAX_MODE + 1, 4 * MAX_MODE), st.sampled_from(["", "*"]))
+
+
+@st.composite
+def _cancelling_parts(draw):
+    """2-5 one-term states of one space and the negation of one of them: 3-6 parts
+    whose sum holds a pair psi + (-psi); some coefficients have three radical terms."""
+    coeffs = st.sampled_from([*_COEFFS, sqrt_of_nat(3) - sqrt_of_nat(2) + Fraction(1, 2)])
+    space = draw(st.sampled_from(_CUNTZ_SPACES))
+    word = st.builds(
+        lambda prefix, phase: TailWord(tuple(prefix), space.period, phase),
+        st.lists(st.sampled_from([1, 2]), max_size=8),
+        st.integers(0, len(space.period) - 1),
+    )
+    terms = draw(st.lists(st.tuples(word, coeffs), min_size=2, max_size=5))
+    parts = [State.basis(space, w, c) for w, c in terms]
+    return parts + [-draw(st.sampled_from(parts))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cancelling_parts(), st.lists(_TOKENS, min_size=1, max_size=4))
+def test_apply_is_linear_and_folds_the_tokens_rightmost_first(parts, tokens):
+    word = " ".join(tokens)
+    space = parts[0].space
+    total = sum(parts, State.zero(space))
+    images = sum((apply(word, part) for part in parts), State.zero(space))
+    assert apply(word, total) == images
+    fold = total
+    for token in reversed(tokens):
+        fold = map_basis(fold, basis_map(parse_op_token(token)))
+    assert apply(word, total) == fold
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cancelling_parts(), st.lists(_TOKENS, max_size=3), _OVER_BOUND,
+       st.lists(_TOKENS, max_size=3))
+def test_a_word_above_the_mode_bound_is_refused_before_any_token_acts(parts, left, bad, right):
+    total = sum(parts, State.zero(parts[0].space))
+    before = dict(total.items())
+    with mock.patch.object(ladder, "map_basis") as lift, pytest.raises(BoundsError):
+        apply(" ".join([*left, bad, *right]), total)
+    assert not lift.called
+    assert dict(total.items()) == before
 
 
 def test_a_collision_names_both_words_and_the_image(monkeypatch):
@@ -363,11 +412,17 @@ def test_basis_words_equal_the_constructor_built_words_in_order():
 def test_a_bad_index_is_refused_when_its_map_is_built_and_nothing_is_cached():
     psi = basis(P1, (2,))
     for _ in range(2):  # a refusal leaves nothing behind that a second call could find
-        for act, bad in ((apply_t, 3), (apply_t_star, 0), (apply_s, 0), (apply_s_star, -1)):
+        for kind, bad, star in (("t", 3, False), ("t", 0, True), ("s", 0, False),
+                                ("s", -1, True)):
             with pytest.raises(ValueError):
-                act(bad, psi)
+                map_basis(psi, generator_map(kind, bad, star))
         for create in (False, True):
             with pytest.raises(BoundsError):
-                apply_boson(create, MAX_MODE + 1, psi)
+                map_basis(psi, basis_map(("b", MAX_MODE + 1, create)))
             with pytest.raises(ValueError):
-                apply_fermion(create, 0, psi)
+                map_basis(psi, basis_map(("a", 0, create)))
+            star = "*" if create else ""
+            with pytest.raises(BoundsError):
+                apply(f"b{MAX_MODE + 1}{star}", psi)
+            with pytest.raises(ValueError):
+                apply(f"a0{star}", psi)

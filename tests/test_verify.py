@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from cuntzfock import cli
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
-from cuntzfock.ladder import basis_map, boson_state, parse_op_token
+from cuntzfock.ladder import apply, basis_map, boson_state, parse_op_token
 from cuntzfock.oracles import _NumericFamily, leading_block
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
-from cuntzfock.rep import EngineError, RepSpace, State, apply_t_word, gp_vector
+from cuntzfock.rep import EngineError, RepSpace, State, gp_vector
 from cuntzfock.words import TailWord, index_to_word, word_to_index
 from cuntzfock.verify import (
     SuiteReport,
@@ -45,7 +45,7 @@ def test_bf_class_fock():
 def test_bf_class_amplified():
     # restriction anchor of the (1 2) space carries the doubled weight
     space = RepSpace((1, 2))
-    anchor = apply_t_word((2,), gp_vector(space))
+    anchor = apply("t2", gp_vector(space))
     assert check_bf_class(anchor, 1, 1, 2, n_max=4).passed
 
 
@@ -105,7 +105,7 @@ def _images_to_sum(draw):
 @given(_images_to_sum())
 def test_word_level_sums_equal_the_state_sums_of_their_parts(parts):
     # as the range sums of `cuntz` and the brackets of `ccr`/`car` add them: in turn,
-    # from no image, the accumulator becoming a State once it holds two words
+    # from no image, the accumulator a State exactly while it holds two words or more
     from cuntzfock import verify
 
     total = reduce(verify._plus, parts, None)
@@ -119,8 +119,21 @@ def test_word_level_sums_equal_the_state_sums_of_their_parts(parts):
         assert total[0], total  # an image never carries a zero weight
         got = State.basis(_SUM_SPACE, total[1], total[0])
     else:
+        assert len(total) >= 2, total
         got = total
     assert got == want, parts
+
+
+def test_a_sum_cancelled_back_to_one_word_checks_equal_to_that_word():
+    from cuntzfock import verify
+
+    w1, w2 = _SUM_WORDS[:2]
+    back = verify._plus(verify._plus((ONE, w1), (ONE, w2)), (-ONE, w2))
+    assert back == (ONE, w1)
+    assert verify._plus(verify._plus((ONE, w1), (ONE, w2)), (-ONE, w1)) == (ONE, w2)
+    r = SuiteReport("sum")
+    assert r.check("t-range", "w1 + w2 - w2", (ONE, w1), back)
+    assert r.failures == []
 
 
 def test_failing_checks_record_the_label_text():
@@ -360,7 +373,7 @@ def test_passing_suites_build_no_state(monkeypatch):
 def test_class_predicates_refuse_a_state_that_is_not_one_word():
     space = RepSpace((1,))
     omega = gp_vector(space)
-    two_words = omega + apply_t_word((2,), omega)
+    two_words = omega + apply("t2", omega)
     for psi in (State.zero(space), two_words):
         with pytest.raises(ValueError, match=re.escape(repr(psi))):
             check_bf_class(psi, 1, 1, 1)
