@@ -9,10 +9,13 @@ endomorphisms, so every action on a basis word is a single exact term:
 
     s_m b_n = b_{n+1} s_m          t_i a_n = (-1)^(i-1) a_{n+1} t_i
 
-On a word both are one split and one prepend (`words.split_letters`,
-`words.prepend_letters`): b_n passes the first n-1 blocks and lengthens
-or shortens the n-th by one 2; a_n passes the first n-1 letters, with a
-sign for each 2, and flips the n-th.
+On a word each action builds exactly one word: `words.unroll` reads the
+word as letters and a rotated tail, building none, and `words.roll`
+builds the edited letters on that tail, canonicalising only when the
+tail absorbs their last letter.  b_n passes the first n-1 blocks and
+lengthens or shortens the n-th by one 2; a_n passes the first n-1
+letters, with a sign for each 2, and flips the n-th.  An action that
+annihilates the word builds nothing.
 
 Every operator token (t_i, s_m, b_n, a_n and their adjoints) has one
 grammar, `parse_op_token`, and one basis map, `basis_map`; `apply` acts
@@ -49,7 +52,7 @@ from .correspondence import (
 )
 from .radical import ONE, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis, then
-from .words import TailWord, index_to_word, nth_block, prepend_letters, split_letters
+from .words import TailWord, index_to_word, nth_block, roll, unroll
 
 FOCK_SPACE = RepSpace((1,))
 _VACUUM = FOCK_SPACE.gp_word()
@@ -66,22 +69,24 @@ def _boson_word(create: bool, n: int, w: TailWord):
         return None
     start, m = found
     if create:
-        head, rest = split_letters(w, start)
-        return sqrt_of_nat(m), prepend_letters(head + (2,), rest)
+        letters, rot = unroll(w, start)
+        return sqrt_of_nat(m), roll(letters[:start] + (2,) + letters[start:], w.period, rot)
     if m == 1:
         return None
-    head, rest = split_letters(w, start + 1)
-    return sqrt_of_nat(m - 1), prepend_letters(head[:-1], rest)
+    letters, rot = unroll(w, start + 1)
+    return sqrt_of_nat(m - 1), roll(letters[:start] + letters[start + 1:], w.period, rot)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):
     # a_n = zeta^(n-1)(t_1 t_2*): the first n-1 letters pass, each 2 with a
     # sign, and the n-th is flipped 2 -> 1 (a_n) or 1 -> 2 (a_n*)
-    head, rest = split_letters(w, n)
-    passed, last = head[:-1], head[-1]
+    letters, rot = unroll(w, n)
+    last = letters[n - 1]
     if last != (1 if create else 2):
         return None
-    return (-ONE if passed.count(2) % 2 else ONE), prepend_letters(passed + (3 - last,), rest)
+    passed = letters[:n - 1]
+    return ((-ONE if passed.count(2) % 2 else ONE),
+            roll(passed + (3 - last,) + letters[n:], w.period, rot))
 
 
 def basis_map(tok: tuple[str, int, bool]) -> BasisMap:

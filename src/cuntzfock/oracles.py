@@ -17,7 +17,7 @@ above `MAX_MODE`.  s_m* is given its block length rather than searching
 for it, so it shares neither `leading_block` nor the boson transport's
 `nth_block`.
 `leading_block` keeps a split of its own, built with `words._make`, not
-`split_letters`.  The import allowlist of this module, and the rule that
+`unroll`.  The import allowlist of this module, and the rule that
 no fast module imports it, are checked by a static layering test.
 """
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 from .radical import ONE, RadicalScalar, promote
 from .words import (
     Letters, TailWord, _make, block, check_letters, flip, prepend_letters, pure,
-    render_letters, split_letters,
+    render_letters, unroll,
 )
 
 # The image of a basis word under a product of basis maps: one weighted word
@@ -279,14 +279,15 @@ def prepend_map(head: Letters) -> BasisMap:
 
 
 def strip_map(head: Letters) -> BasisMap:
-    """The adjoint of `prepend_map`; a word is rejected on its first letter before it is split."""
+    """The adjoint of `prepend_map`; a word is rejected on its first letter before it is
+    unrolled, and on its first len(head) letters before the rest is built."""
     first, h = head[0], len(head)
 
     def f(w):
         if (w.prefix or w.rot)[0] != first:
             return None
-        lead, rest = split_letters(w, h)
-        return (ONE, rest) if lead == head else None
+        letters, rot = unroll(w, h)
+        return (ONE, _make(letters[h:], w.period, rot)) if letters[:h] == head else None
 
     return f
 

@@ -57,18 +57,21 @@ class TailWord:
     rotated by `phase` letters (the phase is read back from `rot`), and
     the hash of (prefix, rot) is taken when asked.  A nonempty prefix
     never ends in rot[-1]: that letter would be absorbed into the tail.
-    The constructor is the only entry that validates words from outside,
-    and it canonicalises them with `prepend_letters` on `pure(period,
-    phase)`.  Every edit the generator and ladder actions make goes
-    through `prepend_letters` or its inverse `split_letters`, which keep
-    these invariants and build their results with `_make`.
+    The constructor is the only entry that validates words from outside;
+    it fills its own slots with the canonical form of its letters on the
+    tail of `pure(period, phase)`, building no other word.  The generator
+    and ladder actions read a word through `unroll` (letters and a
+    rotated tail, as tuples) and build their image with `roll`, the one
+    step that canonicalises (`prepend_letters` is `roll` on the prepended
+    letters), or, for a suffix, which is canonical as it stands, with `_make`.
     """
 
     __slots__ = ("prefix", "period", "rot")
 
     def __init__(self, prefix=(), period=(1,), phase: int = 0):
-        w = prepend_letters(check_letters(prefix), pure(period, phase))
-        self.prefix, self.period, self.rot = w.prefix, w.period, w.rot
+        letters = check_letters(prefix)
+        self.period, rot = _root(period, phase)
+        self.prefix, self.rot = _absorbed(letters, rot)
 
     # the infinite word is determined by (prefix, rot)
     def __eq__(self, other) -> bool:
@@ -129,15 +132,20 @@ def _make(prefix: Letters, period: Letters, rot: Letters) -> TailWord:
     return w
 
 
-def pure(period, phase: int = 0) -> TailWord:
-    """The word rot^inf, rot the primitive root of period rotated by phase letters."""
+def _root(period, phase: int) -> "tuple[Letters, Letters]":
+    """(period, rot): the checked period, and its primitive root rotated by phase letters."""
     period = check_letters(period)
     if not period:
         raise ValueError("period must be nonempty")
     r = _primitive_len(period)
     prim = period[:r]
     phase %= r
-    return _make((), period, prim[phase:] + prim[:phase])
+    return period, prim[phase:] + prim[:phase]
+
+
+def pure(period, phase: int = 0) -> TailWord:
+    """The word rot^inf, rot the primitive root of period rotated by phase letters."""
+    return _make((), *_root(period, phase))
 
 
 def flip(w: TailWord) -> TailWord:
@@ -166,41 +174,57 @@ def nth_block(w: TailWord, n: int) -> "tuple[int, int] | None":
     return start, letters.index(1, start) + 1 - start
 
 
+def _absorbed(letters: Letters, rot: Letters) -> "tuple[Letters, Letters]":
+    """The canonical (prefix, rot) of the word letters . rot^inf.
+
+    The tail steps back one letter for each trailing letter it supplies.
+    """
+    r = len(rot)
+    k = len(letters)
+    back = 0
+    while k and letters[k - 1] == rot[(-1 - back) % r]:
+        k -= 1
+        back += 1
+    s = back % r
+    return letters[:k], rot[r - s:] + rot[:r - s]
+
+
+def roll(letters: Letters, period: Letters, rot: Letters) -> TailWord:
+    """The word letters . rot^inf of period, rot a rotation of its root, built as one word.
+
+    The inverse of `unroll`.  Letters are not checked.  Only a last letter
+    equal to rot[-1] is absorbed, and only then is the word canonicalised.
+    """
+    if letters and letters[-1] == rot[-1]:
+        letters, rot = _absorbed(letters, rot)
+    return _make(letters, period, rot)
+
+
+def unroll(w: TailWord, h: int) -> "tuple[Letters, Letters]":
+    """w as letters . rot^inf with at least h letters, building no word.
+
+    Up to the end of the prefix the letters are the prefix and rot the
+    tail; past it the tail gives up its letters up to h and is rotated by
+    them.  The first h letters of w are letters[:h], and a suffix
+    letters[h:] is itself canonical on rot.  An edit before the prefix's
+    last letter keeps that letter, so `roll` finds the result canonical.
+    """
+    prefix = w.prefix
+    if h <= len(prefix):
+        return prefix, w.rot
+    rot = w.rot
+    q, k = divmod(h - len(prefix), len(rot))
+    return prefix + rot * q + rot[:k], rot[k:] + rot[:k]
+
+
 def prepend_letters(letters: Letters, w: TailWord) -> TailWord:
     """Prepend a tuple of letters in one step: letters . w.
 
     Equal to prepending them one at a time, last letter first.  Letters
     are not checked.  Only when w has an empty prefix can the tail absorb
-    some of them, and only then are they looked at one by one.
+    some of them.
     """
-    if w.prefix:
-        return _make(letters + w.prefix, w.period, w.rot)
-    rot = w.rot
-    r = len(rot)
-    k = len(letters)
-    back = 0
-    # the tail steps back one letter for each trailing letter it supplies
-    while k and letters[k - 1] == rot[(-1 - back) % r]:
-        k -= 1
-        back += 1
-    if back:
-        s = back % r
-        rot = rot[r - s:] + rot[:r - s]
-    return _make(letters[:k], w.period, rot)
-
-
-def split_letters(w: TailWord, h: int) -> "tuple[Letters, TailWord]":
-    """Split w = head . rest with len(head) == h; the inverse of `prepend_letters`.
-
-    A suffix of a canonical prefix is canonical with the same tail; past
-    the prefix, the rest is the tail rotated by the letters it gave up.
-    """
-    prefix = w.prefix
-    if h <= len(prefix):
-        return prefix[:h], _make(prefix[h:], w.period, w.rot)
-    rot = w.rot
-    q, k = divmod(h - len(prefix), len(rot))
-    return prefix + rot * q + rot[:k], _make((), w.period, rot[k:] + rot[:k])
+    return roll(letters + w.prefix, w.period, w.rot)
 
 
 def block(m: int) -> Letters:

@@ -52,12 +52,30 @@ def boson_creation_weight_times_sqrt2_from_mode_4(boson_word):
     return fault
 
 
-def split_rotates_the_rest_once_more_from_6(split_letters):
+def unroll_rotates_the_tail_once_more_from_6(unroll):
     def fault(w, h):
-        head, rest = split_letters(w, h)
-        if h < 6 or h <= len(w.prefix) or len(w.rot) == 1:
-            return head, rest
-        return head, words._make((), rest.period, rest.rot[1:] + rest.rot[:1])
+        letters, rot = unroll(w, h)
+        if h < 6 or h <= len(w.prefix) or len(rot) == 1:
+            return letters, rot
+        return letters, rot[1:] + rot[:1]
+    return fault
+
+
+def unroll_drops_the_prefix_past_h_from_6(unroll):
+    def fault(w, h):
+        letters, rot = unroll(w, h)
+        if h < 6 or h >= len(w.prefix):
+            return letters, rot
+        return letters[:h], rot
+    return fault
+
+
+def roll_absorbs_one_letter_at_most(roll):
+    def fault(letters, period, rot):
+        w = roll(letters, period, rot)
+        if len(letters) - w.depth < 2:
+            return w
+        return words._make(letters[:-1], period, rot[-1:] + rot[:-1])
     return fault
 
 
@@ -100,9 +118,14 @@ FAULTS = {
     "b_n* weight times sqrt(2) for n >= 4": (
         ladder, "_boson_word", boson_creation_weight_times_sqrt2_from_mode_4,
         {"ccr", "branch-boson", "roundtrip"}),
-    "split_letters rotates the rest once more past the prefix, h >= 6, period > 1": (
-        words, "split_letters", split_rotates_the_rest_once_more_from_6,
+    "unroll rotates the tail once more past the prefix, h >= 6, period > 1": (
+        words, "unroll", unroll_rotates_the_tail_once_more_from_6,
         {"branch-boson", "branch-fermion"}),
+    "unroll drops the prefix letters past h when 6 <= h < depth": (
+        words, "unroll", unroll_drops_the_prefix_past_h_from_6, {"cuntz", "ccr", "car"}),
+    "roll absorbs at most one letter into the tail": (
+        words, "roll", roll_absorbs_one_letter_at_most,
+        {"ccr", "car", "branch-oinfty", "branch-boson", "branch-fermion"}),
     "_runs reports k + 1 for runs of k >= 3 in subsets of 5 or more": (
         correspondence, "_runs", runs_report_one_more_for_runs_of_3_in_subsets_of_5,
         {"roundtrip"}),
@@ -160,9 +183,9 @@ def test_verify_all_catches_the_planted_fault(name, monkeypatch):
 def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
     """`ladder`, `rep` and `verify` import `words` functions by name, and `ladder` imports
     the label builders of `correspondence`: each alias is patched."""
-    planted = plant(monkeypatch, words, "split_letters", split_rotates_the_rest_once_more_from_6)
-    assert {"cuntzfock.words.split_letters", "cuntzfock.ladder.split_letters",
-            "cuntzfock.rep.split_letters"} <= set(planted), planted
+    planted = plant(monkeypatch, words, "unroll", unroll_rotates_the_tail_once_more_from_6)
+    assert {"cuntzfock.words.unroll", "cuntzfock.ladder.unroll",
+            "cuntzfock.rep.unroll"} <= set(planted), planted
     planted = plant(monkeypatch, words, "index_to_word", index_to_word_one_off_above_300)
     assert {"cuntzfock.words.index_to_word", "cuntzfock.ladder.index_to_word",
             "cuntzfock.verify.index_to_word"} <= set(planted), planted

@@ -17,6 +17,7 @@ from cuntzfock.correspondence import (
 )
 from cuntzfock.ladder import (
     apply,
+    basis_map,
     boson_state,
     boson_state_iterated,
     fermion_state,
@@ -115,6 +116,91 @@ def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, cre
     psi = State.basis(space, TailWord(prefix, period, phase))
     assert act("b", create, n, psi) == boson_via_shifts(create, n, psi)
     assert act("a", create, n, psi) == fermion_via_shifts(create, n, psi)
+
+
+# The b/a actions as they were composed from two words: the word is split
+# after the letters an action passes and edits (a test-local copy of the
+# split, each rest built with `_make`), and the edited letters are prepended
+# to the rest (a copy of the prepend, its tail absorbing letters one by one).
+def _split_as_before(w, h):
+    prefix = w.prefix
+    if h <= len(prefix):
+        return prefix[:h], words._make(prefix[h:], w.period, w.rot)
+    rot = w.rot
+    q, k = divmod(h - len(prefix), len(rot))
+    return prefix + rot * q + rot[:k], words._make((), w.period, rot[k:] + rot[:k])
+
+
+def _prepend_as_before(letters, w):
+    if w.prefix:
+        return words._make(letters + w.prefix, w.period, w.rot)
+    rot, r, k, back = w.rot, len(w.rot), len(letters), 0
+    while k and letters[k - 1] == rot[(-1 - back) % r]:
+        k, back = k - 1, back + 1
+    s = back % r
+    return words._make(letters[:k], w.period, rot[r - s:] + rot[:r - s])
+
+
+def _action_as_before(kind, create, n, w):
+    """(image, h, cut, ins): the image of x_n or x_n* on w, and its edit: the
+    letters from h to h + cut replaced by ins; None when x annihilates w."""
+    if kind == "a":
+        head, rest = _split_as_before(w, n)
+        if head[-1] != (1 if create else 2):
+            return None
+        sign = -ONE if head[:-1].count(2) % 2 else ONE
+        return (sign, _prepend_as_before(head[:-1] + (3 - head[-1],), rest)), n - 1, 1, 1
+    found = words.nth_block(w, n)
+    if found is None or not create and found[1] == 1:
+        return None
+    start, m = found
+    if create:
+        head, rest = _split_as_before(w, start)
+        return (sqrt_of_nat(m), _prepend_as_before(head + (2,), rest)), start, 0, 1
+    head, rest = _split_as_before(w, start + 1)
+    return (sqrt_of_nat(m - 1), _prepend_as_before(head[:-1], rest)), start, 1, 0
+
+
+def _edit_case(w, image, h, cut, ins) -> str:
+    """Where the edit of a nonzero action falls: before the prefix's last letter,
+    past it with the image built as edited, or absorbed in part by the tail."""
+    if h + cut < w.depth:
+        return "in-prefix"
+    edited = max(h + cut, w.depth) - cut + ins  # the letters before the unrolled tail
+    return "absorbed" if image.depth < edited else "in-tail"
+
+
+def test_ladder_actions_match_the_two_word_composition_and_the_shift_oracles():
+    reached = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+        st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
+        st.integers(0, 3),
+    )
+    def check(period, prefix, phase):
+        space = RepSpace(period)
+        w = TailWord(prefix, period, phase)
+        psi = State.basis(space, w)
+        for n in range(1, MAX_MODE + 1):
+            for create in (False, True):
+                for kind, oracle in (("b", boson_via_shifts), ("a", fermion_via_shifts)):
+                    got = basis_map((kind, n, create))(w)
+                    want = _action_as_before(kind, create, n, w)
+                    if want is None:
+                        assert got is None, (kind, n, create, w)
+                        assert oracle(create, n, psi).is_zero()
+                        continue
+                    (coeff, v), h, cut, ins = want
+                    assert got[0] == coeff, (kind, n, create, w)
+                    # every slot, and so the canonical form, not just the denoted word
+                    assert (got[1].prefix, got[1].period, got[1].rot) == (v.prefix, v.period, v.rot)
+                    assert State.basis(space, got[1], got[0]) == oracle(create, n, psi)
+                    reached.add(_edit_case(w, v, h, cut, ins))
+
+    check()
+    assert reached == {"in-prefix", "in-tail", "absorbed"}
 
 
 def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):

@@ -479,6 +479,30 @@ def test_bracket_relations_apply_each_product_once(monkeypatch):
             assert report.cases == len(states) * 3 * op_max ** 2
 
 
+def test_only_the_delta_brackets_are_summed(monkeypatch):
+    # a zero bracket that holds is decided by comparing its two products
+    # (ccr: nm == mn, car: nm == -mn), and so is car's t-transport sign;
+    # only [x_n, x_n*] adds its terms, ccr's through one negation
+    from cuntzfock import verify
+
+    calls = dict.fromkeys(("_plus", "_negated"), 0)
+
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+        return inner
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for suite, family, negated in ((ccr_suite, verify._boson_family, True),
+                                   (car_suite, verify._fermion_family, False)):
+        calls.update(_plus=0, _negated=0)
+        assert suite(4, 5).passed
+        delta_brackets = len(list(family(4, 5))) * 5
+        assert calls == {"_plus": delta_brackets, "_negated": delta_brackets * negated}
+
+
 # Engine calls of the suites at the CLI defaults, with their case counts:
 # `map_basis` calls plus the word-level applications of the basis maps the
 # suites take from `verify.basis_map`.  Each bound is the count when every
@@ -515,6 +539,36 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
     report = oracle_suite(dim=1024, sequences=50)
     assert (report.passed, report.cases) == (True, 18_535)
     assert calls["index_to_word"] <= ORACLE_INDEX_TO_WORD_BOUND, calls
+
+
+# Words built (`words._make` calls) by the suites whose operators act through
+# `ladder`, at the CLI defaults: each b/a action builds its image as one word
+# and an annihilating one builds none (ccr 29,876, car 6,581 and
+# branch-fermion 1,924 when each action built a rest and then its image).
+WORD_BUILD_BOUNDS = {
+    "ccr": (lambda: [ccr_suite(4, 5)], 17_591),
+    "car": (lambda: [car_suite(4, 5)], 3_093),
+    "branch-fermion": (lambda: [check_branching_fermion(p, starred)
+                                for starred in (False, True) for p in range(1, 5)], 964),
+}
+
+
+def test_suites_stay_within_their_word_budgets(monkeypatch):
+    from cuntzfock import oracles, rep, words
+
+    built = [0]
+    make = words._make
+
+    def counted(*args):
+        built[0] += 1
+        return make(*args)
+
+    for module in (words, rep, oracles):
+        monkeypatch.setattr(module, "_make", counted)
+    for name, (suite, bound) in WORD_BUILD_BOUNDS.items():
+        built[0] = 0
+        assert all(report.passed for report in suite()), name
+        assert built[0] <= bound, (name, built[0])
 
 
 def test_roundtrip_suite_small():

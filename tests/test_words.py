@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuntzfock import words
 from cuntzfock.oracles import leading_block
 from cuntzfock.words import (
     TailWord,
+    _make,
+    check_letters,
     flip,
     block,
     index_to_word,
@@ -12,9 +15,16 @@ from cuntzfock.words import (
     parse_letters,
     prepend_letters,
     pure,
-    split_letters,
+    unroll,
     word_to_index,
 )
+
+
+def split_letters(w: TailWord, h: int):
+    """w = head . rest with len(head) == h, as `unroll` reads it: the rest is
+    built with `_make`, so a suffix that is not canonical shows in its fields."""
+    letters, rot = unroll(w, h)
+    return letters[:h], _make(letters[h:], w.period, rot)
 
 
 def letters_agree(u: TailWord, v: TailWord, count: int) -> bool:
@@ -326,6 +336,45 @@ def test_constructor_and_flip_give_canonical_words(prefix, period, phase):
     assert [fw.letter_at(j) for j in range(count)] == [3 - letter(j) for j in range(count)]
     assert is_canonical(fw) and fw.period == tuple(3 - i for i in period)
     assert fields(flip(fw)) == fields(w)
+
+
+def constructed_as_before(prefix, period, phase):
+    """The constructor as it was: the checked prefix prepended to `pure(period, phase)`
+    by the letter-absorbing loop that `prepend_letters` ran on an empty prefix, each
+    step a word built with `_make`; its slots are the new word's."""
+    letters, w = check_letters(prefix), pure(period, phase)
+    rot, r, k, back = w.rot, len(w.rot), len(letters), 0
+    while k and letters[k - 1] == rot[(-1 - back) % r]:
+        k, back = k - 1, back + 1
+    s = back % r
+    return _make(letters[:k], w.period, rot[r - s:] + rot[:r - s])
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+    st.integers(-9, 9),
+)
+def test_the_constructor_builds_one_word_equal_to_the_old_construction(prefix, period, phase):
+    built = []
+    make = words._make
+    words._make = lambda *args: built.append(args) or make(*args)
+    try:
+        w = TailWord(prefix, period, phase)
+    finally:
+        words._make = make
+    assert built == []  # no intermediate word: the constructor fills its own slots
+    assert fields(w) == fields(constructed_as_before(prefix, period, phase))
+
+
+def test_the_constructor_checks_the_prefix_before_the_period():
+    with pytest.raises(ValueError, match="invalid letter 3"):
+        TailWord((1, 3), ())
+    with pytest.raises(ValueError, match="invalid letter 0"):
+        TailWord((1,), (0,))
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        TailWord((1,), ())
 
 
 def test_an_empty_period_is_refused():
