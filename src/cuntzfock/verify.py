@@ -177,7 +177,9 @@ class SuiteReport:
         when the check fails, and before this method returns, so passing
         checks format no label and a lambda over loop variables still names
         the case that failed.  Word-level images, and states from `_plus`,
-        are reported as states (`_reported`).
+        are reported as states (`_reported`).  A suite that computes a whole
+        table of cases counts it through `_tally` in one comparison and
+        calls this method case by case only for a table that fails.
         """
         self.relations[family] += 1
         if expected != got:
@@ -196,6 +198,19 @@ class SuiteReport:
                 {"case": _text(case), "expected": "true", "got": _text(detail) or "false"}
             )
         return ok
+
+    def _tally(self, family: str, expected, got) -> bool:
+        """Count the len(got) cases of family when the table got equals expected.
+
+        The tables are sequences of one entry per case, so a table that holds
+        costs one comparison.  One that fails counts nothing and returns
+        False: its caller then checks its cases one by one with `check` or
+        `check_true`, which count them, label them and record each failure.
+        """
+        if expected != got:
+            return False
+        self.relations[family] += len(got)
+        return True
 
     def absorb(self, other: "SuiteReport") -> None:
         self._unsorted += other._unsorted
@@ -581,11 +596,19 @@ def _adjoint_table(rep_: SuiteReport, family: str, x: str, maps: dict, top: int,
                    space: RepSpace, w) -> None:
     """x_i* x_j = delta_ij on the basis word w for i, j <= top; each x_j w is computed once."""
     moved = [maps[False, j](w) for j in range(1, top + 1)]
-    for i in range(1, top + 1):
-        for j in range(1, top + 1):
-            got = then(maps[True, i], moved[j - 1])
-            expected = (ONE, w) if i == j else None
-            rep_.check(family, lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, got)
+    got = [then(maps[True, i], x_j) for i in range(1, top + 1) for x_j in moved]
+    expected = [None] * (top * top)
+    expected[::top + 1] = [(ONE, w)] * top
+    if not rep_._tally(family, expected, got):
+        _adjoint_checks(rep_, family, x, top, space, w, got)
+
+
+def _adjoint_checks(rep_: SuiteReport, family: str, x: str, top: int, space: RepSpace, w,
+                    got: list) -> None:
+    """Check the table got of x_i* x_j on w, entry (i - 1) * top + j - 1, case by case."""
+    for (i, j), image in zip(product(range(1, top + 1), repeat=2), got):
+        expected = (ONE, w) if i == j else None
+        rep_.check(family, lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, image)
 
 
 def cuntz_suite(depth: int = 10) -> SuiteReport:
@@ -597,7 +620,11 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     words of prefix depth <= 6 the partial range sum of s_m s_m* over
     m <= k is 0 below the word's leading block length and 1 from it on.
     Each t_j psi and each s_j psi is computed once per basis vector psi and
-    read by every adjoint that checks it.
+    read by every adjoint that checks it.  The adjoint table of a basis
+    word, and its partial range sums, are each counted in one comparison
+    with the table they must equal; only a table that fails is checked
+    case by case, which reports its failures in the order and with the
+    labels of the per-case checks.
     """
     check_depth(depth)
     max_j_len, oinfty_max, oinfty_depth = 3, 8, 6
@@ -611,28 +638,36 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
         },
     )
     t, s = _maps("t", 2), _maps("s", oinfty_max)
+    t1, t2, t1_star, t2_star = t[False, 1], t[False, 2], t[True, 1], t[True, 2]
     for J in _all_defining_words(max_j_len):
         space = RepSpace(J)
         for w in space.basis_words(depth):
-            _adjoint_table(rep_, "t-adjoint", "t", t, 2, space, w)
-            got = _plus(*(then(t[False, i], t[True, i](w)) for i in (1, 2)))
+            x1, x2 = t1(w), t2(w)
+            one = (ONE, w)
+            got = (then(t1_star, x1), then(t1_star, x2), then(t2_star, x1), then(t2_star, x2))
+            if not rep_._tally("t-adjoint", (one, None, None, one), got):
+                _adjoint_checks(rep_, "t-adjoint", "t", 2, space, w, got)
+            total = _plus(then(t1, t1_star(w)), then(t2, t2_star(w)))
             rep_.check("t-range", lambda: f"range completeness on {w} in {space.label}",
-                       (ONE, w), got)
+                       one, total)
     # embedded infinite family on the tail-1 space and on a tail-2 space
     for space in (RepSpace((1,)), RepSpace((2,))):
         for w in space.basis_words(oinfty_depth):
             _adjoint_table(rep_, "s-adjoint", "s", s, oinfty_max, space, w)
             # w = 2^(L-1) 1 v has one leading block: the sum reaches w at k = L
             lb = leading_block(w)
-            whole, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
-            acc = None
+            one, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
+            sums, acc = [], None
             for m in range(1, oinfty_max + 1):
                 acc = _plus(acc, then(s[False, m], s[True, m](w)))
-                rep_.check(
-                    "s-range", lambda: f"partial range sum k={m} on {w} in {space.label}",
-                    whole if m >= at else None,
-                    acc,
-                )
+                sums.append(acc)
+            expected = [None if m < at else one for m in range(1, oinfty_max + 1)]
+            if not rep_._tally("s-range", expected, sums):
+                for m, (want, total) in enumerate(zip(expected, sums), 1):
+                    rep_.check(
+                        "s-range", lambda: f"partial range sum k={m} on {w} in {space.label}",
+                        want, total,
+                    )
     return rep_
 
 
@@ -940,6 +975,9 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     e_1..e_1024, s_1..s_16 on e_1..e_min(dim, 4096) and the ladder actions
     of modes up to 12 on e_1; and `sequences` random in-window operator
     pipelines of 1 to 6 tokens whose images must equal the family's.
+    The letter action, and the action of each s_m, is one table of
+    indices counted in one comparison; only a table that fails is
+    checked case by case, in order and with the per-case labels.
     """
     check_oracle_dim(dim)
     max_index, ladder_max, embed_max_m, embed_max_n = MAX_DIM, 12, 16, min(dim, 4096)
@@ -964,22 +1002,29 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
         if n <= keep:
             words.append(w)
     rep_.check_true("codec", "index bijection", not bad, lambda: f"broken at {bad[:5]}")
-    # letter action on indices
-    for n, w in enumerate(words[:letter_max], 1):
-        for i in (1, 2):
-            got = word_to_index(prepend_letters((i,), w))
-            rep_.check("t-index", lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, got)
-    # embedded generators on indices
-    space = RepSpace((1,))
+    # letter action on indices: t_i e_n = e_{2(n-1)+i}, in the order n, then i
+    got = [word_to_index(prepend_letters(head, w))
+           for w in words[:letter_max] for head in ((1,), (2,))]
+    if not rep_._tally("t-index", list(range(1, 2 * letter_max + 1)), got):
+        for (n, i), index in zip(product(range(1, letter_max + 1), (1, 2)), got):
+            rep_.check("t-index", lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, index)
+    # embedded generators on indices: s_m e_n = e_{2^(m-1)(2n-1)}, one table for each m
+    space, embedded = RepSpace((1,)), words[:embed_max_n]
     for m in range(1, embed_max_m + 1):
         s_m = basis_map(("s", m, False))
-        for n, e_n in enumerate(words[:embed_max_n], 1):
-            c, w = image = s_m(e_n)
-            rep_.check_true(
-                "s-index", lambda: f"s_{m} e_{n}",
-                c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
-                lambda: _state(space, image).render(),
-            )
+        got = [(c, word_to_index(w)) for c, w in map(s_m, embedded)]
+        step = 2 ** m
+        expected = list(zip([ONE] * embed_max_n, range(step // 2, step * embed_max_n, step)))
+        if not rep_._tally("s-index", expected, got):
+            # the images are not kept, which would raise the suite's peak memory:
+            # a failing table applies s_m again
+            for n, e_n in enumerate(embedded, 1):
+                c, w = image = s_m(e_n)
+                rep_.check_true(
+                    "s-index", lambda: f"s_{m} e_{n}",
+                    c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
+                    lambda: _state(space, image).render(),
+                )
     # ladder actions on the vacuum index
     e1 = (ONE, words[0])
     ladders = {x: _maps(x, ladder_max) for x in "ab"}

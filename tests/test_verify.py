@@ -16,7 +16,7 @@ from cuntzfock.ladder import apply, basis_map, boson_state, parse_op_token
 from cuntzfock.oracles import _NumericFamily, leading_block
 from cuntzfock.radical import ONE, promote, sqrt_of_nat
 from cuntzfock.rep import EngineError, RepSpace, State, gp_vector
-from cuntzfock.words import TailWord, index_to_word, word_to_index
+from cuntzfock.words import TailWord, index_to_word, prepend_letters, word_to_index
 from cuntzfock.verify import (
     SuiteReport,
     _all_defining_words,
@@ -330,6 +330,42 @@ def test_two_word_sums_report_the_recorded_failures(monkeypatch, name, fault, su
     assert report.failures == recorded[name]["failures"]
 
 
+def _s_3_star_as_s_2_star(tok):
+    return basis_map(("s", 2, True) if tok == ("s", 3, True) else tok)
+
+
+def _s_3_as_s_2(tok):
+    return basis_map(("s", 2, False) if tok == ("s", 3, False) else tok)
+
+
+def _t_2_as_t_1_on_six_2s(letters, w):
+    return prepend_letters((1,) if letters == (2,) and w.prefix[:6] == (2,) * 6 else letters, w)
+
+
+@pytest.mark.parametrize(
+    "name, target, fault, suite",
+    [
+        ("cuntz s3* as s2*", "basis_map", _s_3_star_as_s_2_star, lambda: cuntz_suite(depth=0)),
+        ("oracle s3 as s2", "basis_map", _s_3_as_s_2, lambda: oracle_suite(dim=16, sequences=5)),
+        ("oracle t2 as t1 on six 2s", "prepend_letters", _t_2_as_t_1_on_six_2s,
+         lambda: oracle_suite(dim=16, sequences=5)),
+    ],
+)
+def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
+    # A table that holds is counted in one comparison; one that fails is
+    # checked case by case.  These faults break the s_i* s_j tables and the
+    # partial range sums of `cuntz`, and the s_m and t_i index tables of
+    # `oracle`.  Their reports were recorded at commit 55c0beb, where every
+    # case was checked on its own, and match entry for entry.
+    from cuntzfock import verify
+
+    recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
+    monkeypatch.setattr(verify, target, fault)
+    report = suite()
+    assert report.cases == recorded[name]["cases"]
+    assert report.failures == recorded[name]["failures"]
+
+
 def test_faulty_ladders_fail_every_suite_that_reads_them(monkeypatch):
     # b_1* acting as b_2*, and a_1 with its sign flipped: the branching
     # suites and the oracle's vacuum checks take their maps from
@@ -541,15 +577,19 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
     assert calls["index_to_word"] <= ORACLE_INDEX_TO_WORD_BOUND, calls
 
 
-# Words built (`words._make` calls) by the suites whose operators act through
-# `ladder`, at the CLI defaults: each b/a action builds its image as one word
-# and an annihilating one builds none (ccr 29,876, car 6,581 and
-# branch-fermion 1,924 when each action built a rest and then its image).
+# Words built (`words._make` calls) by suites at the CLI defaults.  In the
+# suites whose operators act through `ladder`, each b/a action builds its
+# image as one word and an annihilating one builds none (ccr 29,876, car
+# 6,581 and branch-fermion 1,924 when each action built a rest and then its
+# image).  `cuntz` and `oracle` build the words of their per-case checks,
+# whether a table of cases is counted in one comparison or case by case.
 WORD_BUILD_BOUNDS = {
     "ccr": (lambda: [ccr_suite(4, 5)], 17_591),
     "car": (lambda: [car_suite(4, 5)], 3_093),
     "branch-fermion": (lambda: [check_branching_fermion(p, starred)
                                 for starred in (False, True) for p in range(1, 5)], 964),
+    "cuntz": (lambda: [cuntz_suite(8)], 52_779),
+    "oracle": (lambda: [oracle_suite(1024, 50)], 34_984),
 }
 
 
@@ -569,6 +609,36 @@ def test_suites_stay_within_their_word_budgets(monkeypatch):
         built[0] = 0
         assert all(report.passed for report in suite()), name
         assert built[0] <= bound, (name, built[0])
+
+
+# `SuiteReport.check`/`check_true` calls of passing suites at the CLI
+# defaults.  `cuntz` counts each adjoint table and each word's partial range
+# sums in one comparison and checks range completeness once per t word;
+# `oracle` counts its t_i and s_m index tables in one comparison and checks
+# the codec, the vacuum ladders and the pipelines.  Case by case they made
+# 45,056 and 18,535 calls.
+CHECK_CALL_BOUNDS = {
+    "cuntz": (lambda: cuntz_suite(8), 45_056, 7_168),
+    "oracle": (lambda: oracle_suite(1024, 50), 18_535, 103),
+}
+
+
+def test_passing_tables_are_counted_in_one_comparison(monkeypatch):
+    calls = [0]
+
+    def counted(f):
+        def inner(*args):
+            calls[0] += 1
+            return f(*args)
+        return inner
+
+    for name in ("check", "check_true"):
+        monkeypatch.setattr(SuiteReport, name, counted(getattr(SuiteReport, name)))
+    for name, (suite, cases, bound) in CHECK_CALL_BOUNDS.items():
+        calls[0] = 0
+        report = suite()
+        assert (report.passed, report.cases) == (True, cases), name
+        assert calls[0] <= bound, (name, calls[0])
 
 
 def test_roundtrip_suite_small():
