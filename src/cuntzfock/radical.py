@@ -149,12 +149,25 @@ class RadicalScalar:
         return promote(other) + (-self)
 
     def __mul__(self, other) -> "RadicalScalar":
+        """The product, term by term: sqrt(d1) sqrt(d2) = g sqrt(d1 d2 / g^2), g = gcd(d1, d2).
+
+        Two single terms, as every ladder weight and norm factor is, make
+        one term n1 n2 g / (den1 den2), reduced by one gcd with no loop.
+        """
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        left, right = self._num, other._num
+        if len(left) == 1 == len(right):
+            ((d1, n1),) = left.items()
+            ((d2, n2),) = right.items()
+            g = gcd(d1, d2)
+            n, den = n1 * n2 * g, self._den * other._den
+            h = gcd(n, den)
+            return _wrap(den // h, {(d1 // g) * (d2 // g): n // h})
         acc: dict[int, int] = {}
-        right = other._num.items()
-        for d1, n1 in self._num.items():
+        right = right.items()
+        for d1, n1 in left.items():
             for d2, n2 in right:
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
@@ -812,6 +813,19 @@ def test_modules_use_every_name_they_import():
                   if bound not in read and not target.startswith("__future__.")
                   and REEXPORTED.get(target) != path.name]
         assert not unused, (path.name, unused)
+
+
+# Compiling a module sizes the parser's token array by doubling, and the
+# compile of `verify.py` sets the peak memory of a `verify` run: past 8,192
+# tokens it paid about 0.47 MB more.  The next doubling is at 16,384.
+VERIFY_TOKEN_BOUND = 16_384
+
+
+def test_verify_stays_below_the_next_doubling_of_the_parser_token_array():
+    with open(PACKAGE / "verify.py", encoding="utf-8") as f:
+        tokens = [t for t in tokenize.generate_tokens(f.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < VERIFY_TOKEN_BOUND, len(tokens)
 
 
 def test_the_benchmark_reads_the_engine_where_it_did():

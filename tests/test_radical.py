@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuntzfock.radical import (
@@ -292,6 +292,45 @@ def test_fast_paths_match_the_validating_constructor(a, b, t, n, ks):
     for result in (x + y, x - y, -x, x * y, x * x, x / z, ONE / z, z / z,
                    sqrt_of_nat(n), sqrt_factorial_product(ks)):
         assert_canonical(result)
+
+
+def _double_loop_product(x: RadicalScalar, y: RadicalScalar) -> tuple[int, dict[int, int]]:
+    """(den, num) of x * y by the general term-by-term loop, one gcd pass at the end."""
+    acc: dict[int, int] = {}
+    for d1, n1 in x._num.items():
+        for d2, n2 in y._num.items():
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            s = acc.get(d, 0) + n1 * n2 * g
+            if s:
+                acc[d] = s
+            else:
+                acc.pop(d, None)
+    den = x._den * y._den
+    g = math.gcd(den, *acc.values())
+    return den // g, {d: n // g for d, n in acc.items()}
+
+
+# radicands 1, primes and products sharing a prime; small numerators and
+# denominators, so that products reduce, and to ONE among them
+_ONE_TERM = st.builds(
+    lambda d, n, m: RadicalScalar({d: Fraction(n, m)}),
+    st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30, 7, 42]),
+    st.integers(-12, 12).filter(bool) | st.integers(-10**9, 10**9).filter(bool),
+    st.integers(1, 12) | st.integers(1, 10**9),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ONE_TERM, _ONE_TERM)
+@example(sqrt_of_nat(2) / 2, sqrt_of_nat(2))
+@example(promote(-3), promote(Fraction(-1, 3)))
+@example(-sqrt_of_nat(6) / 3, sqrt_of_nat(10) / -4)
+def test_single_term_products_match_the_double_loop(x, y):
+    for a, b in ((x, y), (y, x), (x, x), (x, ONE / x)):
+        p = a * b
+        assert (p._den, p._num) == _double_loop_product(a, b)
+    assert (p._den, p._num) == (1, {1: 1})  # x times its reciprocal is ONE
 
 
 def test_only_one_reads_as_one_term_by_term():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuntzfock import cli
+from cuntzfock import correspondence as corr
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
 from cuntzfock.ladder import apply, basis_map, boson_state, parse_op_token
 from cuntzfock.oracles import _NumericFamily, leading_block
@@ -20,7 +21,7 @@ from cuntzfock.words import TailWord, index_to_word, prepend_letters, word_to_in
 from cuntzfock.verify import (
     SuiteReport,
     _all_defining_words,
-    _peel_to,
+    _unreached,
     boson_branch_witness,
     car_suite,
     ccr_suite,
@@ -342,6 +343,33 @@ def _t_2_as_t_1_on_six_2s(letters, w):
     return prepend_letters((1,) if letters == (2,) and w.prefix[:6] == (2,) * 6 else letters, w)
 
 
+def _t_1_negated_on_words_starting_22(tok):
+    t_1 = basis_map(tok)
+    if tok != ("t", 1, False):
+        return t_1
+
+    def fault(w):
+        out = t_1(w)
+        return out if out is None or w.prefix[:2] != (2, 2) else (-out[0], out[1])
+
+    return fault
+
+
+def _operational_coeff_times_sqrt2_on_repeated_modes(M, operational=corr.forward_operational):
+    pair = operational(M)
+    if all(k == 1 for _, k in M.factors):
+        return pair
+    return CorrespondencePair(pair.boson, pair.fermion, pair.coeff * sqrt_of_nat(2))
+
+
+def _inverse_drops_a_particle_of_the_last_mode_in_subsets_of_3(S, inverse=corr.inverse):
+    pair = inverse(S)
+    if len(S.elements) < 3:
+        return pair
+    *head, (n, k) = pair.boson.factors
+    return CorrespondencePair(BosonMonomial(head + [(n, k - 1)] * (k > 1)), S, pair.coeff)
+
+
 @pytest.mark.parametrize(
     "name, target, fault, suite",
     [
@@ -361,6 +389,33 @@ def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, 
 
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
     monkeypatch.setattr(verify, target, fault)
+    report = suite()
+    assert report.cases == recorded[name]["cases"]
+    assert report.failures == recorded[name]["failures"]
+
+
+@pytest.mark.parametrize(
+    "name, target, fault, suite",
+    [
+        ("cuntz t1 negated on 22", "cuntzfock.verify.basis_map",
+         _t_1_negated_on_words_starting_22, lambda: cuntz_suite(depth=3)),
+        ("roundtrip operational coeff times sqrt(2)",
+         "cuntzfock.correspondence.forward_operational",
+         _operational_coeff_times_sqrt2_on_repeated_modes, lambda: roundtrip_suite(6, 3, 4)),
+        ("roundtrip inverse drops a particle", "cuntzfock.correspondence.inverse",
+         _inverse_drops_a_particle_of_the_last_mode_in_subsets_of_3,
+         lambda: roundtrip_suite(6, 3, 4)),
+    ],
+)
+def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
+    # Range completeness on a word of `cuntz`, and the cases of a subset or
+    # a monomial of `roundtrip`, are counted after one comparison when they
+    # hold; a group with a failing case checks each case in turn.  These
+    # faults break t_i* t_j and range completeness, and the subset and
+    # monomial cases.  Their reports were recorded at commit d3b6d18, where
+    # every case was checked on its own, and match entry for entry.
+    recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
+    monkeypatch.setattr(target, fault)
     report = suite()
     assert report.cases == recorded[name]["cases"]
     assert report.failures == recorded[name]["failures"]
@@ -459,37 +514,37 @@ def _peeled(w):
 
 
 def test_closed_form_peel_matches_greedy_peeling():
+    # one pass per target over the basis of each space, as `branch-oinfty`
+    # makes, then over the words of every space at once, whose tails of one
+    # length belong to different periods
     pairs = 0
-    for J in _all_defining_words(3):
-        basis = list(RepSpace(J).basis_words(4))
-        for w in basis:
-            reached = _peeled(w)
-            for target in basis:
-                assert _peel_to(target, w) == (target in reached), (target, w)
-                pairs += 1
-    assert pairs == 17_408
+    bases = [list(RepSpace(J).basis_words(4)) for J in _all_defining_words(3)]
+    reached = {w: _peeled(w) for basis in bases for w in basis}
+    for basis in bases + [list(reached)]:
+        for target in basis:
+            expected = [w for w in basis if target not in reached[w]]
+            assert _unreached(target, basis) == expected, target
+            pairs += len(basis)
+    assert pairs == 17_408 + 160 * 160
+
+
+_DEEP_LETTERS = st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple)
 
 
 @settings(max_examples=300)
-@given(
-    st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
-    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
-    st.integers(0, 3),
-    st.data(),
-)
-def test_closed_form_peel_matches_greedy_peeling_on_deep_words(prefix, period, phase, data):
-    w = TailWord(prefix, period, phase)
-    reached = _peeled(w)
+@given(st.lists(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+                min_size=1, max_size=3), st.data())
+def test_closed_form_peel_matches_greedy_peeling_on_deep_words(periods, data):
+    # one pass over words of up to three periods: tails repeat, so the
+    # tail-rotation case is decided once per tail and read again for later words
+    heads = st.tuples(_DEEP_LETTERS, st.sampled_from(periods), st.integers(0, 3))
+    words = [TailWord(*head) for head in data.draw(st.lists(heads, min_size=1, max_size=8))]
+    reached = {w: _peeled(w) for w in words}
     target = data.draw(st.one_of(
-        st.sampled_from(reached),
-        st.builds(
-            TailWord,
-            st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
-            st.just(period),
-            st.integers(0, 3),
-        ),
+        st.sampled_from([v for w in words for v in reached[w]]),
+        st.builds(TailWord, _DEEP_LETTERS, st.sampled_from(periods), st.integers(0, 3)),
     ))
-    assert _peel_to(target, w) == (target in reached)
+    assert _unreached(target, words) == [w for w in words if target not in reached[w]]
 
 
 def test_bracket_relations_apply_each_product_once(monkeypatch):
@@ -583,6 +638,8 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
 # 6,581 and branch-fermion 1,924 when each action built a rest and then its
 # image).  `cuntz` and `oracle` build the words of their per-case checks,
 # whether a table of cases is counted in one comparison or case by case.
+# `branch-oinfty` builds its basis words and decides their reachability
+# from the words' letters, building no peeled word.
 WORD_BUILD_BOUNDS = {
     "ccr": (lambda: [ccr_suite(4, 5)], 17_591),
     "car": (lambda: [car_suite(4, 5)], 3_093),
@@ -590,6 +647,8 @@ WORD_BUILD_BOUNDS = {
                                 for starred in (False, True) for p in range(1, 5)], 964),
     "cuntz": (lambda: [cuntz_suite(8)], 52_779),
     "oracle": (lambda: [oracle_suite(1024, 50)], 34_984),
+    "branch-oinfty": (lambda: [check_branching_oinfty(value, variant)
+                               for variant in "pq" for value in range(1, 5)], 6_210),
 }
 
 
@@ -613,13 +672,16 @@ def test_suites_stay_within_their_word_budgets(monkeypatch):
 
 # `SuiteReport.check`/`check_true` calls of passing suites at the CLI
 # defaults.  `cuntz` counts each adjoint table and each word's partial range
-# sums in one comparison and checks range completeness once per t word;
-# `oracle` counts its t_i and s_m index tables in one comparison and checks
-# the codec, the vacuum ladders and the pipelines.  Case by case they made
-# 45,056 and 18,535 calls.
+# sums in one comparison and range completeness after one comparison per t
+# word; `oracle` counts its t_i and s_m index tables in one comparison and
+# checks the codec, the vacuum ladders and the pipelines; `roundtrip` counts
+# the cases of each subset and each monomial after comparing them and checks
+# only its 9 `enumerate_grade` cases.  Case by case they made 45,056, 18,535
+# and 8,953 calls.
 CHECK_CALL_BOUNDS = {
-    "cuntz": (lambda: cuntz_suite(8), 45_056, 7_168),
+    "cuntz": (lambda: cuntz_suite(8), 45_056, 0),
     "oracle": (lambda: oracle_suite(1024, 50), 18_535, 103),
+    "roundtrip": (lambda: roundtrip_suite(12, 4, 5), 8_953, 9),
 }
 
 
@@ -692,12 +754,15 @@ def test_branching_oinfty_refuses_a_value_above_the_mode_bound(monkeypatch, vari
 def test_unreached_words_fail_branching_oinfty(monkeypatch):
     from cuntzfock import verify
 
-    monkeypatch.setattr(verify, "_peel_to", lambda target, w: False)
+    # every word unreached: the first five are named in enumeration order
+    monkeypatch.setattr(verify, "_unreached", lambda target, words: list(words))
     r = check_branching_oinfty(1, "p", depth=2)
     assert r.cases == 3
     (failure,) = r.failures
     assert failure["case"] == "reachability to depth 2"
-    assert failure["got"].startswith("unreached: ")
+    assert failure["got"] == "unreached: ['(1)', '2(1)', '12(1)', '22(1)'] (+0)"
+    (failure,) = check_branching_oinfty(2, "q", depth=3).failures
+    assert failure["got"] == "unreached: ['(112)', '(121)', '(211)', '1(112)', '2(121)'] (+19)"
 
 
 def test_float_oracle_permutation_sequence_is_exact():
