@@ -50,7 +50,7 @@ from .correspondence import (
     forward,
     parse_boson_expr,
 )
-from .radical import ONE, sqrt_of_nat
+from .radical import ONE, ZERO, sqrt_of_nat
 from .rep import BasisMap, RepSpace, State, generator_map, map_basis, then
 from .words import TailWord, index_to_word, nth_block, roll, unroll
 
@@ -61,20 +61,30 @@ _VACUUM = FOCK_SPACE.gp_word()
 # -- single-word actions ----------------------------------------------------
 
 
+# the weights sqrt(m) of b_n and b_n* for the block lengths m up to _WEIGHT_TOP, by m;
+# entry 1 is the ONE object, so that `then` skips products by it
+_WEIGHT_TOP = 16
+_WEIGHTS = (ZERO, *map(sqrt_of_nat, range(1, _WEIGHT_TOP + 1)))
+
+
 def _boson_word(create: bool, n: int, w: TailWord):
     # w = head . 2^(m-1) 1 . rest: b_n* inserts one 2 where the n-th block
-    # starts, b_n removes one from there; the n-1 blocks in head pass unchanged
+    # starts, with weight sqrt(m), b_n removes one from there, with weight
+    # sqrt(m - 1); the n-1 blocks in head pass unchanged
     found = nth_block(w, n)
     if found is None:
         return None
     start, m = found
     if create:
         letters, rot = unroll(w, start)
-        return sqrt_of_nat(m), roll(letters[:start] + (2,) + letters[start:], w.period, rot)
-    if m == 1:
+        letters = letters[:start] + (2,) + letters[start:]
+    elif m == 1:
         return None
-    letters, rot = unroll(w, start + 1)
-    return sqrt_of_nat(m - 1), roll(letters[:start] + letters[start + 1:], w.period, rot)
+    else:
+        m -= 1
+        letters, rot = unroll(w, start + 1)
+        letters = letters[:start] + letters[start + 1:]
+    return (_WEIGHTS[m] if m <= _WEIGHT_TOP else sqrt_of_nat(m)), roll(letters, w.period, rot)
 
 
 def _fermion_word(create: bool, n: int, w: TailWord):

@@ -158,20 +158,53 @@ def nth_block(w: TailWord, n: int) -> "tuple[int, int] | None":
     """Find the n-th leading block: w = head . 2^(m-1) 1 . v with n-1 blocks in head.
 
     Returns (len(head), m), or None when the word turns into 2^inf before
-    n blocks.  The prefix and as many copies of the tail as hold the n-th
-    1 are scanned once; the word itself is not split.
+    n blocks.  No letters are built: a block that ends in the prefix is
+    found by scanning it, and one that ends past it by arithmetic on the
+    tail (`_tail_block`).
     """
-    letters = w.prefix
-    short = n - letters.count(1)
-    if short > 0:
-        per_rot = w.rot.count(1)
-        if not per_rot:
-            return None
-        letters += w.rot * -(-short // per_rot)
-    start = 0
-    for _ in range(n - 1):
-        start = letters.index(1, start) + 1
-    return start, letters.index(1, start) + 1 - start
+    prefix = w.prefix
+    ones = prefix.count(1)
+    if n <= ones:
+        start = 0
+        for _ in range(n - 1):
+            start = prefix.index(1, start) + 1
+        return start, prefix.index(1, start) + 1 - start
+    return _tail_block(w, n, ones)
+
+
+def _tail_block(w: TailWord, n: int, ones: int) -> "tuple[int, int] | None":
+    """`nth_block` of a word whose prefix holds ones < n 1s.
+
+    The n-th 1 lies q whole periods past the prefix, at the offset k of
+    the r-th 1 (from 0) of rot.  The 1 before it is the prefix's last 1,
+    the (r-1)-th 1 of rot in the same period, or the last 1 of rot in the
+    period before, so a block may start in the prefix and end in the tail.
+    """
+    rot = w.rot
+    per_rot = rot.count(1)
+    if not per_rot:
+        return None
+    prefix = w.prefix
+    q, r = divmod(n - ones - 1, per_rot)
+    prev, k = -1, rot.index(1)
+    for _ in range(r):
+        prev, k = k, rot.index(1, k + 1)
+    end = len(prefix) + q * len(rot) + k + 1
+    if n - 1 > ones:  # the 1 before the n-th lies in the tail too
+        if r:
+            start = end - k + prev
+        else:
+            last = len(rot) - 1
+            while rot[last] != 1:
+                last -= 1
+            start = end - k - len(rot) + last
+    elif ones:
+        start = len(prefix)
+        while prefix[start - 1] != 1:
+            start -= 1
+    else:
+        start = 0
+    return start, end - start
 
 
 def _absorbed(letters: Letters, rot: Letters) -> "tuple[Letters, Letters]":
@@ -236,7 +269,20 @@ def block(m: int) -> Letters:
 
 # The codec's binary digits: letter i <-> digit i - 1.
 _DIGITS = bytes.maketrans(b"\x01\x02", b"01")
-_LETTERS = bytes.maketrans(b"01", b"\x01\x02")
+
+
+def _digit_letters() -> "tuple[tuple[Letters, ...], tuple[Letters, ...]]":
+    """The letters of a byte b, lowest digit first: all 8 of them, and those up
+    to b's leading 1 (none for 0).  Each step appends one digit to every entry."""
+    full, lead = [()], [()]
+    for _ in range(8):
+        upper = [x + (2,) for x in full]  # the entries whose leading 1 is the new digit
+        full = [x + (1,) for x in full] + upper
+        lead += upper
+    return tuple(full), tuple(lead)
+
+
+_BYTE_LETTERS, _LEAD_LETTERS = _digit_letters()
 
 
 def word_to_index(w: TailWord) -> int:
@@ -248,9 +294,16 @@ def word_to_index(w: TailWord) -> int:
 
 
 def index_to_word(n: int) -> TailWord:
+    """The tail-1 word of index n: the digits of n - 1 as letters, lowest first.
+
+    They are read from the tables of `_digit_letters`, one byte at a time.
+    The last letter is the leading digit 1, a 2, never the tail's 1, so the
+    word is canonical as built.
+    """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    if n == 1:
-        return _make((), (1,), (1,))
-    # the last letter is the leading binary digit 1, a 2, never the tail's 1: canonical
-    return _make(tuple(format(n - 1, "b")[::-1].encode().translate(_LETTERS)), (1,), (1,))
+    k, letters = n - 1, ()
+    while k > 255:
+        letters += _BYTE_LETTERS[k & 255]
+        k >>= 8
+    return _make(letters + _LEAD_LETTERS[k], (1,), (1,))

@@ -102,6 +102,17 @@ def nth_block_answers_for_n_plus_1_from_6(nth_block):
     return fault
 
 
+def tail_block_one_period_too_far_past_the_first_period(tail_block):
+    def fault(w, n, ones):
+        found = tail_block(w, n, ones)
+        # the n-th 1 is the (n - ones)-th of the tail: past its first period when rot holds fewer
+        if found is None or len(w.rot) == 1 or n - ones <= w.rot.count(1):
+            return found
+        start, m = found
+        return start, m + len(w.rot)
+    return fault
+
+
 def index_to_word_one_off_above_300(index_to_word):
     def fault(n):
         return index_to_word(n + 1 if n > 300 else n)
@@ -137,6 +148,9 @@ FAULTS = {
     "nth_block(w, n) answers for n + 1 when n >= 6": (
         words, "nth_block", nth_block_answers_for_n_plus_1_from_6,
         {"ccr", "branch-boson", "oracle"}),
+    "nth_block puts a tail 1 past the first period one period too far, period > 1": (
+        words, "_tail_block", tail_block_one_period_too_far_past_the_first_period,
+        {"branch-boson"}),
 }
 
 

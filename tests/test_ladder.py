@@ -31,7 +31,7 @@ from cuntzfock.oracles import (
     _b1_direct, _NumericFamily, apply_rho, apply_zeta, boson_via_shifts, fermion_via_shifts,
 )
 from cuntzfock.rep import RepSpace, State, gp_vector
-from cuntzfock.words import TailWord, index_to_word, word_to_index
+from cuntzfock.words import TailWord, block, index_to_word, word_to_index
 
 P1 = RepSpace((1,))
 OMEGA = gp_vector(P1)
@@ -280,6 +280,18 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
     monkeypatch.setattr(ladder, "_boson_word", boom)
     monkeypatch.setattr(ladder, "_fermion_word", boom)
     assert oracles() == want
+
+
+def test_boson_weights_are_read_from_a_table_of_square_roots():
+    table = ladder._WEIGHTS
+    assert len(table) == ladder._WEIGHT_TOP + 1
+    assert all(table[m] == sqrt_of_nat(m) for m in range(1, len(table)))
+    assert table[1] is ONE  # so that `then` skips products by it
+    # past the table the weight is computed: b_1* on a block of m = 2^(m-1) 1 has weight sqrt(m)
+    for m in (ladder._WEIGHT_TOP, ladder._WEIGHT_TOP + 1, 40):
+        w = TailWord(block(m), (1,))
+        assert basis_map(("b", 1, True))(w) == (sqrt_of_nat(m), TailWord(block(m + 1), (1,)))
+        assert basis_map(("b", 1, False))(w) == (sqrt_of_nat(m - 1), TailWord(block(m - 1), (1,)))
 
 
 def test_boson_state_closed_form():

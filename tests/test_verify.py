@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuntzfock import cli
+from cuntzfock import cli, ladder
 from cuntzfock import correspondence as corr
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
 from cuntzfock.ladder import apply, basis_map, boson_state, parse_op_token
@@ -394,6 +394,13 @@ def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, 
     assert report.failures == recorded[name]["failures"]
 
 
+def _boson_creation_weight_times_sqrt2_from_mode_4(create, n, w, boson_word=ladder._boson_word):
+    out = boson_word(create, n, w)
+    if out is None or not create or n < 4:
+        return out
+    return out[0] * sqrt_of_nat(2), out[1]
+
+
 @pytest.mark.parametrize(
     "name, target, fault, suite",
     [
@@ -405,6 +412,8 @@ def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, 
         ("roundtrip inverse drops a particle", "cuntzfock.correspondence.inverse",
          _inverse_drops_a_particle_of_the_last_mode_in_subsets_of_3,
          lambda: roundtrip_suite(6, 3, 4)),
+        ("ccr b_n* weight times sqrt(2) for n >= 4", "cuntzfock.ladder._boson_word",
+         _boson_creation_weight_times_sqrt2_from_mode_4, lambda: ccr_suite(1, 5)),
     ],
 )
 def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
@@ -413,7 +422,10 @@ def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, 
     # hold; a group with a failing case checks each case in turn.  These
     # faults break t_i* t_j and range completeness, and the subset and
     # monomial cases.  Their reports were recorded at commit d3b6d18, where
-    # every case was checked on its own, and match entry for entry.
+    # every case was checked on its own, and match entry for entry.  So does
+    # the report of `ccr` under a b_n* weight fault, its transport cases
+    # counted after one comparison each when they hold and its failures
+    # interleaved with those of the brackets, recorded at commit 952afb4.
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
     monkeypatch.setattr(target, fault)
     report = suite()
@@ -676,12 +688,15 @@ def test_suites_stay_within_their_word_budgets(monkeypatch):
 # word; `oracle` counts its t_i and s_m index tables in one comparison and
 # checks the codec, the vacuum ladders and the pipelines; `roundtrip` counts
 # the cases of each subset and each monomial after comparing them and checks
-# only its 9 `enumerate_grade` cases.  Case by case they made 45,056, 18,535
-# and 8,953 calls.
+# only its 9 `enumerate_grade` cases; `ccr` counts each transport case after
+# comparing its two images and checks only its 630 delta brackets.  Case by
+# case they made 45,056, 18,535, 8,953 and 15,750 calls; `ccr` made 6,930
+# when it checked each transport case.
 CHECK_CALL_BOUNDS = {
     "cuntz": (lambda: cuntz_suite(8), 45_056, 0),
     "oracle": (lambda: oracle_suite(1024, 50), 18_535, 103),
     "roundtrip": (lambda: roundtrip_suite(12, 4, 5), 8_953, 9),
+    "ccr": (lambda: ccr_suite(4, 5), 15_750, 630),
 }
 
 

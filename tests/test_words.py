@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cuntzfock import words
 from cuntzfock.oracles import leading_block
+from cuntzfock.rep import RepSpace
 from cuntzfock.words import (
     TailWord,
     _make,
@@ -230,6 +231,59 @@ def test_block_split_runs_into_the_tail():
     assert leading_blocks(pure((2, 2, 1)), 2) == ([3, 3], (2, 2, 1, 2, 2, 1), pure((2, 2, 1)))
 
 
+def nth_block_by_letters(w: TailWord, n: int):
+    """`nth_block` as it scanned letters: the prefix is extended by as many
+    copies of the tail as hold the n-th 1, and the 1s are found in them."""
+    letters = w.prefix
+    short = n - letters.count(1)
+    if short > 0:
+        per_rot = w.rot.count(1)
+        if not per_rot:
+            return None
+        letters += w.rot * -(-short // per_rot)
+    start = 0
+    for _ in range(n - 1):
+        start = letters.index(1, start) + 1
+    return start, letters.index(1, start) + 1 - start
+
+
+def block_place(w: TailWord, n: int, found) -> str:
+    """Where the n-th block of w lies: in the prefix, from the prefix into the
+    tail (its 1 the tail's first), or in the tail, its 1 in the first period
+    of the tail or a later one."""
+    if found is None:
+        return "none"
+    start, m = found
+    if start + m <= w.depth:
+        return "prefix"
+    if start < w.depth:
+        return "straddles"
+    return "tail-first" if start + m <= w.depth + len(w.rot) else "tail-later"
+
+
+def test_nth_block_matches_the_letter_scan_on_every_basis_word():
+    places = set()
+    for J in [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]:
+        for w in RepSpace(J).basis_words(6):
+            for n in range(1, 17):
+                found = nth_block(w, n)
+                assert found == nth_block_by_letters(w, n), (J, w, n)
+                places.add(block_place(w, n, found))
+    assert places == {"none", "prefix", "straddles", "tail-first", "tail-later"}
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(st.sampled_from([1, 2]), max_size=24).map(tuple),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+    st.integers(0, 3),
+    st.integers(1, 40),
+)
+def test_nth_block_matches_the_letter_scan(prefix, period, phase, n):
+    w = TailWord(prefix, period, phase)
+    assert nth_block(w, n) == nth_block_by_letters(w, n)
+
+
 def test_word_to_index_examples():
     assert word_to_index(pure((1,))) == 1
     assert word_to_index(TailWord((2,), (1,))) == 2
@@ -248,9 +302,26 @@ def test_index_to_word_examples():
             index_to_word(n)
 
 
+_DIGIT_LETTERS = bytes.maketrans(b"01", b"\x01\x02")
+
+
+def index_to_word_by_format(n: int) -> TailWord:
+    """`index_to_word` as it formatted n - 1 in binary, reversed the digits
+    and translated them to letters."""
+    if n == 1:
+        return _make((), (1,), (1,))
+    return _make(tuple(format(n - 1, "b")[::-1].encode().translate(_DIGIT_LETTERS)), (1,), (1,))
+
+
+def slots(w: TailWord):
+    return w.prefix, w.period, w.rot
+
+
 def test_index_bijection_exhaustive():
-    for n in range(1, 4097):
-        assert word_to_index(index_to_word(n)) == n
+    for n in range(1, 2 ** 16 + 1):
+        w = index_to_word(n)
+        assert slots(w) == slots(index_to_word_by_format(n)), n
+        assert word_to_index(w) == n
 
 
 def test_index_to_word_matches_the_validating_constructor():
@@ -267,9 +338,10 @@ def test_index_recursion():
 
 
 @settings(max_examples=500)
-@given(st.integers(1, 2 ** 62))
+@given(st.integers(1, 2 ** 64 - 1))
 def test_codec_past_the_exhaustive_window(n):
     w = index_to_word(n)
+    assert slots(w) == slots(index_to_word_by_format(n))
     assert word_to_index(w) == n
     assert fields(w) == fields(TailWord(w.prefix, (1,)))
     for i in (1, 2):  # idx(i . w) = 2 (idx(w) - 1) + i
