@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from operator import eq
 from typing import Callable
 
@@ -178,10 +178,8 @@ class SuiteReport:
         checks format no label and a lambda over loop variables still names
         the case that failed.  Word-level images, and states from `_plus`,
         are reported as states (`_reported`).  A suite that computes a whole
-        table of cases counts it through `_tally` in one comparison and
-        calls this method case by case only for a table that fails; one
-        that compares its own cases counts those that hold in `relations`
-        and calls this method only for the others.
+        table of cases hands it to `check_table`, which calls this method
+        case by case only for a table that fails.
         """
         self.relations[family] += 1
         if expected != got:
@@ -201,18 +199,22 @@ class SuiteReport:
             )
         return ok
 
-    def _tally(self, family: str, expected, got) -> bool:
-        """Count the len(got) cases of family when the table got equals expected.
+    def check_table(self, families: tuple, expected, got, label: Callable[[int], str]) -> None:
+        """Check a table of cases: entry k of got against entry k of expected.
 
-        The tables are sequences of one entry per case, so a table that holds
-        costs one comparison.  One that fails counts nothing and returns
-        False: its caller then checks its cases one by one with `check` or
-        `check_true`, which count them, label them and record each failure.
+        The tables are sequences of one entry per case, and entry k is a case
+        of the family families[k % len(families)].  A table that holds is
+        counted in one comparison, with no `check` call and no label built.
+        One that fails is checked entry by entry through `check`, entry k
+        labelled label(k), so its failures keep the order and the labels of
+        per-case checks.
         """
         if expected != got:
-            return False
-        self.relations[family] += len(got)
-        return True
+            for k, (want, have) in enumerate(zip(expected, got)):
+                self.check(families[k % len(families)], lambda: label(k), want, have)
+            return
+        for family in families:
+            self.relations[family] += len(got) // len(families)
 
     def absorb(self, other: "SuiteReport") -> None:
         self._unsorted += other._unsorted
@@ -603,23 +605,17 @@ def _all_defining_words(max_len: int):
         yield from product((1, 2), repeat=k)
 
 
-def _adjoint_table(rep_: SuiteReport, family: str, x: str, maps: dict, top: int,
-                   space: RepSpace, w) -> None:
-    """x_i* x_j = delta_ij on the basis word w for i, j <= top; each x_j w is computed once."""
-    moved = [maps[False, j](w) for j in range(1, top + 1)]
-    got = [then(maps[True, i], x_j) for i in range(1, top + 1) for x_j in moved]
-    expected = [None] * (top * top)
-    expected[::top + 1] = [(ONE, w)] * top
-    if not rep_._tally(family, expected, got):
-        _adjoint_checks(rep_, family, x, top, space, w, got)
+# Items per table of `_batches`.  A larger table is compared after its images have left the
+# cache, and holds them all at once: a table of each space made `cuntz` about 10% slower, and
+# one of all subsets of a size raised the peak memory of `roundtrip` by 0.6 MB.
+_BATCH = 32
 
 
-def _adjoint_checks(rep_: SuiteReport, family: str, x: str, top: int, space: RepSpace, w,
-                    got: list) -> None:
-    """Check the table got of x_i* x_j on w, entry (i - 1) * top + j - 1, case by case."""
-    for (i, j), image in zip(product(range(1, top + 1), repeat=2), got):
-        expected = (ONE, w) if i == j else None
-        rep_.check(family, lambda: f"{x}_{i}* {x}_{j} on {w} in {space.label}", expected, image)
+def _batches(items):
+    """The items in lists of up to _BATCH, in order: the items of one table of cases each."""
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield batch
 
 
 def cuntz_suite(depth: int = 10) -> SuiteReport:
@@ -631,12 +627,10 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     words of prefix depth <= 6 the partial range sum of s_m s_m* over
     m <= k is 0 below the word's leading block length and 1 from it on.
     Each t_j psi and each s_j psi is computed once per basis vector psi and
-    read by every adjoint that checks it.  The adjoint table of a basis
-    word, and its partial range sums, are each counted in one comparison
-    with the table they must equal; only a table that fails is checked
-    case by case, which reports its failures in the order and with the
-    labels of the per-case checks.  Range completeness on a word that
-    holds is counted after one comparison; only a failing one is checked.
+    read by every adjoint that checks it.  The t adjoints and range
+    completeness of a batch of basis words (`_batches`), and the s
+    adjoints and the partial range sums of a basis word, are each one table
+    of `SuiteReport.check_table`.
     """
     check_depth(depth)
     max_j_len, oinfty_max, oinfty_depth = 3, 8, 6
@@ -651,39 +645,45 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     )
     t, s = _maps("t", 2), _maps("s", oinfty_max)
     t1, t2, t1_star, t2_star = t[False, 1], t[False, 2], t[True, 1], t[True, 2]
-    counts = rep_.relations
     for J in _all_defining_words(max_j_len):
         space = RepSpace(J)
-        for w in space.basis_words(depth):
-            x1, x2 = t1(w), t2(w)
-            one = (ONE, w)
-            got = (then(t1_star, x1), then(t1_star, x2), then(t2_star, x1), then(t2_star, x2))
-            if not rep_._tally("t-adjoint", (one, None, None, one), got):
-                _adjoint_checks(rep_, "t-adjoint", "t", 2, space, w, got)
-            total = _plus(then(t1, t1_star(w)), then(t2, t2_star(w)))
-            if one == total:
-                counts["t-range"] += 1
-            else:
-                rep_.check("t-range", lambda: f"range completeness on {w} in {space.label}",
-                           one, total)
+        for words in _batches(space.basis_words(depth)):
+            expected, got = [], []
+            for w in words:
+                x1, x2 = t1(w), t2(w)
+                one = (ONE, w)
+                expected += one, None, None, one, one
+                got += (then(t1_star, x1), then(t1_star, x2), then(t2_star, x1),
+                        then(t2_star, x2), _plus(then(t1, t1_star(w)), then(t2, t2_star(w))))
+            rep_.check_table(
+                ("t-adjoint",) * 4 + ("t-range",), expected, got,
+                lambda k: (f"t_{k % 5 // 2 + 1}* t_{k % 5 % 2 + 1}" if k % 5 < 4
+                           else "range completeness") + f" on {words[k // 5]} in {space.label}",
+            )
     # embedded infinite family on the tail-1 space and on a tail-2 space
+    indices = range(1, oinfty_max + 1)
     for space in (RepSpace((1,)), RepSpace((2,))):
         for w in space.basis_words(oinfty_depth):
-            _adjoint_table(rep_, "s-adjoint", "s", s, oinfty_max, space, w)
+            one = (ONE, w)
+            moved = [s[False, j](w) for j in indices]
+            expected = [None] * oinfty_max ** 2
+            expected[::oinfty_max + 1] = [one] * oinfty_max
+            rep_.check_table(
+                ("s-adjoint",), expected, [then(s[True, i], x_j) for i in indices for x_j in moved],
+                lambda k: f"s_{k // oinfty_max + 1}* s_{k % oinfty_max + 1}"
+                f" on {w} in {space.label}",
+            )
             # w = 2^(L-1) 1 v has one leading block: the sum reaches w at k = L
             lb = leading_block(w)
-            one, at = (ONE, w), oinfty_max + 1 if lb is None else lb[0]
+            at = oinfty_max + 1 if lb is None else lb[0]
             sums, acc = [], None
-            for m in range(1, oinfty_max + 1):
+            for m in indices:
                 acc = _plus(acc, then(s[False, m], s[True, m](w)))
                 sums.append(acc)
-            expected = [None if m < at else one for m in range(1, oinfty_max + 1)]
-            if not rep_._tally("s-range", expected, sums):
-                for m, (want, total) in enumerate(zip(expected, sums), 1):
-                    rep_.check(
-                        "s-range", lambda: f"partial range sum k={m} on {w} in {space.label}",
-                        want, total,
-                    )
+            rep_.check_table(
+                ("s-range",), [None if m < at else one for m in indices], sums,
+                lambda k: f"partial range sum k={k + 1} on {w} in {space.label}",
+            )
     return rep_
 
 
@@ -722,15 +722,15 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
     once = {key: then(maps[key], image) for key in keys}
     twice = {(outer, inner): then(maps[outer], once[inner]) for outer in keys for inner in keys}
     cancels = eq if commute else _opposite
-    counts = rep_.relations
     for n in range(1, op_max + 1):
         for m in range(1, op_max + 1):
             for star_n, star_m in ((False, True), (False, False), (True, True)):
                 nm = twice[(star_n, n), (star_m, m)]
                 mn = twice[(star_m, m), (star_n, n)]
                 delta = n == m and star_m and not star_n
-                if not delta and cancels(nm, mn):  # a zero bracket that holds: no sum is built
-                    counts[family] += 1
+                # not `check_table`: a zero bracket holds on `cancels`, and no sum is built for it
+                if not delta and cancels(nm, mn):
+                    rep_.relations[family] += 1
                     continue
                 got = _plus(nm, _negated(mn) if commute else mn)
                 rep_.check(family, lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
@@ -739,15 +739,16 @@ def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max
     return once
 
 
-def _transport(g, maps: dict, once: dict, g_image, modes):
-    """x_m moved past the generator g, for m in modes and x_m then x_m*.
+def _transport(gens: list, maps: dict, once: dict, image, keys) -> tuple:
+    """x_m^star moved past each generator g of gens, for each (star, m) of keys.
 
-    Yields (star, m, g x_m^star psi, x_{m+1}^star g psi), reading x_m^star
-    psi from once and taking g psi as g_image.
+    Returns the list of x_{m+1}^star g psi and the list of g x_m^star psi, psi
+    the word of image: the entries of each g in turn, in the order of keys.
+    x_m^star psi is read from once, and g psi is computed once for each g.
     """
-    for m in modes:
-        for star in (False, True):
-            yield star, m, then(g, once[star, m]), then(maps[star, m + 1], g_image)
+    moves = [(g, then(g, image)) for g in gens]
+    return ([then(maps[star, m + 1], g_image) for _, g_image in moves for star, m in keys],
+            [then(g, once[key]) for g, _ in moves for key in keys])
 
 
 def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
@@ -758,8 +759,7 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     adjoint for k, m <= 5.  On the word of each state psi, b_m psi, b_m* psi
     and s_k psi are computed once: the transport reads b_m psi from the
     bracket table where m <= max_mode and computes the modes above it itself.
-    A transport case that holds is counted after comparing its two images in
-    place; only one that fails is checked, and labelled, by `SuiteReport.check`.
+    The transport cases of psi are one table of `SuiteReport.check_table`.
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -776,25 +776,18 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     states = [boson_state(M) for M in _boson_family(max_particles, max_mode)]
     transport = range(1, intertwine_max + 1)
     b = _maps("b", max(max_mode, intertwine_max + 1))
-    s = _maps("s", intertwine_max)
-    counts = rep_.relations
+    gens = [basis_map(("s", k, False)) for k in transport]
+    keys = [(star, m) for m in transport for star in (False, True)]
     for psi in states:
         once = _bracket_relations(rep_, b, "b", psi, max_mode)
         image = _image(psi)
         for m in range(max_mode + 1, intertwine_max + 1):  # the modes above the bracket table
             once[False, m], once[True, m] = then(b[False, m], image), then(b[True, m], image)
-        for k in transport:
-            moves = _transport(s[False, k], b, once, then(s[False, k], image), transport)
-            for create, m, moved, raised in moves:
-                if moved == raised:
-                    counts["s-transport"] += 1
-                    continue
-                rep_.check(
-                    "s-transport",
-                    lambda: f"s_{k} b_{m}{'*' if create else ''} transport on {psi.render()}",
-                    raised,
-                    moved,
-                )
+        rep_.check_table(
+            ("s-transport",), *_transport(gens, b, once, image, keys),
+            lambda k: f"s_{k // (2 * intertwine_max) + 1} b_{k // 2 % intertwine_max + 1}"
+            f"{'*' * (k % 2)} transport on {psi.render()}",
+        )
     return rep_
 
 
@@ -809,7 +802,8 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     t_i psi, a_m psi and a_m* psi are computed once; the transport reads
     a_m psi and a_m* psi from the bracket table.  On each sample word psi
     of the rewrite, t_1^k psi (k <= 12), t_2^m psi and t_1^n t_2^m psi are
-    computed once.
+    computed once, and the sample words are one table of
+    `SuiteReport.check_table` for each (n, m).
     """
     check_particles(max_particles)
     check_mode(max_mode)
@@ -827,17 +821,17 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     transport_max = min(max_mode, MAX_MODE - 1)
     a = _maps("a", max(transport_max + 1, 2 * word_identity_max))
     t = _maps("t", 2)
-    counts = rep_.relations
+    keys = [(star, m) for m in range(1, transport_max + 1) for star in (False, True)]
     for psi in states:
         once = _bracket_relations(rep_, a, "a", psi, max_mode)
         for i, holds, sign in ((1, eq, lambda image: image), (2, _opposite, _negated)):
-            moves = _transport(t[False, i], a, once, then(t[False, i], _image(psi)),
-                               range(1, transport_max + 1))
-            for star, m, moved, raised in moves:
+            moves = _transport([t[False, i]], a, once, _image(psi), keys)
+            for (star, m), raised, moved in zip(keys, *moves):
                 # t_i a_m = sign a_{m+1} t_i, and its adjoint a_{m+1}* t_i = sign t_i a_m*
                 expected, got = (moved, raised) if star else (raised, moved)
-                if holds(got, expected):  # no signed image is built for a transport that holds
-                    counts["t-transport"] += 1
+                # not `check_table`: a transport holds on `holds`, and no signed image is built
+                if holds(got, expected):
+                    rep_.relations["t-transport"] += 1
                     continue
                 rep_.check("t-transport", lambda: (f"a_{m + 1}* t_{i}" if star else f"t_{i} a_{m}")
                            + f" transport on {psi.render()}", sign(expected), got)
@@ -850,18 +844,24 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     mixed = [[_word(t, False, ones, t2) for t2 in _word(t, False, twos, psi)[1:]] for psi in sample]
     for n in range(1, word_identity_max + 1):
         for m in range(1, word_identity_max + 1):
-            for psi, power, table in zip(sample, powers, mixed):
-                rhs = _word(a, True, range(n + 1, n + m + 1), power[n + m])[-1]
-                rep_.check(
-                    "t-rewrite",
-                    lambda: f"t_1^{n} t_2^{m} rewrite on {_state(space, psi).render()}",
-                    table[m - 1][n],
-                    rhs,
-                )
+            rep_.check_table(
+                ("t-rewrite",), [table[m - 1][n] for table in mixed],
+                [_word(a, True, range(n + 1, n + m + 1), power[n + m])[-1] for power in powers],
+                lambda k: f"t_1^{n} t_2^{m} rewrite on {_state(space, sample[k]).render()}",
+            )
     return rep_
 
 
 # -- correspondence round trips ----------------------------------------------
+
+
+# The cases of one monomial M of `roundtrip_suite`: (family, label template); the vacuum has
+# no inverse case and no D*C case.
+_MONOMIAL_CASES = (
+    ("grade", "grade of forward({})"), ("inverse", "inverse(forward({}))"),
+    ("norm", "D*C = 1 for {}"), ("norm", "coeff^2 integral for {}"),
+    ("operational", "operational fermion image of {}"), ("operational", "operational coeff of {}"),
+)
 
 
 def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
@@ -875,11 +875,8 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
     up to 4 every row of `enumerate_grade` equals `forward` of its boson,
     and the images are pairwise distinct and cover all subsets of {1..8}.
     Parameters above the particle or mode bound are refused before any work.
-    The cases of one subset, and those of one monomial, are compared
-    together and counted when all hold, with no `check` call and no label
-    built; a subset or monomial with a failing case checks each of its
-    cases in turn, so the failures keep the order and labels of per-case
-    checks.
+    The cases of a batch of subsets of one size (`_batches`), and those of
+    each monomial, are one table of `SuiteReport.check_table`.
     """
     check_particles(max_subset)
     check_mode(max_mode)
@@ -895,46 +892,31 @@ def roundtrip_suite(max_subset: int = 12, max_particles: int = 6,
             "operational": True,
         },
     )
-    counts = rep_.relations
-    for r in range(1, max_subset + 1):
-        for elements in combinations(range(1, max_subset + 1), r):
-            S = FermionSubset(elements)
-            pair = corr.inverse(S)
-            back = corr.forward(pair.boson)
-            cd = back.coeff * pair.coeff
-            if S == back.fermion and ONE == cd:
-                counts["inverse"] += 1
-                counts["norm"] += 1
-                continue
-            rep_.check("inverse", lambda: f"forward(inverse({S}))", S, back.fermion)
-            rep_.check("norm", lambda: f"C*D = 1 for {S}", ONE, cd)
+    elements = range(1, max_subset + 1)
+    for r in elements:
+        for subsets in _batches(map(FermionSubset, combinations(elements, r))):
+            expected, got = [], []
+            for S in subsets:
+                pair = corr.inverse(S)
+                back = corr.forward(pair.boson)
+                expected += S, ONE
+                got += back.fermion, back.coeff * pair.coeff
+            rep_.check_table(("inverse", "norm"), expected, got,
+                             lambda k: f"C*D = 1 for {subsets[k // 2]}" if k % 2
+                             else f"forward(inverse({subsets[k // 2]}))")
     for M in _boson_family(max_particles, max_mode):
-        fwd = corr.forward(M)
+        fwd, op = corr.forward(M), corr.forward_operational(M)
+        expected, got = [M.particle_number], [fwd.fermion.particle_number]
         if M.factors:
             back = corr.inverse(fwd.fermion)
-            dc = fwd.coeff * back.coeff
-        sq = fwd.coeff * fwd.coeff
-        expected_sq = promote(math.prod(math.factorial(k) for _, k in M.factors))
-        op = corr.forward_operational(M)
-        if (M.particle_number == fwd.fermion.particle_number and expected_sq == sq
-                and fwd.fermion == op.fermion and fwd.coeff == op.coeff
-                and (not M.factors or M == back.boson and ONE == dc)):
-            counts["grade"] += 1
-            counts["norm"] += 1
-            counts["operational"] += 2
-            if M.factors:
-                counts["inverse"] += 1
-                counts["norm"] += 1
-            continue
-        rep_.check("grade", lambda: f"grade of forward({M})", M.particle_number,
-                   fwd.fermion.particle_number)
-        if M.factors:
-            rep_.check("inverse", lambda: f"inverse(forward({M}))", M, back.boson)
-            rep_.check("norm", lambda: f"D*C = 1 for {M}", ONE, dc)
-        rep_.check("norm", lambda: f"coeff^2 integral for {M}", expected_sq, sq)
-        rep_.check("operational", lambda: f"operational fermion image of {M}", fwd.fermion,
-                   op.fermion)
-        rep_.check("operational", lambda: f"operational coeff of {M}", fwd.coeff, op.coeff)
+            expected += M, ONE
+            got += back.boson, fwd.coeff * back.coeff
+        expected += (promote(math.prod(math.factorial(k) for _, k in M.factors)),
+                     fwd.fermion, fwd.coeff)
+        got += fwd.coeff * fwd.coeff, op.fermion, op.coeff
+        families, templates = zip(*(_MONOMIAL_CASES if M.factors
+                                    else _MONOMIAL_CASES[:1] + _MONOMIAL_CASES[3:]))
+        rep_.check_table(families, expected, got, lambda k: templates[k].format(M))
     for n in range(grade_max + 1):
         pairs = corr.enumerate_grade(n, 6)
         fwds = [corr.forward(p.boson) for p in pairs]
@@ -1020,9 +1002,9 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
     e_1..e_1024, s_1..s_16 on e_1..e_min(dim, 4096) and the ladder actions
     of modes up to 12 on e_1; and `sequences` random in-window operator
     pipelines of 1 to 6 tokens whose images must equal the family's.
-    The letter action, and the action of each s_m, is one table of
-    indices counted in one comparison; only a table that fails is
-    checked case by case, in order and with the per-case labels.
+    The letter action is one table of indices of `SuiteReport.check_table`.
+    The action of each s_m is one table too, counted in one comparison; one
+    that fails is checked case by case through `check_true`, in order.
     """
     check_oracle_dim(dim)
     max_index, ladder_max, embed_max_m, embed_max_n = MAX_DIM, 12, 16, min(dim, 4096)
@@ -1048,28 +1030,29 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
             words.append(w)
     rep_.check_true("codec", "index bijection", not bad, lambda: f"broken at {bad[:5]}")
     # letter action on indices: t_i e_n = e_{2(n-1)+i}, in the order n, then i
-    got = [word_to_index(prepend_letters(head, w))
-           for w in words[:letter_max] for head in ((1,), (2,))]
-    if not rep_._tally("t-index", list(range(1, 2 * letter_max + 1)), got):
-        for (n, i), index in zip(product(range(1, letter_max + 1), (1, 2)), got):
-            rep_.check("t-index", lambda: f"t_{i} e_{n}", 2 * (n - 1) + i, index)
+    rep_.check_table(("t-index",), list(range(1, 2 * letter_max + 1)),
+                     [word_to_index(prepend_letters(head, w))
+                      for w in words[:letter_max] for head in ((1,), (2,))],
+                     lambda k: f"t_{k % 2 + 1} e_{k // 2 + 1}")
     # embedded generators on indices: s_m e_n = e_{2^(m-1)(2n-1)}, one table for each m
     space, embedded = RepSpace((1,)), words[:embed_max_n]
     for m in range(1, embed_max_m + 1):
-        s_m = basis_map(("s", m, False))
-        got = [(c, word_to_index(w)) for c, w in map(s_m, embedded)]
-        step = 2 ** m
-        expected = list(zip([ONE] * embed_max_n, range(step // 2, step * embed_max_n, step)))
-        if not rep_._tally("s-index", expected, got):
-            # the images are not kept, which would raise the suite's peak memory:
-            # a failing table applies s_m again
-            for n, e_n in enumerate(embedded, 1):
-                c, w = image = s_m(e_n)
-                rep_.check_true(
-                    "s-index", lambda: f"s_{m} e_{n}",
-                    c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
-                    lambda: _state(space, image).render(),
-                )
+        s_m, step = basis_map(("s", m, False)), 2 ** m
+        # not `check_table`: a failing case is reported as `check_true` does.  Both tables
+        # are freed before the next m builds its own, which keeps the suite's peak memory down
+        if [(c, word_to_index(w)) for c, w in map(s_m, embedded)] == list(
+                zip([ONE] * embed_max_n, range(step // 2, step * embed_max_n, step))):
+            rep_.relations["s-index"] += embed_max_n
+            continue
+        # the images are not kept, which would raise the suite's peak memory:
+        # a failing table applies s_m again
+        for n, e_n in enumerate(embedded, 1):
+            c, w = image = s_m(e_n)
+            rep_.check_true(
+                "s-index", lambda: f"s_{m} e_{n}",
+                c == ONE and word_to_index(w) == 2 ** (m - 1) * (2 * n - 1),
+                lambda: _state(space, image).render(),
+            )
     # ladder actions on the vacuum index
     e1 = (ONE, words[0])
     ladders = {x: _maps(x, ladder_max) for x in "ab"}

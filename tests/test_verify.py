@@ -76,6 +76,46 @@ def test_passing_checks_format_no_label():
     assert r.passed and r.cases == 2
 
 
+def _counting_checks(monkeypatch):
+    calls = []
+    check = SuiteReport.check
+
+    def counted(self, family, case, expected, got):
+        calls.append(family)
+        return check(self, family, case, expected, got)
+
+    monkeypatch.setattr(SuiteReport, "check", counted)
+    return calls
+
+
+def test_a_passing_table_counts_each_family_with_no_check_call(monkeypatch):
+    calls = _counting_checks(monkeypatch)
+    r = SuiteReport("table")
+    r.check_table(("codec",), [1, 2, 3], [1, 2, 3], _never_called)
+    r.check_table(("inverse", "norm"), ["S", ONE] * 3, ["S", ONE] * 3, _never_called)
+    assert calls == [] and r.passed
+    assert {f: n for f, n in r.relations.items() if n} == {"codec": 3, "inverse": 3, "norm": 3}
+
+
+def test_a_failing_table_records_only_its_mismatches_in_entry_order(monkeypatch):
+    calls = _counting_checks(monkeypatch)
+    labelled = []
+
+    def label(k):
+        labelled.append(k)
+        return f"entry {k}"
+
+    r = SuiteReport("table")
+    r.check_table(("grade", "norm", "norm"), [0, 1, 2, 3, 4, 5], [0, 9, 2, 3, 4, 7], label)
+    assert calls == ["grade", "norm", "norm"] * 2
+    assert labelled == [1, 5]
+    assert r.failures == [
+        {"case": "entry 1", "expected": "1", "got": "9"},
+        {"case": "entry 5", "expected": "5", "got": "7"},
+    ]
+    assert {f: n for f, n in r.relations.items() if n} == {"grade": 2, "norm": 4}
+
+
 # Scalars of up to three radical terms, none zero, and the words of one space: few
 # enough words that random images often share one.
 _SCALARS = st.builds(
@@ -355,6 +395,19 @@ def _t_1_negated_on_words_starting_22(tok):
     return fault
 
 
+def _a_n_star_sign_flipped_from_mode_7(tok):
+    a_n_star = basis_map(tok)
+    kind, n, star = tok
+    if kind != "a" or not star or n < 7:
+        return a_n_star
+
+    def fault(w):
+        out = a_n_star(w)
+        return None if out is None else (-out[0], out[1])
+
+    return fault
+
+
 def _operational_coeff_times_sqrt2_on_repeated_modes(M, operational=corr.forward_operational):
     pair = operational(M)
     if all(k == 1 for _, k in M.factors):
@@ -377,14 +430,19 @@ def _inverse_drops_a_particle_of_the_last_mode_in_subsets_of_3(S, inverse=corr.i
         ("oracle s3 as s2", "basis_map", _s_3_as_s_2, lambda: oracle_suite(dim=16, sequences=5)),
         ("oracle t2 as t1 on six 2s", "prepend_letters", _t_2_as_t_1_on_six_2s,
          lambda: oracle_suite(dim=16, sequences=5)),
+        ("car a_n* sign flipped for n >= 7", "basis_map", _a_n_star_sign_flipped_from_mode_7,
+         lambda: car_suite(2, 4)),
     ],
 )
 def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
     # A table that holds is counted in one comparison; one that fails is
-    # checked case by case.  These faults break the s_i* s_j tables and the
-    # partial range sums of `cuntz`, and the s_m and t_i index tables of
-    # `oracle`.  Their reports were recorded at commit 55c0beb, where every
-    # case was checked on its own, and match entry for entry.
+    # checked case by case (`SuiteReport.check_table`).  These faults break
+    # the s_i* s_j tables and the partial range sums of `cuntz`, the s_m and
+    # t_i index tables of `oracle`, and the t-rewrite tables of `car` (96 of
+    # its 992 cases, from t_1^1 t_2^6 on).  The reports of `cuntz` and
+    # `oracle` were recorded at commit 55c0beb, and that of `car` at commit
+    # e066489, where each of those cases was checked on its own; they match
+    # entry for entry.
     from cuntzfock import verify
 
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
@@ -417,15 +475,14 @@ def _boson_creation_weight_times_sqrt2_from_mode_4(create, n, w, boson_word=ladd
     ],
 )
 def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
-    # Range completeness on a word of `cuntz`, and the cases of a subset or
-    # a monomial of `roundtrip`, are counted after one comparison when they
-    # hold; a group with a failing case checks each case in turn.  These
-    # faults break t_i* t_j and range completeness, and the subset and
-    # monomial cases.  Their reports were recorded at commit d3b6d18, where
-    # every case was checked on its own, and match entry for entry.  So does
-    # the report of `ccr` under a b_n* weight fault, its transport cases
-    # counted after one comparison each when they hold and its failures
-    # interleaved with those of the brackets, recorded at commit 952afb4.
+    # Tables that mix families, or whose cases interleave with other checks:
+    # the t_i* t_j cases and range completeness of the words of `cuntz`, the
+    # inverse and norm cases of the subsets and monomials of `roundtrip`,
+    # and the transport table of each state of `ccr`, whose failures come
+    # after those of the state's brackets.  These faults break each of them.
+    # The reports were recorded at commit d3b6d18, and that of `ccr` at
+    # commit 952afb4, where each of those cases was checked or compared on
+    # its own; they match entry for entry.
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
     monkeypatch.setattr(target, fault)
     report = suite()
@@ -649,7 +706,8 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
 # image as one word and an annihilating one builds none (ccr 29,876, car
 # 6,581 and branch-fermion 1,924 when each action built a rest and then its
 # image).  `cuntz` and `oracle` build the words of their per-case checks,
-# whether a table of cases is counted in one comparison or case by case.
+# whether a table of `SuiteReport.check_table` holds or is checked case by
+# case.
 # `branch-oinfty` builds its basis words and decides their reachability
 # from the words' letters, building no peeled word.
 WORD_BUILD_BOUNDS = {
@@ -683,20 +741,21 @@ def test_suites_stay_within_their_word_budgets(monkeypatch):
 
 
 # `SuiteReport.check`/`check_true` calls of passing suites at the CLI
-# defaults.  `cuntz` counts each adjoint table and each word's partial range
-# sums in one comparison and range completeness after one comparison per t
-# word; `oracle` counts its t_i and s_m index tables in one comparison and
-# checks the codec, the vacuum ladders and the pipelines; `roundtrip` counts
-# the cases of each subset and each monomial after comparing them and checks
-# only its 9 `enumerate_grade` cases; `ccr` counts each transport case after
-# comparing its two images and checks only its 630 delta brackets.  Case by
-# case they made 45,056, 18,535, 8,953 and 15,750 calls; `ccr` made 6,930
-# when it checked each transport case.
+# defaults.  A table of `SuiteReport.check_table` that holds makes none:
+# `cuntz` checks every case so; `oracle` checks the codec, the vacuum
+# ladders and the pipelines, and counts its s_m index tables in one
+# comparison too; `roundtrip` checks only its 9 `enumerate_grade` cases;
+# `ccr` and `car` check only their delta brackets, 630 and 155, as their
+# zero brackets and car's t-transport cases are counted after comparing
+# their two images.  Case by case they made 45,056, 18,535, 8,953, 15,750
+# and 3,233 calls; `ccr` made 6,930 when it checked each transport case,
+# and `car` 443 when it checked each of its 288 t-rewrite cases.
 CHECK_CALL_BOUNDS = {
     "cuntz": (lambda: cuntz_suite(8), 45_056, 0),
     "oracle": (lambda: oracle_suite(1024, 50), 18_535, 103),
     "roundtrip": (lambda: roundtrip_suite(12, 4, 5), 8_953, 9),
     "ccr": (lambda: ccr_suite(4, 5), 15_750, 630),
+    "car": (lambda: car_suite(4, 5), 3_233, 155),
 }
 
 
