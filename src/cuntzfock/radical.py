@@ -152,19 +152,29 @@ class RadicalScalar:
         """The product, term by term: sqrt(d1) sqrt(d2) = g sqrt(d1 d2 / g^2), g = gcd(d1, d2).
 
         Two single terms, as every ladder weight and norm factor is, make
-        one term n1 n2 g / (den1 den2), reduced by one gcd with no loop.
+        one term n1 n2 g / (den1 den2), reduced by one gcd with no loop, and
+        by none when den1 den2 = 1; the result's slots are filled in place.
+        A scalar operand is taken as it is, before any coercion.
         """
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not RadicalScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         left, right = self._num, other._num
         if len(left) == 1 == len(right):
             ((d1, n1),) = left.items()
             ((d2, n2),) = right.items()
             g = gcd(d1, d2)
             n, den = n1 * n2 * g, self._den * other._den
-            h = gcd(n, den)
-            return _wrap(den // h, {(d1 // g) * (d2 // g): n // h})
+            out = _new(RadicalScalar)
+            if den == 1:
+                out._den = 1
+            else:
+                h = gcd(n, den)
+                out._den = den // h
+                n //= h
+            out._num = {(d1 // g) * (d2 // g): n}
+            return out
         acc: dict[int, int] = {}
         right = right.items()
         for d1, n1 in left.items():
@@ -243,9 +253,13 @@ class RadicalScalar:
         )
 
 
+# A scalar is allocated without the attribute lookup of RadicalScalar.__new__.
+_new = object.__new__
+
+
 def _wrap(den: int, num: dict[int, int]) -> RadicalScalar:
     """A scalar from a form that is already canonical, unchecked."""
-    out = RadicalScalar.__new__(RadicalScalar)
+    out = _new(RadicalScalar)
     out._den = den
     out._num = num
     return out

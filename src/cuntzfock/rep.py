@@ -18,8 +18,8 @@ from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
 from .words import (
-    Letters, TailWord, _make, block, check_letters, flip, prepend_letters, pure,
-    render_letters, unroll,
+    Letters, TailWord, _make, block, check_letters, flip, pure, render_letters, roll,
+    unroll,
 )
 
 # The image of a basis word under a product of basis maps: one weighted word
@@ -274,14 +274,41 @@ def gp_vector(space: RepSpace) -> State:
 
 
 def prepend_map(head: Letters) -> BasisMap:
-    """The basis map of the isometry that prepends the letters head to every word."""
-    return lambda w: (ONE, prepend_letters(head, w))
+    """The basis map of the isometry that prepends the letters head to every word.
+
+    A canonical nonempty prefix never ends in rot[-1], so head . prefix is
+    canonical as it stands and is built by `_make`.  Only a pure word can
+    absorb letters of head into its tail, and it goes through `roll`, as
+    does a prefix that does end in rot[-1] (which only a faulty edit
+    leaves), so the image equals `prepend_letters(head, w)` on every word.
+    """
+
+    def f(w):
+        prefix, rot = w.prefix, w.rot
+        if prefix and prefix[-1] != rot[-1]:
+            return ONE, _make(head + prefix, w.period, rot)
+        return ONE, roll(head + prefix, w.period, rot)
+
+    return f
 
 
 def strip_map(head: Letters) -> BasisMap:
     """The adjoint of `prepend_map`; a word is rejected on its first letter before it is
-    unrolled, and on its first len(head) letters before the rest is built."""
+    unrolled, and on its first len(head) letters before the rest is built.
+
+    For a one-letter head (t_i*) the first-letter test is the whole test, so
+    its map unrolls one letter and compares nothing more.
+    """
     first, h = head[0], len(head)
+
+    if h == 1:
+        def f(w):
+            if (w.prefix or w.rot)[0] != first:
+                return None
+            letters, rot = unroll(w, 1)
+            return ONE, _make(letters[1:], w.period, rot)
+
+        return f
 
     def f(w):
         if (w.prefix or w.rot)[0] != first:

@@ -63,7 +63,8 @@ class TailWord:
     and ladder actions read a word through `unroll` (letters and a
     rotated tail, as tuples) and build their image with `roll`, the one
     step that canonicalises (`prepend_letters` is `roll` on the prepended
-    letters), or, for a suffix, which is canonical as it stands, with `_make`.
+    letters), or with `_make` when the image is canonical as it stands: a
+    suffix, or letters prepended to a nonempty prefix.
     """
 
     __slots__ = ("prefix", "period", "rot")
@@ -73,9 +74,10 @@ class TailWord:
         self.period, rot = _root(period, phase)
         self.prefix, self.rot = _absorbed(letters, rot)
 
-    # the infinite word is determined by (prefix, rot)
+    # the infinite word is determined by (prefix, rot); words meet words
+    # far more often than anything else, so the class test comes first
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TailWord):
+        if other.__class__ is not TailWord and not isinstance(other, TailWord):
             return NotImplemented
         return self.prefix == other.prefix and self.rot == other.rot
 
@@ -123,9 +125,17 @@ class TailWord:
         )
 
 
+# A word is allocated without the attribute lookup of TailWord.__new__.
+_new = object.__new__
+
+
 def _make(prefix: Letters, period: Letters, rot: Letters) -> TailWord:
-    """Fill the slots of a word that is already canonical; nothing is checked."""
-    w = TailWord.__new__(TailWord)
+    """Fill the slots of a word that is already canonical; nothing is checked.
+
+    The word is allocated by `object.__new__` itself, bound at import, so a
+    hook placed on `TailWord.__new__` does not see it.
+    """
+    w = _new(TailWord)
     w.prefix = prefix
     w.period = period
     w.rot = rot
@@ -286,11 +296,15 @@ _BYTE_LETTERS, _LEAD_LETTERS = _digit_letters()
 
 
 def word_to_index(w: TailWord) -> int:
-    """Position of a tail-1 word in the l2(N) basis."""
+    """Position of a tail-1 word in the l2(N) basis.
+
+    The prefix is translated to binary digits as bytes, and the bytes, not
+    the letter tuple, are reversed to put its last letter first.
+    """
     if w.rot != (1,):
         raise ValueError(f"{w} is not a tail-1 word")
     prefix = w.prefix
-    return int(bytes(prefix[::-1]).translate(_DIGITS), 2) + 1 if prefix else 1
+    return int(bytes(prefix).translate(_DIGITS)[::-1], 2) + 1 if prefix else 1
 
 
 def index_to_word(n: int) -> TailWord:

@@ -1,7 +1,8 @@
 """Planted engine faults that `cuntzfock verify all` must catch.
 
-Each entry replaces one engine function by a version with a one-line fault,
-in its module and in every engine module that imports it by name, and
+Each entry replaces one engine function or method by a version with a
+one-line fault, in its module or class and in every engine module or class
+that binds it by name (`__rmul__` is `__mul__`), and
 `verify all` at the CLI defaults must then report at least one failed
 check.  The suites named with each fault are the ones that caught it when it
 was added; the test holds them to it, so a suite that stops catching a fault
@@ -14,14 +15,15 @@ import contextlib
 import io
 import json
 import sys
+from math import gcd
 
 import pytest
 
 # every engine module is loaded before a fault is planted, so that no module
 # binds a faulty function by importing it while the fault is in place
-from cuntzfock import correspondence, ladder, verify, words  # noqa: F401
+from cuntzfock import correspondence, ladder, radical, rep, verify, words  # noqa: F401
 from cuntzfock.cli import main
-from cuntzfock.radical import sqrt_of_nat
+from cuntzfock.radical import ONE, RadicalScalar, sqrt_of_nat
 
 
 def fermion_sign_flipped_from_mode_7(fermion_word):
@@ -119,7 +121,34 @@ def index_to_word_one_off_above_300(index_to_word):
     return fault
 
 
-# name -> (module, function, fault, suites that catch it)
+def prepend_drops_the_last_head_letter_on_a_prefix_from_4(prepend_map):
+    def fault(head):
+        f = prepend_map(head)
+        if len(head) < 4:
+            return f
+
+        def dropped(w):
+            if not w.prefix:
+                return f(w)
+            return ONE, words._make(head[:-1] + w.prefix, w.period, w.rot)
+        return dropped
+    return fault
+
+
+def single_term_product_unreduced_when_den_above_1(mul):
+    def fault(x, y):
+        out = mul(x, y)
+        if y.__class__ is not RadicalScalar or len(x._num) != 1 or len(y._num) != 1:
+            return out
+        ((d1, n1),), ((d2, n2),) = x._num.items(), y._num.items()
+        g, den = gcd(d1, d2), x._den * y._den
+        if den == 1:
+            return out
+        return radical._wrap(den, {(d1 // g) * (d2 // g): n1 * n2 * g})
+    return fault
+
+
+# name -> (module or class, function, fault, suites that catch it)
 FAULTS = {
     "a_n sign flipped for n >= 7": (
         ladder, "_fermion_word", fermion_sign_flipped_from_mode_7,
@@ -151,22 +180,32 @@ FAULTS = {
     "nth_block puts a tail 1 past the first period one period too far, period > 1": (
         words, "_tail_block", tail_block_one_period_too_far_past_the_first_period,
         {"branch-boson"}),
+    "prepend_map drops the last letter of a head of 4 or more before a prefix": (
+        rep, "prepend_map", prepend_drops_the_last_head_letter_on_a_prefix_from_4,
+        {"cuntz", "ccr", "oracle"}),
+    "a product of single terms is left unreduced when den > 1": (
+        RadicalScalar, "__mul__", single_term_product_unreduced_when_den_above_1,
+        {"branch-boson", "roundtrip"}),
 }
 
 
-def plant(monkeypatch, module, name: str, fault) -> list[str]:
-    """Replace module.name by fault(module.name) in every engine module that
-    binds it, and return where it was replaced."""
-    original = getattr(module, name)
+def plant(monkeypatch, owner, name: str, fault) -> list[str]:
+    """Replace owner.name by fault(owner.name) in every engine module, and every
+    class defined there, that binds it, and return where it was replaced."""
+    original = vars(owner)[name]
     faulty = fault(original)
     planted = []
     for mod_name, mod in list(sys.modules.items()):
         if mod is None or mod_name.partition(".")[0] != "cuntzfock":
             continue
-        for attr, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, attr, faulty)
-                planted.append(f"{mod_name}.{attr}")
+        scopes = [(mod_name, mod)] + [
+            (f"{mod_name}.{value.__name__}", value) for value in vars(mod).values()
+            if isinstance(value, type) and value.__module__ == mod_name]
+        for scope_name, scope in scopes:
+            for attr, value in list(vars(scope).items()):
+                if value is original:
+                    monkeypatch.setattr(scope, attr, faulty)
+                    planted.append(f"{scope_name}.{attr}")
     return planted
 
 
@@ -195,8 +234,9 @@ def test_verify_all_catches_the_planted_fault(name, monkeypatch):
 
 
 def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
-    """`ladder`, `rep` and `verify` import `words` functions by name, and `ladder` imports
-    the label builders of `correspondence`: each alias is patched."""
+    """`ladder`, `rep` and `verify` import `words` functions by name, `ladder` imports
+    the label builders of `correspondence`, and `RadicalScalar` binds `__mul__` twice:
+    each alias is patched."""
     planted = plant(monkeypatch, words, "unroll", unroll_rotates_the_tail_once_more_from_6)
     assert {"cuntzfock.words.unroll", "cuntzfock.ladder.unroll",
             "cuntzfock.rep.unroll"} <= set(planted), planted
@@ -207,3 +247,7 @@ def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
                     fermion_label_last_one_higher_in_subsets_of_5)
     assert {"cuntzfock.correspondence._fermion",
             "cuntzfock.ladder._fermion"} <= set(planted), planted
+    planted = plant(monkeypatch, RadicalScalar, "__mul__",
+                    single_term_product_unreduced_when_den_above_1)
+    assert {"cuntzfock.radical.RadicalScalar.__mul__",
+            "cuntzfock.radical.RadicalScalar.__rmul__"} <= set(planted), planted

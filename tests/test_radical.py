@@ -322,15 +322,39 @@ _ONE_TERM = st.builds(
 
 
 @settings(max_examples=500, deadline=None)
-@given(_ONE_TERM, _ONE_TERM)
-@example(sqrt_of_nat(2) / 2, sqrt_of_nat(2))
-@example(promote(-3), promote(Fraction(-1, 3)))
-@example(-sqrt_of_nat(6) / 3, sqrt_of_nat(10) / -4)
-def test_single_term_products_match_the_double_loop(x, y):
+@given(_ONE_TERM, _ONE_TERM,
+       st.integers(-60, 60).filter(bool) | st.fractions(max_denominator=60).filter(bool))
+@example(sqrt_of_nat(2) / 2, sqrt_of_nat(2), 2)
+@example(promote(-3), promote(Fraction(-1, 3)), Fraction(1, 3))
+@example(-sqrt_of_nat(6) / 3, sqrt_of_nat(10) / -4, -1)
+def test_single_term_products_match_the_double_loop(x, y, q):
+    # an int or Fraction operand, on either side, is coerced to one term
+    for p, (a, b) in ((x * q, (x, promote(q))), (q * x, (x, promote(q)))):
+        assert p.__class__ is RadicalScalar
+        assert (p._den, p._num) == _double_loop_product(a, b)
     for a, b in ((x, y), (y, x), (x, x), (x, ONE / x)):
         p = a * b
         assert (p._den, p._num) == _double_loop_product(a, b)
     assert (p._den, p._num) == (1, {1: 1})  # x times its reciprocal is ONE
+
+
+def test_single_term_products_of_units_signs_and_integers():
+    r2, r6, half = sqrt_of_nat(2), sqrt_of_nat(6), promote(Fraction(1, 2))
+    cases = [
+        (r2, r6), (r6, r6), (ONE, ONE), (ONE, r2), (r2, ONE),  # den 1 on both sides
+        (promote(3), promote(-5)), (-r2, -r6), (half, promote(-2)),  # radicand 1, signs
+        (r2 / 3, r6 / -4), (half, r2 / 2), (promote(Fraction(-2, 3)), promote(Fraction(3, 2))),
+    ]
+    for a, b in cases:
+        assert ((a * b)._den, (a * b)._num) == _double_loop_product(a, b), (a, b)
+    for a, b in ((r6, 2), (2, r6), (ONE, Fraction(-3, 4)), (Fraction(-3, 4), r2 / 3)):
+        assert ((a * b)._den, (a * b)._num) == _double_loop_product(promote(a), promote(b))
+    assert r2 * r6 == 2 * sqrt_of_nat(3) and half * 2 == ONE and -r2 * r2 == -2
+    for bad in ("a", 0.5, None):
+        with pytest.raises(TypeError):
+            r2 * bad
+        with pytest.raises(TypeError):
+            bad * r2
 
 
 def test_only_one_reads_as_one_term_by_term():

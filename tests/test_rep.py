@@ -20,8 +20,12 @@ from cuntzfock.rep import (
     generator_map,
     gp_vector,
     map_basis,
+    prepend_map,
+    strip_map,
 )
-from cuntzfock.words import TailWord, block, index_to_word, pure, word_to_index
+from cuntzfock.words import (
+    TailWord, _make, block, index_to_word, prepend_letters, pure, unroll, word_to_index,
+)
 
 P1 = RepSpace((1,))
 P21 = RepSpace((2, 1))
@@ -230,6 +234,70 @@ def test_generators_check_their_letters_on_the_zero_state():
             act(zero)
     with pytest.raises(ValueError):
         block(0)
+
+
+# -- the word edits of t_i, s_m and their adjoints ----------------------------
+
+
+def _strip_comparing_the_head(head):
+    """`strip_map` as one body for every head: the first letter, then all len(head)
+    letters of the unrolled word are compared with head."""
+    first, h = head[0], len(head)
+
+    def f(w):
+        if (w.prefix or w.rot)[0] != first:
+            return None
+        letters, rot = unroll(w, h)
+        return (ONE, _make(letters[h:], w.period, rot)) if letters[:h] == head else None
+
+    return f
+
+
+def _image_fields(image):
+    """An image with its word as its slots, and whether its coefficient is ONE itself."""
+    if image is None:
+        return None
+    c, w = image
+    return c is ONE, (w.prefix, w.period, w.rot)
+
+
+def _assert_edits_match_the_letter_edits(w, head):
+    assert _image_fields(prepend_map(head)(w)) == _image_fields((ONE, prepend_letters(head, w)))
+    assert _image_fields(strip_map(head)(w)) == _image_fields(_strip_comparing_the_head(head)(w))
+
+
+# every head of up to four letters, and the blocks of s_m
+_HEADS = [h for k in range(1, 5) for h in product((1, 2), repeat=k)]
+_HEADS += [block(m) for m in range(5, 17)]
+
+
+def test_prepend_and_strip_match_the_letter_edits_on_every_basis_word():
+    # the pure words of depth 0, all phases, are where a tail absorbs letters of head
+    for J in ((1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)):
+        space = RepSpace(J)
+        for w in space.basis_words(6):
+            for head in _HEADS:
+                _assert_edits_match_the_letter_edits(w, head)
+                _assert_edits_match_the_letter_edits(prepend_letters(head, w), head)
+    # a prepend that is absorbed whole, and one that is absorbed in part
+    assert prepend_map((2, 1))(pure((2, 1)))[1] == pure((2, 1))
+    assert prepend_map((1, 2, 1))(pure((2, 1)))[1] == TailWord((1,), (2, 1))
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(st.sampled_from([1, 2]), max_size=24).map(tuple),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
+    st.integers(0, 3),
+    st.sampled_from([(1,), (2,)] + [block(m) for m in range(1, 17)]),
+)
+def test_prepend_and_strip_match_the_letter_edits_on_any_word(prefix, period, phase, head):
+    w = TailWord(prefix, period, phase)
+    # the raw word keeps a last prefix letter that its tail would absorb, as
+    # a faulty edit may leave it: the edits must still read it as the letter edits do
+    raw = _make(prefix, w.period, w.rot)
+    for v in (w, prepend_letters(head, w), raw):
+        _assert_edits_match_the_letter_edits(v, head)
 
 
 # -- the lift of basis maps to states -----------------------------------------

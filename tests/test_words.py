@@ -293,6 +293,37 @@ def test_word_to_index_examples():
             word_to_index(w)
 
 
+# the codec's digits, as the letter-reversing parse below reads them
+_LETTER_DIGITS = bytes.maketrans(b"\x01\x02", b"01")
+
+
+def _index_by_the_reversed_letters(w: TailWord) -> int:
+    """`word_to_index` with the letter tuple reversed before it is translated."""
+    prefix = w.prefix
+    return int(bytes(prefix[::-1]).translate(_LETTER_DIGITS), 2) + 1 if prefix else 1
+
+
+def test_word_to_index_equals_the_reversed_letter_parse_up_to_2_16():
+    for n in range(1, 2 ** 16 + 1):
+        w = index_to_word(n)
+        assert word_to_index(w) == _index_by_the_reversed_letters(w) == n
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 2 ** 64 - 1), st.lists(st.sampled_from([1, 2]), max_size=70))
+def test_word_to_index_equals_the_reversed_letter_parse_below_2_64(n, prefix):
+    for w in (index_to_word(n), TailWord(tuple(prefix), (1,))):
+        assert word_to_index(w) == _index_by_the_reversed_letters(w)
+    assert word_to_index(index_to_word(n)) == n
+
+
+def test_a_word_equals_only_words():
+    w = TailWord((1,), (2, 1), 1)
+    assert w == words._make((1,), (2, 1), (1, 2)) and w != TailWord((1,), (2, 1))
+    for other in ((1,), "1(12)", None, w.rot):
+        assert w.__eq__(other) is NotImplemented and w != other
+
+
 def test_index_to_word_examples():
     assert index_to_word(1) == pure((1,))
     assert index_to_word(4) == TailWord((2, 2), (1,))
