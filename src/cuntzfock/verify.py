@@ -64,13 +64,13 @@ def _times(image, k):
     return None if image is None else (image[0] * k, image[1])
 
 
-def _word(maps: dict, star: bool, modes, image) -> list:
+def _word(maps: list, modes, image) -> list:
     """The images of image under the right ends of the operator word of the
-    maps[star, k], k in modes read left to right: entry r is the image once
-    the rightmost r letters have acted, and the last entry the whole word's."""
+    maps[k], k in modes read left to right: entry r is the image once the
+    rightmost r letters have acted, and the last entry the whole word's."""
     images = [image]
     for k in reversed(modes):
-        image = then(maps[star, k], image)
+        image = then(maps[k], image)
         images.append(image)
     return images
 
@@ -125,9 +125,9 @@ def _image(psi: State):
     return c, w
 
 
-def _maps(x: str, top: int) -> dict:
-    """The basis maps of x_k and x_k* for k <= top, keyed (star, k)."""
-    return {(star, k): basis_map((x, k, star)) for star in (False, True) for k in range(1, top + 1)}
+def _maps(x: str, top: int) -> list:
+    """The basis maps of x_k and x_k* for k <= top, as maps[star][k]; maps[star][0] is None."""
+    return [[None] + [basis_map((x, k, star)) for k in range(1, top + 1)] for star in (False, True)]
 
 
 # The relation families: every check names one, and a report counts its cases by family.
@@ -317,13 +317,13 @@ def _class_rungs(rep_: SuiteReport, x: str, psi: State, q: int, i: int, stars: t
         base = q * (n - 1)
         got = image
         for star in reversed(stars):
-            got = then(maps[star, base + i], got)
+            got = then(maps[star][base + i], got)
         rep_.check(family, lambda: " ".join(x + "*" * star for star in stars)
                    + f" at mode {base + i}{' annihilates' if lam is None else ''}", expected, got)
         for j in range(1, q + 1):
             if j != i:
                 rep_.check(family, lambda: f"{x}{'*' * other} at mode {base + j} annihilates",
-                           None, then(maps[other, base + j], image))
+                           None, then(maps[other][base + j], image))
     return rep_
 
 
@@ -388,7 +388,7 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
         q = value
         space = RepSpace((1,) * q + (2,))
         anchor = (ONE, prepend_letters((1,) * (q - 1) + (2,), space.gp_word()))
-        fixed = _word(_maps("t", 2), False, (1,) * (q - 1) + (2, 1), anchor)[-1]  # s_1^(q-1) s_2
+        fixed = _word(_maps("t", 2)[False], (1,) * (q - 1) + (2, 1), anchor)[-1]  # s_1^(q-1) s_2
         label = f"Pinf(1^{q - 1} 2)"
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'p' or 'q'")
@@ -454,41 +454,41 @@ def check_branching_boson(p: int) -> SuiteReport:
     witness = boson_branch_witness(p)
     oms = [_image(v) for v in witness.vectors]
     anchor = oms[0]
-    t, b, s = _maps("t", 2), _maps("b", branch_modes(p)), _maps("s", 4)
+    t, b, s = _maps("t", 2)[False], _maps("b", branch_modes(p)), _maps("s", 4)[False]
     rep_.check(
         "cycle", "anchor fixed by s_1^(p-1) s_2", anchor,
-        _word(t, False, (1,) * (p - 1) + (2, 1), anchor)[-1],
+        _word(t, (1,) * (p - 1) + (2, 1), anchor)[-1],
     )
     for i, (vec, om, label) in enumerate(zip(witness.vectors, oms, witness.labels), 1):
         _, _, residue, lam = label
         rep_.check("unit", lambda: f"Omega_{i} unit", ONE, vec.norm2())
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
-        rep_.check("cycle", lambda: f"T_{i} fixes Omega_{i}", om, _word(t, False, t_i, om)[-1])
+        rep_.check("cycle", lambda: f"T_{i} fixes Omega_{i}", om, _word(t, t_i, om)[-1])
         rep_.absorb(check_bf_class(vec, p, residue, lam))
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, RUNGS + 1):
             for j in range(1, p + 1):
                 mode = p * (n - 1) + p - j + 1
-                expected = _word(t, False, t_i * (n - 1) + (1,) * p, om)[-1] if i == j else None
+                expected = _word(t, t_i * (n - 1) + (1,) * p, om)[-1] if i == j else None
                 rep_.check("b-ladder", lambda: f"b_{mode} Omega_{i}", expected,
-                           then(b[False, mode], om))
+                           then(b[False][mode], om))
     # creation transport: s-generators raise the previous branch
-    rep_.check("s-raise", "s_1 Omega_1 = b_1 Omega_p", then(b[False, 1], oms[-1]),
-               then(s[False, 1], anchor))
-    rep_.check("s-raise", "s_2 Omega_1 = Omega_p", oms[-1], then(s[False, 2], anchor))
+    rep_.check("s-raise", "s_1 Omega_1 = b_1 Omega_p", then(b[False][1], oms[-1]),
+               then(s[1], anchor))
+    rep_.check("s-raise", "s_2 Omega_1 = Omega_p", oms[-1], then(s[2], anchor))
     for i in range(2, p + 1):
         rep_.check("s-raise", lambda: f"s_1 Omega_{i} = Omega_{i - 1}", oms[i - 2],
-                   then(s[False, 1], oms[i - 1]))
+                   then(s[1], oms[i - 1]))
         rep_.check("s-raise", lambda: f"s_2 Omega_{i} = b_1* Omega_{i - 1}",
-                   then(b[True, 1], oms[i - 2]), then(s[False, 2], oms[i - 1]))
+                   then(b[True][1], oms[i - 2]), then(s[2], oms[i - 1]))
     for n in (3, 4):
         # the (b_1*)^(n-2) Omega_p norm is sqrt((n-1)!) since b_1 b_1* doubles; s_n raises
         # Omega_i from Omega_(i-1) (Omega_1 from Omega_p) by n-1 powers of b_1* (Omega_1 by n-2)
         scale = ONE / sqrt_factorial(n - 1)
         for i in range(1, p + 1):
-            raised = _word(b, True, (1,) * (n - 1 - (i == 1)), oms[i - 2])[-1]
+            raised = _word(b[True], (1,) * (n - 1 - (i == 1)), oms[i - 2])[-1]
             rep_.check("s-raise", lambda: f"s_{n} Omega_{i}", _times(raised, scale),
-                       then(s[False, n], oms[i - 1]))
+                       then(s[n], oms[i - 1]))
     return rep_
 
 
@@ -529,13 +529,13 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
     unstarred = fermion_branch_witness(p)
     oms = [_image(v) for v in unstarred.vectors]
     omega = oms[0]
-    t, a = _maps("t", 2), _maps("a", max(5, branch_modes(p)))
+    t, a = _maps("t", 2)[False], _maps("a", max(5, branch_modes(p)))
 
     if p == 1:
         for n in range(1, 6):
             rep_.check(
                 "a-create", lambda: f"a_{n}* Omega = t_1^{n - 1} t_2 Omega",
-                _word(t, False, (1,) * (n - 1) + (2,), omega)[-1], then(a[True, n], omega),
+                _word(t, (1,) * (n - 1) + (2,), omega)[-1], then(a[True][n], omega),
             )
     else:
         # explicit creation images with exact signs, rung by rung
@@ -543,12 +543,12 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     mode = p * (l - 1) + p - i + 1
-                    got = then(a[True, mode], oms[j - 1])
+                    got = then(a[True][mode], oms[j - 1])
                     expected = None
                     if i == j:  # the word 2^(p-i) (1 2^(p-1))^(l-1) 2 on Omega
                         letters = (2,) * (p - i) + ((1,) + (2,) * (p - 1)) * (l - 1) + (2,)
                         sign = (-1) ** (p - i + (p - 1) * (l - 1))
-                        expected = _times(_word(t, False, letters, omega)[-1], sign)
+                        expected = _times(_word(t, letters, omega)[-1], sign)
                     rep_.check("a-create", lambda: f"a_{mode}* Omega_{j} (l={l})", expected, got)
         # specialization at the GP vector itself
         for l in range(1, RUNGS + 1):
@@ -556,38 +556,38 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
             letters = ((2,) * (p - 1) + (1,)) * (l - 1) + (2,) * p
             rep_.check(
                 "a-create", lambda: f"a_{p * l}* Omega",
-                _times(_word(t, False, letters, omega)[-1], sign), then(a[True, p * l], omega),
+                _times(_word(t, letters, omega)[-1], sign), then(a[True][p * l], omega),
             )
             for i in range(1, p):
                 rep_.check("a-create", lambda: f"a_{p * (l - 1) + i}* Omega = 0", None,
-                           then(a[True, p * (l - 1) + i], omega))
+                           then(a[True][p * (l - 1) + i], omega))
         # pairing relations
         for l in range(1, RUNGS + 1):
             for i in range(1, p + 1):
                 mode = p * (l - 1) + p - i + 1
                 om_i = oms[i - 1]
                 rep_.check("a-pairing", lambda: f"a_{mode} a_{mode}* Omega_{i}", om_i,
-                           then(a[False, mode], then(a[True, mode], om_i)))
+                           then(a[False][mode], then(a[True][mode], om_i)))
                 rep_.check("a-pairing", lambda: f"a_{mode} Omega_{i} = 0", None,
-                           then(a[False, mode], om_i))
+                           then(a[False][mode], om_i))
                 for j in range(1, p + 1):
                     if j == i:
                         continue
                     om_j = oms[j - 1]
                     rep_.check("a-pairing", lambda: f"a_{mode}* a_{mode} Omega_{j}", om_j,
-                               then(a[True, mode], then(a[False, mode], om_j)))
+                               then(a[True][mode], then(a[False][mode], om_j)))
                     rep_.check("a-pairing", lambda: f"a_{mode}* Omega_{j} = 0", None,
-                               then(a[True, mode], om_j))
+                               then(a[True][mode], om_j))
 
     # letter action on the branch vacua: t_1 and t_2 each send Omega_j to Omega_(j-1), and
     # Omega_1 to Omega_p, one of them through a_1: t_2 through a_1* on Omega_1, t_1 on the rest
     for j in range(1, p + 1):
         for i in (1, 2):
             ladder = (i == 2) == (j == 1)
-            prev = then(a[j == 1, 1], oms[j - 2]) if ladder else oms[j - 2]
+            prev = then(a[j == 1][1], oms[j - 2]) if ladder else oms[j - 2]
             rep_.check("t-action", lambda: f"t_{i} Omega_{j} = "
                        f"{'a_1' + '*' * (j == 1) + ' ' if ladder else ''}"
-                       f"Omega_{p if j == 1 else j - 1}", prev, then(t[False, i], oms[j - 1]))
+                       f"Omega_{p if j == 1 else j - 1}", prev, then(t[i], oms[j - 1]))
 
     # class membership, with the letter flip for the starred classes
     witness = fermion_branch_witness(p, starred=True) if starred else unstarred
@@ -643,8 +643,8 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             "oinfty_depth": oinfty_depth,
         },
     )
-    t, s = _maps("t", 2), _maps("s", oinfty_max)
-    t1, t2, t1_star, t2_star = t[False, 1], t[False, 2], t[True, 1], t[True, 2]
+    (_, t1, t2), (_, t1_star, t2_star) = _maps("t", 2)
+    s, s_star = _maps("s", oinfty_max)
     for J in _all_defining_words(max_j_len):
         space = RepSpace(J)
         for words in _batches(space.basis_words(depth)):
@@ -665,11 +665,11 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
     for space in (RepSpace((1,)), RepSpace((2,))):
         for w in space.basis_words(oinfty_depth):
             one = (ONE, w)
-            moved = [s[False, j](w) for j in indices]
+            moved = [s[j](w) for j in indices]
             expected = [None] * oinfty_max ** 2
             expected[::oinfty_max + 1] = [one] * oinfty_max
             rep_.check_table(
-                ("s-adjoint",), expected, [then(s[True, i], x_j) for i in indices for x_j in moved],
+                ("s-adjoint",), expected, [then(s_star[i], x_j) for i in indices for x_j in moved],
                 lambda k: f"s_{k // oinfty_max + 1}* s_{k % oinfty_max + 1}"
                 f" on {w} in {space.label}",
             )
@@ -678,7 +678,7 @@ def cuntz_suite(depth: int = 10) -> SuiteReport:
             at = oinfty_max + 1 if lb is None else lb[0]
             sums, acc = [], None
             for m in indices:
-                acc = _plus(acc, then(s[False, m], s[True, m](w)))
+                acc = _plus(acc, then(s[m], s_star[m](w)))
                 sums.append(acc)
             rep_.check_table(
                 ("s-range",), [None if m < at else one for m in indices], sums,
@@ -699,56 +699,58 @@ def _fermion_family(max_particles: int, max_mode: int):
             yield FermionSubset(modes)
 
 
-def _bracket_relations(rep_: SuiteReport, maps: dict, x: str, psi: State, op_max: int) -> dict:
+def _bracket_relations(rep_: SuiteReport, maps: list, x: str, psi: State, op_max: int) -> list:
     """[x_n, x_m*] = delta_nm, [x_n, x_m] = 0 and [x_n*, x_m*] = 0 on psi.
 
     maps is `_maps` of "b", whose brackets are commutators written [...],
     or of "a", whose are anticommutators written {...}.
-    Every product is computed once on the word of psi: `once[(star, k)]` is
-    the image of x_k or x_k* for k <= op_max (2 op_max applications), and
-    `twice[(outer, inner)]` is `outer` applied after `once[inner]` for
-    every ordered pair of those keys (4 op_max^2 applications).  Each
-    bracket is a sum of two entries of `twice`, and together they read
-    every entry.  A bracket that should vanish holds when its entries are
-    equal (commutators) or opposite (anticommutators), and is only
-    counted then; the delta brackets, and any that fail that comparison,
-    are added up and checked, so a failure is reported as the sum.
-    Returns `once`, for the caller's own checks on psi.
+    Every product is computed once on the word of psi.  fns holds the maps
+    of x_1..x_op_max and then of x_1*..x_op_max*, so x_k^star is at
+    position star op_max + k - 1; `once[i]` is the image of fns[i]
+    (2 op_max applications), and `twice[i][j]` is fns[i] applied after
+    `once[j]` (4 op_max^2 applications).  Each bracket is a sum of two
+    entries of `twice`, and together they read every entry.  A bracket
+    that should vanish holds when its entries are equal (commutators) or
+    opposite (anticommutators), and is only counted then; the delta
+    brackets, and any that fail that comparison, are added up and
+    checked, so a failure is reported as the sum.  Returns `once`, for
+    the caller's own checks on psi.
     """
     commute = x == "b"
     family, (left, right) = ("ccr", "[]") if commute else ("car", "{}")
-    keys = [(star, k) for star in (False, True) for k in range(1, op_max + 1)]
+    fns = [f for fs in maps for f in fs[1:op_max + 1]]
     image = _image(psi)
-    once = {key: then(maps[key], image) for key in keys}
-    twice = {(outer, inner): then(maps[outer], once[inner]) for outer in keys for inner in keys}
+    once = [then(f, image) for f in fns]
+    twice = [[then(f, inner) for inner in once] for f in fns]
     cancels = eq if commute else _opposite
-    for n in range(1, op_max + 1):
-        for m in range(1, op_max + 1):
-            for star_n, star_m in ((False, True), (False, False), (True, True)):
-                nm = twice[(star_n, n), (star_m, m)]
-                mn = twice[(star_m, m), (star_n, n)]
-                delta = n == m and star_m and not star_n
+    for n in range(op_max):
+        for m in range(op_max):
+            # the positions of x_n, x_m*, of x_n, x_m and of x_n*, x_m*
+            for i, j in ((n, op_max + m), (n, m), (op_max + n, op_max + m)):
+                nm, mn = twice[i][j], twice[j][i]
+                delta = j == i + op_max
                 # not `check_table`: a zero bracket holds on `cancels`, and no sum is built for it
                 if not delta and cancels(nm, mn):
                     rep_.relations[family] += 1
                     continue
                 got = _plus(nm, _negated(mn) if commute else mn)
-                rep_.check(family, lambda: f"{left}{x}_{n}{'*' if star_n else ''}, {x}_{m}"
-                           f"{'*' if star_m else ''}{right} on {psi.render()}",
+                rep_.check(family, lambda: f"{left}{x}_{n + 1}{'*' * (i >= op_max)}, {x}_{m + 1}"
+                           f"{'*' * (j >= op_max)}{right} on {psi.render()}",
                            image if delta else None, got)
     return once
 
 
-def _transport(gens: list, maps: dict, once: dict, image, keys) -> tuple:
-    """x_m^star moved past each generator g of gens, for each (star, m) of keys.
+def _transport(gens: list, above: list, lowered: list, image) -> tuple:
+    """x_m^star moved past each generator g of gens, for each (star, m) of a list of modes.
 
-    Returns the list of x_{m+1}^star g psi and the list of g x_m^star psi, psi
-    the word of image: the entries of each g in turn, in the order of keys.
-    x_m^star psi is read from once, and g psi is computed once for each g.
+    above holds the maps of x_{m+1}^star and lowered the images x_m^star psi,
+    psi the word of image, in the order of that list.  Returns the list of
+    x_{m+1}^star g psi and the list of g x_m^star psi: the entries of each g
+    in turn, in that order.  g psi is computed once for each g.
     """
-    moves = [(g, then(g, image)) for g in gens]
-    return ([then(maps[star, m + 1], g_image) for _, g_image in moves for star, m in keys],
-            [then(g, once[key]) for g, _ in moves for key in keys])
+    moves = [then(g, image) for g in gens]
+    return ([then(f, g_image) for g_image in moves for f in above],
+            [then(g, x_m) for g in gens for x_m in lowered])
 
 
 def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
@@ -778,13 +780,15 @@ def ccr_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     b = _maps("b", max(max_mode, intertwine_max + 1))
     gens = [basis_map(("s", k, False)) for k in transport]
     keys = [(star, m) for m in transport for star in (False, True)]
+    above = [b[star][m + 1] for star, m in keys]
     for psi in states:
         once = _bracket_relations(rep_, b, "b", psi, max_mode)
         image = _image(psi)
-        for m in range(max_mode + 1, intertwine_max + 1):  # the modes above the bracket table
-            once[False, m], once[True, m] = then(b[False, m], image), then(b[True, m], image)
+        # b_m^star psi, read from the bracket table or, for a mode above it, computed here
+        lowered = [once[star * max_mode + m - 1] if m <= max_mode else then(b[star][m], image)
+                   for star, m in keys]
         rep_.check_table(
-            ("s-transport",), *_transport(gens, b, once, image, keys),
+            ("s-transport",), *_transport(gens, above, lowered, image),
             lambda k: f"s_{k // (2 * intertwine_max) + 1} b_{k // 2 % intertwine_max + 1}"
             f"{'*' * (k % 2)} transport on {psi.render()}",
         )
@@ -820,12 +824,14 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     states = [fermion_state(S) for S in _fermion_family(max_particles, max_mode)]
     transport_max = min(max_mode, MAX_MODE - 1)
     a = _maps("a", max(transport_max + 1, 2 * word_identity_max))
-    t = _maps("t", 2)
+    t = _maps("t", 2)[False]
     keys = [(star, m) for m in range(1, transport_max + 1) for star in (False, True)]
+    above = [a[star][m + 1] for star, m in keys]
     for psi in states:
         once = _bracket_relations(rep_, a, "a", psi, max_mode)
+        lowered, image = [once[star * max_mode + m - 1] for star, m in keys], _image(psi)
         for i, holds, sign in ((1, eq, lambda image: image), (2, _opposite, _negated)):
-            moves = _transport([t[False, i]], a, once, _image(psi), keys)
+            moves = _transport([t[i]], above, lowered, image)
             for (star, m), raised, moved in zip(keys, *moves):
                 # t_i a_m = sign a_{m+1} t_i, and its adjoint a_{m+1}* t_i = sign t_i a_m*
                 expected, got = (moved, raised) if star else (raised, moved)
@@ -839,14 +845,14 @@ def car_suite(max_particles: int = 4, max_mode: int = 5) -> SuiteReport:
     space = RepSpace((1,))
     sample = [(ONE, w) for w in space.basis_words(3)]
     ones, twos = (1,) * word_identity_max, (2,) * word_identity_max
-    powers = [_word(t, False, ones + ones, psi) for psi in sample]  # t_1^k psi by k
+    powers = [_word(t, ones + ones, psi) for psi in sample]  # t_1^k psi by k
     # t_1^n t_2^m psi by m - 1 and n
-    mixed = [[_word(t, False, ones, t2) for t2 in _word(t, False, twos, psi)[1:]] for psi in sample]
+    mixed = [[_word(t, ones, t2) for t2 in _word(t, twos, psi)[1:]] for psi in sample]
     for n in range(1, word_identity_max + 1):
         for m in range(1, word_identity_max + 1):
             rep_.check_table(
                 ("t-rewrite",), [table[m - 1][n] for table in mixed],
-                [_word(a, True, range(n + 1, n + m + 1), power[n + m])[-1] for power in powers],
+                [_word(a[True], range(n + 1, n + m + 1), power[n + m])[-1] for power in powers],
                 lambda k: f"t_1^{n} t_2^{m} rewrite on {_state(space, sample[k]).render()}",
             )
     return rep_
@@ -1061,7 +1067,7 @@ def oracle_suite(dim: int = 4096, sequences: int = 200, seed: int = 20240809) ->
         for x in "ab":
             for star in (True, False):
                 rep_.check("vacuum", lambda: f"{x}_{m}{'*' * star} e_1", target if star else None,
-                           then(ladders[x][star, m], e1))
+                           then(ladders[x][star][m], e1))
     # fixed pipelines
     for ops, start in ((["t2", "t1", "t2*"], 1), (["b1*", "b1"], 1), (["a3*"], 1)):
         agree = float_oracle(dim, ops, start)

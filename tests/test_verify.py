@@ -452,6 +452,25 @@ def test_failing_tables_report_the_recorded_failures(monkeypatch, name, target, 
     assert report.failures == recorded[name]["failures"]
 
 
+def _sign_flipped(target, max_depth=None):
+    """The basis maps with target's images negated: on every word, or only
+    on words of at most max_depth prefix letters."""
+    def fault(tok):
+        fn = basis_map(tok)
+        if tok != target:
+            return fn
+
+        def flipped(w):
+            out = fn(w)
+            if out is None or max_depth is not None and len(w.prefix) > max_depth:
+                return out
+            return -out[0], out[1]
+
+        return flipped
+
+    return fault
+
+
 def _boson_creation_weight_times_sqrt2_from_mode_4(create, n, w, boson_word=ladder._boson_word):
     out = boson_word(create, n, w)
     if out is None or not create or n < 4:
@@ -472,6 +491,12 @@ def _boson_creation_weight_times_sqrt2_from_mode_4(create, n, w, boson_word=ladd
          lambda: roundtrip_suite(6, 3, 4)),
         ("ccr b_n* weight times sqrt(2) for n >= 4", "cuntzfock.ladder._boson_word",
          _boson_creation_weight_times_sqrt2_from_mode_4, lambda: ccr_suite(1, 5)),
+        ("ccr b5* sign flipped on words of up to 2 letters", "cuntzfock.verify.basis_map",
+         _sign_flipped(("b", 5, True), 2), lambda: ccr_suite(4, 5)),
+        ("ccr b6 sign flipped", "cuntzfock.verify.basis_map", _sign_flipped(("b", 6, False)),
+         lambda: ccr_suite(2, 5)),
+        ("car a5 sign flipped", "cuntzfock.verify.basis_map", _sign_flipped(("a", 5, False)),
+         lambda: car_suite(4, 5)),
     ],
 )
 def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, fault, suite):
@@ -482,7 +507,12 @@ def test_failing_groups_report_the_recorded_failures(monkeypatch, name, target, 
     # after those of the state's brackets.  These faults break each of them.
     # The reports were recorded at commit d3b6d18, and that of `ccr` at
     # commit 952afb4, where each of those cases was checked or compared on
-    # its own; they match entry for entry.
+    # its own; they match entry for entry.  The last three faults sit at
+    # the corners of the operator tables: the last starred mode of `ccr`'s
+    # bracket table, the mode above it that only the transport reads, and
+    # the last unstarred mode of `car`'s table, where a table read at a
+    # shifted position fails first.  Their reports were recorded at commit
+    # 1446635, where those tables were dicts keyed (star, k).
     recorded = json.loads((Path(__file__).parent / "verify_fault_reports.json").read_text())
     monkeypatch.setattr(target, fault)
     report = suite()

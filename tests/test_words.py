@@ -21,7 +21,7 @@ from cuntzfock.words import (
 )
 
 
-def split_letters(w: TailWord, h: int):
+def unrolled(w: TailWord, h: int):
     """w = head . rest with len(head) == h, as `unroll` reads it: the rest is
     built with `_make`, so a suffix that is not canonical shows in its fields."""
     letters, rot = unroll(w, h)
@@ -70,10 +70,10 @@ def test_prepend_rotates_pure_tail():
 
 def test_behead():
     # the first letter splits off, and what is left is a canonical word
-    assert split_letters(TailWord((2,), (1,)), 1) == ((2,), pure((1,)))
-    assert split_letters(TailWord((1, 2), (1,)), 1) == ((1,), TailWord((2,), (1,)))
-    assert split_letters(pure((1,)), 1) == ((1,), pure((1,)))
-    assert split_letters(pure((2, 1)), 1) == ((2,), pure((2, 1), 1))
+    assert unrolled(TailWord((2,), (1,)), 1) == ((2,), pure((1,)))
+    assert unrolled(TailWord((1, 2), (1,)), 1) == ((1,), TailWord((2,), (1,)))
+    assert unrolled(pure((1,)), 1) == ((1,), pure((1,)))
+    assert unrolled(pure((2, 1)), 1) == ((2,), pure((2, 1), 1))
 
 
 def test_exactly_one_behead_succeeds():
@@ -81,7 +81,7 @@ def test_exactly_one_behead_succeeds():
         for prefix in [(), (1,), (2,), (1, 2), (2, 2, 1)]:
             w = TailWord(prefix, period)
             hits = [i for i in (1, 2) if behead_by_constructor(w, i) is not None]
-            assert [(i,) for i in hits] == [split_letters(w, 1)[0]]
+            assert [(i,) for i in hits] == [unrolled(w, 1)[0]]
 
 
 @settings(max_examples=300)
@@ -93,8 +93,8 @@ def test_exactly_one_behead_succeeds():
 def test_prepend_behead_inverse(prefix, period, phase):
     w = TailWord(tuple(prefix), tuple(period), phase)
     for i in (1, 2):
-        assert split_letters(prepend_letters((i,), w), 1) == ((i,), w)
-    head, rest = split_letters(w, 1)
+        assert unrolled(prepend_letters((i,), w), 1) == ((i,), w)
+    head, rest = unrolled(w, 1)
     assert prepend_letters(head, rest) == w
 
 
@@ -128,7 +128,7 @@ def test_fast_constructors_match_the_validating_one(w, i):
     # every slot is compared, not just the denoted word
     want = TailWord((i,) + w.prefix, w.period, w.phase)
     assert fields(prepend_letters((i,), w)) == fields(want)
-    head, rest = split_letters(w, 1)
+    head, rest = unrolled(w, 1)
     want = behead_by_constructor(w, i)
     assert (head == (i,)) == (want is not None)
     if want is not None:
@@ -161,7 +161,7 @@ def leading_blocks(w: TailWord, n: int):
         return None
     ms = [m for _, m in found]
     start, m = found[-1]
-    head, rest = split_letters(w, start + m)
+    head, rest = unrolled(w, start + m)
     return ms, head, rest
 
 
@@ -199,14 +199,14 @@ def rest_by_constructor(w: TailWord, h: int) -> TailWord:
 
 @settings(max_examples=400)
 @given(words_with_any_period, st.data())
-def test_split_letters_reads_the_word_and_inverts_prepend(w, data):
+def test_unroll_reads_the_word_and_inverts_prepend(w, data):
     for h in range(w.depth + 2 * len(w.rot) + 1):
-        head, rest = split_letters(w, h)
+        head, rest = unrolled(w, h)
         assert head == tuple(w.letter_at(j) for j in range(h))
         assert fields(rest) == fields(rest_by_constructor(w, h))
         assert fields(prepend_letters(head, rest)) == fields(w)
     letters = data.draw(st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple))
-    head, rest = split_letters(prepend_letters(letters, w), len(letters))
+    head, rest = unrolled(prepend_letters(letters, w), len(letters))
     assert head == letters
     assert fields(rest) == fields(w)
 
