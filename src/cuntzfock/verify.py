@@ -4,9 +4,9 @@ Every suite applies the exact engine to concrete basis vectors and compares
 the results exactly.
 Each operator sends a basis word to one weighted word or to zero, so every
 suite composes the engine's basis maps on words and adds the terms of a
-sum on words too: a passing check builds no `State` beyond its inputs (the
-branch witnesses, the class predicates' candidates, the states of `ccr` and
-`car`), and a failed one reports in the space that its words name.
+sum on words too: a passing check builds no `State` but the closed-form
+states of `ccr` and `car`, and a failed one reports in the space that its
+words name.  The branch witnesses are basis words, checked as images.
 "Span" claims of the branching laws are rendered as depth-bounded
 reachability witnesses: density itself is not finitely checkable.
 """
@@ -32,7 +32,7 @@ from .ladder import basis_map, boson_state, fermion_state, parse_op_token
 from .oracles import _NumericFamily, leading_block
 from .radical import ONE, promote, sqrt_factorial
 from .rep import RepSpace, State, then
-from .words import TailWord, flip, index_to_word, prepend_letters, word_to_index
+from .words import TailWord, flip, index_to_word, prepend_letters, pure, word_to_index
 
 
 # -- reports ---------------------------------------------------------------
@@ -216,13 +216,6 @@ class SuiteReport:
         for family in families:
             self.relations[family] += len(got) // len(families)
 
-    def absorb(self, other: "SuiteReport") -> None:
-        self._unsorted += other._unsorted
-        self.failures.extend(other.failures)
-        for family, n in other.relations.items():
-            if n:
-                self.relations[family] += n
-
     def summary(self) -> str:
         """One line: the suite, its status and its cases, then the nonzero counts by family."""
         status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
@@ -237,17 +230,6 @@ class SuiteReport:
             "failures": self.failures,
             "pass": self.passed,
         }
-
-
-class BranchWitness:
-    """Cyclic vectors exhibiting one branching decomposition."""
-
-    __slots__ = ("space", "vectors", "labels")
-
-    def __init__(self, space: RepSpace, vectors: list, labels: list):
-        self.space = space
-        self.vectors = vectors
-        self.labels = labels
 
 
 # -- the depth bound and the branching rungs ---------------------------------
@@ -281,11 +263,14 @@ def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = RUNGS) -> Suite
     """Verify the boson class relations at a candidate cyclic vector.
 
     For n = 1..n_max: b_{q(n-1)+i} b*_{q(n-1)+i} psi = lam psi, and
-    b_{q(n-1)+j} psi = 0 for j != i.  psi is one basis word.
+    b_{q(n-1)+j} psi = 0 for j != i.  psi is a `State` of one basis word;
+    any other state is refused.  The branch suites check their vacua,
+    which are words, through `_class_rungs` directly.
     """
     lam = promote(lam)
     rep_ = SuiteReport("bf-class", {"q": q, "i": i, "lambda": lam.render(), "n_max": n_max})
-    return _class_rungs(rep_, "b", psi, q, i, (False, True), lam, False)
+    _class_rungs(rep_, "bf-class", _image(psi), q, i, n_max, lam)
+    return rep_
 
 
 def check_ff_class(
@@ -294,23 +279,27 @@ def check_ff_class(
     """Verify the fermion class relations at a candidate cyclic vector.
 
     Unstarred: a_{p(n-1)+i} psi = 0 and a*_{p(n-1)+j} psi = 0 for j != i.
-    Starred: the roles of a and a* are exchanged.  psi is one basis word.
+    Starred: the roles of a and a* are exchanged.  psi is a `State` of one
+    basis word, as in `check_bf_class`.
     """
     rep_ = SuiteReport("ff-class", {"p": p, "i": i, "starred": starred, "n_max": n_max})
-    return _class_rungs(rep_, "a", psi, p, i, (starred,), None, not starred)
+    _class_rungs(rep_, "ff-class", _image(psi), p, i, n_max, starred=starred)
+    return rep_
 
 
-def _class_rungs(rep_: SuiteReport, x: str, psi: State, q: int, i: int, stars: tuple, lam,
-                 other: bool) -> SuiteReport:
-    """Check a class predicate's rungs n = 1..n_max on psi's one word, rep_'s suite as the family.
+def _class_rungs(rep_: SuiteReport, family: str, image, q: int, i: int, n_max: int, lam=None,
+                 starred: bool = False) -> None:
+    """Check the rungs n = 1..n_max of a class predicate on the word of image, into rep_.
 
-    At the residue mode k = q(n-1)+i the operator word x_k^stars (its
-    rightmost letter first) sends the word to lam times itself, or to zero
-    when lam is None; at every other mode j of the rung, x_j (x_j* when
-    other) annihilates it.  n_max is rep_'s parameter.
+    family is "bf-class" or "ff-class".  At the residue mode k = q(n-1)+i,
+    b_k b_k* sends the word to lam times itself, or a_k (a_k* when starred)
+    annihilates it; at every other mode j of the rung, b_j, or a_j* (a_j
+    when starred), annihilates it.
     """
-    image = _image(psi)
-    family, n_max = rep_.suite, rep_.params["n_max"]
+    if family == "bf-class":
+        x, stars, other = "b", (False, True), False
+    else:
+        x, stars, other = "a", (starred,), not starred
     maps = _maps(x, q * (n_max - 1) + max(q, i))
     expected = None if lam is None else _times(image, lam)
     for n in range(1, n_max + 1):
@@ -324,7 +313,6 @@ def _class_rungs(rep_: SuiteReport, x: str, psi: State, q: int, i: int, stars: t
             if j != i:
                 rep_.check(family, lambda: f"{x}{'*' * other} at mode {base + j} annihilates",
                            None, then(maps[other][base + j], image))
-    return rep_
 
 
 # -- branching: restriction to the embedded infinite family ------------------
@@ -411,21 +399,18 @@ def check_branching_oinfty(value: int, variant: str, depth: int = 8) -> SuiteRep
 # -- branching: bosons -------------------------------------------------------
 
 
-def boson_branch_witness(p: int) -> BranchWitness:
-    """Branch vacua for the boson restriction of P2(1^p 2).
+def boson_branch_witness(p: int) -> list:
+    """The branch vacua of the boson restriction of P2(1^p 2), as basis words of that space.
 
     Anchored at the embedded-family cyclic vector, the i-th vacuum is
     s_1^(p-i) s_2 applied to it; it generates the lambda=2 boson class
-    with residue p-i+1.  Words in s_1 = t_1 and s_2 = t_2 t_1 are applied
-    as their letters, here and in `check_branching_boson`.
+    with q = p and residue p-i+1.  Words in s_1 = t_1 and s_2 = t_2 t_1
+    are applied as their letters, here and in `check_branching_boson`.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    space = RepSpace((1,) * p + (2,))
-    anchor = prepend_letters((1,) * (p - 1) + (2,), space.gp_word())
-    words = [anchor] + [prepend_letters((1,) * (p - i) + (2, 1), anchor) for i in range(2, p + 1)]
-    labels = [("BF", p, p - i + 1, 2) for i in range(1, p + 1)]
-    return BranchWitness(space, [State.basis(space, w) for w in words], labels)
+    anchor = prepend_letters((1,) * (p - 1) + (2,), pure((1,) * p + (2,)))
+    return [anchor] + [prepend_letters((1,) * (p - i) + (2, 1), anchor) for i in range(2, p + 1)]
 
 
 def check_branching_boson(p: int) -> SuiteReport:
@@ -442,29 +427,26 @@ def check_branching_boson(p: int) -> SuiteReport:
     rep_ = SuiteReport("branch-boson", {"p": p, "n_max": RUNGS})
 
     # part A: single branch with amplification lambda = p
-    space_a = RepSpace((1,) + (2,) * (p - 1))
-    anchor_a = State.basis(space_a, prepend_letters((2,) * (p - 1), space_a.gp_word()))
-    rep_.check("unit", "part A anchor unit", ONE, anchor_a.norm2())
-    rep_.absorb(check_bf_class(anchor_a, 1, 1, p))
+    anchor_a = (ONE, prepend_letters((2,) * (p - 1), pure((1,) + (2,) * (p - 1))))
+    rep_.check("unit", "part A anchor unit", ONE, anchor_a[0] * anchor_a[0])
+    _class_rungs(rep_, "bf-class", anchor_a, 1, 1, RUNGS, p)
 
     if p == 1:
         return rep_
 
     # part B: p branches with lambda = 2
-    witness = boson_branch_witness(p)
-    oms = [_image(v) for v in witness.vectors]
+    oms = [(ONE, w) for w in boson_branch_witness(p)]
     anchor = oms[0]
     t, b, s = _maps("t", 2)[False], _maps("b", branch_modes(p)), _maps("s", 4)[False]
     rep_.check(
         "cycle", "anchor fixed by s_1^(p-1) s_2", anchor,
         _word(t, (1,) * (p - 1) + (2, 1), anchor)[-1],
     )
-    for i, (vec, om, label) in enumerate(zip(witness.vectors, oms, witness.labels), 1):
-        _, _, residue, lam = label
-        rep_.check("unit", lambda: f"Omega_{i} unit", ONE, vec.norm2())
+    for i, om in enumerate(oms, 1):
+        rep_.check("unit", lambda: f"Omega_{i} unit", ONE, om[0] * om[0])
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
         rep_.check("cycle", lambda: f"T_{i} fixes Omega_{i}", om, _word(t, t_i, om)[-1])
-        rep_.absorb(check_bf_class(vec, p, residue, lam))
+        _class_rungs(rep_, "bf-class", om, p, p - i + 1, RUNGS, 2)
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, RUNGS + 1):
             for j in range(1, p + 1):
@@ -495,23 +477,19 @@ def check_branching_boson(p: int) -> SuiteReport:
 # -- branching: fermions -----------------------------------------------------
 
 
-def fermion_branch_witness(p: int, starred: bool = False) -> BranchWitness:
-    """Branch vacua for the fermion restriction of P2(2^(p-1) 1).
+def fermion_branch_witness(p: int, starred: bool = False) -> list:
+    """The branch vacua of the fermion restriction of P2(2^(p-1) 1), as basis words.
 
     Omega_1 is the GP vector and Omega_j = t_2^(p-j) t_1 Omega; Omega_j
-    is the vacuum of the fermion class with residue p-j+1.  With
-    starred=True everything is pushed through the letter flip, landing in
+    is the vacuum of the fermion class with p and residue p-j+1.  With
+    starred=True every word is pushed through the letter flip, landing in
     P2(1^(p-1) 2) with the starred classes.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    space = RepSpace((2,) * (p - 1) + (1,))
-    omega = space.gp_word()
+    omega = pure((2,) * (p - 1) + (1,))
     words = [omega] + [prepend_letters((2,) * (p - j) + (1,), omega) for j in range(2, p + 1)]
-    labels = [("FF", p, p - j + 1, starred) for j in range(1, p + 1)]
-    if starred:
-        space, words = space.flip(), [flip(w) for w in words]
-    return BranchWitness(space, [State.basis(space, w) for w in words], labels)
+    return [flip(w) for w in words] if starred else words
 
 
 def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
@@ -526,8 +504,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
         raise ValueError("p must be >= 1")
     rep_ = SuiteReport("branch-fermion", {"p": p, "starred": starred, "l_max": RUNGS})
 
-    unstarred = fermion_branch_witness(p)
-    oms = [_image(v) for v in unstarred.vectors]
+    oms = [(ONE, w) for w in fermion_branch_witness(p)]
     omega = oms[0]
     t, a = _maps("t", 2)[False], _maps("a", max(5, branch_modes(p)))
 
@@ -590,10 +567,10 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
                        f"Omega_{p if j == 1 else j - 1}", prev, then(t[i], oms[j - 1]))
 
     # class membership, with the letter flip for the starred classes
-    witness = fermion_branch_witness(p, starred=True) if starred else unstarred
-    for vec, (_, _, residue, star_flag) in zip(witness.vectors, witness.labels):
-        rep_.check("unit", "branch vacuum unit", ONE, vec.norm2())
-        rep_.absorb(check_ff_class(vec, p, residue, starred=star_flag))
+    vacua = [(ONE, w) for w in fermion_branch_witness(p, starred=True)] if starred else oms
+    for j, om in enumerate(vacua, 1):
+        rep_.check("unit", "branch vacuum unit", ONE, om[0] * om[0])
+        _class_rungs(rep_, "ff-class", om, p, p - j + 1, RUNGS, starred=starred)
     return rep_
 
 

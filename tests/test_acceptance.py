@@ -174,15 +174,18 @@ def test_criterion_6_branching():
     ok = all(r.passed for r in reports)
     detail = "; ".join(r.summary() for r in reports if not r.passed)
 
-    # negative controls: wrong labels and flipped signs must be caught
+    # negative controls: wrong labels and flipped signs must be caught; at p = 2
+    # the first branch vacuum has residue p, so residue 1 is a wrong label
+    boson_vacuum = verify.boson_branch_witness(2)[0]
+    fermion_vacuum = verify.fermion_branch_witness(2)[0]
     controls_fail = [
         verify.check_bf_class(OMEGA, 1, 1, 2, n_max=3),
         verify.check_ff_class(OMEGA, 2, 1, n_max=3),
         verify.check_bf_class(
-            verify.boson_branch_witness(2).vectors[0], 2, 1, 2, n_max=2
+            State.basis(RepSpace(boson_vacuum.period), boson_vacuum), 2, 1, 2, n_max=2
         ),
         verify.check_ff_class(
-            verify.fermion_branch_witness(2).vectors[0], 2, 1, n_max=2
+            State.basis(RepSpace(fermion_vacuum.period), fermion_vacuum), 2, 1, n_max=2
         ),
     ]
     ok = ok and all(not r.passed for r in controls_fail)

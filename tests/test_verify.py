@@ -204,12 +204,18 @@ def test_ff_class_negative_control():
     assert not r.passed
 
 
+def _vacuum(w: TailWord) -> State:
+    """The branch vacuum word w as a state of the space its period names."""
+    return State.basis(RepSpace(w.period), w)
+
+
 def test_ff_class_wrong_branch_label_fails():
-    w = fermion_branch_witness(2)
-    assert check_ff_class(w.vectors[0], 2, 2).passed
-    assert not check_ff_class(w.vectors[0], 2, 1).passed
-    assert check_ff_class(w.vectors[1], 2, 1).passed
-    assert not check_ff_class(w.vectors[1], 2, 2).passed
+    # at p = 2, vacuum j has residue p - j + 1: 2 for Omega_1, 1 for Omega_2
+    w = [_vacuum(v) for v in fermion_branch_witness(2)]
+    assert check_ff_class(w[0], 2, 2).passed
+    assert not check_ff_class(w[0], 2, 1).passed
+    assert check_ff_class(w[1], 2, 1).passed
+    assert not check_ff_class(w[1], 2, 2).passed
 
 
 def test_branching_oinfty():
@@ -229,14 +235,16 @@ def test_branching_boson():
 
 
 def test_branching_boson_witness_labels():
-    w = boson_branch_witness(3)
-    assert len(w.vectors) == 3
-    for vec, (_, q, i, lam) in zip(w.vectors, w.labels):
+    # at p = 3, vacuum i is in the lambda = 2 boson class with q = p and residue p - i + 1
+    p, lam = 3, 2
+    w = [_vacuum(v) for v in boson_branch_witness(p)]
+    assert len(w) == 3
+    for i, vec in enumerate(w, 1):
         assert vec.norm2() == ONE
-        assert check_bf_class(vec, q, i, lam, n_max=2).passed
+        assert check_bf_class(vec, p, p - i + 1, lam, n_max=2).passed
     # the branch labels are a permutation; a swapped label must fail
-    _, q, i, lam = w.labels[0]
-    assert not check_bf_class(w.vectors[0], q, i % q + 1, lam, n_max=2).passed
+    residue = p  # of Omega_1
+    assert not check_bf_class(w[0], p, residue % p + 1, lam, n_max=2).passed
 
 
 def test_branching_fermion():
@@ -246,12 +254,13 @@ def test_branching_fermion():
 
 
 def test_fermion_starred_witness_lives_in_flipped_space():
-    w = fermion_branch_witness(3, starred=True)
-    assert w.space.period == (1, 1, 2)
-    for vec, (_, p, i, starred) in zip(w.vectors, w.labels):
-        assert starred
-        assert check_ff_class(vec, p, i, starred=True).passed
-        assert not check_ff_class(vec, p, i, starred=False).passed
+    # at p = 3, starred vacuum j is in the starred fermion class with p and residue p - j + 1
+    p = 3
+    words = fermion_branch_witness(p, starred=True)
+    assert [w.period for w in words] == [(1, 1, 2)] * p
+    for j, w in enumerate(words, 1):
+        assert check_ff_class(_vacuum(w), p, p - j + 1, starred=True).passed
+        assert not check_ff_class(_vacuum(w), p, p - j + 1, starred=False).passed
 
 
 def test_relation_suites_small():
@@ -558,6 +567,35 @@ def test_passing_suites_build_no_state(monkeypatch):
     for report in suites:
         assert report.passed and report.cases
     assert calls == {"_state": 0, "map_basis": 0}
+
+
+def test_suites_count_into_their_own_reports_and_branch_vacua_stay_words(monkeypatch):
+    # each suite checks its class predicates into the report it returns, so
+    # `verify all` builds one report per report returned (52 when every class
+    # predicate had a report of its own); the branch suites check their vacua
+    # as words, so a passing one builds no State at all (43 for p <= 4, when
+    # each vacuum was wrapped in one)
+    from cuntzfock import rep, verify
+
+    calls = {"reports": 0, "states": 0}
+
+    def counted(name, f):
+        def inner(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(verify.SuiteReport, "__init__",
+                        counted("reports", verify.SuiteReport.__init__))
+    monkeypatch.setattr(rep.State, "__init__", counted("states", rep.State.__init__))
+    reports = verify.run(["all"], CLI_OPTIONS)
+    assert all(r.passed for r in reports)
+    assert calls["reports"] == len(reports) == 24
+    calls["states"] = 0
+    suites = [check_branching_boson(p) for p in range(1, 5)]
+    suites += [check_branching_fermion(p, starred) for p in range(1, 5) for starred in (False, True)]
+    assert all(r.passed and r.cases for r in suites)
+    assert calls["states"] == 0
 
 
 def test_class_predicates_refuse_a_state_that_is_not_one_word():
@@ -1128,7 +1166,7 @@ def test_every_family_is_counted_by_verify_all():
 # The public functions and classes of `verify`.  perfbench's tracer opens a span on
 # every call of one, so a helper made public here would be traced on each check.
 VERIFY_PUBLIC = {
-    "BranchWitness", "SuiteReport", "boson_branch_witness", "branch_modes", "car_suite",
+    "SuiteReport", "boson_branch_witness", "branch_modes", "car_suite",
     "ccr_suite", "check_bf_class", "check_branching_boson", "check_branching_fermion",
     "check_branching_oinfty", "check_depth", "check_dim", "check_ff_class",
     "check_oracle_dim", "cuntz_suite", "fermion_branch_witness", "float_oracle",
