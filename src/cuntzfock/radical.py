@@ -84,16 +84,8 @@ class RadicalScalar:
     # count products by one.
     _terms = terms
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_rational(self) -> bool:
         return self._num.keys() <= {1}
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self._num.get(1, 0), self._den)
 
     def __bool__(self) -> bool:
         return bool(self._num)

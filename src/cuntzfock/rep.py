@@ -18,8 +18,7 @@ from typing import Callable, Iterator
 
 from .radical import ONE, RadicalScalar, promote
 from .words import (
-    Letters, TailWord, _make, block, check_letters, flip, pure, render_letters, roll,
-    unroll,
+    Letters, TailWord, _make, block, check_letters, pure, render_letters, roll, unroll,
 )
 
 # The image of a basis word under a product of basis maps: one weighted word
@@ -61,9 +60,6 @@ class RepSpace:
 
     def gp_word(self) -> TailWord:
         return pure(self.period)
-
-    def flip(self) -> "RepSpace":
-        return RepSpace(flip(self.gp_word()).period)
 
     def basis_words(self, max_depth: int) -> Iterator[TailWord]:
         """All canonical basis words with prefix length <= max_depth.
@@ -115,9 +111,6 @@ class State:
         return State(space, {word: coeff})
 
     # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -191,9 +184,6 @@ class State:
             if d is not None:
                 acc = acc + c * d
         return acc
-
-    def norm2(self) -> RadicalScalar:
-        return self.inner(self)
 
     # -- output -----------------------------------------------------------
 

@@ -6,7 +6,9 @@ Each operator sends a basis word to one weighted word or to zero, so every
 suite composes the engine's basis maps on words and adds the terms of a
 sum on words too: a passing check builds no `State` but the closed-form
 states of `ccr` and `car`, and a failed one reports in the space that its
-words name.  The branch witnesses are basis words, checked as images.
+words name.  The branch witnesses are basis words, checked as images: the
+class relations of every vacuum go through one rung loop, which reads the
+branch suite's own table of basis maps.
 "Span" claims of the branching laws are rendered as depth-bounded
 reachability witnesses: density itself is not finitely checkable.
 """
@@ -134,7 +136,7 @@ def _maps(x: str, top: int) -> list:
 FAMILIES = (
     # cuntz: x_i* x_j = delta_ij, t_1 t_1* + t_2 t_2* = 1, the partial sums of s_m s_m*
     "t-adjoint", "t-range", "s-adjoint", "s-range",
-    # the branching suites: vacua, cycle words, reachability, the class predicates,
+    # the branching suites: vacua, cycle words, reachability, the class relations,
     # the ladder images of the branch vacua and the generators' action on them
     "unit", "cycle", "reach", "bf-class", "ff-class",
     "b-ladder", "s-raise", "a-create", "a-pairing", "t-action",
@@ -245,7 +247,7 @@ def check_depth(depth: int) -> None:
         raise BoundsError(f"depth {depth} exceeds the configured bound {MAX_DEPTH}")
 
 
-# The branching suites and class predicates check rungs n = 1..RUNGS, of modes p(n-1)+1..pn.
+# The branching suites check their class relations on rungs n = 1..RUNGS, of modes p(n-1)+1..pn.
 RUNGS = 3
 # `branch-boson` runs for p <= min(p_max, BOSON_P_MAX): lifting it adds p = 4 to `verify all`.
 BOSON_P_MAX = 3
@@ -256,53 +258,27 @@ def branch_modes(p: int) -> int:
     return RUNGS * p
 
 
-# -- class predicates --------------------------------------------------------
+# -- the class rungs ---------------------------------------------------------
 
 
-def check_bf_class(psi: State, q: int, i: int, lam, n_max: int = RUNGS) -> SuiteReport:
-    """Verify the boson class relations at a candidate cyclic vector.
-
-    For n = 1..n_max: b_{q(n-1)+i} b*_{q(n-1)+i} psi = lam psi, and
-    b_{q(n-1)+j} psi = 0 for j != i.  psi is a `State` of one basis word;
-    any other state is refused.  The branch suites check their vacua,
-    which are words, through `_class_rungs` directly.
-    """
-    lam = promote(lam)
-    rep_ = SuiteReport("bf-class", {"q": q, "i": i, "lambda": lam.render(), "n_max": n_max})
-    _class_rungs(rep_, "bf-class", _image(psi), q, i, n_max, lam)
-    return rep_
-
-
-def check_ff_class(
-    psi: State, p: int, i: int, starred: bool = False, n_max: int = RUNGS
-) -> SuiteReport:
-    """Verify the fermion class relations at a candidate cyclic vector.
-
-    Unstarred: a_{p(n-1)+i} psi = 0 and a*_{p(n-1)+j} psi = 0 for j != i.
-    Starred: the roles of a and a* are exchanged.  psi is a `State` of one
-    basis word, as in `check_bf_class`.
-    """
-    rep_ = SuiteReport("ff-class", {"p": p, "i": i, "starred": starred, "n_max": n_max})
-    _class_rungs(rep_, "ff-class", _image(psi), p, i, n_max, starred=starred)
-    return rep_
-
-
-def _class_rungs(rep_: SuiteReport, family: str, image, q: int, i: int, n_max: int, lam=None,
+def _class_rungs(rep_: SuiteReport, maps: list, image, q: int, i: int, lam=None,
                  starred: bool = False) -> None:
-    """Check the rungs n = 1..n_max of a class predicate on the word of image, into rep_.
+    """Check the RUNGS rungs of a class relation on the word of image, into rep_.
 
-    family is "bf-class" or "ff-class".  At the residue mode k = q(n-1)+i,
-    b_k b_k* sends the word to lam times itself, or a_k (a_k* when starred)
-    annihilates it; at every other mode j of the rung, b_j, or a_j* (a_j
-    when starred), annihilates it.
+    With lam, the boson class ("bf-class"; maps is `_maps` of "b"): at the
+    residue mode k = q(n-1)+i of rung n, b_k b_k* sends the word to lam
+    times itself.  Without, the fermion class ("ff-class"; maps of "a"):
+    a_k (a_k* when starred) annihilates it.  At every other mode j of the
+    rung, b_j, or a_j* (a_j when starred), annihilates it.  maps is the
+    calling suite's own table, and reaches every mode of the RUNGS rungs.
     """
-    if family == "bf-class":
-        x, stars, other = "b", (False, True), False
+    if lam is None:
+        family, x, stars, other = "ff-class", "a", (starred,), not starred
+        expected = None
     else:
-        x, stars, other = "a", (starred,), not starred
-    maps = _maps(x, q * (n_max - 1) + max(q, i))
-    expected = None if lam is None else _times(image, lam)
-    for n in range(1, n_max + 1):
+        family, x, stars, other = "bf-class", "b", (False, True), False
+        expected = _times(image, lam)
+    for n in range(1, RUNGS + 1):
         base = q * (n - 1)
         got = image
         for star in reversed(stars):
@@ -425,11 +401,12 @@ def check_branching_boson(p: int) -> SuiteReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     rep_ = SuiteReport("branch-boson", {"p": p, "n_max": RUNGS})
+    b = _maps("b", branch_modes(p))
 
     # part A: single branch with amplification lambda = p
     anchor_a = (ONE, prepend_letters((2,) * (p - 1), pure((1,) + (2,) * (p - 1))))
     rep_.check("unit", "part A anchor unit", ONE, anchor_a[0] * anchor_a[0])
-    _class_rungs(rep_, "bf-class", anchor_a, 1, 1, RUNGS, p)
+    _class_rungs(rep_, b, anchor_a, 1, 1, p)
 
     if p == 1:
         return rep_
@@ -437,7 +414,7 @@ def check_branching_boson(p: int) -> SuiteReport:
     # part B: p branches with lambda = 2
     oms = [(ONE, w) for w in boson_branch_witness(p)]
     anchor = oms[0]
-    t, b, s = _maps("t", 2)[False], _maps("b", branch_modes(p)), _maps("s", 4)[False]
+    t, s = _maps("t", 2)[False], _maps("s", 4)[False]
     rep_.check(
         "cycle", "anchor fixed by s_1^(p-1) s_2", anchor,
         _word(t, (1,) * (p - 1) + (2, 1), anchor)[-1],
@@ -446,7 +423,7 @@ def check_branching_boson(p: int) -> SuiteReport:
         rep_.check("unit", lambda: f"Omega_{i} unit", ONE, om[0] * om[0])
         t_i = (1,) * (p - i) + (2, 1) + (1,) * (i - 1)  # s_1^(p-i) s_2 s_1^(i-1)
         rep_.check("cycle", lambda: f"T_{i} fixes Omega_{i}", om, _word(t, t_i, om)[-1])
-        _class_rungs(rep_, "bf-class", om, p, p - i + 1, RUNGS, 2)
+        _class_rungs(rep_, b, om, p, p - i + 1, 2)
         # ladder relations: annihilators pair branches with s_1^p shifts
         for n in range(1, RUNGS + 1):
             for j in range(1, p + 1):
@@ -570,7 +547,7 @@ def check_branching_fermion(p: int, starred: bool = False) -> SuiteReport:
     vacua = [(ONE, w) for w in fermion_branch_witness(p, starred=True)] if starred else oms
     for j, om in enumerate(vacua, 1):
         rep_.check("unit", "branch vacuum unit", ONE, om[0] * om[0])
-        _class_rungs(rep_, "ff-class", om, p, p - j + 1, RUNGS, starred=starred)
+        _class_rungs(rep_, a, om, p, p - j + 1, starred=starred)
     return rep_
 
 

@@ -91,10 +91,6 @@ class TailWord:
         prim = self.period[:len(rot)]
         return next(k for k in range(len(rot)) if prim[k:] + prim[:k] == rot)
 
-    @property
-    def depth(self) -> int:
-        return len(self.prefix)
-
     def letter_at(self, j: int) -> int:
         if j < len(self.prefix):
             return self.prefix[j]

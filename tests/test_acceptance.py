@@ -160,7 +160,7 @@ def test_criterion_5_relation_suites():
     )
 
 
-def test_criterion_6_branching():
+def test_criterion_6_branching(class_report, monkeypatch):
     t0 = time.time()
     reports = []
     for v in range(1, 5):
@@ -178,15 +178,12 @@ def test_criterion_6_branching():
     # the first branch vacuum has residue p, so residue 1 is a wrong label
     boson_vacuum = verify.boson_branch_witness(2)[0]
     fermion_vacuum = verify.fermion_branch_witness(2)[0]
-    controls_fail = [
-        verify.check_bf_class(OMEGA, 1, 1, 2, n_max=3),
-        verify.check_ff_class(OMEGA, 2, 1, n_max=3),
-        verify.check_bf_class(
-            State.basis(RepSpace(boson_vacuum.period), boson_vacuum), 2, 1, 2, n_max=2
-        ),
-        verify.check_ff_class(
-            State.basis(RepSpace(fermion_vacuum.period), fermion_vacuum), 2, 1, n_max=2
-        ),
+    monkeypatch.setattr(verify, "RUNGS", 3)
+    controls_fail = [class_report(OMEGA, 1, 1, 2), class_report(OMEGA, 2, 1)]
+    monkeypatch.setattr(verify, "RUNGS", 2)
+    controls_fail += [
+        class_report(State.basis(RepSpace(boson_vacuum.period), boson_vacuum), 2, 1, 2),
+        class_report(State.basis(RepSpace(fermion_vacuum.period), fermion_vacuum), 2, 1),
     ]
     ok = ok and all(not r.passed for r in controls_fail)
     # exact sign control: the first-rung image of the (2 1) cycle vector

@@ -208,7 +208,7 @@ def test_coefficient_is_sqrt_of_integer():
         M = BosonMonomial.from_modes(modes)
         c = forward(M).coeff
         expected = math.prod(math.factorial(k) for _, k in M.factors)
-        assert (c * c).rational_value() == expected
+        assert c * c == expected
 
 
 def test_tsv_rendering():
@@ -266,7 +266,7 @@ def test_forward_operational_refuses_an_annihilated_word(monkeypatch):
 
     M = bm((2, 3), (5, 1))
     monkeypatch.setattr(ladder, "_boson_word", lambda create, n, w: None)
-    assert ladder.boson_state_iterated(M).is_zero()
+    assert not ladder.boson_state_iterated(M)
     with pytest.raises(EngineError, match=re.escape(str(M))):
         forward_operational(M)
 
@@ -391,12 +391,12 @@ def test_particle_number_through_the_space():
             psi = boson_state(M)
             top = M.max_mode
             assert _number_operator("b", top, psi) == psi * k
-            assert apply(f"b{top + 1}", psi).is_zero()
+            assert not apply(f"b{top + 1}", psi)
             S = forward(M).fermion
             phi = fermion_state(S)
             top = S.elements[-1] if S.elements else 0
             assert _number_operator("a", top, phi) == phi * k
-            assert apply(f"a{top + 1}", phi).is_zero()
+            assert not apply(f"a{top + 1}", phi)
             cases += 1
     assert cases == 126
 

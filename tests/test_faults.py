@@ -75,7 +75,7 @@ def unroll_drops_the_prefix_past_h_from_6(unroll):
 def roll_absorbs_one_letter_at_most(roll):
     def fault(letters, period, rot):
         w = roll(letters, period, rot)
-        if len(letters) - w.depth < 2:
+        if len(letters) - len(w.prefix) < 2:
             return w
         return words._make(letters[:-1], period, rot[-1:] + rot[:-1])
     return fault

@@ -40,7 +40,7 @@ def test_gp_vector_is_fixed_by_its_cycle_word():
         space = RepSpace(J)
         om = gp_vector(space)
         assert apply(" ".join(f"t{i}" for i in J), om) == om
-        assert om.norm2() == ONE
+        assert om.inner(om) == ONE
 
 
 def test_gp_examples():
@@ -55,7 +55,7 @@ def test_state_arithmetic_and_mismatch():
     s = a + 2 * b
     assert s.coeff(pure((1,))) == ONE
     assert s.coeff(TailWord((2,), (1,))) == promote(2)
-    assert (s - s).is_zero()
+    assert not (s - s)
     with pytest.raises(SpaceMismatchError):
         a + gp_vector(P21)
     with pytest.raises(SpaceMismatchError):
@@ -67,7 +67,7 @@ def test_isometry_relations_sample():
     for i in (1, 2):
         assert apply(f"t{i}* t{i}", psi) == psi
         j = 3 - i
-        assert apply(f"t{j}* t{i}", psi).is_zero()
+        assert not apply(f"t{j}* t{i}", psi)
     total = apply("t1 t1*", psi) + apply("t2 t2*", psi)
     assert total == psi
 
@@ -76,7 +76,7 @@ def test_inner_product_orthonormal():
     a = basis(P1, (2,))
     b = basis(P1, (1, 2))
     assert a.inner(a) == ONE
-    assert a.inner(b).is_zero()
+    assert not a.inner(b)
 
 
 def test_apply_s_matches_codec_formula():
@@ -102,7 +102,7 @@ def test_s_isometries():
     for m in (*range(1, 9), MAX_MODE + 1, MAX_MODE + 5):
         image = map_basis(psi, generator_map("s", m, False))
         assert map_basis(image, generator_map("s", m, True)) == psi
-        assert map_basis(image, generator_map("s", m + 1, True)).is_zero()
+        assert not map_basis(image, generator_map("s", m + 1, True))
 
 
 def identity(state):
@@ -115,7 +115,7 @@ def test_rho_of_identity_is_identity_on_blocks():
         assert apply_rho(identity, psi) == psi
     # no leading block: the range sum annihilates
     p2 = RepSpace((2,))
-    assert apply_rho(identity, gp_vector(p2)).is_zero()
+    assert not apply_rho(identity, gp_vector(p2))
 
 
 def test_zeta_of_identity_is_grading():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuntzfock import cli, ladder
+from cuntzfock import cli, ladder, verify
 from cuntzfock import correspondence as corr
 from cuntzfock.correspondence import MAX_MODE, BosonMonomial, BoundsError, CorrespondencePair
 from cuntzfock.ladder import apply, basis_map, boson_state, parse_op_token
@@ -25,11 +25,9 @@ from cuntzfock.verify import (
     boson_branch_witness,
     car_suite,
     ccr_suite,
-    check_bf_class,
     check_branching_boson,
     check_branching_fermion,
     check_branching_oinfty,
-    check_ff_class,
     cuntz_suite,
     fermion_branch_witness,
     float_oracle,
@@ -38,27 +36,30 @@ from cuntzfock.verify import (
 )
 
 
-def test_bf_class_fock():
-    r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 1, n_max=5)
+def test_bf_class_fock(class_report, monkeypatch):
+    monkeypatch.setattr(verify, "RUNGS", 5)
+    r = class_report(gp_vector(RepSpace((1,))), 1, 1, 1)
     assert r.passed
 
 
-def test_bf_class_amplified():
+def test_bf_class_amplified(class_report, monkeypatch):
     # restriction anchor of the (1 2) space carries the doubled weight
+    monkeypatch.setattr(verify, "RUNGS", 4)
     space = RepSpace((1, 2))
     anchor = apply("t2", gp_vector(space))
-    assert check_bf_class(anchor, 1, 1, 2, n_max=4).passed
+    assert class_report(anchor, 1, 1, 2).passed
 
 
-def test_bf_class_negative_control():
-    r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 2, n_max=3)
+def test_bf_class_negative_control(class_report):
+    r = class_report(gp_vector(RepSpace((1,))), 1, 1, 2)
     assert not r.passed and r.failures
 
 
-def test_bf_class_negative_control_labels():
+def test_bf_class_negative_control_labels(class_report, monkeypatch):
     # one failure per rung, each naming its own mode: a label formatted
     # after the loop had moved on would name the last mode three times
-    r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 2, n_max=3)
+    monkeypatch.setattr(verify, "RUNGS", 3)
+    r = class_report(gp_vector(RepSpace((1,))), 1, 1, 2)
     assert r.failures == [
         {"case": f"b b* at mode {n}", "expected": "<P2(1): [2] (1)>", "got": "<P2(1): [1] (1)>"}
         for n in (1, 2, 3)
@@ -195,12 +196,13 @@ def test_failing_checks_record_the_label_text():
     ]
 
 
-def test_ff_class_fock():
-    assert check_ff_class(gp_vector(RepSpace((1,))), 1, 1, n_max=6).passed
+def test_ff_class_fock(class_report, monkeypatch):
+    monkeypatch.setattr(verify, "RUNGS", 6)
+    assert class_report(gp_vector(RepSpace((1,))), 1, 1).passed
 
 
-def test_ff_class_negative_control():
-    r = check_ff_class(gp_vector(RepSpace((1,))), 2, 1, n_max=3)
+def test_ff_class_negative_control(class_report):
+    r = class_report(gp_vector(RepSpace((1,))), 2, 1)
     assert not r.passed
 
 
@@ -209,13 +211,13 @@ def _vacuum(w: TailWord) -> State:
     return State.basis(RepSpace(w.period), w)
 
 
-def test_ff_class_wrong_branch_label_fails():
+def test_ff_class_wrong_branch_label_fails(class_report):
     # at p = 2, vacuum j has residue p - j + 1: 2 for Omega_1, 1 for Omega_2
     w = [_vacuum(v) for v in fermion_branch_witness(2)]
-    assert check_ff_class(w[0], 2, 2).passed
-    assert not check_ff_class(w[0], 2, 1).passed
-    assert check_ff_class(w[1], 2, 1).passed
-    assert not check_ff_class(w[1], 2, 2).passed
+    assert class_report(w[0], 2, 2).passed
+    assert not class_report(w[0], 2, 1).passed
+    assert class_report(w[1], 2, 1).passed
+    assert not class_report(w[1], 2, 2).passed
 
 
 def test_branching_oinfty():
@@ -234,17 +236,18 @@ def test_branching_boson():
         assert check_branching_boson(p).passed
 
 
-def test_branching_boson_witness_labels():
+def test_branching_boson_witness_labels(class_report, monkeypatch):
     # at p = 3, vacuum i is in the lambda = 2 boson class with q = p and residue p - i + 1
+    monkeypatch.setattr(verify, "RUNGS", 2)
     p, lam = 3, 2
     w = [_vacuum(v) for v in boson_branch_witness(p)]
     assert len(w) == 3
     for i, vec in enumerate(w, 1):
-        assert vec.norm2() == ONE
-        assert check_bf_class(vec, p, p - i + 1, lam, n_max=2).passed
+        assert vec.inner(vec) == ONE
+        assert class_report(vec, p, p - i + 1, lam).passed
     # the branch labels are a permutation; a swapped label must fail
     residue = p  # of Omega_1
-    assert not check_bf_class(w[0], p, residue % p + 1, lam, n_max=2).passed
+    assert not class_report(w[0], p, residue % p + 1, lam).passed
 
 
 def test_branching_fermion():
@@ -253,14 +256,14 @@ def test_branching_fermion():
         assert check_branching_fermion(p, starred=True).passed
 
 
-def test_fermion_starred_witness_lives_in_flipped_space():
+def test_fermion_starred_witness_lives_in_flipped_space(class_report):
     # at p = 3, starred vacuum j is in the starred fermion class with p and residue p - j + 1
     p = 3
     words = fermion_branch_witness(p, starred=True)
     assert [w.period for w in words] == [(1, 1, 2)] * p
     for j, w in enumerate(words, 1):
-        assert check_ff_class(_vacuum(w), p, p - j + 1, starred=True).passed
-        assert not check_ff_class(_vacuum(w), p, p - j + 1, starred=False).passed
+        assert class_report(_vacuum(w), p, p - j + 1, starred=True).passed
+        assert not class_report(_vacuum(w), p, p - j + 1, starred=False).passed
 
 
 def test_relation_suites_small():
@@ -598,15 +601,15 @@ def test_suites_count_into_their_own_reports_and_branch_vacua_stay_words(monkeyp
     assert calls["states"] == 0
 
 
-def test_class_predicates_refuse_a_state_that_is_not_one_word():
+def test_class_predicates_refuse_a_state_that_is_not_one_word(class_report):
     space = RepSpace((1,))
     omega = gp_vector(space)
     two_words = omega + apply("t2", omega)
     for psi in (State.zero(space), two_words):
         with pytest.raises(ValueError, match=re.escape(repr(psi))):
-            check_bf_class(psi, 1, 1, 1)
+            class_report(psi, 1, 1, 1)
         with pytest.raises(ValueError, match=re.escape(repr(psi))):
-            check_ff_class(psi, 1, 1)
+            class_report(psi, 1, 1)
 
 
 def _s_star_annihilates(tok):
@@ -642,7 +645,7 @@ def test_partial_range_sums_fail_when_s_star_annihilates(monkeypatch):
 def _peeled(w):
     """The words w reaches by greedy block peeling: repeated `leading_block`."""
     reached = [w]
-    for _ in range(w.depth + len(w.rot) + 2):
+    for _ in range(len(w.prefix) + len(w.rot) + 2):
         lb = leading_block(reached[-1])
         if lb is None:
             break
@@ -742,12 +745,20 @@ ENGINE_CALL_BOUNDS = {
     "car": (lambda: car_suite(4, 5), 3_233, 4_292),
 }
 ORACLE_INDEX_TO_WORD_BOUND = 16_449
+# `verify.basis_map` calls of the branch suites at the CLI defaults, with their case counts.
+# Each report builds one table of maps per operator, and its class rungs read the suite's
+# table (150 and 520 when every rung loop built a table of its own).
+BASIS_MAP_BOUNDS = {
+    "branch-boson": (lambda: [check_branching_boson(p) for p in range(1, 4)], 122, 60),
+    "branch-fermion": (lambda: [check_branching_fermion(p, starred)
+                                for starred in (False, True) for p in range(1, 5)], 826, 160),
+}
 
 
 def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
-    from cuntzfock import ladder, rep, verify
+    from cuntzfock import ladder, rep
 
-    calls = {"engine": 0, "index_to_word": 0}
+    calls = {"engine": 0, "index_to_word": 0, "basis_map": 0}
 
     def counted(name, f):
         def inner(*args):
@@ -757,7 +768,8 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
 
     monkeypatch.setattr(rep, "map_basis", counted("engine", rep.map_basis))
     monkeypatch.setattr(ladder, "map_basis", rep.map_basis)
-    monkeypatch.setattr(verify, "basis_map", lambda tok: counted("engine", basis_map(tok)))
+    monkeypatch.setattr(verify, "basis_map", counted(
+        "basis_map", lambda tok: counted("engine", basis_map(tok))))
     monkeypatch.setattr(verify, "index_to_word", counted("index_to_word", verify.index_to_word))
     for name, (suite, cases, bound) in ENGINE_CALL_BOUNDS.items():
         calls["engine"] = 0
@@ -767,6 +779,12 @@ def test_suites_stay_within_their_engine_call_budgets(monkeypatch):
     report = oracle_suite(dim=1024, sequences=50)
     assert (report.passed, report.cases) == (True, 18_535)
     assert calls["index_to_word"] <= ORACLE_INDEX_TO_WORD_BOUND, calls
+    for name, (suite, cases, bound) in BASIS_MAP_BOUNDS.items():
+        calls["basis_map"] = 0
+        reports = suite()
+        assert all(r.passed for r in reports), name
+        assert sum(r.cases for r in reports) == cases, name
+        assert calls["basis_map"] <= bound, (name, calls)
 
 
 # Words built (`words._make` calls) by suites at the CLI defaults.  In the
@@ -1051,8 +1069,9 @@ def test_oracle_suite_small():
     assert r.passed, r.failures[:3]
 
 
-def test_report_json():
-    r = check_bf_class(gp_vector(RepSpace((1,))), 1, 1, 1, n_max=2)
+def test_report_json(class_report, monkeypatch):
+    monkeypatch.setattr(verify, "RUNGS", 2)
+    r = class_report(gp_vector(RepSpace((1,))), 1, 1, 1)
     data = r.to_json()
     assert data["pass"] is True and data["cases"] == 2
 
@@ -1167,19 +1186,69 @@ def test_every_family_is_counted_by_verify_all():
 # every call of one, so a helper made public here would be traced on each check.
 VERIFY_PUBLIC = {
     "SuiteReport", "boson_branch_witness", "branch_modes", "car_suite",
-    "ccr_suite", "check_bf_class", "check_branching_boson", "check_branching_fermion",
-    "check_branching_oinfty", "check_depth", "check_dim", "check_ff_class",
-    "check_oracle_dim", "cuntz_suite", "fermion_branch_witness", "float_oracle",
+    "ccr_suite", "check_branching_boson", "check_branching_fermion",
+    "check_branching_oinfty", "check_depth", "check_dim", "check_oracle_dim",
+    "cuntz_suite", "fermion_branch_witness", "float_oracle",
     "oracle_suite", "roundtrip_suite", "run",
 }
 
 
 def test_verify_keeps_its_public_functions_and_classes():
-    from cuntzfock import verify
-
     tree = ast.parse(Path(verify.__file__).read_text())
     public = {
         node.name for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert public == VERIFY_PUBLIC
+
+
+# The functions and methods of the package that no code of the package reads and that are no
+# public name, each with the reason it stays.
+UNREAD_IN_PACKAGE = {
+    "words.TailWord.letter_at": "reads a letter of a word, as a witness of the branching laws "
+                                "as decompositions would, apart from the maps it checks",
+    "ladder.fermion_state_iterated": "the fermion state built as iterated a_n*, the reference "
+                                     "of `fermion_state` up to the particle bound",
+    "oracles.boson_via_shifts": "the definitional oracle of b_n as iterated shifts",
+    "oracles.fermion_via_shifts": "the definitional oracle of a_n as iterated shifts",
+    "rep.State.inner": "the inner product, by which unitarity and the lift of the basis maps "
+                       "to sums of words are checked",
+    **{f"{name}.from_json": "the inverse of a README JSON format: round trips show that the "
+                            "output loses nothing"
+       for name in ("words.TailWord", "radical.RadicalScalar",
+                    "correspondence.BosonMonomial", "correspondence.FermionSubset")},
+}
+
+
+def test_the_package_keeps_no_function_that_only_tests_call():
+    """Every function and method of the package is read in the package, by name or as an
+    attribute, or is public: a name of `cuntzfock.__all__`, of VERIFY_PUBLIC or a `cmd_*` of the
+    CLI.  A method counts as read when an attribute or its class body names it.  Dunders are
+    exempt, and the rest of the exemptions are UNREAD_IN_PACKAGE."""
+    import cuntzfock
+
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(cuntzfock.__file__).parent.glob("*.py")}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    read = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    public = set(cuntzfock.__all__) | VERIFY_PUBLIC
+
+    def exempt(name: str) -> bool:
+        return name.startswith("__") and name.endswith("__")
+
+    unread = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                command = module == "cli" and node.name.startswith("cmd_")
+                if not (node.name in read or node.name in public or command or exempt(node.name)):
+                    unread.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                methods = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+                # the class body reads a method by name, as the alias `__rmul__ = __mul__` does
+                seen = attributes | {name.id for stmt in node.body if stmt not in methods
+                                     for name in ast.walk(stmt) if isinstance(name, ast.Name)}
+                unread |= {f"{module}.{node.name}.{f.name}" for f in methods
+                           if not (f.name in seen or exempt(f.name))}
+    assert unread == set(UNREAD_IN_PACKAGE)

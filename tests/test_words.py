@@ -65,7 +65,7 @@ def test_prepend_rotates_pure_tail():
     expected_letters = [1] + [om.letter_at(j) for j in range(9)]
     assert [got.letter_at(j) for j in range(10)] == expected_letters
     assert got == pure((2, 1), 1)
-    assert got.depth == 0
+    assert got.prefix == ()
 
 
 def test_behead():
@@ -135,7 +135,7 @@ def test_fast_constructors_match_the_validating_one(w, i):
         assert fields(rest) == fields(want)
     lb = leading_block(w)
     rest, m = w, 0
-    while m <= w.depth + len(w.rot) and rest.letter_at(0) == 2:
+    while m <= len(w.prefix) + len(w.rot) and rest.letter_at(0) == 2:
         rest, m = behead_by_constructor(rest, 2), m + 1
     if rest.letter_at(0) == 2:
         assert lb is None
@@ -192,15 +192,15 @@ def test_block_split_matches_repeated_leading_block(w, n):
 
 def rest_by_constructor(w: TailWord, h: int) -> TailWord:
     """The word after the first h letters of w, built by the validating constructor."""
-    if h <= w.depth:
+    if h <= len(w.prefix):
         return TailWord(w.prefix[h:], w.period, w.phase)
-    return TailWord((), w.period, w.phase + h - w.depth)
+    return TailWord((), w.period, w.phase + h - len(w.prefix))
 
 
 @settings(max_examples=400)
 @given(words_with_any_period, st.data())
 def test_unroll_reads_the_word_and_inverts_prepend(w, data):
-    for h in range(w.depth + 2 * len(w.rot) + 1):
+    for h in range(len(w.prefix) + 2 * len(w.rot) + 1):
         head, rest = unrolled(w, h)
         assert head == tuple(w.letter_at(j) for j in range(h))
         assert fields(rest) == fields(rest_by_constructor(w, h))
@@ -254,11 +254,11 @@ def block_place(w: TailWord, n: int, found) -> str:
     if found is None:
         return "none"
     start, m = found
-    if start + m <= w.depth:
+    if start + m <= len(w.prefix):
         return "prefix"
-    if start < w.depth:
+    if start < len(w.prefix):
         return "straddles"
-    return "tail-first" if start + m <= w.depth + len(w.rot) else "tail-later"
+    return "tail-first" if start + m <= len(w.prefix) + len(w.rot) else "tail-later"
 
 
 def test_nth_block_matches_the_letter_scan_on_every_basis_word():
@@ -489,6 +489,6 @@ def test_an_empty_period_is_refused():
 
 def test_json_round_trip():
     w = TailWord((2, 1), (2, 1), 1)
-    assert w.depth == 2  # genuinely canonical: nothing absorbs
+    assert len(w.prefix) == 2  # genuinely canonical: nothing absorbs
     assert TailWord.from_json(w.to_json()) == w
     assert w.to_json() == {"prefix": "21", "period": "21", "phase": 1}
