@@ -6,7 +6,9 @@ Exit codes: 0 success / all suites pass, 1 verification failure,
 Only the transfer (`correspondence`) is imported with this module, so a
 cold `map`, `unmap` or `table` loads no words, representation spaces or
 ladder operators; `apply` and `graph` import those when they run, and
-`verify` its suites.
+`verify` its suites.  No command loads `fractions` (nor the `decimal` and
+`numbers` modules it imports): scalars print from their integer form, and
+no command builds a Fraction.
 
 The parser is built once, at import.  A parsed call names its `cmd_*`
 function, which is looked up on this module when the call runs, so a

@@ -11,15 +11,35 @@ forms, and each sum or product needs one gcd pass rather than one per
 term.  This is exactly the coefficient arithmetic needed for
 ladder-operator weights sqrt(k) and normalization constants
 sqrt(k_1! ... k_m!).
+
+No path of a scalar or int operand builds a Fraction: output reads the
+integer form, and `fractions` (with the `decimal` and `numbers` modules it
+imports) is loaded only where a Fraction is built or tested, by `terms`,
+`from_json`, the hash of a rational scalar or a Fraction operand.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+@cache
+def _fraction() -> type:
+    """`fractions.Fraction`, imported where a Fraction is first built or tested.
+
+    A cold command builds none, and the import with `decimal` and `numbers`
+    would cost it about 2 ms.  Kept, because an import statement on every
+    call costs about 1 us.
+    """
+    from fractions import Fraction
+
+    return Fraction
 
 
 # Bounded so that square roots of many distinct integers cannot grow the
@@ -77,8 +97,8 @@ class RadicalScalar:
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        den = self._den
-        return {d: Fraction(n, den) for d, n in self._num.items()}
+        den, fraction = self._den, _fraction()
+        return {d: fraction(n, den) for d, n in self._num.items()}
 
     # perfbench's tracer reads the coefficient map under this name to
     # count products by one.
@@ -92,18 +112,17 @@ class RadicalScalar:
 
     def __eq__(self, other) -> bool:
         # scalars meet scalars far more often than rationals, so the class
-        # test comes first: isinstance against Fraction goes through ABCMeta
+        # test comes first, and only a Fraction operand loads `fractions`
         if other.__class__ is not RadicalScalar:
-            if isinstance(other, (int, Fraction)):
-                other = RadicalScalar({1: other})
-            elif not isinstance(other, RadicalScalar):
+            other = _coerce(other)
+            if other is None:
                 return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         # a rational scalar equals its Fraction (and int), so it hashes as one
         if self.is_rational():
-            return hash(Fraction(self._num.get(1, 0), self._den))
+            return hash(_fraction()(self._num.get(1, 0), self._den))
         return hash((self._den, tuple(sorted(self._num.items()))))
 
     # -- ring operations ----------------------------------------------
@@ -205,16 +224,23 @@ class RadicalScalar:
         den = self._den
         return sum(n / den * math.sqrt(d) for d, n in self._num.items())
 
+    def _lowest_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(d, n, m) for each term n/m sqrt(d), by radicand, with n/m in lowest terms."""
+        den = self._den
+        for d, n in sorted(self._num.items()):
+            g = gcd(n, den)
+            yield d, n // g, den // g
+
     def render(self) -> str:
         if not self._num:
             return "0"
         parts = []
-        for d, q in sorted(self.terms.items()):
-            neg = q < 0
-            mag = -q if neg else q
+        for d, n, m in self._lowest_terms():
+            neg = n < 0
+            mag = f"{abs(n)}" if m == 1 else f"{abs(n)}/{m}"
             if d == 1:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = f"sqrt({d})"
             else:
                 body = f"{mag}*sqrt({d})"
@@ -233,15 +259,15 @@ class RadicalScalar:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"radicand": d, "num": q.numerator, "den": q.denominator}
-                for d, q in sorted(self.terms.items())
+                {"radicand": d, "num": n, "den": m} for d, n, m in self._lowest_terms()
             ]
         }
 
     @staticmethod
     def from_json(data: dict) -> "RadicalScalar":
+        fraction = _fraction()
         return RadicalScalar(
-            {t["radicand"]: Fraction(t["num"], t["den"]) for t in data["terms"]}
+            {t["radicand"]: fraction(t["num"], t["den"]) for t in data["terms"]}
         )
 
 
@@ -279,9 +305,11 @@ _ONE = _wrap(1, {1: 1})
 
 
 def _coerce(x) -> "RadicalScalar | None":
+    # sums and `promote` pass scalars, so they are tested first; then an int
+    # (bool included), so that only another operand loads `fractions`
     if isinstance(x, RadicalScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or isinstance(x, _fraction()):
         return RadicalScalar({1: x})
     return None
 

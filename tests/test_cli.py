@@ -618,12 +618,20 @@ def test_the_package_root_loads_a_module_on_first_use():
     assert _loaded_after("from cuntzfock import cli", engine) >= {"cuntzfock.cli"}
 
 
+def _calls(*argvs) -> str:
+    """Code that runs each command line in turn, in one interpreter.
+
+    A module stays loaded once a call loads it, so what is loaded after all
+    of them holds each one to the same bound.
+    """
+    return "from cuntzfock.cli import main\n" + "".join(f"main({argv!r})\n" for argv in argvs)
+
+
 def test_a_cold_transfer_loads_no_word_layer_oracles_or_suites():
     unwanted = (*WORD_LAYERS, "cuntzfock.oracles", "cuntzfock.verify")
-    for argv in (["map", "1^2 3", "--json"], ["unmap", "1 2 4", "--json"],
-                 ["table", "-n", "2", "-m", "3", "--json"]):
-        code = f"from cuntzfock.cli import main; main({argv!r})"
-        assert _loaded_after(code, unwanted) == set(), argv
+    code = _calls(["map", "1^2 3", "--json"], ["unmap", "1 2 4", "--json"],
+                  ["table", "-n", "2", "-m", "3", "--json"])
+    assert _loaded_after(code, unwanted) == set()
 
 
 def test_a_cold_checked_map_loads_the_ladder_and_prints_the_same_pair():
@@ -635,6 +643,18 @@ def test_a_cold_checked_map_loads_the_ladder_and_prints_the_same_pair():
         '{"boson": {"factors": [{"mode": 2, "mult": 3}, {"mode": 5, "mult": 1}, '
         '{"mode": 9, "mult": 1}]}, "fermion": [2, 3, 4, 8, 13], '
         '"coeff": {"terms": [{"radicand": 6, "num": 1, "den": 1}]}}\n')
+
+
+def test_apply_graph_and_verify_load_their_readme_rows():
+    """The last two rows of README's "What a cold command loads": `apply` and
+    `graph` load the word layers and no suites or oracles, and `verify` loads
+    every module of the engine."""
+    engine = [f"cuntzfock.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    code = _calls(["apply", "b1* b1*"], ["graph", "--label", "bosons"])
+    assert _loaded_after(code, engine) == {
+        "cuntzfock.cli", "cuntzfock.correspondence", "cuntzfock.radical", *WORD_LAYERS}
+    code = _calls(["verify", "car", "--depth", "1", "--particles", "1"])
+    assert _loaded_after(code, engine) == set(engine)
 
 
 def test_verify_imports_no_dataclasses_or_traceback():
@@ -670,6 +690,18 @@ def test_cold_calls_print_what_the_benchmark_expects(workloads):
     for argv, want in workloads.CLI_CALLS:
         out = _cold(*argv, capture_output=True, text=True)
         assert (out.returncode, out.stdout, out.stderr) == (0, want() + "\n", ""), argv
+
+
+def test_no_cold_command_loads_fractions(workloads):
+    """No command builds a Fraction, and `fractions` with the `decimal` and
+    `numbers` modules it imports would add about 2 ms to a cold call: neither the
+    benchmark's cold calls nor the other commands load them, and `radical`
+    (imported first) loads them only where a Fraction is built or tested."""
+    argvs = [argv for argv, _ in workloads.CLI_CALLS]
+    argvs += [["map", "1^2 3", "--check"], ["apply", "b1* b1*"], ["graph", "--label", "bosons"],
+              ["verify", "all", "--json"]]
+    code = "import cuntzfock.radical\n" + _calls(*argvs)
+    assert _loaded_after(code, ("fractions", "decimal", "numbers")) == set()
 
 
 def test_benchmark_runs_verify_in_process(workloads, monkeypatch):

@@ -179,6 +179,71 @@ def _scalars(max_terms=3, coeff_bound=10**6):
     )
 
 
+def _fraction_render(terms: dict[int, Fraction]) -> str:
+    """`render`'s format, computed from Fraction coefficients."""
+    if not terms:
+        return "0"
+    parts = []
+    for d, q in sorted(terms.items()):
+        neg = q < 0
+        mag = -q if neg else q
+        if d == 1:
+            body = str(mag)
+        elif mag == 1:
+            body = f"sqrt({d})"
+        else:
+            body = f"{mag}*sqrt({d})"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
+
+
+# small coefficients make unit magnitudes, whole numbers and cancellations common
+_coefficient_maps = st.one_of(*(
+    st.lists(
+        st.tuples(st.sampled_from(SQUAREFREE_100), st.integers(-bound, bound),
+                  st.integers(1, bound)),
+        max_size=4,
+    ).map(lambda triples: {d: Fraction(n, m) for d, n, m in triples})
+    for bound in (6, 10**6)
+))
+
+
+@settings(max_examples=150, deadline=None)
+@example({1: Fraction(-3, 4), 2: Fraction(1), 3: Fraction(-1), 10: Fraction(7, 2)})
+@example({1: Fraction(1)})
+@given(_coefficient_maps)
+def test_output_and_coercion_match_the_fraction_forms(coeffs):
+    """Output reads the integer form and no Fraction; it must print what the
+    Fraction coefficients printed, and int, bool and Fraction operands must
+    coerce as before."""
+    x = RadicalScalar(coeffs)
+    terms = {d: q for d, q in coeffs.items() if q}
+    assert x.to_json() == {"terms": [
+        {"radicand": d, "num": q.numerator, "den": q.denominator}
+        for d, q in sorted(terms.items())
+    ]}
+    assert x.render() == _fraction_render(terms)
+    # the scalar keeps the terms in this order, and n/den rounds as float(q) does
+    assert x.render_decimal() == "%.12g" % sum(float(q) * math.sqrt(d) for d, q in terms.items())
+    assert RadicalScalar.from_json(x.to_json()) == x
+    # the rational part, alone: equal to its Fraction and hashed as one
+    q = terms.get(1, Fraction(0))
+    r = RadicalScalar({1: q})
+    assert r == q and q == r and hash(r) == hash(q)
+    if q.denominator == 1:
+        assert r == int(q) and int(q) == r and hash(r) == hash(int(q))
+    else:
+        assert r != math.floor(q) and r != math.ceil(q)
+    # int, bool and Fraction operands
+    assert x + 1 == RadicalScalar({**terms, 1: q + 1}) == 1 + x == x + True
+    assert 2 * x == RadicalScalar({d: 2 * c for d, c in terms.items()}) == x * 2
+    assert x * Fraction(1, 3) == RadicalScalar({d: c / 3 for d, c in terms.items()})
+    assert (x == True) == (terms == {1: 1}) == (x == 1)  # noqa: E712
+
+
 @settings(max_examples=200)
 @given(_scalars(), _scalars(), _scalars())
 def test_ring_axioms(a, b, c):
