@@ -2,20 +2,22 @@
 
 b_1 is the weighted block series sum_m sqrt(m) s_m s_{m+1}*, b_n the
 (n-1)-fold shift rho of b_1, a_1 = t_1 t_2* and a_n the (n-1)-fold
-twisted shift zeta of a_1.  Operators are given as state maps, plain
-functions State -> State, so rho(x) = sum_m s_m x s_m* and
-zeta(y) = t_1 y t_1* - t_2 y t_2* take such a map and apply its image to
-a state.  The rho sum needs no truncation: on a basis word at most the
-single summand picked out by the leading block survives.
+twisted shift zeta of a_1.  Operators are given as basis maps, as every
+engine operator is: word -> (coeff, word) | None.  So rho(x) =
+sum_m s_m x s_m* and zeta(y) = t_1 y t_1* - t_2 y t_2* take such a map
+and return the one image of a basis word, composed through `rep.then`.
+The rho sum needs no truncation: on a basis word at most the single
+summand picked out by the leading block survives, and of the two zeta
+branches only the one whose t_i* keeps the word.  The form of an oracle
+on a state is its basis map lifted by `rep.map_basis`.
 `_NumericFamily` builds the same forms as truncated operators on l2(N),
 with exact weights, for the comparison of `verify.float_oracle`.
 
 These forms share no code with the fast path they check.  They are built
-from the t/s generators, which define them: `rep.generator_map` lifted
-by `rep.map_basis`, with no mode bound, since the rho series reaches s_m
-above `MAX_MODE`.  s_m* is given its block length rather than searching
-for it, so it shares neither `leading_block` nor the boson transport's
-`nth_block`.
+from the t/s generators, which define them: `rep.generator_map`, with no
+mode bound, since the rho series reaches s_m above `MAX_MODE`.  s_m* is
+given its block length rather than searching for it, so it shares
+neither `leading_block` nor the boson transport's `nth_block`.
 `leading_block` keeps a split of its own, built with `words._make`, not
 `unroll`.  The import allowlist of this module, and the rule that
 no fast module imports it, are checked by a static layering test.
@@ -24,10 +26,9 @@ no fast module imports it, are checked by a static layering test.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable
 
 from .radical import ONE, sqrt_of_nat
-from .rep import EngineError, State, generator_map, map_basis
+from .rep import BasisMap, EngineError, generator_map, then
 from .words import _make
 
 
@@ -49,74 +50,66 @@ def leading_block(w):
     return len(prefix) + k, _make((), w.period, rot[k:] + rot[:k])
 
 
-# -- shift endomorphisms on operators given as state maps --------------------
+# -- shift endomorphisms on operators given as basis maps --------------------
 
 
-def apply_rho(op: Callable[[State], State], state: State) -> State:
-    """The shift endomorphism rho(op) = sum_m s_m op s_m*, applied to a state.
+def apply_rho(op: BasisMap, w):
+    """The shift endomorphism rho(op) = sum_m s_m op s_m*, applied to a basis word.
 
-    For a basis word u only the m given by the leading block of u has
-    s_m* u != 0, so the sum contributes at most one term per basis word.
+    Only the m given by the leading block of w has s_m* w != 0, so the sum
+    is the one term s_m op(rest), for w = s_m rest.
     """
-    acc = State.zero(state.space)
-    for w, c in state.items():
-        lb = leading_block(w)
-        if lb is None:
-            continue
-        m, rest = lb
-        image = op(State.basis(state.space, rest, c))
-        acc = acc + map_basis(image, generator_map("s", m, False))
-    return acc
+    lb = leading_block(w)
+    if lb is None:
+        return None
+    m, rest = lb
+    return then(generator_map("s", m, False), op(rest))
 
 
-def apply_zeta(op: Callable[[State], State], state: State) -> State:
-    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a state.
+def apply_zeta(op: BasisMap, w):
+    """The twisted shift zeta(op) = t_1 op t_1* - t_2 op t_2*, applied to a basis word.
 
-    op is linear, so a branch whose t_i* image is zero contributes zero and
-    op is not called on it: on a basis word exactly one branch survives.
+    Exactly one t_i* keeps w, and `then` calls op on that branch alone.
     """
-    plus, minus = (map_basis(state, generator_map("t", i, True)) for i in (1, 2))
-    if plus:
-        plus = map_basis(op(plus), generator_map("t", 1, False))
-    if minus:
-        minus = map_basis(op(minus), generator_map("t", 2, False))
-    return plus - minus
+    one, two = (then(op, generator_map("t", i, True)(w)) for i in (1, 2))
+    if two is None:
+        return then(generator_map("t", 1, False), one)
+    coeff, image = then(generator_map("t", 2, False), two)
+    return -coeff, image
 
 
 # -- the ladder operators ---------------------------------------------------
 
 
-def _b1_direct(create: bool, state: State) -> State:
+def _b1_direct(create: bool, w):
     """b_1 (create=False) or b_1* (create=True) from its weighted block series.
 
     b_1 = sum_m sqrt(m) s_m s_{m+1}* and b_1* = sum_m sqrt(m) s_{m+1} s_m*.
     On a basis word whose leading block has length L, s_k* survives only
     for k = L, so the block picks the one summand (m = L - 1, or m = L for
-    b_1*); that summand is evaluated through the generator maps alone.
+    b_1*); that summand is evaluated through the generator maps alone,
+    starting from the weight sqrt(m).
     """
-    acc = State.zero(state.space)
-    for w, c in state.items():
-        lb = leading_block(w)
-        if lb is None:
-            continue
-        m = lb[0] if create else lb[0] - 1
-        if m < 1:
-            continue
-        strip, prepend = (m, m + 1) if create else (m + 1, m)
-        term = map_basis(State.basis(state.space, w, c), generator_map("s", strip, True))
-        acc = acc + map_basis(term, generator_map("s", prepend, False)) * sqrt_of_nat(m)
-    return acc
+    lb = leading_block(w)
+    if lb is None:
+        return None
+    m = lb[0] if create else lb[0] - 1
+    if m < 1:
+        return None
+    strip, prepend = (m, m + 1) if create else (m + 1, m)
+    term = then(generator_map("s", strip, True), (sqrt_of_nat(m), w))
+    return then(generator_map("s", prepend, False), term)
 
 
-def boson_via_shifts(create: bool, n: int, state: State) -> State:
+def boson_via_shifts(create: bool, n: int, w):
     """Oracle: b_n as the (n-1)-fold shift endomorphism applied to b_1."""
     op = partial(_b1_direct, create)
     for _ in range(n - 1):
         op = partial(apply_rho, op)
-    return op(state)
+    return op(w)
 
 
-def fermion_via_shifts(create: bool, n: int, state: State) -> State:
+def fermion_via_shifts(create: bool, n: int, w):
     """Oracle: a_n as the (n-1)-fold twisted shift of a_1 = t_1 t_2*.
 
     For create, the shifts act on a_1* = t_2 t_1* instead.
@@ -124,12 +117,12 @@ def fermion_via_shifts(create: bool, n: int, state: State) -> State:
     i, j = (2, 1) if create else (1, 2)
     prepend, strip = generator_map("t", i, False), generator_map("t", j, True)
 
-    def op(st: State) -> State:
-        return map_basis(map_basis(st, strip), prepend)
+    def op(v):
+        return then(prepend, strip(v))
 
     for _ in range(n - 1):
         op = partial(apply_zeta, op)
-    return op(state)
+    return op(w)
 
 
 # -- truncated exact operators on l2(N) ---------------------------------------

@@ -87,12 +87,6 @@ class RadicalScalar:
         self._den = den
         self._num = {d: n * (den // m) for d, (n, m) in parts.items()}
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RadicalScalar":
-        return _ZERO
-
     # -- structure ---------------------------------------------------
 
     @property

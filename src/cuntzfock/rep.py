@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterator
 
-from .radical import ONE, RadicalScalar, promote
+from .radical import ONE, ZERO, RadicalScalar, promote
 from .words import (
     Letters, TailWord, _make, block, check_letters, pure, render_letters, roll, unroll,
 )
@@ -124,9 +124,6 @@ class State:
     def sorted_items(self) -> list[tuple[TailWord, RadicalScalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coeff(self, word: TailWord) -> RadicalScalar:
-        return self._terms.get(word, RadicalScalar.zero())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, State):
             return NotImplemented
@@ -175,7 +172,7 @@ class State:
     def inner(self, other: "State") -> RadicalScalar:
         """Inner product; the basis words are orthonormal."""
         self._check(other)
-        acc = RadicalScalar.zero()
+        acc = ZERO
         small, big = self._terms, other._terms
         if len(big) < len(small):
             small, big = big, small

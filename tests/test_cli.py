@@ -793,10 +793,11 @@ def test_imports_match_declared_dependencies():
 
 
 # What `oracles` may import from the package: `radical`, the t/s generator
-# maps that define the oracles and their lift to states, and the word builder.
-# Nothing else of the fast path they check, and no fast module imports them.
+# maps that define the oracles, the basis-map type and `then` that composes
+# them on words, and the word builder.  No lift to states, nothing else of
+# the fast path they check, and no fast module imports them.
 ORACLE_IMPORTS = {f"cuntzfock.rep.{name}" for name in (
-    "State", "EngineError", "map_basis", "generator_map",
+    "BasisMap", "EngineError", "generator_map", "then",
 )} | {"cuntzfock.words._make"}
 FAST_MODULES = ("radical", "words", "rep", "ladder", "correspondence", "cli")
 

@@ -30,7 +30,7 @@ from cuntzfock import ladder, oracles, words
 from cuntzfock.oracles import (
     _b1_direct, _NumericFamily, apply_rho, apply_zeta, boson_via_shifts, fermion_via_shifts,
 )
-from cuntzfock.rep import RepSpace, State, gp_vector
+from cuntzfock.rep import RepSpace, State, generator_map, gp_vector, map_basis, then
 from cuntzfock.words import TailWord, block, index_to_word, word_to_index
 
 P1 = RepSpace((1,))
@@ -44,6 +44,16 @@ def e(n):
 def act(x, create, n, psi):
     """x_n* (create) or x_n on psi, for x = "b" or "a", as an operator token."""
     return apply(f"{x}{n}*" if create else f"{x}{n}", psi)
+
+
+def lifted(oracle, create, n, psi):
+    """A shift oracle on a state: its basis map at (create, n) lifted by `map_basis`."""
+    return map_basis(psi, partial(oracle, create, n))
+
+
+def a_1(w):
+    """a_1 = t_1 t_2* on a basis word, from the generator maps that define it."""
+    return then(generator_map("t", 1, False), generator_map("t", 2, True)(w))
 
 
 def single_index(state):
@@ -87,9 +97,9 @@ def test_transport_agrees_with_shift_oracles():
         for n in range(1, 7):
             for create in (False, True):
                 fast = act("b", create, n, psi)
-                assert fast == boson_via_shifts(create, n, psi)
+                assert fast == lifted(boson_via_shifts, create, n, psi)
                 fast = act("a", create, n, psi)
-                assert fast == fermion_via_shifts(create, n, psi)
+                assert fast == lifted(fermion_via_shifts, create, n, psi)
 
 
 def test_transport_in_other_spaces():
@@ -99,23 +109,23 @@ def test_transport_in_other_spaces():
         for w in space.basis_words(3):
             psi = State.basis(space, w)
             for n in range(1, 5):
-                assert act("b", False, n, psi) == boson_via_shifts(False, n, psi)
-                assert act("a", True, n, psi) == fermion_via_shifts(True, n, psi)
+                assert act("b", False, n, psi) == lifted(boson_via_shifts, False, n, psi)
+                assert act("a", True, n, psi) == lifted(fermion_via_shifts, True, n, psi)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from([(1,), (2, 1), (1, 2, 2)]),
+    st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).map(tuple),
     st.lists(st.sampled_from([1, 2]), max_size=12).map(tuple),
-    st.integers(0, 2),
+    st.integers(0, 3),
     st.integers(1, 16),
     st.booleans(),
 )
 def test_boson_transport_matches_shift_oracle_deep(period, prefix, phase, n, create):
     space = RepSpace(period)
     psi = State.basis(space, TailWord(prefix, period, phase))
-    assert act("b", create, n, psi) == boson_via_shifts(create, n, psi)
-    assert act("a", create, n, psi) == fermion_via_shifts(create, n, psi)
+    assert act("b", create, n, psi) == lifted(boson_via_shifts, create, n, psi)
+    assert act("a", create, n, psi) == lifted(fermion_via_shifts, create, n, psi)
 
 
 # The b/a actions as they were composed from two words: the word is split
@@ -180,9 +190,7 @@ def test_ladder_actions_match_the_two_word_composition_and_the_shift_oracles():
         st.integers(0, 3),
     )
     def check(period, prefix, phase):
-        space = RepSpace(period)
         w = TailWord(prefix, period, phase)
-        psi = State.basis(space, w)
         for n in range(1, MAX_MODE + 1):
             for create in (False, True):
                 for kind, oracle in (("b", boson_via_shifts), ("a", fermion_via_shifts)):
@@ -190,13 +198,13 @@ def test_ladder_actions_match_the_two_word_composition_and_the_shift_oracles():
                     want = _action_as_before(kind, create, n, w)
                     if want is None:
                         assert got is None, (kind, n, create, w)
-                        assert not oracle(create, n, psi)
+                        assert oracle(create, n, w) is None
                         continue
                     (coeff, v), h, cut, ins = want
                     assert got[0] == coeff, (kind, n, create, w)
                     # every slot, and so the canonical form, not just the denoted word
                     assert (got[1].prefix, got[1].period, got[1].rot) == (v.prefix, v.period, v.rot)
-                    assert State.basis(space, got[1], got[0]) == oracle(create, n, psi)
+                    assert got == oracle(create, n, w)
                     reached.add(_edit_case(w, v, h, cut, ins))
 
     check()
@@ -210,18 +218,17 @@ def test_fermion_shift_oracle_calls_grow_linearly_in_n(monkeypatch):
     calls = [0]
     zeta = oracles.apply_zeta
 
-    def counted(op, state):
+    def counted(op, w):
         calls[0] += 1
-        return zeta(op, state)
+        return zeta(op, w)
 
     monkeypatch.setattr(oracles, "apply_zeta", counted)
     words_ = [TailWord(p, (1,)) for p in [(), (2,), (1, 2), (2, 1, 1, 2), (2,) * 9 + (1, 2)]]
     for w in words_:
-        psi = State.basis(P1, w)
         for n in range(1, 17):
             for create in (False, True):
                 calls[0] = 0
-                assert fermion_via_shifts(create, n, psi) == act("a", create, n, psi)
+                assert fermion_via_shifts(create, n, w) == basis_map(("a", n, create))(w)
                 assert calls[0] <= n - 1
 
 
@@ -257,17 +264,16 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
     tokens = [(kind, n, star) for kind in "tsba" for n in (1, 2, 3) for star in (False, True)
               if kind != "t" or n < 3]
 
-    def a_1(st):
-        return apply("t1 t2*", st)
-
     def oracles():
         out = []
         for psi in states:
             for create in (False, True):
-                out.append(_b1_direct(create, psi))
+                out.append(map_basis(psi, partial(_b1_direct, create)))
                 for n in range(1, 5):
-                    out += [boson_via_shifts(create, n, psi), fermion_via_shifts(create, n, psi)]
-            out += [apply_rho(partial(_b1_direct, False), psi), apply_zeta(a_1, psi)]
+                    out += [lifted(boson_via_shifts, create, n, psi),
+                            lifted(fermion_via_shifts, create, n, psi)]
+            out += [map_basis(psi, partial(apply_rho, partial(_b1_direct, False))),
+                    map_basis(psi, partial(apply_zeta, a_1))]
         num = _NumericFamily.__wrapped__(64)  # a fresh family, built below
         out += [num.apply(tok, {n: ONE / n for n in range(1, 65)}) for tok in tokens]
         return out
@@ -280,6 +286,34 @@ def test_oracles_do_not_reach_the_fast_ladder_maps(monkeypatch):
     monkeypatch.setattr(ladder, "_boson_word", boom)
     monkeypatch.setattr(ladder, "_fermion_word", boom)
     assert oracles() == want
+
+
+def test_shift_oracles_build_no_state_and_lift_nothing(monkeypatch):
+    # every oracle sends a basis word to one image through `rep.then`: no
+    # State is built, by its constructor or by a wrap, and no map is lifted
+    from cuntzfock import rep
+
+    calls = {"__init__": 0, "_wrap": 0, "map_basis": 0}
+
+    def counted(name, f):
+        def inner(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(rep.State, "__init__", counted("__init__", rep.State.__init__))
+    for name in ("_wrap", "map_basis"):
+        monkeypatch.setattr(rep, name, counted(name, getattr(rep, name)))
+    images = []
+    for space in [RepSpace(J) for J in [(1,), (2,), (2, 1), (1, 2, 2)]]:
+        for w in space.basis_words(4):
+            images += [apply_zeta(a_1, w), apply_rho(partial(apply_zeta, a_1), w)]
+            for create in (False, True):
+                images += [_b1_direct(create, w), apply_rho(partial(_b1_direct, create), w)]
+                for n in range(1, 7):
+                    images += [boson_via_shifts(create, n, w), fermion_via_shifts(create, n, w)]
+    assert calls == {"__init__": 0, "_wrap": 0, "map_basis": 0}
+    assert sum(image is not None for image in images) > len(images) // 4
 
 
 def test_boson_weights_are_read_from_a_table_of_square_roots():
