@@ -2,28 +2,28 @@
 
 A scalar is a finite map from squarefree radicands d >= 1 to nonzero
 rational coefficients; the radicand 1 carries the rational part.  It is
-stored as one positive integer denominator and a map from radicands to
-nonzero integer numerators, with no factor common to the denominator and
-every numerator, and nothing else: the hash is computed when asked.
-That form is canonical (square parts extracted, zero coefficients
-dropped, fractions reduced), so equality of values is equality of stored
-forms, and each sum or product needs one gcd pass rather than one per
-term.  This is exactly the coefficient arithmetic needed for
-ladder-operator weights sqrt(k) and normalization constants
-sqrt(k_1! ... k_m!).
+stored as that map, each coefficient as a pair (numerator, denominator)
+in lowest terms with a positive denominator, and nothing else: the hash
+is computed when asked.  That form is canonical (square parts extracted,
+zero coefficients dropped, fractions reduced), so equality of values is
+equality of stored forms.  Sums and products reduce term by term, on
+integers the size of one coefficient's numerator and denominator, never
+on a denominator shared by every term.  This is exactly the coefficient
+arithmetic needed for ladder-operator weights sqrt(k) and normalization
+constants sqrt(k_1! ... k_m!).
 
 No path of a scalar or int operand builds a Fraction: output reads the
-integer form, and `fractions` (with the `decimal` and `numbers` modules it
-imports) is loaded only where a Fraction is built or tested, by `terms`,
-`from_json`, the hash of a rational scalar or a Fraction operand.
+integer pairs, and `fractions` (with the `decimal` and `numbers` modules
+it imports) is loaded only where a Fraction is built or tested, by
+`terms`, `from_json`, the hash of a rational scalar or a Fraction operand.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from math import gcd
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from math import gcd, isqrt
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -44,14 +44,22 @@ def _fraction() -> type:
 
 # Bounded so that square roots of many distinct integers cannot grow the
 # cache without limit; the radicands and factorials the engine reuses fit
-# many times over.
-@lru_cache(maxsize=4096)
+# many times over.  Typed, so that a float equal to a cached int misses the
+# cache and is refused.
+@lru_cache(maxsize=4096, typed=True)
 def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d squarefree, by trial division."""
+    """Return (s, d) with n = s*s*d and d squarefree.
+
+    Trial division runs only while f**3 <= m.  What is left then has no
+    prime factor below f and is below f**3, so it is 1, a prime, the
+    product of two distinct primes, or the square of a prime.
+    """
+    if n.__class__ is not int:
+        raise TypeError(f"radicand {n!r} is not an int")
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     s, d, m, f = 1, 1, n, 2
-    while f * f <= m:
+    while f * f * f <= m:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -61,48 +69,47 @@ def _square_split(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= f
         f += 1 if f == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, d
     return s, d * m
 
 
 class RadicalScalar:
     """A finite sum of rational multiples of square roots of integers."""
 
-    __slots__ = ("_den", "_num")
+    __slots__ = ("_q",)
 
     def __init__(self, terms: Mapping[int, object] | None = None):
-        # Rationals report numerator and denominator in lowest terms, so
-        # over the lcm of the denominators no factor is common to all.
-        parts: dict[int, tuple[int, int]] = {}
-        den = 1
-        for d, q in (terms or {}).items():
+        # Rationals report numerator and denominator in lowest terms.
+        q = {}
+        for d, c in (terms or {}).items():
             if _square_split(d)[0] != 1:
                 raise ValueError(f"radicand {d} is not squarefree")
             try:
-                n, m = int(q.numerator), int(q.denominator)
+                n, m = int(c.numerator), int(c.denominator)
             except AttributeError:
-                raise TypeError(f"coefficient {q!r} of sqrt({d}) is not rational") from None
+                raise TypeError(f"coefficient {c!r} of sqrt({d}) is not rational") from None
             if n:
-                parts[d] = n, m
-                den = den // gcd(den, m) * m
-        self._den = den
-        self._num = {d: n * (den // m) for d, (n, m) in parts.items()}
+                q[d] = n, m
+        self._q = q
 
     # -- structure ---------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        den, fraction = self._den, _fraction()
-        return {d: fraction(n, den) for d, n in self._num.items()}
+        fraction = _fraction()
+        return {d: fraction(n, m) for d, (n, m) in self._q.items()}
 
     # perfbench's tracer reads the coefficient map under this name to
     # count products by one.
     _terms = terms
 
     def is_rational(self) -> bool:
-        return self._num.keys() <= {1}
+        return self._q.keys() <= {1}
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return bool(self._q)
 
     def __eq__(self, other) -> bool:
         # scalars meet scalars far more often than rationals, so the class
@@ -111,41 +118,37 @@ class RadicalScalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self._q == other._q
 
     def __hash__(self) -> int:
         # a rational scalar equals its Fraction (and int), so it hashes as one
         if self.is_rational():
-            return hash(_fraction()(self._num.get(1, 0), self._den))
-        return hash((self._den, tuple(sorted(self._num.items()))))
+            return hash(_fraction()(*self._q.get(1, (0, 1))))
+        return hash(tuple(sorted(self._q.items())))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "RadicalScalar":
+        """The sum, term by term; a radicand on both sides sums its two fractions."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._den, other._den
-        g = gcd(a, b)
-        fa, fb = b // g, a // g
-        if fa == 1:
-            acc = dict(self._num)
-        else:
-            acc = {d: n * fa for d, n in self._num.items()}
-        for d, n in other._num.items():
-            s = acc.get(d, 0) + n * fb
-            if s:
-                acc[d] = s
+        acc = dict(self._q)
+        for d, t in other._q.items():
+            if d in acc:
+                _accumulate(acc, d, t)
             else:
-                acc.pop(d, None)
-        # a prime whose power differs in a and b divides no numerator, so
-        # every factor common to the sum's den and numerators divides g
-        return _reduced(a * fa, acc, g)
+                acc[d] = t
+        return _wrap(acc) if acc else _ZERO
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return _wrap(self._den, {d: -n for d, n in self._num.items()})
+        q = self._q
+        if len(q) == 1:  # a weight: no comprehension to call
+            ((d, (n, m)),) = q.items()
+            return _wrap({d: (-n, m)})
+        return _wrap({d: (-n, m) for d, (n, m) in q.items()})
 
     def __sub__(self, other) -> "RadicalScalar":
         return self + (-promote(other))
@@ -156,57 +159,56 @@ class RadicalScalar:
     def __mul__(self, other) -> "RadicalScalar":
         """The product, term by term: sqrt(d1) sqrt(d2) = g sqrt(d1 d2 / g^2), g = gcd(d1, d2).
 
-        Two single terms, as every ladder weight and norm factor is, make
-        one term n1 n2 g / (den1 den2), reduced by one gcd with no loop, and
-        by none when den1 den2 = 1; the result's slots are filled in place.
-        A scalar operand is taken as it is, before any coercion.
+        Each pair of terms makes n1 n2 g / (m1 m2), reduced by one gcd on
+        integers the size of two terms' coefficients.  Two single terms, as
+        every ladder weight and norm factor is, make one term with no loop,
+        reduced by no gcd when m1 m2 = 1; the result's slot is filled in
+        place.  A scalar operand is taken as it is, before any coercion.
         """
         if other.__class__ is not RadicalScalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        left, right = self._num, other._num
+        left, right = self._q, other._q
         if len(left) == 1 == len(right):
-            ((d1, n1),) = left.items()
-            ((d2, n2),) = right.items()
+            ((d1, (n1, m1)),) = left.items()
+            ((d2, (n2, m2)),) = right.items()
             g = gcd(d1, d2)
-            n, den = n1 * n2 * g, self._den * other._den
-            out = _new(RadicalScalar)
-            if den == 1:
-                out._den = 1
-            else:
-                h = gcd(n, den)
-                out._den = den // h
+            n, m = n1 * n2 * g, m1 * m2
+            if m != 1:
+                h = gcd(n, m)
                 n //= h
-            out._num = {(d1 // g) * (d2 // g): n}
+                m //= h
+            out = _new(RadicalScalar)
+            out._q = {(d1 // g) * (d2 // g): (n, m)}
             return out
-        acc: dict[int, int] = {}
+        acc = {}
         right = right.items()
-        for d1, n1 in left.items():
-            for d2, n2 in right:
+        for d1, (n1, m1) in left.items():
+            for d2, (n2, m2) in right:
                 g = gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                s = acc.get(d, 0) + n1 * n2 * g
-                if s:
-                    acc[d] = s
+                n, m = n1 * n2 * g, m1 * m2
+                h = gcd(n, m)
+                d, t = (d1 // g) * (d2 // g), (n // h, m // h)
+                if d in acc:
+                    _accumulate(acc, d, t)
                 else:
-                    acc.pop(d, None)
-        den = self._den * other._den
-        return _reduced(den, acc, den)
+                    acc[d] = t
+        return _wrap(acc) if acc else _ZERO
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RadicalScalar":
         """Divide by a rational or by a single term q*sqrt(d)."""
         other = promote(other)
-        if len(other._num) != 1:
-            if not other._num:
+        if len(other._q) != 1:
+            if not other._q:
                 raise ZeroDivisionError("division by zero")
             raise ValueError("division only by rationals or single radical terms")
-        (d, n), = other._num.items()
-        # 1 / ((n/m) sqrt(d)) = m sqrt(d) / (n d)
-        m = other._den
-        inv = _reduced(abs(n) * d, {d: m if n > 0 else -m}, d)
+        ((d, (n, m)),) = other._q.items()
+        # 1 / ((n/m) sqrt(d)) = m sqrt(d) / (n d), and m is prime to n
+        g = gcd(m, d)
+        inv = _wrap({d: (m // g if n > 0 else -m // g, abs(n) * d // g)})
         return inv if self is _ONE else self * inv
 
     def __rtruediv__(self, other) -> "RadicalScalar":
@@ -215,21 +217,13 @@ class RadicalScalar:
     # -- output --------------------------------------------------------
 
     def to_float(self) -> float:
-        den = self._den
-        return sum(n / den * math.sqrt(d) for d, n in self._num.items())
-
-    def _lowest_terms(self) -> Iterator[tuple[int, int, int]]:
-        """(d, n, m) for each term n/m sqrt(d), by radicand, with n/m in lowest terms."""
-        den = self._den
-        for d, n in sorted(self._num.items()):
-            g = gcd(n, den)
-            yield d, n // g, den // g
+        return sum(n / m * math.sqrt(d) for d, (n, m) in self._q.items())
 
     def render(self) -> str:
-        if not self._num:
+        if not self._q:
             return "0"
         parts = []
-        for d, n, m in self._lowest_terms():
+        for d, (n, m) in sorted(self._q.items()):
             neg = n < 0
             mag = f"{abs(n)}" if m == 1 else f"{abs(n)}/{m}"
             if d == 1:
@@ -253,7 +247,7 @@ class RadicalScalar:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"radicand": d, "num": n, "den": m} for d, n, m in self._lowest_terms()
+                {"radicand": d, "num": n, "den": m} for d, (n, m) in sorted(self._q.items())
             ]
         }
 
@@ -269,33 +263,37 @@ class RadicalScalar:
 _new = object.__new__
 
 
-def _wrap(den: int, num: dict[int, int]) -> RadicalScalar:
+def _wrap(q: dict[int, tuple[int, int]]) -> RadicalScalar:
     """A scalar from a form that is already canonical, unchecked."""
     out = _new(RadicalScalar)
-    out._den = den
-    out._num = num
+    out._q = q
     return out
 
 
-def _reduced(den: int, num: dict[int, int], g: int) -> RadicalScalar:
-    """The scalar sum_d num[d]/den * sqrt(d), with its fraction reduced.
+def _accumulate(acc: dict[int, tuple[int, int]], d: int, t: tuple[int, int]) -> None:
+    """Add the lowest-terms fraction t to acc[d], as Fraction.__add__ does; a zero sum is dropped.
 
-    Radicands must be squarefree and numerators nonzero.  g is any number
-    that every factor common to den and all numerators divides; den
-    itself always qualifies.
+    Callers store a term on a new radicand themselves: most terms are new,
+    and testing `d in acc` costs less than this call.
     """
-    if not num:
-        return _ZERO
-    if g != 1:
-        g = gcd(g, *num.values())
-        if g != 1:
-            den //= g
-            num = {d: n // g for d, n in num.items()}
-    return _wrap(den, num)
+    (n1, m1), (n2, m2) = acc[d], t
+    g = gcd(m1, m2)
+    if g == 1:  # coprime denominators: the sum is in lowest terms
+        n, m = n1 * m2 + n2 * m1, m1 * m2
+    else:
+        # every factor common to n and s * m2 divides g
+        s = m1 // g
+        n = n1 * (m2 // g) + n2 * s
+        h = gcd(n, g)
+        n, m = n // h, s * (m2 // h)
+    if n:
+        acc[d] = n, m
+    else:
+        del acc[d]
 
 
-_ZERO = _wrap(1, {})
-_ONE = _wrap(1, {1: 1})
+_ZERO = _wrap({})
+_ONE = _wrap({1: (1, 1)})
 
 
 def _coerce(x) -> "RadicalScalar | None":
@@ -325,7 +323,7 @@ def sqrt_of_nat(n: int) -> RadicalScalar:
     s, d = _square_split(n)
     if s == d == 1:
         return _ONE
-    return _wrap(1, {d: s})
+    return _wrap({d: (s, 1)})
 
 
 def sqrt_factorial(k: int) -> RadicalScalar:

@@ -135,16 +135,16 @@ def prepend_drops_the_last_head_letter_on_a_prefix_from_4(prepend_map):
     return fault
 
 
-def single_term_product_unreduced_when_den_above_1(mul):
+def single_term_product_unreduced_when_m1m2_above_1(mul):
     def fault(x, y):
         out = mul(x, y)
-        if y.__class__ is not RadicalScalar or len(x._num) != 1 or len(y._num) != 1:
+        if y.__class__ is not RadicalScalar or len(x._q) != 1 or len(y._q) != 1:
             return out
-        ((d1, n1),), ((d2, n2),) = x._num.items(), y._num.items()
-        g, den = gcd(d1, d2), x._den * y._den
-        if den == 1:
+        ((d1, (n1, m1)),), ((d2, (n2, m2)),) = x._q.items(), y._q.items()
+        if m1 * m2 == 1:
             return out
-        return radical._wrap(den, {(d1 // g) * (d2 // g): n1 * n2 * g})
+        g = gcd(d1, d2)
+        return radical._wrap({(d1 // g) * (d2 // g): (n1 * n2 * g, m1 * m2)})
     return fault
 
 
@@ -183,8 +183,8 @@ FAULTS = {
     "prepend_map drops the last letter of a head of 4 or more before a prefix": (
         rep, "prepend_map", prepend_drops_the_last_head_letter_on_a_prefix_from_4,
         {"cuntz", "ccr", "oracle"}),
-    "a product of single terms is left unreduced when den > 1": (
-        RadicalScalar, "__mul__", single_term_product_unreduced_when_den_above_1,
+    "a product of single terms is left unreduced when m1 m2 > 1": (
+        RadicalScalar, "__mul__", single_term_product_unreduced_when_m1m2_above_1,
         {"branch-boson", "roundtrip"}),
 }
 
@@ -248,6 +248,6 @@ def test_a_fault_reaches_every_alias_of_its_function(monkeypatch):
     assert {"cuntzfock.correspondence._fermion",
             "cuntzfock.ladder._fermion"} <= set(planted), planted
     planted = plant(monkeypatch, RadicalScalar, "__mul__",
-                    single_term_product_unreduced_when_den_above_1)
+                    single_term_product_unreduced_when_m1m2_above_1)
     assert {"cuntzfock.radical.RadicalScalar.__mul__",
             "cuntzfock.radical.RadicalScalar.__rmul__"} <= set(planted), planted

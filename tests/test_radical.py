@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuntzfock.radical import (
@@ -317,6 +318,15 @@ def _agrees(x: RadicalScalar, expr) -> bool:
 
 @settings(max_examples=100, deadline=None)
 @given(_terms_lists, _terms_lists, _single_terms)
+# (1/2 sqrt(2) + 1/3 sqrt(3)) (1/2 sqrt(2) - 1/3 sqrt(3)) = 1/6: the cross terms cancel
+@example([(2, 1, 2), (3, 1, 3)], [(2, 1, 2), (3, -1, 3)], [(6, -5, 3)])
+# 1/6 sqrt(5) + 1/3 sqrt(5) = 1/2 sqrt(5): the sum of a colliding radicand reduces
+@example([(5, 1, 6)], [(5, 1, 3)], [(5, -1, 2)])
+# x + (-x) = 0, term by term
+@example([(1, 3, 4), (7, -5, 6)], [(1, -3, 4), (7, 5, 6)], [(7, -5, 6)])
+# division by a single term with a negative numerator, on a shared and a new radicand
+@example([(2, 3, 4), (6, 1, 9)], [(6, 2, 3)], [(6, -4, 15)])
+@example([(1, 1, 1)], [], [(30, -7, 2)])
 def test_ring_operations_match_sympy(a, b, t):
     x, y, z = _exact(a), _exact(b), _exact(t)
     ea, eb, et = _symbolic(a), _symbolic(b), _symbolic(t)
@@ -332,15 +342,64 @@ def test_sqrt_of_nat_matches_sympy(n):
     assert _agrees(sqrt_of_nat(n), sympy.sqrt(n))
 
 
+@st.composite
+def _near_the_cube_root_bound(draw):
+    """c times p^2, p q, p^3 or p^2 q: primes p <= q, q next to p or to p^2, and 1 <= c < p.
+
+    Trial division runs while f^3 is at most what is left of n.  Once c is
+    divided out, that leaves p just inside the bound (p^3, p^2 q, and p q
+    with q just above p^2) or just past it (p^2, and p q with q just below
+    p^2), where the rest must be read as one or two primes.
+    """
+    p = int(sympy.nextprime(draw(st.integers(1, 5000))))
+    near = draw(st.sampled_from([p, p * p]))
+    q = int(sympy.nextprime(max(p, near + draw(st.integers(-30, 30))) - 1))
+    base = draw(st.sampled_from([p * p, p * q, p**3, p * p * q]))
+    assume(base < 2**40)
+    return base * draw(st.integers(1, min(p - 1, (2**40 - 1) // base)))
+
+
+def _split_by_factorint(n: int) -> tuple[int, int]:
+    s = d = 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**40 - 1) | _near_the_cube_root_bound())
+@example(10**12 + 39)  # a prime of 40 bits
+@example(9973**3)
+@example(9967 * 9973**2)
+@example(9949 * 9967 * 9973)
+def test_square_split_matches_factorint(n):
+    assert _square_split(n) == _split_by_factorint(n)
+
+
+def test_non_integer_radicands_are_refused():
+    # 2 and 4 are cached first, so a float equal to one must still be refused
+    assert sqrt_of_nat(4) == 2 and RadicalScalar({2: 1}) == sqrt_of_nat(2)
+    for bad in (2.5, 4.0, 2.0, 1.0, True, Fraction(4), "4"):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            sqrt_of_nat(bad)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RadicalScalar({bad: 1})
+    for radicand in (2.0, 2.5):
+        with pytest.raises(TypeError, match=re.escape(repr(radicand))):
+            RadicalScalar.from_json({"terms": [{"radicand": radicand, "num": 1, "den": 3}]})
+
+
 # -- fast paths build what the validating constructor builds -------------------
 
 
 def assert_canonical(x: RadicalScalar):
     y = RadicalScalar(x.terms)
-    assert (x._den, x._num) == (y._den, y._num)
+    assert x._q == y._q
     assert x == y and hash(x) == hash(y)
-    assert x._den > 0 and math.gcd(x._den, *x._num.values()) == 1
-    assert all(x._num.values())
+    for d, (n, m) in x._q.items():
+        assert d.__class__ is n.__class__ is m.__class__ is int
+        assert m > 0 and n != 0 and math.gcd(n, m) == 1
     assert (x._terms == ONE._terms) == (x == 1)
 
 
@@ -359,21 +418,15 @@ def test_fast_paths_match_the_validating_constructor(a, b, t, n, ks):
         assert_canonical(result)
 
 
-def _double_loop_product(x: RadicalScalar, y: RadicalScalar) -> tuple[int, dict[int, int]]:
-    """(den, num) of x * y by the general term-by-term loop, one gcd pass at the end."""
-    acc: dict[int, int] = {}
-    for d1, n1 in x._num.items():
-        for d2, n2 in y._num.items():
+def _fraction_product(x: RadicalScalar, y: RadicalScalar) -> dict[int, tuple[int, int]]:
+    """The stored pairs of x * y, from one Fraction per term of the product."""
+    acc: dict[int, Fraction] = {}
+    for d1, (n1, m1) in x._q.items():
+        for d2, (n2, m2) in y._q.items():
             g = math.gcd(d1, d2)
             d = (d1 // g) * (d2 // g)
-            s = acc.get(d, 0) + n1 * n2 * g
-            if s:
-                acc[d] = s
-            else:
-                acc.pop(d, None)
-    den = x._den * y._den
-    g = math.gcd(den, *acc.values())
-    return den // g, {d: n // g for d, n in acc.items()}
+            acc[d] = acc.get(d, 0) + Fraction(n1, m1) * Fraction(n2, m2) * g
+    return {d: (q.numerator, q.denominator) for d, q in acc.items() if q}
 
 
 # radicands 1, primes and products sharing a prime; small numerators and
@@ -396,11 +449,11 @@ def test_single_term_products_match_the_double_loop(x, y, q):
     # an int or Fraction operand, on either side, is coerced to one term
     for p, (a, b) in ((x * q, (x, promote(q))), (q * x, (x, promote(q)))):
         assert p.__class__ is RadicalScalar
-        assert (p._den, p._num) == _double_loop_product(a, b)
+        assert p._q == _fraction_product(a, b)
     for a, b in ((x, y), (y, x), (x, x), (x, ONE / x)):
         p = a * b
-        assert (p._den, p._num) == _double_loop_product(a, b)
-    assert (p._den, p._num) == (1, {1: 1})  # x times its reciprocal is ONE
+        assert p._q == _fraction_product(a, b)
+    assert p._q == {1: (1, 1)}  # x times its reciprocal is ONE
 
 
 def test_single_term_products_of_units_signs_and_integers():
@@ -411,9 +464,9 @@ def test_single_term_products_of_units_signs_and_integers():
         (r2 / 3, r6 / -4), (half, r2 / 2), (promote(Fraction(-2, 3)), promote(Fraction(3, 2))),
     ]
     for a, b in cases:
-        assert ((a * b)._den, (a * b)._num) == _double_loop_product(a, b), (a, b)
+        assert (a * b)._q == _fraction_product(a, b), (a, b)
     for a, b in ((r6, 2), (2, r6), (ONE, Fraction(-3, 4)), (Fraction(-3, 4), r2 / 3)):
-        assert ((a * b)._den, (a * b)._num) == _double_loop_product(promote(a), promote(b))
+        assert (a * b)._q == _fraction_product(promote(a), promote(b))
     assert r2 * r6 == 2 * sqrt_of_nat(3) and half * 2 == ONE and -r2 * r2 == -2
     for bad in ("a", 0.5, None):
         with pytest.raises(TypeError):
